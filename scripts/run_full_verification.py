@@ -12,15 +12,22 @@ import sys
 import time
 from collections import Counter
 
-from minrep.verify import CHECK_NAMES, VerifyConfig, run_all, suite_status
+from minrep.verify import (
+    CHECK_NAMES,
+    DEFAULT_CONFIG,
+    VerifyConfig,
+    run_all,
+    suite_status,
+)
+from minrep.weyl import STRATEGIES
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--strategy", choices=("brute", "reduced"),
-                    default="reduced")
-    ap.add_argument("--budget", type=int, default=10 ** 7)
+    ap.add_argument("--jobs", type=int, default=DEFAULT_CONFIG.jobs)
+    ap.add_argument("--strategy", choices=STRATEGIES,
+                    default=DEFAULT_CONFIG.strategy)
+    ap.add_argument("--budget", type=int, default=DEFAULT_CONFIG.budget)
     args = ap.parse_args()
 
     config = VerifyConfig(strategy=args.strategy, budget=args.budget,

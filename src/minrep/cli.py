@@ -31,13 +31,14 @@ from .render import format_q, format_weight, format_word
 from .rootsys import UnsupportedCartanType, make_root_system, omega_to_coords, pair_coroot
 from .verify import (
     CHECK_NAMES,
+    DEFAULT_CONFIG,
     VerifyConfig,
     run_all,
     run_check,
     suite_status,
 )
 from .weyl import (
-    BudgetExceededError,
+    STRATEGIES,
     group_order,
     longest_element,
     orbit_size,
@@ -106,6 +107,11 @@ def cmd_verify(args) -> int:
     budget = args.budget if args.budget is not None else _env_budget()
     if budget <= 0:
         raise UsageError("--budget must be positive")
+    if args.rungs < 0:
+        raise UsageError("--rungs must be nonnegative")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
     if args.params is not None and args.family is None:
         raise UsageError("--params requires --family")
     config = VerifyConfig(strategy=args.strategy, rung_cap=args.rungs,
@@ -431,8 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="CHECK",
                           help="restrict to one check (repeatable); one of: "
                           + ", ".join(CHECK_NAMES))
-    p_verify.add_argument("--strategy", choices=("brute", "reduced"),
-                          default="reduced")
+    p_verify.add_argument("--strategy", choices=STRATEGIES,
+                          default=DEFAULT_CONFIG.strategy,
+                          help="line-preserver search: chamber (closed form, "
+                          "self-checked) or an enumeration certificate")
     p_verify.add_argument("--rungs", type=int, default=50,
                           help="ladder sweep cap for disjointness")
     p_verify.add_argument("--budget", type=int, default=None,

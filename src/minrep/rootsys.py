@@ -466,12 +466,6 @@ def factor_bilinear(space: KSpace, i: int, a: Weight, b: Weight) -> Q:
     return dot(a.factors[i], b.factors[i])
 
 
-def space_pair_coroot(space: KSpace, lam: Weight, factor: int, alpha: Vector) -> Q:
-    if alpha not in space.factors[factor].roots:
-        raise ValueError(f"{alpha} is not a root of factor {factor}")
-    return pair_coroot(lam.factors[factor], alpha)
-
-
 def space_dominance(space: KSpace, lam: Weight) -> DomInt:
     """Dominance/integrality against every simple root; center ignored."""
     conform(space, lam)

@@ -50,6 +50,7 @@ from .rootsys import (
 )
 from .weyl import (
     BudgetExceededError,
+    SelfCheckError,
     apply,
     as_element,
     compose,
@@ -82,7 +83,7 @@ SKIP_NO_MODULES = "no modules"
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    strategy: str = "reduced"
+    strategy: str = "chamber"
     rung_cap: int = 50
     budget: int = 10 ** 7
     jobs: int = 1
@@ -244,6 +245,8 @@ def _check_w0_unique(r: RealFormRecord, config: VerifyConfig):
         except BudgetExceededError as exc:
             return _skip(f"enumeration order {exc.order} above budget "
                          f"{config.budget} for strategy {config.strategy}")
+        except SelfCheckError as exc:
+            return _fail(f"{exc} (strategy {config.strategy})")
         if got != expected:
             extras = [g for g in got if g not in expected]
             missing = [g for g in expected if g not in got]

@@ -11,14 +11,16 @@ Enumeration realizes group elements as orbit points of a strictly dominant
 regular vector (2*rho): the map w -> w(2*rho) is a bijection, so a breadth
 first search over the orbit visits every element exactly once while storing
 only small integer vectors.  Matrices are materialized lazily, by walking an
-orbit point back to the dominant chamber.
+orbit point back to the dominant chamber, one O(n^2) rank-one update per
+letter.  The default line-preserver strategy enumerates only the parabolic
+stabilizer of a dominant point, which is trivial on the whole catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
+from itertools import chain, product
 from math import factorial, isqrt, lcm
 from typing import Iterable, Iterator
 
@@ -96,11 +98,20 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
     return WeylWord(tuple(out))
 
 
-def reflection_matrix(v: Vector) -> Matrix:
-    n = len(v)
-    vv = dot(v, v)
-    return tuple(tuple((Q(1) if i == j else Q(0)) - 2 * v[i] * v[j] / vv
-                       for j in range(n)) for i in range(n))
+def _times_reflection(m: Matrix, v: Vector) -> Matrix:
+    """m * s(v) as the rank-one update m - (2/(v,v)) (m v) v^T: O(n^2)."""
+    support = [(j, c) for j, c in enumerate(v) if c]
+    scale = 2 / sum(c * c for _, c in support)
+    out = []
+    for row in m:
+        k = scale * sum(row[j] * c for j, c in support)
+        if k:
+            row = list(row)
+            for j, c in support:
+                row[j] -= k * c
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
 
 def identity_element(space: KSpace) -> WeylElement:
@@ -110,7 +121,7 @@ def identity_element(space: KSpace) -> WeylElement:
 def as_element(space: KSpace, w: WeylWord) -> WeylElement:
     blocks = [identity(rs.ambient) for rs in space.factors]
     for factor, v in w.letters:
-        blocks[factor] = matmul(blocks[factor], reflection_matrix(v))
+        blocks[factor] = _times_reflection(blocks[factor], v)
     return WeylElement(tuple(blocks))
 
 
@@ -330,17 +341,22 @@ def _word_from_orbit_point(rs: RootSystem, u: tuple[int, ...],
 def _matrix_from_letters(n: int, letters: list[Vector]) -> Matrix:
     m = identity(n)
     for a in letters:
-        m = matmul(m, reflection_matrix(a))
+        m = _times_reflection(m, a)
     return m
+
+
+def _group_words(rs: RootSystem) -> Iterator[list[Vector]]:
+    """Letters (printed order) of every element of W(rs), once each."""
+    states, (start,) = _orbit_states(rs, ())
+    for (u,) in states:
+        yield _word_from_orbit_point(rs, u, start)
 
 
 def enumerate_group(rs: RootSystem,
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[WeylElement]:
     """Every element of W(rs) exactly once, as single-block elements."""
     _require_within(group_order(rs), budget, rs.label)
-    states, (start,) = _orbit_states(rs, ())
-    for (u,) in states:
-        letters = _word_from_orbit_point(rs, u, start)
+    for letters in _group_words(rs):
         yield WeylElement((_matrix_from_letters(rs.ambient, letters),))
 
 
@@ -348,16 +364,27 @@ def enumerate_group(rs: RootSystem,
 # longest elements
 
 
-def _greedy_letters(simple: tuple[Vector, ...], u: Vector, target: Vector) -> list[Vector]:
+def _descend(simple: tuple[Vector, ...], u: Vector) -> tuple[list[Vector], Vector]:
+    """Greedy descent of u into the closed dominant chamber of `simple`.
+
+    Returns the letters in the order applied and the dominant point reached,
+    so the element carrying u there has the reversed letters as its word.
+    """
     letters = []
-    while u != target:
+    while True:
         for a in simple:
             if dot(u, a) < 0:
                 letters.append(a)
                 u = reflect(u, a)
                 break
         else:
-            raise AssertionError("greedy descent stuck off the orbit")
+            return letters, u
+
+
+def _greedy_letters(simple: tuple[Vector, ...], u: Vector, target: Vector) -> list[Vector]:
+    letters, end = _descend(simple, u)
+    if end != target:
+        raise AssertionError("greedy descent stuck off the orbit")
     return letters
 
 
@@ -476,15 +503,23 @@ def _brute_factor_lists(rs: RootSystem, beta_f: Vector, xi_f: Vector, budget: in
     return keep_plus, keep_minus, start[0]
 
 
-def _assemble(space: KSpace, factor_matrices: Iterable[tuple[Matrix, ...]]) -> set[WeylElement]:
-    return {WeylElement(blocks) for blocks in factor_matrices}
+STRATEGIES = ("chamber", "reduced", "brute")
+
+
+class SelfCheckError(RuntimeError):
+    """A closed-form survivor failed the line-preserver definition."""
 
 
 def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
-                    strategy: str = "reduced",
+                    strategy: str = "chamber",
                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> frozenset[WeylElement]:
     """All w with w(beta) on the beta line (either sign) such that every
-    positive root orthogonal to w(beta) pairs nonnegatively with w(xi0)."""
+    positive root orthogonal to w(beta) pairs nonnegatively with w(xi0).
+
+    "chamber" writes the answer down in closed form and checks each
+    survivor against this definition; "reduced" (the beta stabilizer and
+    its w_l coset) and "brute" (all of W) certify it by enumeration.
+    """
     conform(space, beta)
     conform(space, xi0)
     if all(is_zero(v) for v in beta.factors):
@@ -492,11 +527,61 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
     dom = space_dominance(space, beta)
     if not (dom.dominant and dom.integral):
         raise ValueError("beta must be dominant integral")
+    if strategy == "chamber":
+        return _line_preservers_chamber(space, beta, xi0, budget)
     if strategy == "brute":
         return _line_preservers_brute(space, beta, xi0, budget)
     if strategy == "reduced":
         return _line_preservers_reduced(space, beta, xi0, budget)
-    raise ValueError(f"unknown strategy {strategy!r}; expected 'brute' or 'reduced'")
+    raise ValueError(f"unknown strategy {strategy!r}; expected one of "
+                     + ", ".join(repr(s) for s in STRATEGIES))
+
+
+def _line_preservers_chamber(space, beta, xi0, budget):
+    # The candidates are those of the reduced strategy: W_beta and, when
+    # w_l beta = -beta, the coset w_l W_beta.  A u in W_beta survives when
+    # u(xi0) is dominant for Delta_beta+.  Greedy descent gives one such u0
+    # with xi_dom = u0(xi0); any other satisfies u(xi0) = xi_dom, so the
+    # survivors are P u0 with P = Stab(xi_dom), which by Chevalley's lemma
+    # (Humphreys, Reflection Groups and Coxeter Groups, 1.12) is generated
+    # by the reflections in the roots of Delta_beta orthogonal to xi_dom.
+    # In the coset w_l u, u(xi0) must be antidominant for Delta_beta+, which
+    # the longest element w_beta,l of W_beta turns into the plus condition:
+    # the survivors are w_l w_beta,l P u0.
+    subs = space_beta_subsystems(space, beta)
+    u0: list[tuple[int, Vector]] = []
+    parabolics: list[RootSystem | None] = []
+    parabolic_order = 1
+    for f, sub in enumerate(subs):
+        descent, xi_dom = _descend(sub.simple, xi0.factors[f])
+        u0.extend((f, a) for a in reversed(descent))
+        # an empty W_beta (sub.system None) has the trivial parabolic
+        par = orthogonal_subsystem(sub.system, xi_dom, f) if sub.system else sub
+        parabolics.append(par.system)
+        parabolic_order *= par.order
+    _require_within(parabolic_order, budget, "the stabilizer of xi0 in W_beta")
+    parabolic_words = [
+        [[(f, a) for a in letters] for letters in _group_words(rs)] if rs else [[]]
+        for f, rs in enumerate(parabolics)]
+
+    plus = [tuple(chain(*p, u0)) for p in product(*parabolic_words)]
+    words = [WeylWord(letters) for letters in plus]
+    wl = space_longest_element(space)
+    negated = tuple(vscale(-1, v) for v in beta.factors)
+    if apply(space, wl, beta).factors == negated:
+        flip = wl.letters + space_subgroup_longest(space, subs).letters
+        words.extend(WeylWord(flip + letters) for letters in plus)
+    out = frozenset(as_element(space, w) for w in words)
+
+    for w in out:
+        if apply(space, w, beta).factors not in (beta.factors, negated):
+            raise SelfCheckError("chamber survivor does not send beta to +-beta")
+        moved = apply(space, w, xi0)
+        for sub, v in zip(subs, moved.factors):
+            if any(dot(a, v) < 0 for a in sub.positive):
+                raise SelfCheckError("chamber survivor does not keep xi0 "
+                                     "dominant for the beta stabilizer")
+    return out
 
 
 def _line_preservers_brute(space, beta, xi0, budget):

@@ -31,6 +31,7 @@ from minrep.verify import VerifyConfig, run_check
 from minrep.weyl import (
     apply,
     group_order,
+    line_preservers,
     orbit_size,
     space_group_order,
     word,
@@ -172,6 +173,12 @@ def test_preserver_formula_and_uniqueness(record):
         # both strategies certified the same two-element set
         assert "identity, w0" in brute.evidence
         assert "identity, w0" in reduced.evidence
+
+    # the closed form returns exactly the enumerated set
+    for beta in {m.beta for m in record.modules}:
+        chamber = line_preservers(record.space, beta, record.xi0, "chamber")
+        assert chamber == line_preservers(record.space, beta, record.xi0,
+                                          "reduced", budget=10 ** 7)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def test_verify_record_and_family_are_exclusive(capsys):
 
 def test_verify_budget_skip_still_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique", "--budget", "2")
+                       "--check", "w0_unique", "--strategy", "reduced",
+                       "--budget", "2")
     assert code == 0
     assert "above budget 2" in out
     assert "skipped" in out
@@ -121,11 +122,52 @@ def test_verify_budget_skip_still_exits_zero(capsys):
 def test_verify_env_budget_and_flag_override(capsys, monkeypatch):
     monkeypatch.setenv("MINREP_BUDGET", "2")
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique")
+                       "--check", "w0_unique", "--strategy", "reduced")
     assert code == 0 and "above budget 2" in out
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique", "--budget", "10000000")
+                       "--check", "w0_unique", "--strategy", "reduced",
+                       "--budget", "10000000")
     assert code == 0 and "pass" in out and "above budget" not in out
+
+
+def test_verify_default_strategy_is_chamber(capsys):
+    # the closed form certifies e8(C) under the benchmark budget, where the
+    # reduced strategy would enumerate the 2,903,040-element E7 stabilizer
+    code, out, _ = run(capsys, "verify", "--record", "e8(C)",
+                       "--check", "w0_unique", "--budget", "1000000")
+    assert code == 0
+    assert "| e8(C) | w0_unique | pass |" in out
+    assert "(strategy chamber)" in out
+
+
+def test_verify_negative_rungs_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--record", "e6(-14)",
+                         "--rungs", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--rungs" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--record", "g2_2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_verify_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
+    import minrep.verify
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    monkeypatch.setattr(minrep.verify, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, "verify", "--record", "g2_2", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert "between 1 and 1" in err
 
 
 def test_verify_bad_env_budget_is_config_error(capsys, monkeypatch):

@@ -122,9 +122,33 @@ def test_w0_unique_brute_matches_reduced_on_small_records():
 
 
 def test_w0_unique_budget_skip_names_the_order():
-    rep = check_w0_unique(find_record("e6(6)"), VerifyConfig(budget=2))
+    rep = check_w0_unique(find_record("e6(6)"),
+                          VerifyConfig(strategy="reduced", budget=2))
     assert rep.status == "skipped"
     assert "above budget 2" in rep.evidence
+
+
+def test_w0_unique_chamber_budget_bounds_the_parabolic():
+    # xi0 = 0 is fixed by all of W_beta, so the parabolic P is the whole
+    # stabilizer; the catalog's own xi0 has P trivial under any budget
+    r = find_record("e6(6)")
+    zero = weight(r.space, *([0] * rs.ambient for rs in r.space.factors))
+    rep = check_w0_unique(mutate(r, xi0=zero), VerifyConfig(budget=2))
+    assert rep.status == "skipped"
+    assert "above budget 2 for strategy chamber" in rep.evidence
+    assert check_w0_unique(r, VerifyConfig(budget=1)).status == "pass"
+
+
+def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
+    # dropping w_beta,l from the coset branch leaves a survivor that breaks
+    # the definition; the self-check must turn that into a fail
+    import minrep.weyl
+
+    monkeypatch.setattr(minrep.weyl, "space_subgroup_longest",
+                        lambda space, subs: word(space, []))
+    rep = check_w0_unique(find_record("f4(4)"))
+    assert rep.status == "fail"
+    assert "strategy chamber" in rep.evidence
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +304,7 @@ def test_check_wrappers_set_check_name():
 
 
 def test_default_config_values():
-    assert DEFAULT_CONFIG.strategy == "reduced"
+    assert DEFAULT_CONFIG.strategy == "chamber"
     assert DEFAULT_CONFIG.rung_cap == 50
     assert DEFAULT_CONFIG.budget == 10 ** 7
     assert DEFAULT_CONFIG.jobs == 1

@@ -310,6 +310,60 @@ def test_line_preservers_brute_over_budget_suggests_reduced():
     assert info.value.order == space_group_order(sp)
 
 
+def test_line_preservers_chamber_singular_xi0_and_budget():
+    # W_beta = A2 (roots e_i - e_j); xi0 is fixed by s(e1 - e2), so each
+    # branch has |P| = 2 survivors and w_l = -1 adds the coset branch
+    c3 = make_root_system("C3")
+    sp = KSpace((c3,), 0)
+    beta = weight(sp, (1, 1, 1))
+    xi0 = weight(sp, (1, 1, -2))
+    with pytest.raises(BudgetExceededError) as info:
+        line_preservers(sp, beta, xi0, "chamber", budget=1)
+    assert info.value.order == 2
+    got = line_preservers(sp, beta, xi0, "chamber", budget=2)
+    assert len(got) == 4
+    assert got == line_preservers(sp, beta, xi0, "reduced")
+    assert got == line_preservers(sp, beta, xi0, "brute")
+
+
+SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
+
+
+@st.composite
+def preserver_case(draw):
+    """A small K space, a dominant integral beta and a rational xi0, often
+    singular for the beta stabilizer."""
+    if draw(st.booleans()):
+        labels = [draw(st.sampled_from(SMALL_TYPES + ("D4", "F4")))]
+    else:
+        labels = draw(st.lists(st.sampled_from(SMALL_TYPES),
+                               min_size=2, max_size=2))
+    sp = KSpace(tuple(make_root_system(lbl) for lbl in labels), 0)
+    blocks = []
+    for rs in sp.factors:
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=rs.rank,
+                               max_size=rs.rank))
+        v = (Q(0),) * rs.ambient
+        for c, omega in zip(coeffs, rs.fundamental):
+            v = tuple(a + c * b for a, b in zip(v, omega))
+        blocks.append(v)
+    if all(all(c == 0 for c in v) for v in blocks):
+        blocks[0] = sp.factors[0].fundamental[0]
+    coord = st.sampled_from((Q(-1), -H, Q(0), H, Q(1)))
+    xi = [draw(st.lists(coord, min_size=rs.ambient, max_size=rs.ambient))
+          for rs in sp.factors]
+    return sp, weight(sp, *blocks), weight(sp, *xi)
+
+
+@given(preserver_case())
+@settings(max_examples=60, deadline=None)
+def test_line_preserver_strategies_agree(case):
+    sp, beta, xi0 = case
+    chamber = line_preservers(sp, beta, xi0, "chamber")
+    assert chamber == line_preservers(sp, beta, xi0, "reduced")
+    assert chamber == line_preservers(sp, beta, xi0, "brute")
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -333,6 +387,20 @@ def test_element_inverse_and_composition(sw):
     assert compose(el, inverse(el)) == identity_element(sp)
     lam = weight(sp, (3, 1, -2), (4, -4))
     assert apply(sp, inverse(el), apply(sp, el, lam)) == lam
+
+
+@given(short_word())
+@settings(max_examples=50, deadline=None)
+def test_element_matches_product_of_reflection_matrices(sw):
+    # reference: the dense reflection matrix per letter, multiplied out
+    sp, w = sw
+    blocks = [identity(rs.ambient) for rs in sp.factors]
+    for f, v in w.letters:
+        n, vv = len(v), dot(v, v)
+        s_v = tuple(tuple((1 if i == j else 0) - 2 * v[i] * v[j] / vv
+                          for j in range(n)) for i in range(n))
+        blocks[f] = matmul(blocks[f], s_v)
+    assert as_element(sp, w).blocks == tuple(blocks)
 
 
 @given(short_word())
