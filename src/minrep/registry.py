@@ -13,6 +13,7 @@ per-factor coordinate arrays plus a "center" array.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from typing import Callable, Iterable
@@ -606,6 +607,35 @@ class RegistryFormatError(ValueError):
     pass
 
 
+# Largest Cartan rank a registry file may name in k_factors or g_complex,
+# checked before any root system is built.  The built-in catalog stops at
+# rank 8; a cap of 16 leaves room for family instances such as so(16,16)
+# while bounding the cost of one build, which grows steeply with rank
+# (D16 about 0.1-0.2 s, D24 about 0.6 s on a 2-vCPU VM).
+MAX_LOADED_RANK = 16
+
+
+def _exact_int(value, where: str, field: str) -> int:
+    if type(value) is not int:
+        raise RegistryFormatError(f"{where}: {field} must be an integer, got {value!r}")
+    return value
+
+
+def _exact_str(value, where: str, field: str) -> str:
+    if not isinstance(value, str):
+        raise RegistryFormatError(f"{where}: {field} must be a string, got {value!r}")
+    return value
+
+
+def _type_label(value, where: str, field: str) -> str:
+    label = _exact_str(value, where, field)
+    digits = re.fullmatch(r"\s*[A-Z](\d+)d?\s*", label)
+    if digits and int(digits[1]) > MAX_LOADED_RANK:
+        raise RegistryFormatError(
+            f"{where}: {field} type {label!r} has rank above {MAX_LOADED_RANK}")
+    return label
+
+
 def _q_str(x: Q) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -658,27 +688,36 @@ def record_to_json(r: RealFormRecord) -> dict:
 
 
 def record_from_json(obj: dict) -> RealFormRecord:
-    name = obj.get("name")
+    name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str):
         raise RegistryFormatError("record without a name")
     where = f"record {name}"
     try:
-        space = KSpace(tuple(make_root_system(l) for l in obj["k_factors"]),
-                       int(obj.get("center_dim", 0)))
+        k_labels = [_type_label(l, where, "k_factors") for l in obj["k_factors"]]
+        g_labels = tuple(_type_label(l, where, "g_complex") for l in obj["g_complex"])
+        center_dim = _exact_int(obj.get("center_dim", 0), where, "center_dim")
+        if center_dim < 0:
+            raise RegistryFormatError(f"{where}: center_dim must be nonnegative")
+        hermitian = obj["hermitian"]
+        if type(hermitian) is not bool:
+            raise RegistryFormatError(f"{where}: hermitian must be true or false")
+        family = obj.get("family")
+        space = KSpace(tuple(make_root_system(l) for l in k_labels), center_dim)
         modules = tuple(
-            MinimalModuleRecord(m["label"], _weight_parse(m["mu0"], where),
+            MinimalModuleRecord(_exact_str(m["label"], where, "module label"),
+                                _weight_parse(m["mu0"], where),
                                 _weight_parse(m["beta"], where), m.get("null_half"))
             for m in obj["modules"])
         infchar = obj.get("infchar")
         w0 = obj.get("w0")
         record = RealFormRecord(
             name=name,
-            g_complex=tuple(obj["g_complex"]),
+            g_complex=g_labels,
             space=space,
-            hermitian=bool(obj["hermitian"]),
+            hermitian=hermitian,
             p_summands=tuple(_weight_parse(w, where) for w in obj["p_summands"]),
             modules=modules,
-            expected_count=int(obj["expected_count"]),
+            expected_count=_exact_int(obj["expected_count"], where, "expected_count"),
             nonexistence_reason=obj.get("nonexistence_reason"),
             rho=_weight_parse(obj["rho"], where) if obj.get("rho") is not None else None,
             xi0=_weight_parse(obj["xi0"], where) if obj.get("xi0") is not None else None,
@@ -686,8 +725,8 @@ def record_from_json(obj: dict) -> RealFormRecord:
             if w0 is not None else None,
             infchar=tuple(tuple(_q_parse(c, where) for c in pat) for pat in infchar)
             if infchar is not None else None,
-            family=obj.get("family"),
-            params=tuple(int(p) for p in obj.get("params", [])),
+            family=_exact_str(family, where, "family") if family is not None else None,
+            params=tuple(_exact_int(p, where, "params") for p in obj.get("params", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, RegistryFormatError):
@@ -716,4 +755,12 @@ def load(text: str) -> tuple[RealFormRecord, ...]:
     records = payload.get("records")
     if not isinstance(records, list):
         raise RegistryFormatError("schema requires a list under 'records'")
-    return tuple(record_from_json(obj) for obj in records)
+    out: dict[str, RealFormRecord] = {}
+    for obj in records:
+        record = record_from_json(obj)
+        if record.key in out:
+            raise RegistryFormatError(
+                f"record {record.name}: duplicate of record {out[record.key].name}"
+                f" (key {record.key!r})")
+        out[record.key] = record
+    return tuple(out.values())

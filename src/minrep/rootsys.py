@@ -18,6 +18,14 @@ Supported constructions:
   these doubled coordinates.
 * arbitrary embedded systems from an explicit closed root list plus a
   chamber vector selecting the positive half.
+
+Construction checks its own result (simple roots = indecomposables, rho
+pairs to 1 with every simple coroot, every positive root an N-combination
+of the simple roots).  It computes on integer-scaled vectors: the scaling
+by the lcm of all denominators is exact and injective, so the O(P^2) sum
+set and the dot products behind the Cartan matrix and the fundamental
+weights run on Python integers, and one elimination solves for every
+positive root at once.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
-from .linalg import solve_combination
+from .linalg import integer_images, solve_combination
 
 Vector = tuple[Q, ...]
 
@@ -107,12 +116,12 @@ class RootSystem:
 
 
 def _indecomposables(positive: Iterable[Vector]) -> list[Vector]:
+    """Positive roots that are not the sum of two positive roots, found by
+    summing their integer images."""
     pos = list(positive)
-    sums = set()
-    for a in pos:
-        for b in pos:
-            sums.add(vadd(a, b))
-    return [p for p in pos if p not in sums]
+    _, ints = integer_images(pos)
+    sums = {tuple(map(add, a, b)) for i, a in enumerate(ints) for b in ints[i:]}
+    return [p for p, u in zip(pos, ints) if u not in sums]
 
 
 def _component_split(simple: tuple[Vector, ...]) -> list[list[int]]:
@@ -147,8 +156,7 @@ def _build(label: str, family: str, positive: list[Vector],
         if pair_coroot(rho, a) != 1:
             raise ValueError(f"{label}: rho pairing is not 1 against {a}")
     heights = {}
-    for p in positive:
-        coeffs = solve_combination(simple, p)
+    for p, coeffs in zip(positive, solve_combination(simple, positive)):
         if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
         heights[p] = sum(coeffs)
@@ -170,18 +178,20 @@ def _fundamental_weights(simple: list[Vector]) -> tuple[Vector, ...]:
     # omega_i = sum_k x_k alpha_k with <omega_i, alpha_j^vee> = delta_ij.
     # Solving inside the root span pins the weights down even when the
     # ambient space is larger than the rank (A-type, embedded E6/E7).
+    # Both the Cartan entries and the sums run on the integer images m*alpha.
     n = len(simple)
-    cartan_cols = [tuple(pair_coroot(simple[k], simple[j]) for j in range(n))
+    m, ints = integer_images(simple)
+    gram = [[sum(map(mul, u, v)) for v in ints] for u in ints]
+    cartan_cols = [tuple(Q(2 * gram[k][j], gram[j][j]) for j in range(n))
                    for k in range(n)]
+    targets = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
+    coords = list(zip(*ints))
     out = []
-    for i in range(n):
-        target = tuple(Q(1) if j == i else Q(0) for j in range(n))
-        xs = solve_combination(cartan_cols, target)
+    for xs in solve_combination(cartan_cols, targets):
         assert xs is not None
-        omega = vzero(len(simple[0]))
-        for x, a in zip(xs, simple):
-            omega = vadd(omega, vscale(x, a))
-        out.append(omega)
+        d = lcm(*(x.denominator for x in xs))
+        nums = [x.numerator * (d // x.denominator) for x in xs]
+        out.append(tuple(Q(sum(map(mul, nums, col)), d * m) for col in coords))
     return tuple(out)
 
 

@@ -24,12 +24,13 @@ from itertools import chain, product
 from math import factorial, isqrt, lcm
 from typing import Iterable, Iterator
 
-from .linalg import Matrix, identity, matmul, matvec
+from .linalg import Matrix, identity, matmul, matvec, solve_combination
 from .rootsys import (
     KSpace,
     RootSystem,
     Vector,
     Weight,
+    _component_split,
     conform,
     dot,
     is_zero,
@@ -160,39 +161,16 @@ def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
 
 def _component_profiles(rs: RootSystem) -> list[tuple[str, int]]:
     """(type label, Weyl order) for each irreducible component."""
-    from .linalg import solve_combination
-
-    simple = rs.simple
-    n = len(simple)
-    comp_of = {}
-    comps: list[list[int]] = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and dot(simple[i], simple[j]) != 0:
-                    seen[j] = True
-                    stack.append(j)
-        for i in comp:
-            comp_of[i] = len(comps)
-        comps.append(sorted(comp))
-
+    comps = _component_split(rs.simple)
+    comp_of = {i: k for k, comp in enumerate(comps) for i in comp}
+    # a positive root is supported on one component; its first nonzero
+    # simple-root coefficient names it
     pos_norms: list[list[Q]] = [[] for _ in comps]
-    for p in rs.positive:
-        coeffs = solve_combination(list(simple), p)
-        support = [i for i, c in enumerate(coeffs) if c != 0]
-        pos_norms[comp_of[support[0]]].append(dot(p, p))
-
-    out = []
-    for comp, norms in zip(comps, pos_norms):
-        out.append(_classify_component(len(comp), norms))
-    return out
+    for p, coeffs in zip(rs.positive, solve_combination(list(rs.simple), rs.positive)):
+        first = next(i for i, c in enumerate(coeffs) if c != 0)
+        pos_norms[comp_of[first]].append(dot(p, p))
+    return [_classify_component(len(comp), norms)
+            for comp, norms in zip(comps, pos_norms)]
 
 
 def _classify_component(rank: int, positive_norms: list[Q]) -> tuple[str, int]:

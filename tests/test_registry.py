@@ -6,8 +6,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from minrep import registry
 from minrep.registry import (
     FAMILIES,
+    MAX_LOADED_RANK,
     MinimalModuleRecord,
     RealFormRecord,
     RegistryFormatError,
@@ -29,6 +31,7 @@ from minrep.registry import (
 )
 from minrep.rootsys import (
     bilinear,
+    make_root_system,
     factor_bilinear,
     space_rho,
     space_weyl_dim,
@@ -406,6 +409,87 @@ def test_load_rejects_bad_rational():
     payload["records"][0]["rho"]["factors"][0][0] = "1/0"
     with pytest.raises(RegistryFormatError, match="bad rational"):
         load(json.dumps(payload))
+
+
+def _e8_8_payload():
+    return json.loads(save([find_record("e8(8)")]))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("expected_count", 1.9), ("expected_count", True), ("expected_count", "1"),
+    ("center_dim", 0.0), ("center_dim", False), ("center_dim", -1),
+    ("params", [8.0]), ("params", [True]),
+])
+def test_load_requires_exact_integers(field, value):
+    payload = _e8_8_payload()
+    payload["records"][0][field] = value
+    with pytest.raises(RegistryFormatError, match=f"e8\\(8\\): {field}"):
+        load(json.dumps(payload))
+
+
+def test_load_requires_string_labels():
+    payload = _e8_8_payload()
+    payload["records"][0]["modules"][0]["label"] = 7
+    with pytest.raises(RegistryFormatError, match="e8\\(8\\): module label"):
+        load(json.dumps(payload))
+    payload = _e8_8_payload()
+    payload["records"][0]["k_factors"] = [8]
+    with pytest.raises(RegistryFormatError, match="e8\\(8\\): k_factors"):
+        load(json.dumps(payload))
+    payload = _e8_8_payload()
+    payload["records"][0]["family"] = 7
+    with pytest.raises(RegistryFormatError, match="e8\\(8\\): family"):
+        load(json.dumps(payload))
+
+
+def test_load_rejects_a_record_that_is_not_an_object():
+    text = json.dumps({"schema": "minrep-registry/1", "records": [7]})
+    with pytest.raises(RegistryFormatError, match="record without a name"):
+        load(text)
+
+
+def test_load_requires_a_boolean_hermitian_flag():
+    payload = _e8_8_payload()
+    payload["records"][0]["hermitian"] = "false"
+    with pytest.raises(RegistryFormatError, match="e8\\(8\\): hermitian"):
+        load(json.dumps(payload))
+
+
+def test_load_rejects_duplicate_records():
+    r = find_record("e8(8)")
+    with pytest.raises(RegistryFormatError, match="e8\\(8\\): duplicate"):
+        load(save([r, r]))
+    alias = json.loads(save([r, r]))
+    alias["records"][1]["name"] = "E8 (8)"
+    with pytest.raises(RegistryFormatError, match="duplicate of record e8\\(8\\)"):
+        load(json.dumps(alias))
+
+
+@pytest.mark.parametrize("field", ["k_factors", "g_complex"])
+def test_load_caps_the_rank_before_building(field, monkeypatch):
+    built = []
+    real = registry.make_root_system
+
+    def recording(label):
+        built.append(label)
+        return real(label)
+
+    monkeypatch.setattr(registry, "make_root_system", recording)
+    too_big = f"D{MAX_LOADED_RANK + 1}"
+    payload = _e8_8_payload()
+    payload["records"][0][field] = [too_big]
+    with pytest.raises(RegistryFormatError, match=f"e8\\(8\\): {field} type '{too_big}'"):
+        load(json.dumps(payload))
+    assert too_big not in built
+
+
+def test_load_accepts_ranks_up_to_the_cap():
+    catalog_ranks = [make_root_system(t).rank for r in all_default_records()
+                     for t in r.g_complex]
+    assert max(catalog_ranks) == 8 <= MAX_LOADED_RANK
+    at_cap = instantiate_family("so_even_even", (8, 8))
+    assert at_cap.g_complex == (f"D{MAX_LOADED_RANK}",)
+    assert load(save([at_cap])) == (at_cap,)
 
 
 TOY_TEXT = """

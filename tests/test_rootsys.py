@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minrep import rootsys
+from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
     UnsupportedCartanType,
@@ -35,6 +37,7 @@ from minrep.rootsys import (
     weyl_dim,
     zero_weight,
 )
+from minrep.weyl import orthogonal_subsystem
 
 ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
               "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
@@ -197,6 +200,69 @@ def test_omega_to_coords_arity_check():
 def test_unsupported_types_are_rejected(bad):
     with pytest.raises(UnsupportedCartanType):
         make_root_system(bad)
+
+
+def naive_indecomposables(positive):
+    """The positive roots outside the set of Fraction sums of two of them."""
+    sums = {vadd(a, b) for a in positive for b in positive}
+    return [p for p in positive if p not in sums]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_integer_indecomposables_match_fraction_sums(label):
+    positive = list(make_root_system(label).positive)
+    assert rootsys._indecomposables(positive) == naive_indecomposables(positive)
+
+
+def test_integer_indecomposables_match_on_catalog_beta_subsystems():
+    pairs = {(rs, v) for r in all_default_records() for m in r.modules
+             for rs, v in zip(r.space.factors, m.beta.factors)}
+    checked = 0
+    for rs, v in sorted(pairs, key=repr):
+        sub = orthogonal_subsystem(rs, v).system
+        if sub is None:
+            continue
+        positive = list(sub.positive)
+        assert rootsys._indecomposables(positive) == naive_indecomposables(positive)
+        checked += 1
+    assert checked >= 20
+
+
+def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
+    calls = []
+    real = rootsys.solve_combination
+
+    def counting(columns, targets):
+        calls.append(len(targets))
+        return real(columns, targets)
+
+    monkeypatch.setattr(rootsys, "solve_combination", counting)
+    positive, simple = rootsys._pos_E8()
+    rs = rootsys._build("E8", "E", positive, simple)
+    assert calls == [120, 8]
+    assert rs.fundamental == make_root_system("E8").fundamental
+
+
+def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
+    positive = list(make_root_system("A2").positive)
+    with pytest.raises(ValueError, match="indecomposables"):
+        rootsys._build("bad", "sub", positive, [vec(1, -1, 0), vec(1, 0, -1)])
+
+
+def test_build_refuses_a_bad_rho_pairing():
+    # simple = indecomposables, but rho = (1, 1) pairs to 2 with both
+    with pytest.raises(ValueError, match="rho pairing"):
+        rootsys._build("bad", "sub", [vec(1, 0), vec(0, 1), vec(1, 1)],
+                       [vec(1, 0), vec(0, 1)])
+
+
+def test_build_refuses_a_positive_root_that_is_not_an_n_combination():
+    # (1, 0) is the only indecomposable and rho = (1/2, 0) pairs to 1 with
+    # it; the multiples of (0, 1) decompose among themselves but lie outside
+    # the span of the simple root
+    positive = [vec(1, 0), vec(0, 1), vec(0, -1), vec(0, 2), vec(0, -2)]
+    with pytest.raises(ValueError, match="N-combination"):
+        rootsys._build("bad", "sub", positive, [vec(1, 0)])
 
 
 def test_embedded_system_from_long_roots_of_g2():
