@@ -19,7 +19,7 @@ from minrep.verify import (
     run_all,
     suite_status,
 )
-from minrep.weyl import STRATEGIES
+from minrep.weyl import DEFAULT_BUDGET, STRATEGIES
 
 
 def main() -> int:
@@ -27,11 +27,14 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=DEFAULT_CONFIG.jobs)
     ap.add_argument("--strategy", choices=STRATEGIES,
                     default=DEFAULT_CONFIG.strategy)
-    ap.add_argument("--budget", type=int, default=DEFAULT_CONFIG.budget)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = ap.parse_args()
 
-    config = VerifyConfig(strategy=args.strategy, budget=args.budget,
-                          jobs=args.jobs)
+    try:
+        config = VerifyConfig(strategy=args.strategy, budget=args.budget,
+                              jobs=args.jobs)
+    except ValueError as exc:
+        ap.error(str(exc))
     start = time.perf_counter_ns()
     reports = run_all(config=config)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000

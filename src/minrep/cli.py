@@ -38,15 +38,13 @@ from .verify import (
     suite_status,
 )
 from .weyl import (
+    DEFAULT_BUDGET,
     STRATEGIES,
     group_order,
     longest_element,
     orbit_size,
     orthogonal_subsystem,
 )
-
-DEFAULT_BUDGET = 10 ** 7
-
 
 class UsageError(Exception):
     pass
@@ -105,17 +103,8 @@ def _verify_reports_md(reports, with_timings: bool) -> str:
 
 def cmd_verify(args) -> int:
     budget = args.budget if args.budget is not None else _env_budget()
-    if budget <= 0:
-        raise UsageError("--budget must be positive")
-    if args.rungs < 0:
-        raise UsageError("--rungs must be nonnegative")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise UsageError(f"--jobs must be between 1 and {cpus} (the CPU count)")
     if args.params is not None and args.family is None:
         raise UsageError("--params requires --family")
-    config = VerifyConfig(strategy=args.strategy, rung_cap=args.rungs,
-                          budget=budget, jobs=args.jobs)
     records = None
     family = args.family
     if args.records is not None:
@@ -139,6 +128,9 @@ def cmd_verify(args) -> int:
             raise UsageError(str(exc))
         family = None
     try:
+        # VerifyConfig refuses out-of-range settings with ValueError
+        config = VerifyConfig(strategy=args.strategy, rung_cap=args.rungs,
+                              budget=budget, jobs=args.jobs)
         reports = run_all(records, record=args.record, family=family,
                           checks=args.check or None, config=config)
     except KeyError as exc:
@@ -187,18 +179,17 @@ NUMBER_ROWS = (
 )
 
 
-def _class_members(families, fixed):
-    members = [r for fam in families for r in default_instances()
-               if r.family == fam]
-    by_name = {r.name: r for r in builtin_records()}
-    members.extend(by_name[name] for name in fixed)
-    return members
+def _family_members(instances, families):
+    return [r for fam in families for r in instances if r.family == fam]
 
 
 def table_numbers() -> Table:
+    instances = default_instances()
+    by_name = {r.name: r for r in builtin_records()}
     rows = []
     for label, count, families, fixed in NUMBER_ROWS:
-        members = _class_members(families, fixed)
+        members = (_family_members(instances, families)
+                   + [by_name[name] for name in fixed])
         ok = all(r.expected_count == count
                  and run_check("count_and_disjoint", r).status == "pass"
                  for r in members)
@@ -236,14 +227,13 @@ def table_infchar() -> Table:
 
 
 def _hermitian_pool():
-    fams = [r for fam in ("sp_R", "so_p_2", "so_star")
-            for r in default_instances() if r.family == fam]
+    fams = _family_members(default_instances(), ("sp_R", "so_p_2", "so_star"))
     return fams + [r for r in builtin_records() if r.hermitian]
 
 
 def _line_data_pool():
-    fams = [r for fam in ("so_even_even", "so_odd_odd", "so_2n_3")
-            for r in default_instances() if r.family == fam]
+    fams = _family_members(default_instances(),
+                           ("so_even_even", "so_odd_odd", "so_2n_3"))
     fixed = [r for r in builtin_records()
              if r.modules and not r.hermitian and len(r.g_complex) == 1]
     return fams + fixed

@@ -16,6 +16,7 @@ counterexample witness in the evidence string.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ from .rootsys import (
     weight_sub,
 )
 from .weyl import (
+    DEFAULT_BUDGET,
+    STRATEGIES,
     BudgetExceededError,
     SelfCheckError,
     apply,
@@ -83,10 +86,26 @@ SKIP_NO_MODULES = "no modules"
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """How to run the checks; settings that would make a pass vacuous, or
+    a run impossible, raise ValueError."""
     strategy: str = "chamber"
     rung_cap: int = 50
-    budget: int = 10 ** 7
+    budget: int = DEFAULT_BUDGET
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of "
+                             + ", ".join(STRATEGIES))
+        if self.rung_cap < 0:
+            raise ValueError(f"rung_cap (--rungs) must be nonnegative, "
+                             f"got {self.rung_cap}")
+        if self.budget < 1:
+            raise ValueError(f"budget (--budget) must be positive, got {self.budget}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.jobs <= cpus:
+            raise ValueError(f"jobs (--jobs) must be between 1 and {cpus} "
+                             f"(the CPU count), got {self.jobs}")
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -415,54 +434,6 @@ def run_check(name: str, record: RealFormRecord,
     status, evidence = _CHECKS[name](record, config)
     ms = (time.perf_counter_ns() - t0) // 10 ** 6
     return CheckReport(name, record.name, status, evidence, ms)
-
-
-def check_rho(record, config=DEFAULT_CONFIG):
-    return run_check("rho", record, config)
-
-
-def check_p_dimension(record, config=DEFAULT_CONFIG):
-    return run_check("p_dimension", record, config)
-
-
-def check_ladder_wellformed(record, config=DEFAULT_CONFIG):
-    return run_check("ladder_wellformed", record, config)
-
-
-def check_xi0(record, config=DEFAULT_CONFIG):
-    return run_check("xi0", record, config)
-
-
-def check_w0_table(record, config=DEFAULT_CONFIG):
-    return run_check("w0_table", record, config)
-
-
-def check_w0_formula(record, config=DEFAULT_CONFIG):
-    return run_check("w0_formula", record, config)
-
-
-def check_w0_unique(record, config=DEFAULT_CONFIG):
-    return run_check("w0_unique", record, config)
-
-
-def check_same_line(record, config=DEFAULT_CONFIG):
-    return run_check("same_line", record, config)
-
-
-def check_period(record, config=DEFAULT_CONFIG):
-    return run_check("period", record, config)
-
-
-def check_count_and_disjoint(record, config=DEFAULT_CONFIG):
-    return run_check("count_and_disjoint", record, config)
-
-
-def check_complex_beta(record, config=DEFAULT_CONFIG):
-    return run_check("complex_beta", record, config)
-
-
-def check_infchar_coords(record, config=DEFAULT_CONFIG):
-    return run_check("infchar_coords", record, config)
 
 
 # ---------------------------------------------------------------------------

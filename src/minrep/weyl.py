@@ -7,24 +7,28 @@ order (column-vector convention).  Group elements are exact rational
 orthogonal matrices, one block per factor of the ambient space; the center
 is always fixed pointwise.
 
-Enumeration realizes group elements as orbit points of a strictly dominant
-regular vector (2*rho): the map w -> w(2*rho) is a bijection, so a breadth
-first search over the orbit visits every element exactly once while storing
-only small integer vectors.  Matrices are materialized lazily, by walking an
-orbit point back to the dominant chamber, one O(n^2) rank-one update per
-letter.  The default line-preserver strategy enumerates only the parabolic
-stabilizer of a dominant point, which is trivial on the whole catalog.
+Every enumeration runs through one kernel, _survivors.  It realizes group
+elements as orbit points of a strictly dominant regular vector (2*rho): the
+map w -> w(2*rho) is a bijection, so a breadth first search over the orbit
+visits every element exactly once while storing only small integer vectors,
+plus the images of any tracked vectors.  Caller-supplied tests pick the
+survivors from these states; only survivors are walked back to the dominant
+chamber to read off their words, and a word becomes a matrix by one O(n^2)
+rank-one update per letter.  enumerate_group, the parabolic stabilizers of
+the default "chamber" line-preserver strategy (trivial on the whole
+catalog), and the "reduced" and "brute" certificates all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import chain, product
+from functools import reduce
+from itertools import product
 from math import factorial, isqrt, lcm
 from typing import Iterable, Iterator
 
-from .linalg import Matrix, identity, matmul, matvec, solve_combination
+from .linalg import Matrix, identity, integer_images, matmul, matvec, solve_combination
 from .rootsys import (
     KSpace,
     RootSystem,
@@ -42,7 +46,9 @@ from .rootsys import (
     vscale,
 )
 
-DEFAULT_ENUMERATION_BUDGET = 10 ** 6
+# Largest group order any enumeration may visit, unless a caller (the CLI's
+# --budget or MINREP_BUDGET) passes another.
+DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceededError(RuntimeError):
@@ -217,17 +223,13 @@ def space_group_order(space: KSpace) -> int:
 # integer orbit enumeration
 
 
-def _int_multiple(v: Vector) -> tuple[int, ...]:
-    m = lcm(*(c.denominator for c in v)) if v else 1
-    return tuple(int(c * m) for c in v)
-
-
-def _tracking_scale(rs: RootSystem, v: Vector) -> int:
-    """Scale making v and its whole reflection orbit integral in coordinates."""
+def _tracked_image(rs: RootSystem, v: Vector) -> tuple[int, ...]:
+    """v scaled so that it and its whole reflection orbit are integral in
+    coordinates."""
     m = lcm(*(c.denominator for c in v)) if v else 1
     for r in rs.roots:
         m = lcm(m, pair_coroot(v, r).denominator)
-    return 2 * m
+    return tuple(int(c * 2 * m) for c in v)
 
 
 class _Codec:
@@ -243,34 +245,28 @@ class _Codec:
         return u
 
 
-def _int_reflection_table(rs: RootSystem) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for a in rs.simple:
-        s = _int_multiple(a)
-        out.append((s, sum(c * c for c in s)))
-    return out
-
-
 def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, ...]:
     c, rem = divmod(2 * sum(a * b for a, b in zip(u, s)), ss)
     assert rem == 0, "orbit left the tracked lattice"
     return tuple(a - c * b for a, b in zip(u, s))
 
 
-def _orbit_states(rs: RootSystem, extras: tuple[Vector, ...]):
-    """BFS over w(2*rho) tracking w applied to each extra vector.
+def _orbit_states(rs: RootSystem, tracked: tuple[tuple[int, ...], ...]):
+    """BFS over w(2*rho) tracking w applied to each tracked integer vector.
 
-    Returns (states, start) where each state and the start are tuples whose
-    first entry is the orbit point and the rest are the tracked images, all
-    as integer vectors (each tracked vector carries its own fixed scale).
+    Returns (states, simples).  The states, the identity's first, are tuples
+    whose first entry is the orbit point and the rest are the tracked
+    images, all as integer vectors (see _tracked_image).  simples pairs an
+    integer multiple s of each simple root, in order, with its norm (s, s).
     """
-    simples = _int_reflection_table(rs)
-    u0 = _int_multiple(vscale(2, rs.rho))
-    e0 = tuple(tuple(int(c * _tracking_scale(rs, v)) for c in v) for v in extras)
-    start = (u0,) + e0
+    simples = []
+    for a in rs.simple:
+        _, (s,) = integer_images([a])
+        simples.append((s, sum(c * c for c in s)))
+    _, (u0,) = integer_images([vscale(2, rs.rho)])
     codec = _Codec(u0)
     visited = {codec.key(u0)}
-    states = [start]
+    states = [(u0,) + tuple(tracked)]
     i = 0
     while i < len(states):
         state = states[i]
@@ -282,14 +278,52 @@ def _orbit_states(rs: RootSystem, extras: tuple[Vector, ...]):
                 continue
             visited.add(k)
             states.append((u,) + tuple(_reflect_int(e, s, ss) for e in state[1:]))
-    return states, start
+    return states, simples
 
 
-def orbit_size(rs: RootSystem, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
-    """Group order measured by direct orbit enumeration (no closed forms)."""
-    _require_within(group_order(rs), budget, rs.label)
-    states, _ = _orbit_states(rs, ())
-    return len(states)
+def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
+               tests) -> list[list[list[Vector]]]:
+    """Letters (printed order) of every w in W(rs) whose state passes a
+    test, one list per test.
+
+    Each test sees the whole state of w, (w(2*rho), w(t) for t in tracked),
+    as _orbit_states builds it.  Only survivors are walked back to the
+    start, always by their first descent, to read off their letters.
+    """
+    states, simples = _orbit_states(rs, tracked)
+    start = states[0][0]
+    found: list[list[list[Vector]]] = [[] for _ in tests]
+    pairs = list(zip(tests, found))
+    for state in states:
+        letters = None
+        for test, out in pairs:
+            if not test(state):
+                continue
+            if letters is None:
+                letters, u = [], state[0]
+                while u != start:
+                    for a, (s, ss) in zip(rs.simple, simples):
+                        if sum(x * y for x, y in zip(u, s)) < 0:
+                            letters.append(a)
+                            u = _reflect_int(u, s, ss)
+                            break
+                    else:
+                        raise AssertionError("point is not on the orbit of "
+                                             "the start vector")
+            out.append(letters)
+    return found
+
+
+def _elements(factors: tuple[RootSystem, ...], branches) -> frozenset[WeylElement]:
+    """The elements of every branch: a branch holds one list of words
+    (vector letters, printed order) per factor, and each choice of one
+    word per factor is an element."""
+    out: set[WeylElement] = set()
+    for branch in branches:
+        pools = [[reduce(_times_reflection, w, identity(rs.ambient)) for w in words]
+                 for rs, words in zip(factors, branch, strict=True)]
+        out.update(map(WeylElement, product(*pools)))
+    return frozenset(out)
 
 
 def _require_within(order: int, budget: int, what: str) -> None:
@@ -300,42 +334,23 @@ def _require_within(order: int, budget: int, what: str) -> None:
             order)
 
 
-def _word_from_orbit_point(rs: RootSystem, u: tuple[int, ...],
-                           start: tuple[int, ...]) -> list[Vector]:
-    """Letters (printed order) of the w with w(start) = u."""
-    simples = _int_reflection_table(rs)
-    letters: list[Vector] = []
-    while u != start:
-        for a, (s, ss) in zip(rs.simple, simples):
-            if sum(x * y for x, y in zip(u, s)) < 0:
-                letters.append(a)
-                u = _reflect_int(u, s, ss)
-                break
-        else:
-            raise AssertionError("point is not on the orbit of the start vector")
-    return letters
+def _every_state(state) -> bool:
+    return True
 
 
-def _matrix_from_letters(n: int, letters: list[Vector]) -> Matrix:
-    m = identity(n)
-    for a in letters:
-        m = _times_reflection(m, a)
-    return m
-
-
-def _group_words(rs: RootSystem) -> Iterator[list[Vector]]:
-    """Letters (printed order) of every element of W(rs), once each."""
-    states, (start,) = _orbit_states(rs, ())
-    for (u,) in states:
-        yield _word_from_orbit_point(rs, u, start)
+def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
+    """Group order measured by direct orbit enumeration (no closed forms)."""
+    _require_within(group_order(rs), budget, rs.label)
+    states, _ = _orbit_states(rs, ())
+    return len(states)
 
 
 def enumerate_group(rs: RootSystem,
-                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[WeylElement]:
+                    budget: int = DEFAULT_BUDGET) -> Iterator[WeylElement]:
     """Every element of W(rs) exactly once, as single-block elements."""
     _require_within(group_order(rs), budget, rs.label)
-    for letters in _group_words(rs):
-        yield WeylElement((_matrix_from_letters(rs.ambient, letters),))
+    (words,) = _survivors(rs, (), (_every_state,))
+    return iter(_elements((rs,), [[words]]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +374,11 @@ def _descend(simple: tuple[Vector, ...], u: Vector) -> tuple[list[Vector], Vecto
             return letters, u
 
 
-def _greedy_letters(simple: tuple[Vector, ...], u: Vector, target: Vector) -> list[Vector]:
-    letters, end = _descend(simple, u)
-    if end != target:
-        raise AssertionError("greedy descent stuck off the orbit")
-    return letters
-
-
 def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
     """Reduced word for the longest element (maps rho to -rho)."""
-    letters = _greedy_letters(rs.simple, vscale(-1, rs.rho), rs.rho)
+    letters, end = _descend(rs.simple, vscale(-1, rs.rho))
+    if end != rs.rho:
+        raise AssertionError("greedy descent stuck off the orbit")
     assert len(letters) == len(rs.positive)
     return WeylWord(tuple((factor, a) for a in letters))
 
@@ -424,10 +434,7 @@ def subgroup_longest(space: KSpace, sub: Subsystem) -> WeylWord:
     """Longest element of the subsystem group, as a word over its roots."""
     if sub.system is None:
         return WeylWord(())
-    rho = sub.system.rho
-    letters = _greedy_letters(sub.system.simple, vscale(-1, rho), rho)
-    assert len(letters) == len(sub.system.positive)
-    return WeylWord(tuple((sub.factor, a) for a in letters))
+    return longest_element(sub.system, sub.factor)
 
 
 def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[Subsystem, ...]:
@@ -446,39 +453,27 @@ def space_subgroup_longest(space: KSpace, subs: Iterable[Subsystem]) -> WeylWord
 # line preservers
 
 
-def _int_positive_roots(rs: RootSystem, positive: Iterable[Vector]) -> list[tuple[int, ...]]:
-    return [_int_multiple(p) for p in positive]
+def _nonnegative_on(roots: list[tuple[int, ...]]):
+    """State test: w(xi0), the last tracked image, pairs nonnegatively with
+    every root in `roots`."""
+    def test(state) -> bool:
+        x = state[-1]
+        return all(sum(p * q for p, q in zip(a, x)) >= 0 for a in roots)
+    return test
 
 
-def _xi_condition_varying(pos_int: list[tuple[int, ...]],
-                          b: tuple[int, ...], x: tuple[int, ...]) -> bool:
-    # (alpha, w beta) = 0 must imply (alpha, w xi0) >= 0
-    for a in pos_int:
-        if sum(p * q for p, q in zip(a, b)) == 0:
-            if sum(p * q for p, q in zip(a, x)) < 0:
-                return False
-    return True
+def _on_line(target: tuple[int, ...], roots: list[tuple[int, ...]]):
+    """State test for (w(2*rho), w(beta), w(xi0)): w(beta) == target and,
+    as the xi condition asks, w(xi0) pairs nonnegatively with every root
+    orthogonal to target."""
+    xi_ok = _nonnegative_on(
+        [a for a in roots if sum(p * q for p, q in zip(a, target)) == 0])
+    return lambda state: state[1] == target and xi_ok(state)
 
 
-def _brute_factor_lists(rs: RootSystem, beta_f: Vector, xi_f: Vector, budget: int):
-    """Per-factor survivors of the two line-preserver branches.
-
-    Returns (keep_plus, keep_minus): orbit points u (with the BFS start) for
-    the elements sending beta_f to +beta_f resp. -beta_f that also satisfy
-    the xi condition inside this factor.
-    """
-    _require_within(group_order(rs), budget, rs.label)
-    states, start = _orbit_states(rs, (beta_f, xi_f))
-    b0 = start[1]
-    b0neg = tuple(-c for c in b0)
-    pos_int = _int_positive_roots(rs, rs.positive)
-    keep_plus, keep_minus = [], []
-    for u, b, x in states:
-        if b == b0 and _xi_condition_varying(pos_int, b, x):
-            keep_plus.append(u)
-        if b == b0neg and _xi_condition_varying(pos_int, b, x):
-            keep_minus.append(u)
-    return keep_plus, keep_minus, start[0]
+def _by_factor(space: KSpace, w: WeylWord) -> list[list[Vector]]:
+    """The letters of w on each factor, in printed order."""
+    return [[a for g, a in w.letters if g == f] for f in range(len(space.factors))]
 
 
 STRATEGIES = ("chamber", "reduced", "brute")
@@ -490,7 +485,7 @@ class SelfCheckError(RuntimeError):
 
 def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
                     strategy: str = "chamber",
-                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> frozenset[WeylElement]:
+                    budget: int = DEFAULT_BUDGET) -> frozenset[WeylElement]:
     """All w with w(beta) on the beta line (either sign) such that every
     positive root orthogonal to w(beta) pairs nonnegatively with w(xi0).
 
@@ -527,29 +522,27 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # the longest element w_beta,l of W_beta turns into the plus condition:
     # the survivors are w_l w_beta,l P u0.
     subs = space_beta_subsystems(space, beta)
-    u0: list[tuple[int, Vector]] = []
+    u0: list[list[Vector]] = []
     parabolics: list[RootSystem | None] = []
     parabolic_order = 1
     for f, sub in enumerate(subs):
         descent, xi_dom = _descend(sub.simple, xi0.factors[f])
-        u0.extend((f, a) for a in reversed(descent))
+        u0.append(descent[::-1])
         # an empty W_beta (sub.system None) has the trivial parabolic
         par = orthogonal_subsystem(sub.system, xi_dom, f) if sub.system else sub
         parabolics.append(par.system)
         parabolic_order *= par.order
     _require_within(parabolic_order, budget, "the stabilizer of xi0 in W_beta")
-    parabolic_words = [
-        [[(f, a) for a in letters] for letters in _group_words(rs)] if rs else [[]]
-        for f, rs in enumerate(parabolics)]
-
-    plus = [tuple(chain(*p, u0)) for p in product(*parabolic_words)]
-    words = [WeylWord(letters) for letters in plus]
+    plus = [[p + u for p in (_survivors(rs, (), (_every_state,))[0] if rs else [[]])]
+            for rs, u in zip(parabolics, u0)]
+    branches = [plus]
     wl = space_longest_element(space)
     negated = tuple(vscale(-1, v) for v in beta.factors)
     if apply(space, wl, beta).factors == negated:
-        flip = wl.letters + space_subgroup_longest(space, subs).letters
-        words.extend(WeylWord(flip + letters) for letters in plus)
-    out = frozenset(as_element(space, w) for w in words)
+        flip = WeylWord(wl.letters + space_subgroup_longest(space, subs).letters)
+        branches.append([[prefix + w for w in words]
+                         for prefix, words in zip(_by_factor(space, flip), plus)])
+    out = _elements(space.factors, branches)
 
     for w in out:
         if apply(space, w, beta).factors not in (beta.factors, negated):
@@ -565,20 +558,15 @@ def _line_preservers_chamber(space, beta, xi0, budget):
 def _line_preservers_brute(space, beta, xi0, budget):
     _require_within(space_group_order(space), budget,
                     "x".join(rs.label for rs in space.factors))
-    per_factor = [_brute_factor_lists(rs, beta.factors[f], xi0.factors[f], budget)
-                  for f, rs in enumerate(space.factors)]
-    out: set[WeylElement] = set()
-    for which in (0, 1):
-        pools = []
-        for f, rs in enumerate(space.factors):
-            keep = per_factor[f][which]
-            start = per_factor[f][2]
-            pools.append([_matrix_from_letters(
-                rs.ambient, _word_from_orbit_point(rs, u, start)) for u in keep])
-        if all(pools):
-            for blocks in product(*pools):
-                out.add(WeylElement(tuple(blocks)))
-    return frozenset(out)
+    plus, minus = [], []
+    for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
+        b0 = _tracked_image(rs, beta_f)
+        _, pos_int = integer_images(rs.positive)
+        tests = (_on_line(b0, pos_int), _on_line(tuple(-c for c in b0), pos_int))
+        keep_plus, keep_minus = _survivors(rs, (b0, _tracked_image(rs, xi_f)), tests)
+        plus.append(keep_plus)
+        minus.append(keep_minus)
+    return _elements(space.factors, (plus, minus))
 
 
 def _line_preservers_reduced(space, beta, xi0, budget):
@@ -588,7 +576,8 @@ def _line_preservers_reduced(space, beta, xi0, budget):
         stabilizer_order *= sub.order
     _require_within(stabilizer_order, budget, "the beta stabilizer")
 
-    wl = as_element(space, space_longest_element(space))
+    wl_word = space_longest_element(space)
+    wl = as_element(space, wl_word)
     wl_flips_beta = all(matvec(wl.blocks[f], v) == vscale(-1, v)
                         for f, v in enumerate(beta.factors))
 
@@ -597,40 +586,20 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # along its own line.  The roots tested in the xi condition are then the
     # fixed set Delta_beta+, and for the coset branch
     # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
-    branch_plus: list[list[Matrix]] = []
-    branch_minus: list[list[Matrix]] = []
-    for f, rs in enumerate(space.factors):
-        sub = subs[f]
-        pos_int = _int_positive_roots(rs, sub.positive)
-        pos_wl_int = [_int_multiple(matvec(wl.blocks[f], p)) for p in sub.positive]
-        plus: list[Matrix] = []
-        minus: list[Matrix] = []
+    plus, minus = [], []
+    for f, (sub, prefix) in enumerate(zip(subs, _by_factor(space, wl_word))):
         if sub.system is None:
-            plus.append(identity(rs.ambient))
-            if wl_flips_beta:
-                minus.append(wl.blocks[f])
+            found = [[[]], [[]]]
         else:
-            states, start = _orbit_states(sub.system, (xi0.factors[f],))
-            for u, x in states:
-                ok_plus = all(sum(p * q for p, q in zip(a, x)) >= 0 for a in pos_int)
-                ok_minus = wl_flips_beta and all(
-                    sum(p * q for p, q in zip(a, x)) >= 0 for a in pos_wl_int)
-                if not (ok_plus or ok_minus):
-                    continue
-                letters = _word_from_orbit_point(sub.system, u, start[0])
-                m = _matrix_from_letters(rs.ambient, letters)
-                if ok_plus:
-                    plus.append(m)
-                if ok_minus:
-                    minus.append(matmul(wl.blocks[f], m))
-        branch_plus.append(plus)
-        branch_minus.append(minus)
-
-    out: set[WeylElement] = set()
-    if all(branch_plus):
-        for blocks in product(*branch_plus):
-            out.add(WeylElement(tuple(blocks)))
-    if wl_flips_beta and all(branch_minus):
-        for blocks in product(*branch_minus):
-            out.add(WeylElement(tuple(blocks)))
-    return frozenset(out)
+            _, pos_int = integer_images(sub.positive)
+            tests = [_nonnegative_on(pos_int)]
+            if wl_flips_beta:
+                _, pos_wl_int = integer_images(
+                    [matvec(wl.blocks[f], p) for p in sub.positive])
+                tests.append(_nonnegative_on(pos_wl_int))
+            found = _survivors(sub.system,
+                               (_tracked_image(sub.system, xi0.factors[f]),), tests)
+        plus.append(found[0])
+        if wl_flips_beta:
+            minus.append([prefix + w for w in found[1]])
+    return _elements(space.factors, (plus, minus) if wl_flips_beta else (plus,))

@@ -13,18 +13,6 @@ from minrep.verify import (
     DEFAULT_CONFIG,
     VerifyConfig,
     casimir_along_ladder,
-    check_complex_beta,
-    check_count_and_disjoint,
-    check_infchar_coords,
-    check_ladder_wellformed,
-    check_p_dimension,
-    check_period,
-    check_rho,
-    check_same_line,
-    check_w0_formula,
-    check_w0_table,
-    check_w0_unique,
-    check_xi0,
     run_all,
     run_check,
     suite_status,
@@ -63,67 +51,66 @@ def test_report_shape_is_uniform():
 
 
 def test_compact_record_skips_p_dimension():
-    rep = check_p_dimension(find_record("sp(2)"))
+    rep = run_check("p_dimension", find_record("sp(2)"))
     assert rep.status == "skipped"
     assert "compact" in rep.evidence
 
 
 def test_hermitian_record_skips_line_checks():
     r = find_record("e6(-14)")
-    for fn in (check_xi0, check_w0_table, check_w0_formula, check_w0_unique,
-               check_same_line):
-        rep = fn(r)
+    for name in ("xi0", "w0_table", "w0_formula", "w0_unique", "same_line"):
+        rep = run_check(name, r)
         assert rep.status == "skipped"
         assert "one-sided" in rep.evidence
 
 
 def test_same_line_shift_value_on_worked_example():
-    rep = check_same_line(find_record("e8(-24)"))
+    rep = run_check("same_line", find_record("e8(-24)"))
     assert rep.status == "pass"
     assert "c = -18" in rep.evidence
 
 
 def test_xi0_scalar_on_worked_example():
-    rep = check_xi0(find_record("e8(-24)"))
+    rep = run_check("xi0", find_record("e8(-24)"))
     assert rep.status == "pass" and "c = 9" in rep.evidence
 
 
 def test_w0_formula_names_the_orthogonal_subsystem():
-    rep = check_w0_formula(find_record("e6(6)"))
+    rep = run_check("w0_formula", find_record("e6(6)"))
     assert rep.status == "pass" and "A3" in rep.evidence
 
 
 def test_count_separators_for_the_four_module_record():
-    rep = check_count_and_disjoint(find_record("sp(2,R)"))
+    rep = run_check("count_and_disjoint", find_record("sp(2,R)"))
     assert rep.status == "pass"
     assert "center-charge sign" in rep.evidence
     assert "center-charge congruence" in rep.evidence
 
 
 def test_count_separator_parity_for_the_even_odd_pair():
-    rep = check_count_and_disjoint(find_record("sp(2,C)"))
+    rep = run_check("count_and_disjoint", find_record("sp(2,C)"))
     assert rep.status == "pass"
     assert "coordinate-sum parity" in rep.evidence
 
 
 def test_complex_beta_positive():
-    rep = check_complex_beta(find_record("g2(C)"))
+    rep = run_check("complex_beta", find_record("g2(C)"))
     assert rep.status == "pass"
-    rep = check_complex_beta(find_record("f4(4)"))
+    rep = run_check("complex_beta", find_record("f4(4)"))
     assert rep.status == "skipped"
 
 
 def test_w0_unique_brute_matches_reduced_on_small_records():
     for name in ["f4(4)", "g2(2)", "so(4,3)", "sp(2,C)"]:
         r = find_record(name)
-        brute = check_w0_unique(r, VerifyConfig(strategy="brute"))
-        reduced = check_w0_unique(r, VerifyConfig(strategy="reduced"))
+        brute = run_check("w0_unique", r, VerifyConfig(strategy="brute"))
+        reduced = run_check("w0_unique", r, VerifyConfig(strategy="reduced"))
         assert brute.status == reduced.status == "pass", name
 
 
 def test_w0_unique_budget_skip_names_the_order():
-    rep = check_w0_unique(find_record("e6(6)"),
-                          VerifyConfig(strategy="reduced", budget=2))
+    rep = run_check("w0_unique", find_record("e6(6)"),
+                    VerifyConfig(strategy="reduced", budget=2))
     assert rep.status == "skipped"
     assert "above budget 2" in rep.evidence
 
@@ -133,10 +120,10 @@ def test_w0_unique_chamber_budget_bounds_the_parabolic():
     # stabilizer; the catalog's own xi0 has P trivial under any budget
     r = find_record("e6(6)")
     zero = weight(r.space, *([0] * rs.ambient for rs in r.space.factors))
-    rep = check_w0_unique(mutate(r, xi0=zero), VerifyConfig(budget=2))
+    rep = run_check("w0_unique", mutate(r, xi0=zero), VerifyConfig(budget=2))
     assert rep.status == "skipped"
     assert "above budget 2 for strategy chamber" in rep.evidence
-    assert check_w0_unique(r, VerifyConfig(budget=1)).status == "pass"
+    assert run_check("w0_unique", r, VerifyConfig(budget=1)).status == "pass"
 
 
 def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
@@ -146,7 +133,7 @@ def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
 
     monkeypatch.setattr(minrep.weyl, "space_subgroup_longest",
                         lambda space, subs: word(space, []))
-    rep = check_w0_unique(find_record("f4(4)"))
+    rep = run_check("w0_unique", find_record("f4(4)"))
     assert rep.status == "fail"
     assert "strategy chamber" in rep.evidence
 
@@ -158,17 +145,17 @@ def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
 def test_rho_control():
     r = find_record("f4(4)")
     shift = weight(r.space, (1, 0, 0), (0, 0))
-    rep = check_rho(mutate(r, rho=weight_add(r.rho, shift)))
+    rep = run_check("rho", mutate(r, rho=weight_add(r.rho, shift)))
     assert rep.status == "fail" and "computed half-sum" in rep.evidence
 
 
 def test_rho_skip_when_missing():
-    assert check_rho(mutate(find_record("f4(4)"), rho=None)).status == "skipped"
+    assert run_check("rho", mutate(find_record("f4(4)"), rho=None)).status == "skipped"
 
 
 def test_p_dimension_control():
     r = find_record("e6(-14)")
-    rep = check_p_dimension(mutate(r, p_summands=r.p_summands[:1]))
+    rep = run_check("p_dimension", mutate(r, p_summands=r.p_summands[:1]))
     assert rep.status == "fail" and "16 != " in rep.evidence
 
 
@@ -176,55 +163,56 @@ def test_ladder_wellformed_control():
     r = find_record("f4(4)")
     bad_beta = weight(r.space, (1, 1, -1), (1, -1))
     bad = MinimalModuleRecord("minimal", r.modules[0].mu0, bad_beta)
-    rep = check_ladder_wellformed(mutate(r, modules=(bad,)))
+    rep = run_check("ladder_wellformed", mutate(r, modules=(bad,)))
     assert rep.status == "fail" and "not dominant" in rep.evidence
 
 
 def test_xi0_control():
     r = find_record("f4(4)")
     skew = weight(r.space, (1, 0, 0), (0, 0))
-    rep = check_xi0(mutate(r, xi0=weight_add(r.xi0, skew)))
+    rep = run_check("xi0", mutate(r, xi0=weight_add(r.xi0, skew)))
     assert rep.status == "fail" and "factor 0" in rep.evidence
 
 
 def test_w0_table_control():
     r = find_record("f4(4)")
-    rep = check_w0_table(mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
+    rep = run_check("w0_table", mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
     assert rep.status == "fail" and "w0(beta)" in rep.evidence
 
 
 def test_w0_formula_control():
     r = find_record("f4(4)")
-    rep = check_w0_formula(mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
+    rep = run_check("w0_formula", mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
     assert rep.status == "fail"
 
 
 def test_w0_unique_control():
     r = find_record("g2(2)")
-    rep = check_w0_unique(mutate(r, w0=word(r.space, [(0, (1, -1))])))
+    rep = run_check("w0_unique", mutate(r, w0=word(r.space, [(0, (1, -1))])))
     assert rep.status == "fail" and "unexpected" in rep.evidence
 
 
 def test_same_line_control():
     r = find_record("f4(4)")
-    rep = check_same_line(mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
+    rep = run_check("same_line", mutate(r, w0=word(r.space, [(0, (1, 0, 1))])))
     assert rep.status == "fail" and "not a multiple of beta" in rep.evidence
 
 
 def test_period_control():
-    rep = check_period(mutate(find_record("e7(7)"), family="sp_R"))
+    rep = run_check("period", mutate(find_record("e7(7)"), family="sp_R"))
     assert rep.status == "fail" and "expected 1/2" in rep.evidence
 
 
 def test_count_control():
-    rep = check_count_and_disjoint(mutate(find_record("e8(8)"), expected_count=2))
+    rep = run_check("count_and_disjoint",
+                    mutate(find_record("e8(8)"), expected_count=2))
     assert rep.status == "fail" and "expected 2" in rep.evidence
 
 
 def test_disjointness_control_without_separator():
     r = find_record("sp(2,C)")
     clone = dataclasses.replace(r.modules[0], label="clone")
-    rep = check_count_and_disjoint(mutate(r, modules=(r.modules[0], clone)))
+    rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
     assert rep.status == "fail" and "no symbolic separator" in rep.evidence
 
 
@@ -232,13 +220,13 @@ def test_complex_beta_control():
     r = find_record("g2(C)")
     bad = MinimalModuleRecord("minimal", r.modules[0].mu0,
                               weight(r.space, (1, -1, 0)))
-    rep = check_complex_beta(mutate(r, modules=(bad,)))
+    rep = run_check("complex_beta", mutate(r, modules=(bad,)))
     assert rep.status == "fail" and "highest" in rep.evidence
 
 
 def test_infchar_control():
     r = find_record("g2(C)")
-    rep = check_infchar_coords(mutate(r, infchar=((Q(1), Q(1)),) * 2))
+    rep = run_check("infchar_coords", mutate(r, infchar=((Q(1), Q(1)),) * 2))
     assert rep.status == "fail" and "G2 pattern" in rep.evidence
 
 
@@ -288,19 +276,21 @@ def test_suite_status_reflects_failures():
     assert suite_status(bad) == "fail"
 
 
-def test_parallel_jobs_agree_with_serial():
+def test_parallel_jobs_agree_with_serial(monkeypatch):
+    # allow the 2-worker config on a 1-CPU machine
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     records = [find_record("g2(2)"), find_record("sp(2,C)")]
     serial = run_all(records, config=VerifyConfig(jobs=1))
     parallel = run_all(records, config=VerifyConfig(jobs=2))
     assert _keys(serial) == _keys(parallel)
 
 
-def test_check_wrappers_set_check_name():
+def test_run_check_names_check_and_record():
     r = find_record("g2(2)")
-    assert check_rho(r).check == "rho"
-    assert check_period(r).check == "period"
-    assert check_count_and_disjoint(r).record == "g2(2)"
-    assert check_rho(r).duration_ms >= 0
+    for name in CHECK_NAMES:
+        rep = run_check(name, r)
+        assert (rep.check, rep.record) == (name, "g2(2)")
+        assert rep.duration_ms >= 0
 
 
 def test_default_config_values():
@@ -308,6 +298,32 @@ def test_default_config_values():
     assert DEFAULT_CONFIG.rung_cap == 50
     assert DEFAULT_CONFIG.budget == 10 ** 7
     assert DEFAULT_CONFIG.jobs == 1
+
+
+def test_config_refuses_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        VerifyConfig(strategy="bogus")
+
+
+def test_config_refuses_negative_rung_cap():
+    # a negative cap used to report "pairwise disjoint through rung -5"
+    with pytest.raises(ValueError, match="must be nonnegative, got -5"):
+        VerifyConfig(rung_cap=-5)
+    assert VerifyConfig(rung_cap=0).rung_cap == 0
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_config_refuses_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"must be positive, got {budget}"):
+        VerifyConfig(budget=budget)
+
+
+@pytest.mark.parametrize("jobs", [0, 3])
+def test_config_refuses_jobs_outside_the_cpu_count(monkeypatch, jobs):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="between 1 and 2"):
+        VerifyConfig(jobs=jobs)
+    assert VerifyConfig(jobs=2).jobs == 2
 
 
 # ---------------------------------------------------------------------------
@@ -325,5 +341,5 @@ def test_casimir_strictly_increases_along_every_ladder():
 
 def test_rung_cap_is_honored():
     r = find_record("sp(2,R)")
-    rep = check_count_and_disjoint(r, VerifyConfig(rung_cap=7))
+    rep = run_check("count_and_disjoint", r, VerifyConfig(rung_cap=7))
     assert rep.status == "pass" and "through rung 7" in rep.evidence

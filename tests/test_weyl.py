@@ -68,7 +68,7 @@ def test_orbit_enumeration_e6():
 def test_enumeration_budget_refusal_names_the_order():
     rs = make_root_system("E7")
     with pytest.raises(BudgetExceededError) as info:
-        next(iter(enumerate_group(rs)))
+        next(iter(enumerate_group(rs, budget=10 ** 6)))
     assert "2903040" in str(info.value)
     assert info.value.order == 2903040
 
@@ -305,7 +305,8 @@ def test_line_preservers_brute_over_budget_suggests_reduced():
     sp = KSpace((d8,), 0)
     beta = weight(sp, (H,) * 8)
     with pytest.raises(BudgetExceededError) as info:
-        line_preservers(sp, beta, weight(sp, (0,) * 8), "brute")
+        line_preservers(sp, beta, weight(sp, (0,) * 8), "brute",
+                        budget=10 ** 6)
     assert "reduced" in str(info.value)
     assert info.value.order == space_group_order(sp)
 
