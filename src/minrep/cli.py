@@ -373,6 +373,8 @@ def _root_system(label: str):
 
 def cmd_weyl(args) -> int:
     budget = args.budget if args.budget is not None else _env_budget()
+    if budget <= 0:
+        raise UsageError(f"--budget must be positive, got {budget}")
     rs = _root_system(args.type)
     if args.action == "order":
         closed = group_order(rs)

@@ -188,7 +188,9 @@ def _fundamental_weights(simple: list[Vector]) -> tuple[Vector, ...]:
     coords = list(zip(*ints))
     out = []
     for xs in solve_combination(cartan_cols, targets):
-        assert xs is not None
+        if xs is None:
+            raise ValueError("a fundamental weight is outside the span of "
+                             "the Cartan matrix columns")
         d = lcm(*(x.denominator for x in xs))
         nums = [x.numerator * (d // x.denominator) for x in xs]
         out.append(tuple(Q(sum(map(mul, nums, col)), d * m) for col in coords))
@@ -361,7 +363,8 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
         num *= dot(lr, a)
         den *= dot(rs.rho, a)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise ValueError(f"Weyl dimension formula gave {d} for {lam} on {rs.label}")
     return int(d)
 
 

@@ -8,15 +8,20 @@ orthogonal matrices, one block per factor of the ambient space; the center
 is always fixed pointwise.
 
 Every enumeration runs through one kernel, _survivors.  It realizes group
-elements as orbit points of a strictly dominant regular vector (2*rho): the
-map w -> w(2*rho) is a bijection, so a breadth first search over the orbit
-visits every element exactly once while storing only small integer vectors,
-plus the images of any tracked vectors.  Caller-supplied tests pick the
-survivors from these states; only survivors are walked back to the dominant
-chamber to read off their words, and a word becomes a matrix by one O(n^2)
-rank-one update per letter.  enumerate_group, the parabolic stabilizers of
-the default "chamber" line-preserver strategy (trivial on the whole
-catalog), and the "reduced" and "brute" certificates all call it.
+elements as orbit points of a strictly dominant regular vector (2*rho),
+held as their simple-coroot labels: the map w -> w(2*rho) is a bijection,
+and a simple reflection changes only its own label and those of its Dynkin
+neighbours.  A reverse search (Avis and Fukuda, 1996) walks, depth first,
+the tree in which each point's parent is its reflection in its first
+descent, so it visits every element exactly once with neither a visited
+set nor a list of states: besides the survivors it keeps, its memory is
+bounded by the rank and the longest word, not by the group order.  Tracked
+vectors (beta, xi0) are reflected along as integer vectors,
+caller-supplied tests pick the survivors, each survivor's word is its path
+from the root read backwards, and a word becomes a matrix by one O(n^2)
+rank-one update per letter.  enumerate_group, orbit_size, the parabolic
+stabilizers of the default "chamber" line-preserver strategy (trivial on
+the whole catalog), and the "reduced" and "brute" certificates all call it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
-from itertools import product
-from math import factorial, isqrt, lcm
+from itertools import chain, product
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Iterator
 
 from .linalg import Matrix, identity, integer_images, matmul, matvec, solve_combination
@@ -232,53 +238,29 @@ def _tracked_image(rs: RootSystem, v: Vector) -> tuple[int, ...]:
     return tuple(int(c * 2 * m) for c in v)
 
 
-class _Codec:
-    """Pack small integer vectors as bytes for the visited set."""
-
-    def __init__(self, start: tuple[int, ...]):
-        bound = isqrt(sum(c * c for c in start)) + 1
-        self.packs = bound <= 127
-
-    def key(self, u: tuple[int, ...]):
-        if self.packs:
-            return bytes(c + 128 for c in u)
-        return u
-
-
 def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, ...]:
-    c, rem = divmod(2 * sum(a * b for a, b in zip(u, s)), ss)
-    assert rem == 0, "orbit left the tracked lattice"
-    return tuple(a - c * b for a, b in zip(u, s))
+    c, rem = divmod(2 * sum(map(mul, u, s)), ss)
+    if rem:
+        raise AssertionError("orbit left the tracked lattice")
+    if not c:
+        return u
+    return tuple([a - c * b for a, b in zip(u, s)])
 
 
-def _orbit_states(rs: RootSystem, tracked: tuple[tuple[int, ...], ...]):
-    """BFS over w(2*rho) tracking w applied to each tracked integer vector.
-
-    Returns (states, simples).  The states, the identity's first, are tuples
-    whose first entry is the orbit point and the rest are the tracked
-    images, all as integer vectors (see _tracked_image).  simples pairs an
-    integer multiple s of each simple root, in order, with its norm (s, s).
-    """
-    simples = []
-    for a in rs.simple:
-        _, (s,) = integer_images([a])
-        simples.append((s, sum(c * c for c in s)))
-    _, (u0,) = integer_images([vscale(2, rs.rho)])
-    codec = _Codec(u0)
-    visited = {codec.key(u0)}
-    states = [(u0,) + tuple(tracked)]
-    i = 0
-    while i < len(states):
-        state = states[i]
-        i += 1
-        for s, ss in simples:
-            u = _reflect_int(state[0], s, ss)
-            k = codec.key(u)
-            if k in visited:
-                continue
-            visited.add(k)
-            states.append((u,) + tuple(_reflect_int(e, s, ss) for e in state[1:]))
-    return states, simples
+def _cartan_rows(simple: tuple[Vector, ...]) -> list[list[tuple[int, int]]]:
+    """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the j
+    where the entry is nonzero: i itself and its Dynkin neighbours."""
+    rows = []
+    for a in simple:
+        row = []
+        for j, b in enumerate(simple):
+            entry = pair_coroot(a, b)
+            if entry.denominator != 1:
+                raise AssertionError(f"Cartan entry {entry} is not an integer")
+            if entry:
+                row.append((j, int(entry)))
+        rows.append(row)
+    return rows
 
 
 def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
@@ -286,31 +268,62 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     """Letters (printed order) of every w in W(rs) whose state passes a
     test, one list per test.
 
-    Each test sees the whole state of w, (w(2*rho), w(t) for t in tracked),
-    as _orbit_states builds it.  Only survivors are walked back to the
-    start, always by their first descent, to read off their letters.
+    A state is (labels, w(t) for t in tracked): the labels are the
+    simple-coroot pairings <w(2*rho), alpha_j^vee>, and the tracked images
+    are integer vectors (see _tracked_image).  The search is a reverse
+    search over the orbit of 2*rho, rooted at the labels (2, ..., 2): the
+    parent of a point is its reflection in its first descent (the first
+    negative label), so s_i u is a child of u exactly when u's label i is
+    positive and every label of s_i u before i is positive.  Every point of
+    the orbit is regular, so these parents form one tree and each element
+    is visited once, depth first, with no visited set.  A node's word is
+    its path from the root, read backwards: the letters of the walk back
+    along first descents.
     """
-    states, simples = _orbit_states(rs, tracked)
-    start = states[0][0]
+    simple = rs.simple
+    mirrors = []
+    for a in simple:
+        _, (s,) = integer_images([a])
+        mirrors.append((s, sum(c * c for c in s)))
+    rank = len(simple)
+    rows = _cartan_rows(simple)
+    # each index's Dynkin neighbours after it; none after the root's `rank`
+    later = [[j for j, _ in row if j > i] for i, row in enumerate(rows)] + [[]]
     found: list[list[list[Vector]]] = [[] for _ in tests]
     pairs = list(zip(tests, found))
-    for state in states:
+    # a path is (letter index, parent path), None at the root
+    stack = [(((2,) * rank,) + tuple(tracked), None)]
+    while stack:
+        state, path = stack.pop()
         letters = None
         for test, out in pairs:
             if not test(state):
                 continue
             if letters is None:
-                letters, u = [], state[0]
-                while u != start:
-                    for a, (s, ss) in zip(rs.simple, simples):
-                        if sum(x * y for x, y in zip(u, s)) < 0:
-                            letters.append(a)
-                            u = _reflect_int(u, s, ss)
-                            break
-                    else:
-                        raise AssertionError("point is not on the orbit of "
-                                             "the start vector")
+                letters, p = [], path
+                while p is not None:
+                    i, p = p
+                    letters.append(simple[i])
             out.append(letters)
+        labels = state[0]
+        first = next((j for j, lj in enumerate(labels) if lj < 0), rank)
+        # Below the first descent every label is positive, and reflecting
+        # by such an i raises the labels of its neighbours, so s_i u is a
+        # child.  Past it, the first descent must be a neighbour of i that
+        # the reflection turns positive.
+        for i in chain(range(first), later[first]):
+            li = labels[i]
+            if li <= 0:
+                continue
+            child = list(labels)
+            for j, a in rows[i]:
+                child[j] -= li * a
+            if i > first and min(child[:i]) <= 0:
+                continue
+            s, ss = mirrors[i]
+            stack.append(((tuple(child),) + tuple([_reflect_int(e, s, ss)
+                                                   for e in state[1:]]),
+                          (i, path)))
     return found
 
 
@@ -341,8 +354,15 @@ def _every_state(state) -> bool:
 def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     """Group order measured by direct orbit enumeration (no closed forms)."""
     _require_within(group_order(rs), budget, rs.label)
-    states, _ = _orbit_states(rs, ())
-    return len(states)
+    size = 0
+
+    def count(state) -> bool:
+        nonlocal size
+        size += 1
+        return False
+
+    _survivors(rs, (), (count,))
+    return size
 
 
 def enumerate_group(rs: RootSystem,
@@ -379,7 +399,8 @@ def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
     letters, end = _descend(rs.simple, vscale(-1, rs.rho))
     if end != rs.rho:
         raise AssertionError("greedy descent stuck off the orbit")
-    assert len(letters) == len(rs.positive)
+    if len(letters) != len(rs.positive):
+        raise AssertionError("longest element word is not reduced")
     return WeylWord(tuple((factor, a) for a in letters))
 
 

@@ -310,6 +310,14 @@ def test_weyl_order_large_skips_enumeration(capsys):
     assert "cross-check skipped" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-4"])
+def test_weyl_nonpositive_budget_is_usage_error(capsys, budget):
+    code, out, err = run(capsys, "weyl", "order", "A2", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert f"--budget must be positive, got {budget}" in err
+
+
 def test_weyl_longest_c4_negates_everything(capsys):
     code, out, _ = run(capsys, "weyl", "longest", "C4")
     assert code == 0

@@ -12,11 +12,8 @@ from minrep.rootsys import (
     KSpace,
     UnsupportedCartanType,
     Weight,
-    bilinear,
     casimir_eigenvalue,
-    dominance,
     dot,
-    is_zero,
     k_types_equal,
     lattice_period,
     make_root_system,
@@ -26,7 +23,6 @@ from minrep.rootsys import (
     root_system_from_roots,
     space_casimir,
     space_dominance,
-    space_reflect,
     space_rho,
     space_weyl_dim,
     trace_free_canonical,
@@ -35,7 +31,6 @@ from minrep.rootsys import (
     vscale,
     weight,
     weyl_dim,
-    zero_weight,
 )
 from minrep.weyl import orthogonal_subsystem
 

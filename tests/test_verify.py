@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from minrep.registry import MinimalModuleRecord, find_record, instantiate_family
+from minrep.registry import MinimalModuleRecord, find_record
 from minrep.rootsys import weight, weight_add
 from minrep.verify import (
     CHECK_NAMES,

@@ -1,20 +1,21 @@
 """Weyl layer: enumeration against closed-form orders, longest elements,
 orthogonal subsystems, and the line-preserver search on known data."""
 
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minrep import weyl
 from minrep.linalg import identity, matmul, matvec
-from minrep.rootsys import KSpace, dot, make_root_system, vec, vscale, weight
+from minrep.rootsys import KSpace, dot, make_root_system, reflect, vec, vscale, weight
 from minrep.weyl import (
     BudgetExceededError,
     apply,
     as_element,
     compose,
     enumerate_group,
-    equal_elements,
     group_order,
     identity_element,
     inverse,
@@ -62,7 +63,71 @@ def test_orbit_enumeration_matches_closed_form(label):
 
 
 def test_orbit_enumeration_e6():
-    assert orbit_size(make_root_system("E6")) == 51840
+    # the reverse search keeps neither a visited set nor a list of states,
+    # so its memory does not grow with the 51840 elements
+    rs = make_root_system("E6")
+    tracemalloc.start()
+    try:
+        size = orbit_size(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size == 51840
+    assert peak < 2 ** 20
+
+
+def _reflection_matrix(a):
+    n = len(a)
+    return tuple(tuple((1 if i == j else 0) - 2 * a[i] * a[j] / dot(a, a)
+                       for j in range(n)) for i in range(n))
+
+
+def _reflection_closure(rs):
+    """Reference: the group the simple reflections generate, by a naive
+    breadth-first search over dense matrices."""
+    gens = [_reflection_matrix(a) for a in rs.simple]
+    group = {identity(rs.ambient)}
+    frontier = group
+    while frontier:
+        frontier = {matmul(m, g) for m in frontier for g in gens} - group
+        group |= frontier
+    return group
+
+
+@pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
+def test_enumeration_equals_reflection_closure(label):
+    rs = make_root_system(label)
+    elements = [el.blocks[0] for el in enumerate_group(rs)]
+    assert len(elements) == CLOSED_FORM_ORDERS[label]
+    assert set(elements) == _reflection_closure(rs)
+
+
+@pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
+def test_enumerated_words_are_reduced(label):
+    # Each word must spell the element whose state it comes with, and be
+    # reduced: its length is the number of positive roots its element w
+    # sends negative.  (w p, rho) = (p, w^-1 rho), so those are the
+    # positive roots that pair negatively with w^-1 rho.
+    rs = make_root_system(label)
+    start = weyl._tracked_image(rs, rs.rho)
+    scale = next(Q(t) / r for t, r in zip(start, rs.rho) if r)
+    images = []
+
+    def keep(state):
+        images.append(state[1])
+        return True
+
+    (words,) = weyl._survivors(rs, (start,), (keep,))
+    assert len(words) == CLOSED_FORM_ORDERS[label]
+    for letters, image in zip(words, images, strict=True):
+        w_rho = rs.rho
+        for a in reversed(letters):
+            w_rho = reflect(w_rho, a)
+        assert vscale(scale, w_rho) == image
+        w_inv_rho = rs.rho
+        for a in letters:
+            w_inv_rho = reflect(w_inv_rho, a)
+        assert len(letters) == sum(dot(p, w_inv_rho) < 0 for p in rs.positive)
 
 
 def test_enumeration_budget_refusal_names_the_order():
