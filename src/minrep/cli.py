@@ -28,11 +28,12 @@ from .registry import (
     k_display,
 )
 from .render import format_q, format_weight, format_word
-from .rootsys import UnsupportedCartanType, make_root_system, omega_to_coords, pair_coroot
+from .rootsys import UnsupportedCartanType, make_root_system
 from .verify import (
     CHECK_NAMES,
     DEFAULT_CONFIG,
     VerifyConfig,
+    infchar_round_trip,
     run_all,
     run_check,
     suite_status,
@@ -44,6 +45,7 @@ from .weyl import (
     longest_element,
     orbit_size,
     orthogonal_subsystem,
+    type_label,
 )
 
 class UsageError(Exception):
@@ -129,8 +131,8 @@ def cmd_verify(args) -> int:
         family = None
     try:
         # VerifyConfig refuses out-of-range settings with ValueError
-        config = VerifyConfig(strategy=args.strategy, rung_cap=args.rungs,
-                              budget=budget, jobs=args.jobs)
+        config = VerifyConfig(strategy=args.strategy, budget=budget,
+                              jobs=args.jobs)
         reports = run_all(records, record=args.record, family=family,
                           checks=args.check or None, config=config)
     except KeyError as exc:
@@ -207,10 +209,8 @@ INFCHAR_FIXED = ("e6(C)", "e7(C)", "e8(C)", "f4(C)", "g2(C)")
 
 
 def _pattern_roundtrips(g_label: str) -> bool:
-    pattern = joseph_infchar(g_label)
-    rs = make_root_system(g_label)
-    coords = omega_to_coords(rs, pattern)
-    return tuple(pair_coroot(coords, a) for a in rs.simple) == pattern
+    _, round_trips = infchar_round_trip(g_label, joseph_infchar(g_label))
+    return round_trips
 
 
 def table_infchar() -> Table:
@@ -404,8 +404,7 @@ def cmd_weyl(args) -> int:
         raise UsageError(f"vector has {len(v)} coordinates, {rs.label} "
                          f"lives in {rs.ambient}")
     sub = orthogonal_subsystem(rs, v)
-    kind = "x".join(sub.components) if sub.components else "empty"
-    print(f"{len(sub.roots)} roots, type {kind}")
+    print(f"{len(sub.roots)} roots, type {type_label(sub)}")
     return 0
 
 
@@ -433,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_CONFIG.strategy,
                           help="line-preserver search: chamber (closed form, "
                           "self-checked) or an enumeration certificate")
-    p_verify.add_argument("--rungs", type=int, default=50,
-                          help="ladder sweep cap for disjointness")
     p_verify.add_argument("--budget", type=int, default=None,
                           help="enumeration budget (default MINREP_BUDGET "
                           f"or {DEFAULT_BUDGET})")

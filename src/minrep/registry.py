@@ -226,6 +226,11 @@ def _desc(start, count: int, step=1) -> tuple[Q, ...]:
     return tuple(s - k * Q(step) for k in range(count))
 
 
+def _so_type(k: int) -> str:
+    """Cartan type of so(k, C): B for odd k, D for even k."""
+    return f"B{(k - 1) // 2}" if k % 2 else f"D{k // 2}"
+
+
 def _e1(n: int, value=1) -> tuple[Q, ...]:
     return (Q(value),) + (Q(0),) * (n - 1)
 
@@ -439,11 +444,10 @@ def _so_2n_3(n: int) -> RealFormRecord:
 
 
 def _so_p_2(p: int) -> RealFormRecord:
-    k_label = f"B{(p - 1) // 2}" if p % 2 else f"D{p // 2}"
-    g_label = f"B{(p + 1) // 2}" if p % 2 else f"D{p // 2 + 1}"
-    sp = _space(k_label, center=1)
+    sp = _space(_so_type(p), center=1)
     n = sp.factors[0].ambient
-    r = _hermitian_record(f"so({p},2)", g_label, sp, _e1(n), _e1(n), Q(p - 2, 2))
+    r = _hermitian_record(f"so({p},2)", _so_type(p + 2), sp, _e1(n), _e1(n),
+                          Q(p - 2, 2))
     return replace(r, family="so_p_2", params=(p,))
 
 
@@ -488,7 +492,7 @@ def _sp_C(n: int) -> RealFormRecord:
 
 
 def _so_C(n: int) -> RealFormRecord:
-    k_label = f"B{(n - 1) // 2}" if n % 2 else f"D{n // 2}"
+    k_label = _so_type(n)
     return _complex_record(f"so({n},C)", k_label,
                            modules_mu0=[(0,) * make_root_system(k_label).ambient],
                            module_labels=["minimal"],
@@ -496,10 +500,8 @@ def _so_C(n: int) -> RealFormRecord:
 
 
 def _so_n_1(n: int) -> RealFormRecord:
-    k_label = f"D{n // 2}" if n % 2 == 0 else f"B{(n - 1) // 2}"
-    g_label = f"B{n // 2}" if n % 2 == 0 else f"D{(n + 1) // 2}"
-    sp = _space(k_label)
-    return _zero_record(f"so({n},1)", (g_label,), sp,
+    sp = _space(_so_type(n))
+    return _zero_record(f"so({n},1)", (_so_type(n + 1),), sp,
                         (weight(sp, _e1(sp.factors[0].ambient)),), REASON_ORBIT,
                         family="so_n_1", params=(n,))
 
@@ -512,10 +514,8 @@ def _sp_p_q(p: int, q: int) -> RealFormRecord:
 
 
 def _so_odd_sum(p: int, q: int) -> RealFormRecord:
-    def so_label(k):
-        return f"B{(k - 1) // 2}" if k % 2 else f"D{k // 2}"
-    sp = _space(so_label(p), so_label(q))
-    return _zero_record(f"so({p},{q})", (f"B{(p + q - 1) // 2}",), sp,
+    sp = _space(_so_type(p), _so_type(q))
+    return _zero_record(f"so({p},{q})", (_so_type(p + q),), sp,
                         (weight(sp, _e1(sp.factors[0].ambient),
                                 _e1(sp.factors[1].ambient)),), REASON_PARITY,
                         family="so_odd_sum", params=(p, q))
@@ -527,7 +527,7 @@ def _sp_compact(n: int) -> RealFormRecord:
 
 
 def _so_compact(n: int) -> RealFormRecord:
-    k_label = f"B{(n - 1) // 2}" if n % 2 else f"D{n // 2}"
+    k_label = _so_type(n)
     return _zero_record(f"so({n})", (k_label,), _space(k_label), (), REASON_ORBIT,
                         family="so_compact", params=(n,))
 

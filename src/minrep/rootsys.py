@@ -145,9 +145,8 @@ def _component_split(simple: tuple[Vector, ...]) -> list[list[int]]:
     return comps
 
 
-def _build(label: str, family: str, positive: list[Vector],
+def _build(label: str, family: str, ambient: int, positive: list[Vector],
            simple: list[Vector]) -> RootSystem:
-    ambient = len(positive[0])
     roots = frozenset(positive) | frozenset(vscale(-1, p) for p in positive)
     if set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
@@ -301,17 +300,17 @@ def make_root_system(cartan_type: str) -> RootSystem:
     """Build a root system by type label, e.g. "C4", "E7", "A1d"."""
     label = cartan_type.strip()
     if label == "A1d":
-        return _build("A1d", "A1d", [vec(2, -2)], [vec(2, -2)])
+        return _build("A1d", "A1d", 2, [vec(2, -2)], [vec(2, -2)])
     fixed = {"G2": _pos_G2, "F4": _pos_F4, "E6": _pos_E6, "E7": _pos_E7, "E8": _pos_E8}
     if label in fixed:
         pos, simple = fixed[label]()
-        return _build(label, label[0], pos, simple)
+        return _build(label, label[0], len(pos[0]), pos, simple)
     family, rank_text = label[:1], label[1:]
     if family in "ABCD" and rank_text.isdigit():
         rank = int(rank_text)
         if rank >= _MIN_RANK[family]:
             pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C, "D": _pos_D}[family](rank)
-            return _build(label, family, pos, simple)
+            return _build(label, family, len(pos[0]), pos, simple)
     raise UnsupportedCartanType(
         f"unsupported type {cartan_type!r}; expected one of A>=1, B>=1, C>=1, D>=2, "
         "E6, E7, E8, F4, G2, A1d")
@@ -321,7 +320,8 @@ def root_system_from_roots(label: str, roots: Iterable[Vector], chamber: Vector)
     """Embedded system from an explicit root list and a chamber vector.
 
     The chamber vector must not vanish on any root; roots with positive
-    pairing form the positive system.
+    pairing form the positive system.  An empty root list gives the rank-0
+    system in the chamber vector's space.
     """
     allroots = {tuple(Q(c) for c in r) for r in roots}
     allroots |= {vscale(-1, r) for r in allroots}
@@ -334,7 +334,7 @@ def root_system_from_roots(label: str, roots: Iterable[Vector], chamber: Vector)
             pos.append(r)
     pos.sort()
     simple = sorted(_indecomposables(pos))
-    return _build(label, "sub", pos, simple)
+    return _build(label, "sub", len(chamber), pos, simple)
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +366,6 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     if d.denominator != 1 or d <= 0:
         raise ValueError(f"Weyl dimension formula gave {d} for {lam} on {rs.label}")
     return int(d)
-
-
-def casimir_eigenvalue(rs: RootSystem, lam: Vector, normalization: str = "standard") -> Q:
-    """<lam, lam + 2 rho> in the coordinate form.
-
-    "killing" rescales so that the adjoint module (highest weight = highest
-    root) has eigenvalue exactly 1.  The raw coordinate scale is otherwise
-    arbitrary but fixed, which is all the monotonicity arguments need.
-    """
-    raw = dot(lam, vadd(lam, vscale(2, rs.rho)))
-    if normalization == "standard":
-        return raw
-    if normalization == "killing":
-        if rs.highest_root is None:
-            raise ValueError(f"{rs.label} is reducible; killing normalization undefined")
-        theta = rs.highest_root
-        return raw / dot(theta, vadd(theta, vscale(2, rs.rho)))
-    raise ValueError(f"unknown normalization {normalization!r}")
 
 
 def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:
@@ -436,11 +418,6 @@ def conform(space: KSpace, w: Weight) -> None:
             raise ValueError(f"block {v} has wrong length for {rs.label}")
     if len(w.center) != space.center_dim:
         raise ValueError(f"center block {w.center} has wrong length")
-
-
-def zero_weight(space: KSpace) -> Weight:
-    return Weight(tuple(vzero(rs.ambient) for rs in space.factors),
-                  vzero(space.center_dim))
 
 
 def weight_add(a: Weight, b: Weight) -> Weight:
@@ -499,12 +476,6 @@ def space_weyl_dim(space: KSpace, lam: Weight) -> int:
     return d
 
 
-def space_casimir(space: KSpace, lam: Weight) -> Q:
-    """<lam, lam + 2 rho> in the block form (standard scale per factor)."""
-    rho = space_rho(space)
-    return bilinear(space, lam, weight_add(lam, weight_scale(2, rho)))
-
-
 def _ratgcd(values: Iterable[Q]) -> Q:
     g = Q(0)
     for v in values:
@@ -543,7 +514,3 @@ def trace_free_canonical(space: KSpace, lam: Weight) -> Weight:
         else:
             blocks.append(v)
     return Weight(tuple(blocks), lam.center)
-
-
-def k_types_equal(space: KSpace, a: Weight, b: Weight) -> bool:
-    return trace_free_canonical(space, a) == trace_free_canonical(space, b)

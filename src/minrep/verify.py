@@ -32,13 +32,13 @@ from .registry import (
 )
 from .render import format_q, format_vector, format_weight, format_word
 from .rootsys import (
+    Vector,
     bilinear,
     factor_bilinear,
     lattice_period,
     make_root_system,
     omega_to_coords,
     pair_coroot,
-    space_casimir,
     space_dominance,
     space_rho,
     space_weyl_dim,
@@ -63,6 +63,7 @@ from .weyl import (
     space_beta_subsystems,
     space_longest_element,
     space_subgroup_longest,
+    type_label,
 )
 
 CHECK_NAMES = (
@@ -83,13 +84,16 @@ CHECK_NAMES = (
 SKIP_ONE_SIDED = "one-sided record: symmetric line data does not apply"
 SKIP_NO_MODULES = "no modules"
 
+# Rungs 0..RUNG_SWEEP of every ladder are compared outright, a finite
+# cross-check of the symbolic separators that certify all rungs.
+RUNG_SWEEP = 50
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
     """How to run the checks; settings that would make a pass vacuous, or
     a run impossible, raise ValueError."""
     strategy: str = "chamber"
-    rung_cap: int = 50
     budget: int = DEFAULT_BUDGET
     jobs: int = 1
 
@@ -97,9 +101,6 @@ class VerifyConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of "
                              + ", ".join(STRATEGIES))
-        if self.rung_cap < 0:
-            raise ValueError(f"rung_cap (--rungs) must be nonnegative, "
-                             f"got {self.rung_cap}")
         if self.budget < 1:
             raise ValueError(f"budget (--budget) must be positive, got {self.budget}")
         cpus = os.cpu_count() or 1
@@ -240,8 +241,7 @@ def _check_w0_formula(r: RealFormRecord, config: VerifyConfig):
     lhs = as_element(r.space, r.w0)
     rhs = compose(as_element(r.space, space_longest_element(r.space)),
                   as_element(r.space, space_subgroup_longest(r.space, subs)))
-    shape = ", ".join(
-        "x".join(s.components) if s.components else "empty" for s in subs)
+    shape = ", ".join(map(type_label, subs))
     if equal_elements(lhs, rhs):
         return _pass(f"w0 equals (longest element) * (longest element fixing "
                      f"beta); orthogonal subsystem per factor: {shape}")
@@ -348,9 +348,8 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
         why = f" ({r.nonexistence_reason})" if r.nonexistence_reason else ""
         return _pass(f"count {r.expected_count} as expected{why}; "
                      f"no module pairs to separate")
-    cap = config.rung_cap
-    ladders = [
-        {_canonical_rung(r, m, n): n for n in range(cap + 1)} for m in r.modules]
+    ladders = [{_canonical_rung(r, m, n): n for n in range(RUNG_SWEEP + 1)}
+               for m in r.modules]
     notes = []
     for i in range(len(r.modules)):
         for j in range(i + 1, len(r.modules)):
@@ -367,7 +366,7 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
                              f"n={ladders[j][k]}")
             notes.append(f"({a.label},{b.label}): {sep}")
     return _pass(f"count {r.expected_count} as expected; pairwise disjoint "
-                 f"through rung {cap}; separators: " + "; ".join(notes))
+                 f"through rung {RUNG_SWEEP}; separators: " + "; ".join(notes))
 
 
 def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
@@ -385,6 +384,15 @@ def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
                  f"and a module has mu0 = 0")
 
 
+def infchar_round_trip(g_label: str, pattern) -> tuple[Vector, bool]:
+    """The coordinates of sum_i c_i omega_i for the fundamental-weight
+    coefficients `pattern` on type g_label, and whether they pair back to
+    the pattern."""
+    rs = make_root_system(g_label)
+    coords = omega_to_coords(rs, pattern)
+    return coords, tuple(pair_coroot(coords, a) for a in rs.simple) == tuple(pattern)
+
+
 def _check_infchar_coords(r: RealFormRecord, config: VerifyConfig):
     if r.infchar is None:
         return _skip("no stored infinitesimal-character pattern")
@@ -398,10 +406,8 @@ def _check_infchar_coords(r: RealFormRecord, config: VerifyConfig):
             return _fail(f"stored coefficients ({', '.join(map(format_q, pattern))}) "
                          f"differ from the {g_label} pattern "
                          f"({', '.join(map(format_q, canonical))})")
-        rs = make_root_system(g_label)
-        coords = omega_to_coords(rs, pattern)
-        back = tuple(pair_coroot(coords, a) for a in rs.simple)
-        if back != tuple(pattern):
+        coords, round_trips = infchar_round_trip(g_label, pattern)
+        if not round_trips:
             return _fail(f"{g_label}: coordinates {format_vector(coords)} do not "
                          f"pair back to the stored coefficients")
         shown.append(f"{g_label}: {format_vector(coords)}")
@@ -451,6 +457,9 @@ def run_all(records=None, *, record: str | None = None,
     """Run checks in deterministic order: records as given, then CHECK_NAMES
     order within each record.  Selectors narrow by record name or family id."""
     pool = tuple(records) if records is not None else all_default_records()
+    if not pool:
+        # a suite of no reports would pass vacuously
+        raise ValueError("no records to verify")
     if record is not None:
         key = normalize_name(record)
         pool = tuple(r for r in pool if r.key == key)
@@ -474,13 +483,3 @@ def run_all(records=None, *, record: str | None = None,
 
 def suite_status(reports) -> str:
     return "fail" if any(rep.status == "fail" for rep in reports) else "pass"
-
-
-def casimir_along_ladder(record: RealFormRecord, module_index: int = 0,
-                         rungs: int = 10) -> tuple[Q, ...]:
-    """Casimir scalars of mu0 + n*beta for n = 0..rungs (they separate the
-    rungs, so any shared K-type forces equal scalars)."""
-    m = record.modules[module_index]
-    return tuple(
-        space_casimir(record.space, weight_add(m.mu0, weight_scale(n, m.beta)))
-        for n in range(rungs + 1))

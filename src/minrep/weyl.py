@@ -19,9 +19,9 @@ bounded by the rank and the longest word, not by the group order.  Tracked
 vectors (beta, xi0) are reflected along as integer vectors,
 caller-supplied tests pick the survivors, each survivor's word is its path
 from the root read backwards, and a word becomes a matrix by one O(n^2)
-rank-one update per letter.  enumerate_group, orbit_size, the parabolic
-stabilizers of the default "chamber" line-preserver strategy (trivial on
-the whole catalog), and the "reduced" and "brute" certificates all call it.
+rank-one update per letter.  orbit_size, the parabolic stabilizers of the
+default "chamber" line-preserver strategy (trivial on the whole catalog),
+and the "reduced" and "brute" certificates all call it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import chain, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .linalg import Matrix, identity, integer_images, matmul, matvec, solve_combination
 from .rootsys import (
@@ -147,11 +147,6 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(tuple(matmul(x, y) for x, y in zip(a.blocks, b.blocks, strict=True)))
 
 
-def inverse(a: WeylElement) -> WeylElement:
-    # blocks are orthogonal, so inversion is transposition
-    return WeylElement(tuple(tuple(zip(*m)) for m in a.blocks))
-
-
 def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
     conform(space, lam)
     if isinstance(w, WeylWord):
@@ -212,17 +207,16 @@ def _classify_component(rank: int, positive_norms: list[Q]) -> tuple[str, int]:
 
 
 def group_order(rs: RootSystem) -> int:
-    order = 1
-    for _, n in _component_profiles(rs):
-        order *= n
-    return order
+    return prod(n for _, n in _component_profiles(rs))
+
+
+def type_label(rs: RootSystem) -> str:
+    """The component types joined by "x", e.g. "A3xA3"; "empty" at rank 0."""
+    return "x".join(label for label, _ in _component_profiles(rs)) or "empty"
 
 
 def space_group_order(space: KSpace) -> int:
-    order = 1
-    for rs in space.factors:
-        order *= group_order(rs)
-    return order
+    return prod(map(group_order, space.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +359,6 @@ def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
     return size
 
 
-def enumerate_group(rs: RootSystem,
-                    budget: int = DEFAULT_BUDGET) -> Iterator[WeylElement]:
-    """Every element of W(rs) exactly once, as single-block elements."""
-    _require_within(group_order(rs), budget, rs.label)
-    (words,) = _survivors(rs, (), (_every_state,))
-    return iter(_elements((rs,), [[words]]))
-
-
 # ---------------------------------------------------------------------------
 # longest elements
 
@@ -415,58 +401,26 @@ def space_longest_element(space: KSpace) -> WeylWord:
 # orthogonal subsystems
 
 
-@dataclass(frozen=True)
-class Subsystem:
-    """Roots of a factor orthogonal to a vector, with their own positivity."""
-    parent: RootSystem
-    factor: int
-    system: RootSystem | None      # embedded root system; None when empty
-    components: tuple[str, ...]
-    order: int
-
-    @property
-    def roots(self) -> frozenset[Vector]:
-        return self.system.roots if self.system else frozenset()
-
-    @property
-    def positive(self) -> tuple[Vector, ...]:
-        return self.system.positive if self.system else ()
-
-    @property
-    def simple(self) -> tuple[Vector, ...]:
-        return self.system.simple if self.system else ()
-
-
-def orthogonal_subsystem(rs: RootSystem, v: Vector, factor: int = 0) -> Subsystem:
+def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
+    """The roots of rs orthogonal to v, a root system of rank 0 when there
+    are none."""
     sel = [r for r in sorted(rs.roots) if dot(r, v) == 0]
-    if not sel:
-        return Subsystem(rs, factor, None, (), 1)
     # rs.rho is regular for rs, hence for the subsystem; the induced positive
     # part is exactly (subsystem) intersect (positive roots of rs)
-    sub = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
-    profiles = _component_profiles(sub)
-    order = 1
-    for _, n in profiles:
-        order *= n
-    return Subsystem(rs, factor, sub, tuple(lbl for lbl, _ in profiles), order)
+    return root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
 
 
-def subgroup_longest(space: KSpace, sub: Subsystem) -> WeylWord:
-    """Longest element of the subsystem group, as a word over its roots."""
-    if sub.system is None:
-        return WeylWord(())
-    return longest_element(sub.system, sub.factor)
+def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]:
+    return tuple(orthogonal_subsystem(rs, v)
+                 for rs, v in zip(space.factors, beta.factors))
 
 
-def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[Subsystem, ...]:
-    return tuple(orthogonal_subsystem(rs, beta.factors[f], f)
-                 for f, rs in enumerate(space.factors))
-
-
-def space_subgroup_longest(space: KSpace, subs: Iterable[Subsystem]) -> WeylWord:
+def space_subgroup_longest(space: KSpace, subs: Iterable[RootSystem]) -> WeylWord:
+    """Longest element of each factor's subsystem group, as one word over
+    their roots."""
     letters = []
-    for sub in subs:
-        letters.extend(subgroup_longest(space, sub).letters)
+    for f, sub in enumerate(subs):
+        letters.extend(longest_element(sub, f).letters)
     return WeylWord(tuple(letters))
 
 
@@ -544,18 +498,15 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # the survivors are w_l w_beta,l P u0.
     subs = space_beta_subsystems(space, beta)
     u0: list[list[Vector]] = []
-    parabolics: list[RootSystem | None] = []
-    parabolic_order = 1
-    for f, sub in enumerate(subs):
-        descent, xi_dom = _descend(sub.simple, xi0.factors[f])
+    parabolics: list[RootSystem] = []
+    for sub, xi_f in zip(subs, xi0.factors):
+        descent, xi_dom = _descend(sub.simple, xi_f)
         u0.append(descent[::-1])
-        # an empty W_beta (sub.system None) has the trivial parabolic
-        par = orthogonal_subsystem(sub.system, xi_dom, f) if sub.system else sub
-        parabolics.append(par.system)
-        parabolic_order *= par.order
-    _require_within(parabolic_order, budget, "the stabilizer of xi0 in W_beta")
-    plus = [[p + u for p in (_survivors(rs, (), (_every_state,))[0] if rs else [[]])]
-            for rs, u in zip(parabolics, u0)]
+        parabolics.append(orthogonal_subsystem(sub, xi_dom))
+    _require_within(prod(map(group_order, parabolics)), budget,
+                    "the stabilizer of xi0 in W_beta")
+    plus = [[p + u for p in _survivors(par, (), (_every_state,))[0]]
+            for par, u in zip(parabolics, u0)]
     branches = [plus]
     wl = space_longest_element(space)
     negated = tuple(vscale(-1, v) for v in beta.factors)
@@ -592,10 +543,7 @@ def _line_preservers_brute(space, beta, xi0, budget):
 
 def _line_preservers_reduced(space, beta, xi0, budget):
     subs = space_beta_subsystems(space, beta)
-    stabilizer_order = 1
-    for sub in subs:
-        stabilizer_order *= sub.order
-    _require_within(stabilizer_order, budget, "the beta stabilizer")
+    _require_within(prod(map(group_order, subs)), budget, "the beta stabilizer")
 
     wl_word = space_longest_element(space)
     wl = as_element(space, wl_word)
@@ -609,17 +557,13 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
     plus, minus = [], []
     for f, (sub, prefix) in enumerate(zip(subs, _by_factor(space, wl_word))):
-        if sub.system is None:
-            found = [[[]], [[]]]
-        else:
-            _, pos_int = integer_images(sub.positive)
-            tests = [_nonnegative_on(pos_int)]
-            if wl_flips_beta:
-                _, pos_wl_int = integer_images(
-                    [matvec(wl.blocks[f], p) for p in sub.positive])
-                tests.append(_nonnegative_on(pos_wl_int))
-            found = _survivors(sub.system,
-                               (_tracked_image(sub.system, xi0.factors[f]),), tests)
+        _, pos_int = integer_images(sub.positive)
+        tests = [_nonnegative_on(pos_int)]
+        if wl_flips_beta:
+            _, pos_wl_int = integer_images(
+                [matvec(wl.blocks[f], p) for p in sub.positive])
+            tests.append(_nonnegative_on(pos_wl_int))
+        found = _survivors(sub, (_tracked_image(sub, xi0.factors[f]),), tests)
         plus.append(found[0])
         if wl_flips_beta:
             minus.append([prefix + w for w in found[1]])

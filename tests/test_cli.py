@@ -142,14 +142,6 @@ def test_verify_default_strategy_is_chamber(capsys):
     assert "(strategy chamber)" in out
 
 
-def test_verify_negative_rungs_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "--record", "e6(-14)",
-                         "--rungs", "-5")
-    assert code == 2
-    assert out == ""
-    assert "--rungs" in err
-
-
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
     code, out, err = run(capsys, "verify", "--record", "g2_2", "--jobs", jobs)
@@ -201,6 +193,16 @@ def test_verify_records_file_with_bad_data_exits_one(capsys, tmp_path):
     assert code == 1
     assert "| fail |" in out
     assert "overall: fail" in out
+
+
+def test_verify_records_file_without_records_is_config_error(capsys, tmp_path):
+    # an empty selection used to print "overall: pass" and exit 0
+    path = tmp_path / "empty.json"
+    path.write_text(registry.save([]), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert "no records to verify" in err
 
 
 def test_verify_records_file_missing_is_config_error(capsys):
@@ -343,6 +345,14 @@ def test_weyl_subsystem_accepts_rationals(capsys):
                        "--orthogonal-to", "1/2,1/2,-1")
     assert code == 0
     assert out.strip() == "2 roots, type A1"
+
+
+def test_weyl_subsystem_can_be_empty(capsys):
+    # rho is regular, so no root is orthogonal to it
+    code, out, _ = run(capsys, "weyl", "subsystem", "G2",
+                       "--orthogonal-to=-1,-2,3")
+    assert code == 0
+    assert out.strip() == "0 roots, type empty"
 
 
 def test_weyl_subsystem_malformed_vector(capsys):

@@ -1,16 +1,19 @@
 """Source hygiene, checked on the syntax tree: no `assert` in the package
-(`python -O` strips it, and with it the check) and no imported name that
-the importing file never uses."""
+(`python -O` strips it, and with it the check), no imported name that the
+importing file never uses, and no public function or class that only the
+tests call."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import minrep
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "minrep").glob("*.py"))
-CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
 
 
 def _tree(path: Path) -> ast.Module:
@@ -53,6 +56,57 @@ def test_unused_import_finder_sees_the_cases_it_must():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(_tree(path)) == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name node reads, bare (f) or as an attribute (module.f)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def orphans(trees: dict[str, ast.Module], exported: set[str]) -> list[tuple[str, str]]:
+    """(file, name) of every public top-level function or class of the
+    trees that no top-level statement reads, its own definition aside,
+    unless the name is exported."""
+    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in exported
+                    and not any(node.name in names for stmt, names in reads
+                                if stmt is not node)):
+                out.append((path, node.name))
+    return out
+
+
+def test_orphan_finder_sees_the_cases_it_must():
+    trees = {
+        "a.py": ast.parse(
+            "def called(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def _private(): pass\n"
+            "def exported(): pass\n"
+            "class Unused: pass\n"
+            "class Used: pass\n"),
+        "b.py": ast.parse(
+            "import a\n"
+            "a.called()\n"
+            "def f(x: a.Used): pass\n"),
+    }
+    assert orphans(trees, {"exported", "f"}) == [("a.py", "recursive"),
+                                                  ("a.py", "Unused")]
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    trees = {str(p.relative_to(ROOT)): _tree(p) for p in PACKAGE + SCRIPTS}
+    assert orphans(trees, set(minrep.__all__)) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -12,13 +12,12 @@ from minrep.linalg import identity, matmul, matvec
 from minrep.rootsys import KSpace, dot, make_root_system, reflect, vec, vscale, weight
 from minrep.weyl import (
     BudgetExceededError,
+    WeylWord,
     apply,
     as_element,
     compose,
-    enumerate_group,
     group_order,
     identity_element,
-    inverse,
     line_preservers,
     longest_element,
     orbit_size,
@@ -27,7 +26,7 @@ from minrep.weyl import (
     space_group_order,
     space_longest_element,
     space_subgroup_longest,
-    subgroup_longest,
+    type_label,
     word,
 )
 
@@ -74,6 +73,12 @@ def test_orbit_enumeration_e6():
         tracemalloc.stop()
     assert size == 51840
     assert peak < 2 ** 20
+
+
+def enumerate_group(rs):
+    """Every element of W(rs) exactly once, as single-block elements."""
+    (words,) = weyl._survivors(rs, (), (weyl._every_state,))
+    return weyl._elements((rs,), [[words]])
 
 
 def _reflection_matrix(a):
@@ -133,7 +138,7 @@ def test_enumerated_words_are_reduced(label):
 def test_enumeration_budget_refusal_names_the_order():
     rs = make_root_system("E7")
     with pytest.raises(BudgetExceededError) as info:
-        next(iter(enumerate_group(rs, budget=10 ** 6)))
+        orbit_size(rs, budget=10 ** 6)
     assert "2903040" in str(info.value)
     assert info.value.order == 2903040
 
@@ -244,8 +249,8 @@ def test_orthogonal_subsystem_a3_inside_c4():
     c4 = make_root_system("C4")
     sub = orthogonal_subsystem(c4, vec(1, 1, 1, 1))
     assert len(sub.roots) == 12
-    assert sub.components == ("A3",)
-    assert sub.order == 24
+    assert type_label(sub) == "A3"
+    assert group_order(sub) == 24
     assert set(sub.positive) <= set(c4.positive)
     # closed under its own reflections
     for a in sub.roots:
@@ -258,32 +263,35 @@ def test_orthogonal_subsystem_e7_inside_e8():
     e8 = make_root_system("E8")
     sub = orthogonal_subsystem(e8, vec(0, 0, 0, 0, 0, 0, 1, 1))
     assert len(sub.roots) == 126
-    assert sub.components == ("E7",)
-    assert sub.order == 2903040
+    assert type_label(sub) == "E7"
+    assert group_order(sub) == 2903040
 
 
 def test_orthogonal_subsystem_e6_inside_e7():
     e7 = make_root_system("E7")
     sub = orthogonal_subsystem(e7, vec(0, 0, 0, 0, 0, 1, -H, H))
-    assert sub.components == ("E6",)
+    assert type_label(sub) == "E6"
     assert len(sub.roots) == 72
 
 
 def test_orthogonal_subsystem_can_be_empty_or_everything():
     g2 = make_root_system("G2")
-    assert orthogonal_subsystem(g2, g2.rho).system is None
-    assert orthogonal_subsystem(g2, g2.rho).order == 1
+    empty = orthogonal_subsystem(g2, g2.rho)
+    assert (empty.rank, empty.ambient, empty.roots) == (0, 3, frozenset())
+    assert empty.rho == vec(0, 0, 0)
+    assert group_order(empty) == 1
+    assert type_label(empty) == "empty"
     everything = orthogonal_subsystem(g2, vec(0, 0, 0))
     assert everything.roots == g2.roots
-    assert everything.order == 12
+    assert group_order(everything) == 12
 
 
 def test_orthogonal_subsystem_splits_into_components():
     a7 = make_root_system("A7")
     beta = vscale(H, vec(1, 1, 1, 1, -1, -1, -1, -1))
     sub = orthogonal_subsystem(a7, beta)
-    assert sorted(sub.components) == ["A3", "A3"]
-    assert sub.order == 576
+    assert type_label(sub) == "A3xA3"
+    assert group_order(sub) == 576
 
 
 def test_subgroup_longest_fixes_beta_and_flips_the_subsystem():
@@ -302,7 +310,7 @@ def test_subgroup_longest_of_empty_subsystem_is_identity():
     g2 = make_root_system("G2")
     sp = KSpace((g2,), 0)
     sub = orthogonal_subsystem(g2, g2.rho)
-    assert subgroup_longest(sp, sub) == word(sp, [])
+    assert space_subgroup_longest(sp, (sub,)) == word(sp, [])
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +456,13 @@ def short_word(draw):
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_element_inverse_and_composition(sw):
+    # reflections are involutions, so the reversed word spells the inverse
     sp, w = sw
     el = as_element(sp, w)
-    assert compose(el, inverse(el)) == identity_element(sp)
+    inverse = as_element(sp, WeylWord(w.letters[::-1]))
+    assert compose(el, inverse) == identity_element(sp)
     lam = weight(sp, (3, 1, -2), (4, -4))
-    assert apply(sp, inverse(el), apply(sp, el, lam)) == lam
+    assert apply(sp, inverse, apply(sp, el, lam)) == lam
 
 
 @given(short_word())
