@@ -453,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("action", choices=("order", "longest", "subsystem"))
     p_weyl.add_argument("type", help="Cartan type, e.g. F4 or D5")
     p_weyl.add_argument("--orthogonal-to", metavar="VEC",
-                        help="comma-separated rational coordinates")
+                        help="comma-separated rational coordinates; a VEC "
+                             "that starts with '-' must be written "
+                             "--orthogonal-to=VEC")
     p_weyl.add_argument("--budget", type=int, default=None)
     p_weyl.set_defaults(func=cmd_weyl)
     return parser

@@ -17,20 +17,27 @@ descent, so it visits every element exactly once with neither a visited
 set nor a list of states: besides the survivors it keeps, its memory is
 bounded by the rank and the longest word, not by the group order.  Tracked
 vectors (beta, xi0) are reflected along as integer vectors,
-caller-supplied tests pick the survivors, each survivor's word is its path
-from the root read backwards, and a word becomes a matrix by one O(n^2)
-rank-one update per letter.  orbit_size, the parabolic stabilizers of the
-default "chamber" line-preserver strategy (trivial on the whole catalog),
-and the "reduced" and "brute" certificates all call it.
+caller-supplied tests pick the survivors, and each survivor's word is its
+path from the root read backwards.  orbit_size, the parabolic stabilizers
+of the default "chamber" line-preserver strategy (trivial on the whole
+catalog), and the "reduced" and "brute" certificates all call it.
+
+The layer is fraction-free inside.  Longest elements and greedy descents
+run on simple-coroot labels with the integer Cartan rows.  A word becomes
+a matrix by reflecting the rows of a scaled identity, letter by letter, on
+integers (row i of m s(v) is row i of m reflected by s(v)); the entries
+become Fractions once, at the end.  What depends only on a root system
+(Cartan rows, mirrors, the longest word, the matrix scale, its orthogonal
+subsystems) is computed once and kept on the RootSystem instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable
 
@@ -111,31 +118,13 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
     return WeylWord(tuple(out))
 
 
-def _times_reflection(m: Matrix, v: Vector) -> Matrix:
-    """m * s(v) as the rank-one update m - (2/(v,v)) (m v) v^T: O(n^2)."""
-    support = [(j, c) for j, c in enumerate(v) if c]
-    scale = 2 / sum(c * c for _, c in support)
-    out = []
-    for row in m:
-        k = scale * sum(row[j] * c for j, c in support)
-        if k:
-            row = list(row)
-            for j, c in support:
-                row[j] -= k * c
-            row = tuple(row)
-        out.append(row)
-    return tuple(out)
-
-
 def identity_element(space: KSpace) -> WeylElement:
     return WeylElement(tuple(identity(rs.ambient) for rs in space.factors))
 
 
 def as_element(space: KSpace, w: WeylWord) -> WeylElement:
-    blocks = [identity(rs.ambient) for rs in space.factors]
-    for factor, v in w.letters:
-        blocks[factor] = _times_reflection(blocks[factor], v)
-    return WeylElement(tuple(blocks))
+    return WeylElement(tuple(_matrix(rs, letters)
+                             for rs, letters in zip(space.factors, _by_factor(space, w))))
 
 
 def equal_elements(a: WeylElement, b: WeylElement) -> bool:
@@ -160,6 +149,86 @@ def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
         return Weight(tuple(matvec(m, v) for m, v in zip(w.blocks, lam.factors)),
                       lam.center)
     raise TypeError(f"cannot apply {type(w).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# per-system integer data
+
+
+def _mirror(v: Vector) -> tuple[tuple[int, ...], int]:
+    """The primitive integer vector on the line of v, and its squared norm.
+    Reflecting an integer vector by it stays integral exactly when the
+    reflection by v does."""
+    _, (s,) = integer_images([v])
+    g = gcd(*s)
+    s = tuple([c // g for c in s])
+    return s, sum(c * c for c in s)
+
+
+class _Memo:
+    """What this module derives from one root system, each part computed on
+    first use and kept with the system (see _memo)."""
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self.rows = _cartan_rows(rs.simple)
+        self.mirrors = [_mirror(a) for a in rs.simple]
+        self._letters = dict(zip(rs.simple, self.mirrors))
+        self.longest: tuple[Vector, ...] | None = None
+        self.perp: dict[Vector, RootSystem] = {}
+
+    def mirror(self, v: Vector) -> tuple[tuple[int, ...], int]:
+        """_mirror(v), once per letter."""
+        out = self._letters.get(v)
+        if out is None:
+            out = self._letters[v] = _mirror(v)
+        return out
+
+    @cached_property
+    def root_images(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
+        """The sorted roots and their integer images (one common scale)."""
+        roots = sorted(self.rs.roots)
+        return roots, integer_images(roots)[1]
+
+    @cached_property
+    def scale(self) -> int:
+        """An S such that S times any element matrix is an integer matrix.
+
+        Row i of the matrix of w is w^-1(e_i).  Let m be the common
+        denominator of the roots, so that m Q(R) is integral.  If every
+        pairing <S e_i, r^vee> lies in m Z, then so does every pairing of
+        each point of S e_i + m Q(R), and reflections keep the orbit of
+        S e_i in that integral coset.  With a = m r the condition reads
+        2 S a_i / (a, a) in Z; S is the least number meeting it.
+        """
+        out = 1
+        for a in self.root_images[1]:
+            norm = sum(c * c for c in a)
+            out = lcm(out, norm // gcd(norm, 2 * gcd(*a)))
+        return out
+
+
+def _memo(rs: RootSystem) -> _Memo:
+    memo = vars(rs).get("_weyl_memo")
+    if memo is None:
+        # RootSystem is frozen; like functools.cached_property, write the
+        # instance dict directly.  Equality and hashing read only the fields.
+        memo = vars(rs)["_weyl_memo"] = _Memo(rs)
+    return memo
+
+
+def _matrix(rs: RootSystem, letters: Iterable[Vector]) -> Matrix:
+    """The matrix of a word over rs (letters on root lines, printed order).
+    Row i of m s(v) is row i of m reflected by s(v), so the rows of the
+    scaled identity are reflected by each letter in turn, on integers."""
+    memo = _memo(rs)
+    scale = memo.scale
+    n = rs.ambient
+    rows = [(0,) * i + (scale,) + (0,) * (n - 1 - i) for i in range(n)]
+    for v in letters:
+        s, ss = memo.mirror(v)
+        rows = [_reflect_int(row, s, ss) for row in rows]
+    return tuple(tuple([Q(x, scale) for x in row]) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +312,19 @@ def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, 
 
 def _cartan_rows(simple: tuple[Vector, ...]) -> list[list[tuple[int, int]]]:
     """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the j
-    where the entry is nonzero: i itself and its Dynkin neighbours."""
+    where the entry is nonzero: i itself and its Dynkin neighbours.  The
+    pairings are taken on the integer images of the simple roots."""
+    _, ints = integer_images(simple)
+    norms = [sum(c * c for c in b) for b in ints]
     rows = []
-    for a in simple:
+    for a in ints:
         row = []
-        for j, b in enumerate(simple):
-            entry = pair_coroot(a, b)
-            if entry.denominator != 1:
-                raise AssertionError(f"Cartan entry {entry} is not an integer")
+        for j, (b, norm) in enumerate(zip(ints, norms)):
+            entry, rem = divmod(2 * sum(map(mul, a, b)), norm)
+            if rem:
+                raise AssertionError(f"Cartan entry {entry + Q(rem, norm)} is not an integer")
             if entry:
-                row.append((j, int(entry)))
+                row.append((j, entry))
         rows.append(row)
     return rows
 
@@ -275,12 +347,9 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     along first descents.
     """
     simple = rs.simple
-    mirrors = []
-    for a in simple:
-        _, (s,) = integer_images([a])
-        mirrors.append((s, sum(c * c for c in s)))
+    memo = _memo(rs)
+    mirrors, rows = memo.mirrors, memo.rows
     rank = len(simple)
-    rows = _cartan_rows(simple)
     # each index's Dynkin neighbours after it; none after the root's `rank`
     later = [[j for j, _ in row if j > i] for i, row in enumerate(rows)] + [[]]
     found: list[list[list[Vector]]] = [[] for _ in tests]
@@ -327,7 +396,7 @@ def _elements(factors: tuple[RootSystem, ...], branches) -> frozenset[WeylElemen
     word per factor is an element."""
     out: set[WeylElement] = set()
     for branch in branches:
-        pools = [[reduce(_times_reflection, w, identity(rs.ambient)) for w in words]
+        pools = [[_matrix(rs, w) for w in words]
                  for rs, words in zip(factors, branch, strict=True)]
         out.update(map(WeylElement, product(*pools)))
     return frozenset(out)
@@ -363,31 +432,39 @@ def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
 # longest elements
 
 
-def _descend(simple: tuple[Vector, ...], u: Vector) -> tuple[list[Vector], Vector]:
-    """Greedy descent of u into the closed dominant chamber of `simple`.
+def _descend(rs: RootSystem, labels: list) -> tuple[list[Vector], list]:
+    """Greedy descent into the closed dominant chamber, on the simple-coroot
+    labels <u, alpha_j^vee> of a point u: reflect in the first simple root
+    whose label is negative until none is.
 
-    Returns the letters in the order applied and the dominant point reached,
-    so the element carrying u there has the reversed letters as its word.
+    Returns the letters in the order applied and the labels reached, so the
+    element carrying u there has the reversed letters as its word.
     """
+    rows = _memo(rs).rows
+    labels = list(labels)
     letters = []
     while True:
-        for a in simple:
-            if dot(u, a) < 0:
-                letters.append(a)
-                u = reflect(u, a)
-                break
-        else:
-            return letters, u
+        i = next((j for j, lj in enumerate(labels) if lj < 0), None)
+        if i is None:
+            return letters, labels
+        li = labels[i]
+        for j, a in rows[i]:
+            labels[j] -= li * a
+        letters.append(rs.simple[i])
 
 
 def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
     """Reduced word for the longest element (maps rho to -rho)."""
-    letters, end = _descend(rs.simple, vscale(-1, rs.rho))
-    if end != rs.rho:
-        raise AssertionError("greedy descent stuck off the orbit")
-    if len(letters) != len(rs.positive):
-        raise AssertionError("longest element word is not reduced")
-    return WeylWord(tuple((factor, a) for a in letters))
+    memo = _memo(rs)
+    if memo.longest is None:
+        # -rho has every label -1, rho every label 1
+        letters, end = _descend(rs, [-1] * rs.rank)
+        if end != [1] * rs.rank:
+            raise AssertionError("greedy descent stuck off the orbit")
+        if len(letters) != len(rs.positive):
+            raise AssertionError("longest element word is not reduced")
+        memo.longest = tuple(letters)
+    return WeylWord(tuple((factor, a) for a in memo.longest))
 
 
 def space_longest_element(space: KSpace) -> WeylWord:
@@ -403,11 +480,20 @@ def space_longest_element(space: KSpace) -> WeylWord:
 
 def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
     """The roots of rs orthogonal to v, a root system of rank 0 when there
-    are none."""
-    sel = [r for r in sorted(rs.roots) if dot(r, v) == 0]
-    # rs.rho is regular for rs, hence for the subsystem; the induced positive
-    # part is exactly (subsystem) intersect (positive roots of rs)
-    return root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
+    are none.  The same system comes back for the same (rs, v)."""
+    v = tuple(v)
+    if len(v) != rs.ambient:
+        raise ValueError(f"vector {v} has wrong length for {rs.label}")
+    memo = _memo(rs)
+    sub = memo.perp.get(v)
+    if sub is None:
+        roots, images = memo.root_images
+        _, (u,) = integer_images([v])
+        sel = [r for r, a in zip(roots, images) if not sum(map(mul, a, u))]
+        # rs.rho is regular for rs, hence for the subsystem; the induced
+        # positive part is (subsystem) intersect (positive roots of rs)
+        sub = memo.perp[v] = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
+    return sub
 
 
 def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]:
@@ -448,7 +534,10 @@ def _on_line(target: tuple[int, ...], roots: list[tuple[int, ...]]):
 
 def _by_factor(space: KSpace, w: WeylWord) -> list[list[Vector]]:
     """The letters of w on each factor, in printed order."""
-    return [[a for g, a in w.letters if g == f] for f in range(len(space.factors))]
+    out: list[list[Vector]] = [[] for _ in space.factors]
+    for f, a in w.letters:
+        out[f].append(a)
+    return out
 
 
 STRATEGIES = ("chamber", "reduced", "brute")
@@ -496,16 +585,20 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # In the coset w_l u, u(xi0) must be antidominant for Delta_beta+, which
     # the longest element w_beta,l of W_beta turns into the plus condition:
     # the survivors are w_l w_beta,l P u0.
+    # P is generated by the simple roots of Delta_beta+ at which xi_dom has
+    # label 0 (the same lemma), so it is built only when there are some.
     subs = space_beta_subsystems(space, beta)
     u0: list[list[Vector]] = []
-    parabolics: list[RootSystem] = []
+    parabolics: list[RootSystem | None] = []
     for sub, xi_f in zip(subs, xi0.factors):
-        descent, xi_dom = _descend(sub.simple, xi_f)
+        descent, labels = _descend(sub, [pair_coroot(xi_f, a) for a in sub.simple])
         u0.append(descent[::-1])
-        parabolics.append(orthogonal_subsystem(sub, xi_dom))
-    _require_within(prod(map(group_order, parabolics)), budget,
-                    "the stabilizer of xi0 in W_beta")
-    plus = [[p + u for p in _survivors(par, (), (_every_state,))[0]]
+        parabolics.append(orthogonal_subsystem(sub, reduce(reflect, descent, xi_f))
+                          if 0 in labels else None)
+    _require_within(prod(group_order(par) for par in parabolics if par is not None),
+                    budget, "the stabilizer of xi0 in W_beta")
+    plus = [[u] if par is None else
+            [p + u for p in _survivors(par, (), (_every_state,))[0]]
             for par, u in zip(parabolics, u0)]
     branches = [plus]
     wl = space_longest_element(space)

@@ -355,6 +355,19 @@ def test_weyl_subsystem_can_be_empty(capsys):
     assert out.strip() == "0 roots, type empty"
 
 
+def test_weyl_help_says_a_negative_vector_needs_the_equals_form(capsys):
+    # argparse reads "-1,0,1" after a space as an option, not as the value
+    code, out, _ = run(capsys, "weyl", "--help")
+    assert code == 0
+    assert "starts with '-' must be written --orthogonal-to=VEC" in " ".join(out.split())
+    code, _, err = run(capsys, "weyl", "subsystem", "G2", "--orthogonal-to", "-1,0,1")
+    assert code == 2
+    assert "expected one argument" in err
+    code, out, _ = run(capsys, "weyl", "subsystem", "G2", "--orthogonal-to=-1,0,1")
+    assert code == 0
+    assert out.strip() == "2 roots, type A1"
+
+
 def test_weyl_subsystem_malformed_vector(capsys):
     code, _, err = run(capsys, "weyl", "subsystem", "E8",
                        "--orthogonal-to", "1,x")

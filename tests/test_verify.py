@@ -2,12 +2,21 @@
 mutating fixtures, runner determinism, filters, and parallel execution."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from minrep.registry import MinimalModuleRecord, find_record
-from minrep.rootsys import bilinear, space_rho, weight, weight_add, weight_scale
+from minrep import weyl
+from minrep.registry import MinimalModuleRecord, all_default_records, find_record
+from minrep.rootsys import (
+    bilinear,
+    make_root_system,
+    space_rho,
+    weight,
+    weight_add,
+    weight_scale,
+)
 from minrep.verify import (
     CHECK_NAMES,
     DEFAULT_CONFIG,
@@ -16,7 +25,7 @@ from minrep.verify import (
     run_check,
     suite_status,
 )
-from minrep.weyl import word
+from minrep.weyl import WeylWord, word
 
 FAST_RECORDS = ["f4(4)", "g2(2)", "e6(6)", "sp(2,R)", "sp(2,C)", "so(4,3)",
                 "so(5,2)", "g2(C)", "so(6,1)", "sp(2)", "so(5,4)", "e6(-14)"]
@@ -135,6 +144,58 @@ def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
     rep = run_check("w0_unique", find_record("f4(4)"))
     assert rep.status == "fail"
     assert "strategy chamber" in rep.evidence
+
+
+def test_kept_weyl_data_does_not_carry_a_verdict_to_another_record():
+    # the Weyl layer keeps data per root system, and a mutant shares its
+    # systems (and its name) with the record it came from: whatever ran
+    # before, the mutant must fail and the record pass
+    r = find_record("e6(6)")
+    bad = mutate(r, w0=WeylWord(r.w0.letters[:-1]))
+    runs = [("w0_formula", r, "pass"), ("w0_unique", r, "pass"),
+            ("w0_formula", bad, "fail"), ("w0_unique", bad, "fail")]
+    for check, record, status in runs + runs[::-1]:
+        assert run_check(check, record).status == status, (check, record.w0)
+
+
+def _on_new_systems(records):
+    """The records over newly built root systems, one per label, so that
+    no per-system data from an earlier test is reused."""
+    built = {}
+
+    def new(rs):
+        if rs.label not in built:
+            built[rs.label] = make_root_system.__wrapped__(rs.label)
+        return built[rs.label]
+
+    return [mutate(r, space=dataclasses.replace(r.space, factors=tuple(map(new, r.space.factors))))
+            for r in records]
+
+
+def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
+    builds = []
+    real_build = weyl.root_system_from_roots
+
+    def counting_build(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    per_key = Counter()
+    real_subsystem = weyl.orthogonal_subsystem
+
+    def counting_subsystem(rs, v):
+        before = len(builds)
+        out = real_subsystem(rs, v)
+        per_key[rs.roots, tuple(v)] += len(builds) - before
+        return out
+
+    monkeypatch.setattr(weyl, "root_system_from_roots", counting_build)
+    monkeypatch.setattr(weyl, "orthogonal_subsystem", counting_subsystem)
+    reports = run_all(_on_new_systems(all_default_records()),
+                      checks=["w0_formula", "w0_unique"])
+    assert suite_status(reports) == "pass"
+    # w0_formula and w0_unique ask for the same subsystems; each is built once
+    assert len(builds) == sum(per_key.values()) == len(per_key) >= 20
 
 
 # ---------------------------------------------------------------------------

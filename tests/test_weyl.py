@@ -9,7 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from minrep import weyl
 from minrep.linalg import identity, matmul, matvec
-from minrep.rootsys import KSpace, dot, make_root_system, reflect, vec, vscale, weight
+from minrep.registry import all_default_records
+from minrep.rootsys import (
+    KSpace,
+    dot,
+    make_root_system,
+    pair_coroot,
+    reflect,
+    vec,
+    vscale,
+    weight,
+)
 from minrep.weyl import (
     BudgetExceededError,
     WeylWord,
@@ -234,6 +244,82 @@ def test_longest_element_properties(label):
         assert 2 * dot(matvec(m, rs.rho), a) / dot(a, a) == -1
 
 
+ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
+              "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
+              "A1d"]
+
+
+def fraction_descent(simple, u):
+    """Reference: greedy descent of u on Fraction dot products, reflecting
+    in the first simple root that pairs negatively with it.  Returns the
+    letters in the order applied and the point reached."""
+    letters = []
+    while True:
+        for a in simple:
+            if dot(u, a) < 0:
+                letters.append(a)
+                u = reflect(u, a)
+                break
+        else:
+            return letters, u
+
+
+def catalog_beta_subsystems():
+    """The nonempty beta-orthogonal subsystems of the catalog's factors."""
+    pairs = {(rs, v) for r in all_default_records() for m in r.modules
+             for rs, v in zip(r.space.factors, m.beta.factors)}
+    subs = [orthogonal_subsystem(rs, v) for rs, v in sorted(pairs, key=repr)]
+    return [sub for sub in subs if sub.rank]
+
+
+def _check_longest_against_fraction_descent(rs):
+    letters, end = fraction_descent(rs.simple, vscale(-1, rs.rho))
+    assert end == rs.rho
+    assert longest_element(rs, 3).letters == tuple((3, a) for a in letters)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_longest_element_matches_fraction_descent(label):
+    _check_longest_against_fraction_descent(make_root_system(label))
+
+
+def test_longest_element_matches_fraction_descent_on_catalog_beta_subsystems():
+    subs = catalog_beta_subsystems()
+    assert len(subs) >= 20
+    for sub in subs:
+        _check_longest_against_fraction_descent(sub)
+
+
+def test_label_descent_of_xi0_matches_fraction_descent():
+    # the chamber strategy descends each xi0 block in W_beta; the factor's
+    # whole group is checked too
+    checked = 0
+    for r in all_default_records():
+        if r.hermitian or r.xi0 is None:
+            continue
+        for m in r.modules:
+            subs = space_beta_subsystems(r.space, m.beta)
+            for rs, sub, xi in zip(r.space.factors, subs, r.xi0.factors):
+                for system in (rs, sub):
+                    letters, labels = weyl._descend(
+                        system, [pair_coroot(xi, a) for a in system.simple])
+                    ref_letters, end = fraction_descent(system.simple, xi)
+                    assert letters == ref_letters
+                    assert labels == [pair_coroot(end, a) for a in system.simple]
+                    checked += bool(letters)
+    assert checked >= 10
+
+
+def test_longest_element_is_computed_once_per_system(monkeypatch):
+    rs = orthogonal_subsystem(make_root_system("E8"), vec(0, 0, 0, 0, 0, 0, 1, 1))
+    first = longest_element(rs, 1)
+    calls = []
+    monkeypatch.setattr(weyl, "_descend", lambda *a: calls.append(a))
+    assert longest_element(rs, 1) == first
+    assert longest_element(rs, 0).letters == tuple((0, a) for _, a in first.letters)
+    assert calls == []
+
+
 def test_space_longest_element_spans_all_factors():
     sp = KSpace((make_root_system("C3"), A1D), 0)
     wl = as_element(sp, space_longest_element(sp))
@@ -442,15 +528,45 @@ def test_line_preserver_strategies_agree(case):
 # properties
 
 
+def _word_spaces():
+    """Spaces whose element matrices need different integer scales: C3 x
+    A1d, G2 (pairings in thirds), F4 and E7 in eight coordinates (halves),
+    and the C3 inside F4 orthogonal to its highest root (half roots)."""
+    f4 = make_root_system("F4")
+    singles = [make_root_system("G2"), f4, make_root_system("E7"),
+               orthogonal_subsystem(f4, f4.highest_root)]
+    return [KSpace((make_root_system("C3"), A1D), 0)] + [KSpace((rs,), 0) for rs in singles]
+
+
+WORD_SPACES = _word_spaces()
+
+
+def _probe(sp):
+    """A weight with distinct, non-integral coordinates in every block."""
+    return weight(sp, *(tuple(Q((-1) ** i * (2 * i + 3), i + 2) for i in range(rs.ambient))
+                        for rs in sp.factors))
+
+
 @st.composite
 def short_word(draw):
-    c3 = make_root_system("C3")
-    sp = KSpace((c3, A1D), 0)
-    roots = sorted(c3.roots) + [None]
+    sp = draw(st.sampled_from(WORD_SPACES))
+    lines = [(f, r) for f, rs in enumerate(sp.factors) for r in sorted(rs.roots)]
     letters = []
-    for r in draw(st.lists(st.sampled_from(roots), max_size=5)):
-        letters.append((1, (1, -1)) if r is None else (0, r))
+    for f, r in draw(st.lists(st.sampled_from(lines), max_size=5)):
+        # any nonzero multiple of a root is a letter
+        letters.append((f, vscale(draw(st.sampled_from((1, -1, 2, H))), r)))
     return sp, word(sp, letters)
+
+
+def dense_product(sp, w):
+    """Reference: the dense reflection matrix per letter, multiplied out."""
+    blocks = [identity(rs.ambient) for rs in sp.factors]
+    for f, v in w.letters:
+        n, vv = len(v), dot(v, v)
+        s_v = tuple(tuple((1 if i == j else 0) - 2 * v[i] * v[j] / vv
+                          for j in range(n)) for i in range(n))
+        blocks[f] = matmul(blocks[f], s_v)
+    return tuple(blocks)
 
 
 @given(short_word())
@@ -461,27 +577,29 @@ def test_element_inverse_and_composition(sw):
     el = as_element(sp, w)
     inverse = as_element(sp, WeylWord(w.letters[::-1]))
     assert compose(el, inverse) == identity_element(sp)
-    lam = weight(sp, (3, 1, -2), (4, -4))
+    lam = _probe(sp)
     assert apply(sp, inverse, apply(sp, el, lam)) == lam
 
 
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_element_matches_product_of_reflection_matrices(sw):
-    # reference: the dense reflection matrix per letter, multiplied out
     sp, w = sw
-    blocks = [identity(rs.ambient) for rs in sp.factors]
-    for f, v in w.letters:
-        n, vv = len(v), dot(v, v)
-        s_v = tuple(tuple((1 if i == j else 0) - 2 * v[i] * v[j] / vv
-                          for j in range(n)) for i in range(n))
-        blocks[f] = matmul(blocks[f], s_v)
-    assert as_element(sp, w).blocks == tuple(blocks)
+    assert as_element(sp, w).blocks == dense_product(sp, w)
 
 
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_word_and_element_application_agree(sw):
     sp, w = sw
-    lam = weight(sp, (2, 2, -1), (1, -1))
+    lam = _probe(sp)
     assert apply(sp, w, lam) == apply(sp, as_element(sp, w), lam)
+
+
+def test_catalog_w0_elements_match_product_of_reflection_matrices():
+    checked = 0
+    for r in all_default_records():
+        if r.w0 is not None:
+            assert as_element(r.space, r.w0).blocks == dense_product(r.space, r.w0), r.name
+            checked += 1
+    assert checked >= 20
