@@ -32,8 +32,10 @@ from .rootsys import UnsupportedCartanType, make_root_system
 from .verify import (
     CHECK_NAMES,
     DEFAULT_CONFIG,
+    PAPER_COUNTS,
     VerifyConfig,
     infchar_round_trip,
+    paper_count,
     run_all,
     run_check,
     suite_status,
@@ -162,25 +164,6 @@ def _passes(record, *checks) -> str:
     return "yes" if ok else "no"
 
 
-NUMBER_ROWS = (
-    ("sp(n,R) (n>=2)", 4, ("sp_R",), ()),
-    ("so(p,2) (p>=5), so*(2n) (n>=4), e6(-14), e7(-25)", 2,
-     ("so_p_2", "so_star"), ("e6(-14)", "e7(-25)")),
-    ("so(p,q) (p,q>=3, p+q>=8 even), so(p,3) (p>=4 even), e6(6), e6(2), "
-     "e7(7), e7(-5), e8(8), e8(-24), f4(4), g2(2)", 1,
-     ("so_even_even", "so_odd_odd", "so_2n_3"),
-     ("e6(6)", "e6(2)", "e7(7)", "e7(-5)", "e8(8)", "e8(-24)", "f4(4)",
-      "g2(2)")),
-    ("sp(n) (n>=2), so(n) (n>=7), e6, e7, e8, f4, g2, so(n,1) (n>=6), "
-     "sp(p,q) (p,q>=1), e6(-26), f4(-20), so(p,q) (p,q>=4, p+q odd)", 0,
-     ("sp_compact", "so_compact", "so_n_1", "sp_p_q", "so_odd_sum"),
-     ("e6", "e7", "e8", "f4", "g2", "e6(-26)", "f4(-20)")),
-    ("sp(n,C) (n>=2)", 2, ("sp_C",), ()),
-    ("so(n,C) (n>=7), e6(C), e7(C), e8(C), f4(C), g2(C)", 1,
-     ("so_C",), ("e6(C)", "e7(C)", "e8(C)", "f4(C)", "g2(C)")),
-)
-
-
 def _family_members(instances, families):
     return [r for fam in families for r in instances if r.family == fam]
 
@@ -189,11 +172,10 @@ def table_numbers() -> Table:
     instances = default_instances()
     by_name = {r.name: r for r in builtin_records()}
     rows = []
-    for label, count, families, fixed in NUMBER_ROWS:
+    for label, count, families, fixed in PAPER_COUNTS:
         members = (_family_members(instances, families)
                    + [by_name[name] for name in fixed])
-        ok = all(r.expected_count == count
-                 and run_check("count_and_disjoint", r).status == "pass"
+        ok = all(run_check("count_and_disjoint", r).status == "pass"
                  for r in members)
         rows.append((label, str(count), "yes" if ok else "no"))
     return Table("numbers", ("g", "count", "verified"), tuple(rows))
@@ -247,7 +229,7 @@ def table_hermitian() -> Table:
         verified = _passes(r, "p_dimension", "ladder_wellformed",
                            "count_and_disjoint")
         rows.append((r.name, k_display(r.space), format_weight(plus),
-                     format_weight(minus), ktypes, str(r.expected_count),
+                     format_weight(minus), ktypes, str(paper_count(r)),
                      verified))
     return Table("hermitian",
                  ("g", "K", "p_plus", "p_minus", "minimal_k_types", "count",

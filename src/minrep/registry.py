@@ -1,8 +1,8 @@
 """Catalog of simple real forms (not of type A) and their minimal-module
 data: the compact-subgroup weight space, the ladder direction beta, the
 bottom K-type mu0, stored reference values (rho, xi0, a word for w0, an
-infinitesimal-character pattern), expected module counts, and machine
-readable reasons for the empty cases.
+infinitesimal-character pattern), and machine readable reasons for the
+empty cases.
 
 Every stored value is re-derived by the verification layer; the registry
 itself only transcribes.  Records serialize to a versioned JSON format
@@ -13,14 +13,14 @@ per-factor coordinate arrays plus a "center" array.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Iterable
 
 from .rootsys import (
     KSpace,
     RootSystem,
+    UnsupportedCartanType,
     Weight,
     conform,
     dot,
@@ -63,7 +63,6 @@ class RealFormRecord:
     hermitian: bool
     p_summands: tuple[Weight, ...]
     modules: tuple[MinimalModuleRecord, ...]
-    expected_count: int
     nonexistence_reason: str | None = None
     rho: Weight | None = None               # stored reference, checked against space_rho
     xi0: Weight | None = None
@@ -163,10 +162,8 @@ def _fail(record_name: str, message: str):
 
 
 def validate_record(r: RealFormRecord) -> None:
-    if len(r.modules) != r.expected_count:
-        _fail(r.name, f"{len(r.modules)} modules but expected_count {r.expected_count}")
-    if (r.expected_count == 0) != (r.nonexistence_reason is not None):
-        _fail(r.name, "expected_count 0 exactly when a nonexistence reason is present")
+    if (not r.modules) != (r.nonexistence_reason is not None):
+        _fail(r.name, "no modules exactly when a nonexistence reason is present")
     if r.nonexistence_reason not in (None, REASON_ORBIT, REASON_PARITY):
         _fail(r.name, f"unknown nonexistence reason {r.nonexistence_reason!r}")
     for t in r.g_complex:
@@ -256,7 +253,7 @@ def _complex_record(name: str, k_label: str, *, modules_mu0, module_labels,
     pattern = joseph_infchar(g_label)
     return RealFormRecord(
         name=name, g_complex=(g_label, g_label), space=sp, hermitian=False,
-        p_summands=(theta,), modules=mods, expected_count=len(mods),
+        p_summands=(theta,), modules=mods,
         rho=space_rho(sp), xi0=weight(sp, _complex_xi0(rs)),
         w0=word(sp, [(0, rs.highest_root)]),
         infchar=(pattern, pattern), family=family, params=tuple(params))
@@ -267,8 +264,7 @@ def _zero_record(name: str, g_complex: tuple[str, ...], sp: KSpace,
                  family=None, params=()) -> RealFormRecord:
     return RealFormRecord(
         name=name, g_complex=g_complex, space=sp, hermitian=False,
-        p_summands=p_summands, modules=(), expected_count=0,
-        nonexistence_reason=reason, rho=space_rho(sp),
+        p_summands=p_summands, modules=(), nonexistence_reason=reason, rho=space_rho(sp),
         family=family, params=tuple(params))
 
 
@@ -288,71 +284,77 @@ def _hermitian_record(name: str, g_complex: str, sp: KSpace,
     )
     return RealFormRecord(
         name=name, g_complex=(g_complex,), space=sp, hermitian=True,
-        p_summands=(p_plus, p_minus), modules=mods, expected_count=2,
+        p_summands=(p_plus, p_minus), modules=mods,
         rho=space_rho(sp), infchar=(joseph_infchar(g_complex),),
+        family=family, params=tuple(params))
+
+
+def _ladder_record(name: str, g_complex: str, sp: KSpace, beta_coords,
+                   mu0_coords, rho_coords, xi0_coords, w0_letters,
+                   family=None, params=()) -> RealFormRecord:
+    """One module climbing the only p-summand beta, with its line data;
+    each *_coords argument lists one coordinate vector per factor."""
+    beta = weight(sp, *beta_coords)
+    mod = MinimalModuleRecord("minimal", weight(sp, *mu0_coords), beta)
+    return RealFormRecord(
+        name=name, g_complex=(g_complex,), space=sp, hermitian=False,
+        p_summands=(beta,), modules=(mod,),
+        rho=weight(sp, *rho_coords), xi0=weight(sp, *xi0_coords),
+        w0=word(sp, w0_letters), infchar=(joseph_infchar(g_complex),),
         family=family, params=tuple(params))
 
 
 def _fixed_records() -> list[RealFormRecord]:
     h = Q(1, 2)
-    out = []
-
-    def ladder(name, g_complex, sp, beta_coords, mu0_coords, rho_coords,
-               xi0_coords, w0_letters):
-        beta = weight(sp, *beta_coords)
-        mod = MinimalModuleRecord("minimal", weight(sp, *mu0_coords), beta)
-        out.append(RealFormRecord(
-            name=name, g_complex=(g_complex,), space=sp, hermitian=False,
-            p_summands=(beta,), modules=(mod,), expected_count=1,
-            rho=weight(sp, *rho_coords), xi0=weight(sp, *xi0_coords),
-            w0=word(sp, w0_letters), infchar=(joseph_infchar(g_complex),)))
-
-    ladder("f4(4)", "F4", _space("C3", "A1d"),
-           [(1, 1, 1), (1, -1)], [(0, 0, 0), (1, -1)],
-           [(3, 2, 1), (1, -1)], [(1, 0, -1), (0, 0)],
-           [(0, (1, 0, 1)), (0, (0, 1, 0)), (1, (1, -1))])
-
-    ladder("e6(2)", "E6", _space("A5", "A1d"),
-           [(h, h, h, -h, -h, -h), (1, -1)], [(0,) * 6, (2, -2)],
-           [_desc(Q(5, 2), 6), (1, -1)], [(1, 0, -1, 1, 0, -1), (0, 0)],
-           [(0, (1, 0, 0, -1, 0, 0)), (0, (0, 1, 0, 0, -1, 0)),
-            (0, (0, 0, 1, 0, 0, -1)), (1, (1, -1))])
-
-    ladder("e7(-5)", "E7", _space("D6", "A1d"),
-           [(h,) * 6, (1, -1)], [(0,) * 6, (4, -4)],
-           [_desc(5, 6), (1, -1)], [_desc(Q(5, 2), 6), (0, 0)],
-           [(0, (1, 0, 0, 0, 0, 1)), (0, (0, 1, 0, 0, 1, 0)),
-            (0, (0, 0, 1, 1, 0, 0)), (1, (1, -1))])
-
     eta1 = (h, -h, -h, h, h, -h, h, -h)
     eta2 = (-h, h, h, -h, h, -h, h, -h)
-    ladder("e8(-24)", "E8", _space("E7", "A1d"),
-           [(0, 0, 0, 0, 0, 1, -h, h), (1, -1)], [(0,) * 8, (8, -8)],
-           [(0, 1, 2, 3, 4, 5, Q(-17, 2), Q(17, 2)), (1, -1)],
-           [(0, 1, 2, 3, 4, -4, -4, 4), (0, 0)],
-           [(0, (0, 0, 0, 0, 1, 1, 0, 0)), (0, eta2), (0, eta1), (1, (1, -1))])
-
-    ladder("g2(2)", "G2", _space("A1d", "A1d"),
-           [(3, -3), (1, -1)], [(2, -2), (0, 0)],
-           [(1, -1), (1, -1)], [(0, 0), (0, 0)],
-           [(0, (1, -1)), (1, (1, -1))])
-
-    ladder("e6(6)", "E6", _space("C4"),
-           [(1, 1, 1, 1)], [(0, 0, 0, 0)],
-           [(4, 3, 2, 1)], [(Q(3, 2), Q(1, 2), Q(-1, 2), Q(-3, 2))],
-           [(0, (1, 0, 0, 1)), (0, (0, 1, 1, 0))])
-
-    ladder("e7(7)", "E7", _space("A7"),
-           [(h, h, h, h, -h, -h, -h, -h)], [(0,) * 8],
-           [_desc(Q(7, 2), 8)], [(Q(3, 2), h, -h, Q(-3, 2)) * 2],
-           [(0, (1, 0, 0, 0, -1, 0, 0, 0)), (0, (0, 1, 0, 0, 0, -1, 0, 0)),
-            (0, (0, 0, 1, 0, 0, 0, -1, 0)), (0, (0, 0, 0, 1, 0, 0, 0, -1))])
-
-    ladder("e8(8)", "E8", _space("D8"),
-           [(h,) * 8], [(0,) * 8],
-           [_desc(7, 8)], [_desc(Q(7, 2), 8)],
-           [(0, (1, 0, 0, 0, 0, 0, 0, 1)), (0, (0, 1, 0, 0, 0, 0, 1, 0)),
-            (0, (0, 0, 1, 0, 0, 1, 0, 0)), (0, (0, 0, 0, 1, 1, 0, 0, 0))])
+    out = [
+        _ladder_record(
+            "f4(4)", "F4", _space("C3", "A1d"),
+            [(1, 1, 1), (1, -1)], [(0, 0, 0), (1, -1)],
+            [(3, 2, 1), (1, -1)], [(1, 0, -1), (0, 0)],
+            [(0, (1, 0, 1)), (0, (0, 1, 0)), (1, (1, -1))]),
+        _ladder_record(
+            "e6(2)", "E6", _space("A5", "A1d"),
+            [(h, h, h, -h, -h, -h), (1, -1)], [(0,) * 6, (2, -2)],
+            [_desc(Q(5, 2), 6), (1, -1)], [(1, 0, -1, 1, 0, -1), (0, 0)],
+            [(0, (1, 0, 0, -1, 0, 0)), (0, (0, 1, 0, 0, -1, 0)),
+             (0, (0, 0, 1, 0, 0, -1)), (1, (1, -1))]),
+        _ladder_record(
+            "e7(-5)", "E7", _space("D6", "A1d"),
+            [(h,) * 6, (1, -1)], [(0,) * 6, (4, -4)],
+            [_desc(5, 6), (1, -1)], [_desc(Q(5, 2), 6), (0, 0)],
+            [(0, (1, 0, 0, 0, 0, 1)), (0, (0, 1, 0, 0, 1, 0)),
+             (0, (0, 0, 1, 1, 0, 0)), (1, (1, -1))]),
+        _ladder_record(
+            "e8(-24)", "E8", _space("E7", "A1d"),
+            [(0, 0, 0, 0, 0, 1, -h, h), (1, -1)], [(0,) * 8, (8, -8)],
+            [(0, 1, 2, 3, 4, 5, Q(-17, 2), Q(17, 2)), (1, -1)],
+            [(0, 1, 2, 3, 4, -4, -4, 4), (0, 0)],
+            [(0, (0, 0, 0, 0, 1, 1, 0, 0)), (0, eta2), (0, eta1), (1, (1, -1))]),
+        _ladder_record(
+            "g2(2)", "G2", _space("A1d", "A1d"),
+            [(3, -3), (1, -1)], [(2, -2), (0, 0)],
+            [(1, -1), (1, -1)], [(0, 0), (0, 0)],
+            [(0, (1, -1)), (1, (1, -1))]),
+        _ladder_record(
+            "e6(6)", "E6", _space("C4"),
+            [(1, 1, 1, 1)], [(0, 0, 0, 0)],
+            [(4, 3, 2, 1)], [(Q(3, 2), Q(1, 2), Q(-1, 2), Q(-3, 2))],
+            [(0, (1, 0, 0, 1)), (0, (0, 1, 1, 0))]),
+        _ladder_record(
+            "e7(7)", "E7", _space("A7"),
+            [(h, h, h, h, -h, -h, -h, -h)], [(0,) * 8],
+            [_desc(Q(7, 2), 8)], [(Q(3, 2), h, -h, Q(-3, 2)) * 2],
+            [(0, (1, 0, 0, 0, -1, 0, 0, 0)), (0, (0, 1, 0, 0, 0, -1, 0, 0)),
+             (0, (0, 0, 1, 0, 0, 0, -1, 0)), (0, (0, 0, 0, 1, 0, 0, 0, -1))]),
+        _ladder_record(
+            "e8(8)", "E8", _space("D8"),
+            [(h,) * 8], [(0,) * 8],
+            [_desc(7, 8)], [_desc(Q(7, 2), 8)],
+            [(0, (1, 0, 0, 0, 0, 0, 0, 1)), (0, (0, 1, 0, 0, 0, 0, 1, 0)),
+             (0, (0, 0, 1, 0, 0, 1, 0, 0)), (0, (0, 0, 0, 1, 1, 0, 0, 0))]),
+    ]
 
     # one-sided pairs with exceptional complexification
     out.append(_hermitian_record("e6(-14)", "E6", _space("D5", center=1),
@@ -395,60 +397,44 @@ class Family:
 
 
 def _so_even_even(n: int, m: int) -> RealFormRecord:
-    sp = _space(f"D{n}", f"D{m}")
-    beta = weight(sp, _e1(n), _e1(m))
-    mod = MinimalModuleRecord("minimal", weight(sp, (0,) * n, _e1(m, n - m)), beta)
-    return RealFormRecord(
-        name=f"so({2 * n},{2 * m})", g_complex=(f"D{n + m}",), space=sp,
-        hermitian=False, p_summands=(beta,), modules=(mod,), expected_count=1,
-        rho=weight(sp, _desc(n - 1, n), _desc(m - 1, m)),
-        xi0=weight(sp, (0,) + _desc(n - 2, n - 1), (0,) + _desc(m - 2, m - 1)),
-        w0=word(sp, [(0, (1,) + (0,) * (n - 2) + (1,)),
-                     (0, (1,) + (0,) * (n - 2) + (-1,)),
-                     (1, (1,) + (0,) * (m - 2) + (1,)),
-                     (1, (1,) + (0,) * (m - 2) + (-1,))]),
-        infchar=(joseph_infchar(f"D{n + m}"),),
+    return _ladder_record(
+        f"so({2 * n},{2 * m})", f"D{n + m}", _space(f"D{n}", f"D{m}"),
+        [_e1(n), _e1(m)], [(0,) * n, _e1(m, n - m)],
+        [_desc(n - 1, n), _desc(m - 1, m)],
+        [(0,) + _desc(n - 2, n - 1), (0,) + _desc(m - 2, m - 1)],
+        [(0, (1,) + (0,) * (n - 2) + (1,)),
+         (0, (1,) + (0,) * (n - 2) + (-1,)),
+         (1, (1,) + (0,) * (m - 2) + (1,)),
+         (1, (1,) + (0,) * (m - 2) + (-1,))],
         family="so_even_even", params=(n, m))
 
 
 def _so_odd_odd(n: int, m: int) -> RealFormRecord:
-    sp = _space(f"B{n}", f"B{m}")
-    beta = weight(sp, _e1(n), _e1(m))
-    mod = MinimalModuleRecord("minimal", weight(sp, (0,) * n, _e1(m, n - m)), beta)
-    return RealFormRecord(
-        name=f"so({2 * n + 1},{2 * m + 1})", g_complex=(f"D{n + m + 1}",), space=sp,
-        hermitian=False, p_summands=(beta,), modules=(mod,), expected_count=1,
-        rho=weight(sp, _desc(Q(2 * n - 1, 2), n), _desc(Q(2 * m - 1, 2), m)),
-        xi0=weight(sp, (0,) + _desc(Q(2 * n - 3, 2), n - 1),
-                   (0,) + _desc(Q(2 * m - 3, 2), m - 1)),
-        w0=word(sp, [(0, _e1(n)), (1, _e1(m))]),
-        infchar=(joseph_infchar(f"D{n + m + 1}"),),
+    return _ladder_record(
+        f"so({2 * n + 1},{2 * m + 1})", f"D{n + m + 1}", _space(f"B{n}", f"B{m}"),
+        [_e1(n), _e1(m)], [(0,) * n, _e1(m, n - m)],
+        [_desc(Q(2 * n - 1, 2), n), _desc(Q(2 * m - 1, 2), m)],
+        [(0,) + _desc(Q(2 * n - 3, 2), n - 1), (0,) + _desc(Q(2 * m - 3, 2), m - 1)],
+        [(0, _e1(n)), (1, _e1(m))],
         family="so_odd_odd", params=(n, m))
 
 
 def _so_2n_3(n: int) -> RealFormRecord:
-    sp = _space(f"D{n}", "A1d")
-    beta = weight(sp, _e1(n), (2, -2))
-    mod = MinimalModuleRecord(
-        "minimal", weight(sp, (0,) * n, (2 * n - 3, -(2 * n - 3))), beta)
-    return RealFormRecord(
-        name=f"so({2 * n},3)", g_complex=(f"B{n + 1}",), space=sp,
-        hermitian=False, p_summands=(beta,), modules=(mod,), expected_count=1,
-        rho=weight(sp, _desc(n - 1, n), (1, -1)),
-        xi0=weight(sp, (0,) + _desc(n - 2, n - 1), (0, 0)),
-        w0=word(sp, [(0, (1,) + (0,) * (n - 2) + (1,)),
-                     (0, (1,) + (0,) * (n - 2) + (-1,)),
-                     (1, (1, -1))]),
-        infchar=(joseph_infchar(f"B{n + 1}"),),
+    return _ladder_record(
+        f"so({2 * n},3)", f"B{n + 1}", _space(f"D{n}", "A1d"),
+        [_e1(n), (2, -2)], [(0,) * n, (2 * n - 3, -(2 * n - 3))],
+        [_desc(n - 1, n), (1, -1)], [(0,) + _desc(n - 2, n - 1), (0, 0)],
+        [(0, (1,) + (0,) * (n - 2) + (1,)),
+         (0, (1,) + (0,) * (n - 2) + (-1,)),
+         (1, (1, -1))],
         family="so_2n_3", params=(n,))
 
 
 def _so_p_2(p: int) -> RealFormRecord:
     sp = _space(_so_type(p), center=1)
     n = sp.factors[0].ambient
-    r = _hermitian_record(f"so({p},2)", _so_type(p + 2), sp, _e1(n), _e1(n),
-                          Q(p - 2, 2))
-    return replace(r, family="so_p_2", params=(p,))
+    return _hermitian_record(f"so({p},2)", _so_type(p + 2), sp, _e1(n), _e1(n),
+                             Q(p - 2, 2), family="so_p_2", params=(p,))
 
 
 def _sp_R(n: int) -> RealFormRecord:
@@ -471,7 +457,7 @@ def _sp_R(n: int) -> RealFormRecord:
     )
     return RealFormRecord(
         name=f"sp({n},R)", g_complex=(f"C{n}",), space=sp, hermitian=True,
-        p_summands=(p_plus, p_minus), modules=mods, expected_count=4,
+        p_summands=(p_plus, p_minus), modules=mods,
         rho=space_rho(sp), infchar=(joseph_infchar(f"C{n}"),),
         family="sp_R", params=(n,))
 
@@ -480,8 +466,8 @@ def _so_star(n: int) -> RealFormRecord:
     sp = _space(f"A{n - 1}", center=1)
     plus = (1, 1) + (0,) * (n - 2)
     minus = (1,) * (n - 2) + (0, 0)
-    r = _hermitian_record(f"so*({2 * n})", f"D{n}", sp, plus, minus, Q(n, 2))
-    return replace(r, family="so_star", params=(n,))
+    return _hermitian_record(f"so*({2 * n})", f"D{n}", sp, plus, minus, Q(n, 2),
+                             family="so_star", params=(n,))
 
 
 def _sp_C(n: int) -> RealFormRecord:
@@ -607,14 +593,6 @@ class RegistryFormatError(ValueError):
     pass
 
 
-# Largest Cartan rank a registry file may name in k_factors or g_complex,
-# checked before any root system is built.  The built-in catalog stops at
-# rank 8; a cap of 16 leaves room for family instances such as so(16,16)
-# while bounding the cost of one build, which grows steeply with rank
-# (D16 about 0.1-0.2 s, D24 about 0.6 s on a 2-vCPU VM).
-MAX_LOADED_RANK = 16
-
-
 def _exact_int(value, where: str, field: str) -> int:
     if type(value) is not int:
         raise RegistryFormatError(f"{where}: {field} must be an integer, got {value!r}")
@@ -628,11 +606,12 @@ def _exact_str(value, where: str, field: str) -> str:
 
 
 def _type_label(value, where: str, field: str) -> str:
+    """A Cartan type label that make_root_system builds, rank cap included."""
     label = _exact_str(value, where, field)
-    digits = re.fullmatch(r"\s*[A-Z](\d+)d?\s*", label)
-    if digits and int(digits[1]) > MAX_LOADED_RANK:
-        raise RegistryFormatError(
-            f"{where}: {field} type {label!r} has rank above {MAX_LOADED_RANK}")
+    try:
+        make_root_system(label)
+    except UnsupportedCartanType as exc:
+        raise RegistryFormatError(f"{where}: {field} {exc}")
     return label
 
 
@@ -675,7 +654,6 @@ def record_to_json(r: RealFormRecord) -> dict:
         "modules": [{"label": m.label, "mu0": _weight_json(m.mu0),
                      "beta": _weight_json(m.beta), "null_half": m.null_half}
                     for m in r.modules],
-        "expected_count": r.expected_count,
         "nonexistence_reason": r.nonexistence_reason,
         "rho": _weight_json(r.rho) if r.rho is not None else None,
         "xi0": _weight_json(r.xi0) if r.xi0 is not None else None,
@@ -717,7 +695,6 @@ def record_from_json(obj: dict) -> RealFormRecord:
             hermitian=hermitian,
             p_summands=tuple(_weight_parse(w, where) for w in obj["p_summands"]),
             modules=modules,
-            expected_count=_exact_int(obj["expected_count"], where, "expected_count"),
             nonexistence_reason=obj.get("nonexistence_reason"),
             rho=_weight_parse(obj["rho"], where) if obj.get("rho") is not None else None,
             xi0=_weight_parse(obj["xi0"], where) if obj.get("xi0") is not None else None,

@@ -7,8 +7,8 @@ the conventional numbering, rho, and the fundamental weights.
 
 Supported constructions:
 
-* classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` (A-type lives in
-  full n+1 coordinates, not the traceless hyperplane),
+* classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` up to rank 16
+  (A-type lives in full n+1 coordinates, not the traceless hyperplane),
 * exceptional types ``G2``, ``F4``, ``E6``, ``E7``, ``E8`` (the E6 and E7
   systems live in eight coordinates, as the subsystems of E8 orthogonal to
   {e6+e8, e7+e8} and to e7+e8 respectively),
@@ -294,6 +294,11 @@ def _pos_E6() -> tuple[list[Vector], list[Vector]]:
 
 _MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 2}
 
+# Largest rank built, refused before any root is listed: the catalog stops
+# at rank 8, and 16 leaves room for so(16,16) while bounding one build
+# (D16 about 0.1-0.2 s, D24 about 0.6 s on a 2-vCPU VM).
+MAX_RANK = 16
+
 
 @lru_cache(maxsize=None)
 def make_root_system(cartan_type: str) -> RootSystem:
@@ -308,6 +313,9 @@ def make_root_system(cartan_type: str) -> RootSystem:
     family, rank_text = label[:1], label[1:]
     if family in "ABCD" and rank_text.isdigit():
         rank = int(rank_text)
+        if rank > MAX_RANK:
+            raise UnsupportedCartanType(
+                f"type {cartan_type!r} has rank above {MAX_RANK}")
         if rank >= _MIN_RANK[family]:
             pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C, "D": _pos_D}[family](rank)
             return _build(label, family, len(pos[0]), pos, simple)

@@ -4,9 +4,9 @@ Each check recomputes one identity from the root-system and reflection-group
 layers and compares against the stored record data: half-sums, tangent-space
 dimensions, ladder dominance, the orthogonal decomposition behind xi0, the
 stored w0 word (action, closed-form factorization, uniqueness among line
-preservers), ladder lattice periods, module counts with pairwise ladder
-disjointness, the highest-root ladder of complex forms, and the stored
-infinitesimal-character patterns.
+preservers), ladder lattice periods, module counts against the paper's
+count table with pairwise ladder disjointness, the highest-root ladder of
+complex forms, and the stored infinitesimal-character patterns.
 
 A check returns a CheckReport with status "pass", "fail", or "skipped";
 skips happen exactly when a precondition is unmet (missing stored data,
@@ -83,6 +83,37 @@ CHECK_NAMES = (
 
 SKIP_ONE_SIDED = "one-sided record: symmetric line data does not apply"
 SKIP_NO_MODULES = "no modules"
+
+# The paper's number of minimal modules for each class of real forms:
+# (label, count, family ids, names of the fixed records).
+PAPER_COUNTS = (
+    ("sp(n,R) (n>=2)", 4, ("sp_R",), ()),
+    ("so(p,2) (p>=5), so*(2n) (n>=4), e6(-14), e7(-25)", 2,
+     ("so_p_2", "so_star"), ("e6(-14)", "e7(-25)")),
+    ("so(p,q) (p,q>=3, p+q>=8 even), so(p,3) (p>=4 even), e6(6), e6(2), "
+     "e7(7), e7(-5), e8(8), e8(-24), f4(4), g2(2)", 1,
+     ("so_even_even", "so_odd_odd", "so_2n_3"),
+     ("e6(6)", "e6(2)", "e7(7)", "e7(-5)", "e8(8)", "e8(-24)", "f4(4)",
+      "g2(2)")),
+    ("sp(n) (n>=2), so(n) (n>=7), e6, e7, e8, f4, g2, so(n,1) (n>=6), "
+     "sp(p,q) (p,q>=1), e6(-26), f4(-20), so(p,q) (p,q>=4, p+q odd)", 0,
+     ("sp_compact", "so_compact", "so_n_1", "sp_p_q", "so_odd_sum"),
+     ("e6", "e7", "e8", "f4", "g2", "e6(-26)", "f4(-20)")),
+    ("sp(n,C) (n>=2)", 2, ("sp_C",), ()),
+    ("so(n,C) (n>=7), e6(C), e7(C), e8(C), f4(C), g2(C)", 1,
+     ("so_C",), ("e6(C)", "e7(C)", "e8(C)", "f4(C)", "g2(C)")),
+)
+
+
+def paper_count(r: RealFormRecord) -> int | None:
+    """The paper's module count for r, looked up by family when r has one
+    and by name otherwise; None when no row of PAPER_COUNTS covers r."""
+    for _, count, families, fixed in PAPER_COUNTS:
+        if (r.family in families if r.family is not None
+                else r.key in map(normalize_name, fixed)):
+            return count
+    return None
+
 
 # Rungs 0..RUNG_SWEEP of every ladder are compared outright, a finite
 # cross-check of the symbolic separators that certify all rungs.
@@ -341,12 +372,14 @@ def _canonical_rung(r: RealFormRecord, m, n: int):
 
 
 def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
-    if len(r.modules) != r.expected_count:
-        return _fail(f"{len(r.modules)} modules stored, expected "
-                     f"{r.expected_count}")
-    if len(r.modules) < 2:
+    count = paper_count(r)
+    if count is None:
+        return _fail(f"no module count from the paper for record {r.name}")
+    if len(r.modules) != count:
+        return _fail(f"{len(r.modules)} modules stored, expected {count}")
+    if count < 2:
         why = f" ({r.nonexistence_reason})" if r.nonexistence_reason else ""
-        return _pass(f"count {r.expected_count} as expected{why}; "
+        return _pass(f"count {count} as expected{why}; "
                      f"no module pairs to separate")
     ladders = [{_canonical_rung(r, m, n): n for n in range(RUNG_SWEEP + 1)}
                for m in r.modules]
@@ -365,7 +398,7 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
                              f"{format_weight(k)} at rungs m={ladders[i][k]}, "
                              f"n={ladders[j][k]}")
             notes.append(f"({a.label},{b.label}): {sep}")
-    return _pass(f"count {r.expected_count} as expected; pairwise disjoint "
+    return _pass(f"count {count} as expected; pairwise disjoint "
                  f"through rung {RUNG_SWEEP}; separators: " + "; ".join(notes))
 
 

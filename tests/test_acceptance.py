@@ -255,17 +255,17 @@ def test_counts_and_separators():
         report = run_check("count_and_disjoint", r)
         assert report.status == "pass", (r.name, report.evidence)
         if r.family == "sp_R":
-            assert r.expected_count == 4
+            assert len(r.modules) == 4
             assert "congruence" in report.evidence
             assert "sign" in report.evidence
         elif r.family == "sp_C":
-            assert r.expected_count == 2
+            assert len(r.modules) == 2
             assert "parity" in report.evidence
         elif r.hermitian:
-            assert r.expected_count == 2
+            assert len(r.modules) == 2
             assert "sign" in report.evidence
         else:
-            assert r.expected_count in (0, 1)
+            assert len(r.modules) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def _mutators():
             r, w0=word(r.space, [(0, (1, 0, 1, 0, 0, 0, 0, 0))]))
 
     def bad_count(r):
-        return dataclasses.replace(r, expected_count=r.expected_count + 1)
+        return dataclasses.replace(r, modules=r.modules[:-1])
 
     def bad_infchar(r):
         rows = tuple(row[:-1] + (row[-1] + shift,) for row in r.infchar)

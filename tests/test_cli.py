@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -209,6 +210,30 @@ def test_verify_records_file_missing_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--records", "/nonexistent.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_verify_records_file_with_unsupported_type_is_config_error(capsys, tmp_path):
+    doc = json.loads(registry.save([registry.find_record("g2(2)")]))
+    doc["records"][0]["g_complex"] = ["Z3"]
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert "record g2(2): g_complex unsupported type 'Z3'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "so_compact", "--params", "200"),
+    ("weyl", "longest", "D120"),
+])
+def test_ranks_above_the_cap_are_config_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "rank above 16" in err
 
 
 def test_verify_records_file_malformed_is_config_error(capsys, tmp_path):

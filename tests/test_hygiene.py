@@ -12,8 +12,7 @@ import minrep
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "minrep").glob("*.py"))
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -105,7 +104,7 @@ def test_orphan_finder_sees_the_cases_it_must():
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
-    trees = {str(p.relative_to(ROOT)): _tree(p) for p in PACKAGE + SCRIPTS}
+    trees = {str(p.relative_to(ROOT)): _tree(p) for p in PACKAGE}
     assert orphans(trees, set(minrep.__all__)) == []
 
 

@@ -6,10 +6,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from minrep import registry
+from minrep import rootsys
 from minrep.registry import (
     FAMILIES,
-    MAX_LOADED_RANK,
     MinimalModuleRecord,
     RealFormRecord,
     RegistryFormatError,
@@ -30,6 +29,7 @@ from minrep.registry import (
     validate_record,
 )
 from minrep.rootsys import (
+    MAX_RANK,
     bilinear,
     make_root_system,
     factor_bilinear,
@@ -41,6 +41,7 @@ from minrep.rootsys import (
     weight_scale,
     weight_sub,
 )
+from minrep.verify import PAPER_COUNTS, paper_count, run_all
 from minrep.weyl import apply
 
 
@@ -65,8 +66,8 @@ def test_default_instance_count_and_disjoint_names():
 def test_expected_count_distribution():
     by_count = {}
     for r in all_default_records():
-        by_count.setdefault(r.expected_count, []).append(r.name)
-    assert sorted(by_count) == [0, 1, 2, 4]
+        by_count.setdefault(paper_count(r), []).append(r.name)
+    assert sorted(by_count) == sorted({row[1] for row in PAPER_COUNTS}) == [0, 1, 2, 4]
     assert set(by_count[4]) == {"sp(2,R)", "sp(3,R)", "sp(5,R)"}
     # mirror pairs: one-sided cases plus the even/odd pair over C
     assert "e6(-14)" in by_count[2] and "sp(2,C)" in by_count[2]
@@ -89,7 +90,7 @@ def test_nonexistence_reasons():
 
 def test_zero_rows_have_no_line_data():
     for r in all_default_records():
-        if r.expected_count == 0:
+        if paper_count(r) == 0:
             assert r.modules == ()
             assert r.xi0 is None and r.w0 is None and r.infchar is None
             assert r.rho == space_rho(r.space)
@@ -133,7 +134,7 @@ def test_e7_minus25_p_summands_are_the_two_cone_weights():
 
 def test_sp2R_four_modules_match_metaplectic_halves():
     r = find_record("sp(2,R)")
-    assert r.hermitian and r.expected_count == 4
+    assert r.hermitian and len(r.modules) == 4
     got = [(m.label, m.mu0.factors[0], m.mu0.center[0], m.null_half)
            for m in r.modules]
     assert got == [
@@ -334,18 +335,15 @@ def _toy_space_record(**overrides):
 def record_fields(r):
     return {f: getattr(r, f) for f in (
         "name", "g_complex", "space", "hermitian", "p_summands", "modules",
-        "expected_count", "nonexistence_reason", "rho", "xi0", "w0",
+        "nonexistence_reason", "rho", "xi0", "w0",
         "infchar", "family", "params")}
-
-
-def test_validate_rejects_count_mismatch():
-    with pytest.raises(RegistryValidationError, match="expected_count"):
-        validate_record(_toy_space_record(expected_count=3))
 
 
 def test_validate_rejects_zero_count_without_reason():
     with pytest.raises(RegistryValidationError, match="nonexistence"):
-        validate_record(_toy_space_record(modules=(), expected_count=0))
+        validate_record(_toy_space_record(modules=()))
+    with pytest.raises(RegistryValidationError, match="nonexistence"):
+        validate_record(_toy_space_record(nonexistence_reason="orbit-misses-p"))
 
 
 def test_validate_rejects_beta_outside_p():
@@ -397,11 +395,22 @@ def test_load_reports_parse_position():
         load('{\n  "schema": "minrep-registry/1",\n  bad\n}')
 
 
-def test_load_rejects_count_mismatch():
-    payload = json.loads(save([find_record("e8(8)")]))
-    payload["records"][0]["expected_count"] = 2
-    with pytest.raises(RegistryValidationError, match="e8\\(8\\)"):
-        load(json.dumps(payload))
+def test_old_format_expected_count_is_ignored():
+    # files written before the counts moved to the verify layer carry an
+    # expected_count per record; the loader ignores it like any unknown
+    # key, and count_and_disjoint checks the modules against the paper
+    records = all_default_records()
+    payload = json.loads(save(records))
+    for obj in payload["records"]:
+        obj["expected_count"] = len(obj["modules"])
+    payload["records"][0]["expected_count"] += 1
+    loaded = load(json.dumps(payload))
+    assert loaded == records
+    def verdicts(pool):
+        return [(rep.record, rep.status, rep.evidence)
+                for rep in run_all(pool, checks=["count_and_disjoint"])]
+
+    assert verdicts(loaded) == verdicts(records)
 
 
 def test_load_rejects_bad_rational():
@@ -416,9 +425,9 @@ def _e8_8_payload():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("expected_count", 1.9), ("expected_count", True), ("expected_count", "1"),
     ("center_dim", 0.0), ("center_dim", False), ("center_dim", -1),
-    ("params", [8.0]), ("params", [True]),
+    pytest.param("params", [8.0], id="params-value6"),
+    pytest.param("params", [True], id="params-value7"),
 ])
 def test_load_requires_exact_integers(field, value):
     payload = _e8_8_payload()
@@ -439,6 +448,15 @@ def test_load_requires_string_labels():
     payload = _e8_8_payload()
     payload["records"][0]["family"] = 7
     with pytest.raises(RegistryFormatError, match="e8\\(8\\): family"):
+        load(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field", ["k_factors", "g_complex"])
+def test_load_refuses_an_unsupported_type(field):
+    payload = _e8_8_payload()
+    payload["records"][0][field] = ["Z3"]
+    with pytest.raises(RegistryFormatError,
+                       match=f"e8\\(8\\): {field} unsupported type 'Z3'"):
         load(json.dumps(payload))
 
 
@@ -468,14 +486,14 @@ def test_load_rejects_duplicate_records():
 @pytest.mark.parametrize("field", ["k_factors", "g_complex"])
 def test_load_caps_the_rank_before_building(field, monkeypatch):
     built = []
-    real = registry.make_root_system
+    real = rootsys._build
 
-    def recording(label):
+    def recording(label, *args):
         built.append(label)
-        return real(label)
+        return real(label, *args)
 
-    monkeypatch.setattr(registry, "make_root_system", recording)
-    too_big = f"D{MAX_LOADED_RANK + 1}"
+    monkeypatch.setattr(rootsys, "_build", recording)
+    too_big = f"D{MAX_RANK + 1}"
     payload = _e8_8_payload()
     payload["records"][0][field] = [too_big]
     with pytest.raises(RegistryFormatError, match=f"e8\\(8\\): {field} type '{too_big}'"):
@@ -486,9 +504,9 @@ def test_load_caps_the_rank_before_building(field, monkeypatch):
 def test_load_accepts_ranks_up_to_the_cap():
     catalog_ranks = [make_root_system(t).rank for r in all_default_records()
                      for t in r.g_complex]
-    assert max(catalog_ranks) == 8 <= MAX_LOADED_RANK
+    assert max(catalog_ranks) == 8 <= MAX_RANK
     at_cap = instantiate_family("so_even_even", (8, 8))
-    assert at_cap.g_complex == (f"D{MAX_LOADED_RANK}",)
+    assert at_cap.g_complex == (f"D{MAX_RANK}",)
     assert load(save([at_cap])) == (at_cap,)
 
 
@@ -509,7 +527,6 @@ TOY_TEXT = """
          "beta": {"factors": [["1", "-1"], ["1", "-1"]], "center": []},
          "null_half": null}
       ],
-      "expected_count": 1,
       "nonexistence_reason": null,
       "rho": {"factors": [["1/2", "-1/2"], ["1/2", "-1/2"]], "center": []},
       "xi0": {"factors": [["0", "0"], ["0", "0"]], "center": []},

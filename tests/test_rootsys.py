@@ -177,6 +177,15 @@ def test_unsupported_types_are_rejected(bad):
         make_root_system(bad)
 
 
+@pytest.mark.parametrize("label", ["A17", "B17", "C17", "D17", " D120 "])
+def test_ranks_above_the_cap_are_refused_before_building(label, monkeypatch):
+    built = []
+    monkeypatch.setattr(rootsys, "_build", lambda *args: built.append(args))
+    with pytest.raises(UnsupportedCartanType, match=f"rank above {rootsys.MAX_RANK}"):
+        make_root_system(label)
+    assert built == []
+
+
 def naive_indecomposables(positive):
     """The positive roots outside the set of Fraction sums of two of them."""
     sums = {vadd(a, b) for a in positive for b in positive}

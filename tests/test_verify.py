@@ -8,7 +8,13 @@ from fractions import Fraction as Q
 import pytest
 
 from minrep import weyl
-from minrep.registry import MinimalModuleRecord, all_default_records, find_record
+from minrep.registry import (
+    MinimalModuleRecord,
+    all_default_records,
+    find_record,
+    load,
+    save,
+)
 from minrep.rootsys import (
     bilinear,
     make_root_system,
@@ -264,9 +270,32 @@ def test_period_control():
 
 
 def test_count_control():
-    rep = run_check("count_and_disjoint",
-                    mutate(find_record("e8(8)"), expected_count=2))
-    assert rep.status == "fail" and "expected 2" in rep.evidence
+    r = find_record("e8(8)")
+    rep = run_check("count_and_disjoint", mutate(r, modules=r.modules * 2))
+    assert rep.status == "fail"
+    assert rep.evidence == "2 modules stored, expected 1"
+
+
+def test_count_fails_on_every_dropped_last_module_after_a_round_trip():
+    # the count comes from the paper, so a file that drops a module and
+    # stays self-consistent still fails
+    multi = [r for r in all_default_records() if len(r.modules) > 1]
+    assert len(multi) == 12
+    for r in multi:
+        n = len(r.modules)
+        loaded, = load(save([mutate(r, modules=r.modules[:-1])]))
+        rep = run_check("count_and_disjoint", loaded)
+        assert (rep.status, rep.evidence) == (
+            "fail", f"{n - 1} modules stored, expected {n}"), r.name
+
+
+def test_count_fails_on_a_record_the_paper_table_lacks():
+    r = find_record("e8(8)")
+    for stranger in (mutate(r, name="e8(9)"), mutate(r, family="su_p_q")):
+        rep = run_check("count_and_disjoint", stranger)
+        assert rep.status == "fail"
+        assert rep.evidence == ("no module count from the paper for record "
+                                f"{stranger.name}")
 
 
 def test_disjointness_control_without_separator():
@@ -338,7 +367,7 @@ def test_suite_status_reflects_failures():
     r = find_record("g2(2)")
     good = run_all([r], checks=["rho", "period"])
     assert suite_status(good) == "pass"
-    bad = run_all([mutate(r, expected_count=5)], checks=["count_and_disjoint"])
+    bad = run_all([mutate(r, modules=())], checks=["count_and_disjoint"])
     assert suite_status(bad) == "fail"
 
 
