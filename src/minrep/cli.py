@@ -3,8 +3,7 @@ tables, and expose reflection-group utilities.
 
 Exit codes: 0 success, 1 at least one failing check, 2 usage or
 configuration error.  Default output is byte-identical across runs;
-timing columns only appear with --timings.  The environment variable
-MINREP_BUDGET overrides the default enumeration budget.
+timing columns only appear with --timings.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -54,19 +53,6 @@ class UsageError(Exception):
     pass
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("MINREP_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"MINREP_BUDGET must be an integer, got {raw!r}")
-    if value <= 0:
-        raise UsageError("MINREP_BUDGET must be positive")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -86,27 +72,19 @@ def _verify_reports_json(reports, with_timings: bool) -> str:
 
 
 def _verify_reports_md(reports, with_timings: bool) -> str:
-    cols = ["record", "check", "status", "evidence"]
+    cols = ("record", "check", "status", "evidence")
+    rows = [(r.record, r.check, r.status, r.evidence.replace("|", "/"))
+            for r in reports]
     if with_timings:
-        cols.append("duration_ms")
-    lines = ["| " + " | ".join(cols) + " |",
-             "|" + "|".join("---" for _ in cols) + "|"]
-    for r in reports:
-        cells = [r.record, r.check, r.status, r.evidence.replace("|", "/")]
-        if with_timings:
-            cells.append(str(r.duration_ms))
-        lines.append("| " + " | ".join(cells) + " |")
-    tally = {"pass": 0, "fail": 0, "skipped": 0}
-    for r in reports:
-        tally[r.status] += 1
-    lines.append("")
-    lines.append(f"overall: {suite_status(reports)} ({tally['pass']} pass, "
-                 f"{tally['skipped']} skipped, {tally['fail']} fail)")
-    return "\n".join(lines) + "\n"
+        cols += ("duration_ms",)
+        rows = [row + (str(r.duration_ms),) for row, r in zip(rows, reports)]
+    tally = Counter(r.status for r in reports)
+    return (_table_markdown(Table("verify", cols, tuple(rows)))
+            + f"\noverall: {suite_status(reports)} ({tally['pass']} pass, "
+            f"{tally['skipped']} skipped, {tally['fail']} fail)\n")
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else _env_budget()
     if args.params is not None and args.family is None:
         raise UsageError("--params requires --family")
     records = None
@@ -133,7 +111,7 @@ def cmd_verify(args) -> int:
         family = None
     try:
         # VerifyConfig refuses out-of-range settings with ValueError
-        config = VerifyConfig(strategy=args.strategy, budget=budget,
+        config = VerifyConfig(strategy=args.strategy, budget=args.budget,
                               jobs=args.jobs)
         reports = run_all(records, record=args.record, family=family,
                           checks=args.check or None, config=config)
@@ -159,8 +137,8 @@ class Table:
     rows: tuple[tuple, ...]      # cells are str or list[str]
 
 
-def _passes(record, *checks) -> str:
-    ok = all(run_check(name, record).status == "pass" for name in checks)
+def _passes(records, *checks) -> str:
+    ok = all(run_check(name, r).status == "pass" for r in records for name in checks)
     return "yes" if ok else "no"
 
 
@@ -175,9 +153,7 @@ def table_numbers() -> Table:
     for label, count, families, fixed in PAPER_COUNTS:
         members = (_family_members(instances, families)
                    + [by_name[name] for name in fixed])
-        ok = all(run_check("count_and_disjoint", r).status == "pass"
-                 for r in members)
-        rows.append((label, str(count), "yes" if ok else "no"))
+        rows.append((label, str(count), _passes(members, "count_and_disjoint")))
     return Table("numbers", ("g", "count", "verified"), tuple(rows))
 
 
@@ -226,7 +202,7 @@ def table_hermitian() -> Table:
     for r in _hermitian_pool():
         plus, minus = r.p_summands
         ktypes = [f"{m.label}: {format_weight(m.mu0)}" for m in r.modules]
-        verified = _passes(r, "p_dimension", "ladder_wellformed",
+        verified = _passes([r], "p_dimension", "ladder_wellformed",
                            "count_and_disjoint")
         rows.append((r.name, k_display(r.space), format_weight(plus),
                      format_weight(minus), ktypes, str(paper_count(r)),
@@ -239,7 +215,7 @@ def table_hermitian() -> Table:
 def table_nonhermitian() -> Table:
     rows = []
     for r in _line_data_pool():
-        verified = _passes(r, "p_dimension", "ladder_wellformed",
+        verified = _passes([r], "p_dimension", "ladder_wellformed",
                            "count_and_disjoint")
         rows.append((r.name, k_display(r.space),
                      format_weight(r.p_summands[0]),
@@ -251,7 +227,7 @@ def table_nonhermitian() -> Table:
 def table_data1() -> Table:
     rows = []
     for r in _line_data_pool():
-        verified = _passes(r, "rho", "ladder_wellformed")
+        verified = _passes([r], "rho", "ladder_wellformed")
         rows.append((r.name, format_weight(r.rho),
                      format_weight(r.modules[0].mu0),
                      format_weight(r.modules[0].beta), verified))
@@ -261,7 +237,7 @@ def table_data1() -> Table:
 def table_data2() -> Table:
     rows = []
     for r in _line_data_pool():
-        verified = _passes(r, "xi0", "w0_table", "w0_formula", "same_line")
+        verified = _passes([r], "xi0", "w0_table", "w0_formula", "same_line")
         rows.append((r.name, format_weight(r.xi0), format_word(r.w0), verified))
     return Table("data2", ("g", "xi0", "w0", "verified"), tuple(rows))
 
@@ -346,28 +322,23 @@ def cmd_table(args) -> int:
 # weyl utilities
 
 
-def _root_system(label: str):
+def cmd_weyl(args) -> int:
+    if args.budget <= 0:
+        raise UsageError(f"--budget must be positive, got {args.budget}")
     try:
-        return make_root_system(label)
+        rs = make_root_system(args.type)
     except UnsupportedCartanType as exc:
         raise UsageError(str(exc))
-
-
-def cmd_weyl(args) -> int:
-    budget = args.budget if args.budget is not None else _env_budget()
-    if budget <= 0:
-        raise UsageError(f"--budget must be positive, got {budget}")
-    rs = _root_system(args.type)
     if args.action == "order":
         closed = group_order(rs)
-        if closed <= budget:
-            enumerated = orbit_size(rs, budget)
+        if closed <= args.budget:
+            enumerated = orbit_size(rs, args.budget)
             if enumerated != closed:
                 print(f"error: enumeration found {enumerated} elements, "
                       f"closed form gives {closed}", file=sys.stderr)
                 return 1
         else:
-            print(f"note: order {closed} above budget {budget}, "
+            print(f"note: order {closed} above budget {args.budget}, "
                   f"enumeration cross-check skipped", file=sys.stderr)
         print(closed)
         return 0
@@ -414,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_CONFIG.strategy,
                           help="line-preserver search: chamber (closed form, "
                           "self-checked) or an enumeration certificate")
-    p_verify.add_argument("--budget", type=int, default=None,
-                          help="enumeration budget (default MINREP_BUDGET "
-                          f"or {DEFAULT_BUDGET})")
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help=f"enumeration budget (default {DEFAULT_BUDGET})")
     p_verify.add_argument("--format", choices=("md", "json"), default="md")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--records", metavar="FILE",
@@ -438,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rational coordinates; a VEC "
                              "that starts with '-' must be written "
                              "--orthogonal-to=VEC")
-    p_weyl.add_argument("--budget", type=int, default=None)
+    p_weyl.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_weyl.set_defaults(func=cmd_weyl)
     return parser
 

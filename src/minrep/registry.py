@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 from typing import Callable, Iterable
 
+from .render import format_q
 from .rootsys import (
     KSpace,
     RootSystem,
@@ -93,8 +95,7 @@ def g_dimension(record: RealFormRecord) -> int:
 
 
 def k_dimension(record: RealFormRecord) -> int:
-    return sum(len(rs.roots) + rs.rank for rs in record.space.factors) \
-        + record.space.center_dim
+    return sum(dim_of_type(rs.label) for rs in record.space.factors) + record.space.center_dim
 
 
 def k_display(space: KSpace) -> str:
@@ -192,12 +193,10 @@ def validate_record(r: RealFormRecord) -> None:
             _fail(r.name, f"module {m.label}: beta vanishes on the factors")
         if m.beta not in r.p_summands:
             _fail(r.name, f"module {m.label}: beta is not a p-summand weight")
-        dom = space_dominance(r.space, m.mu0)
-        if not (dom.dominant and dom.integral):
-            _fail(r.name, f"module {m.label}: mu0 is not dominant integral")
-        dom = space_dominance(r.space, m.beta)
-        if not (dom.dominant and dom.integral):
-            _fail(r.name, f"module {m.label}: beta is not dominant integral")
+        for field, w in (("mu0", m.mu0), ("beta", m.beta)):
+            dom = space_dominance(r.space, w)
+            if not (dom.dominant and dom.integral):
+                _fail(r.name, f"module {m.label}: {field} is not dominant integral")
         if r.hermitian:
             if m.null_half not in NULL_HALVES:
                 _fail(r.name, f"module {m.label}: one-sided records need a null half")
@@ -615,10 +614,6 @@ def _type_label(value, where: str, field: str) -> str:
     return label
 
 
-def _q_str(x: Q) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _q_parse(s, where: str) -> Q:
     try:
         return Q(s)
@@ -627,8 +622,8 @@ def _q_parse(s, where: str) -> Q:
 
 
 def _weight_json(w: Weight):
-    return {"factors": [[_q_str(c) for c in v] for v in w.factors],
-            "center": [_q_str(c) for c in w.center]}
+    return {"factors": [[format_q(c) for c in v] for v in w.factors],
+            "center": [format_q(c) for c in w.center]}
 
 
 def _weight_parse(obj, where: str) -> Weight:
@@ -640,7 +635,7 @@ def _weight_parse(obj, where: str) -> Weight:
 
 
 def _word_json(w: WeylWord):
-    return [[f, [_q_str(c) for c in v]] for f, v in w.letters]
+    return [[f, [format_q(c) for c in v]] for f, v in w.letters]
 
 
 def record_to_json(r: RealFormRecord) -> dict:
@@ -658,14 +653,42 @@ def record_to_json(r: RealFormRecord) -> dict:
         "rho": _weight_json(r.rho) if r.rho is not None else None,
         "xi0": _weight_json(r.xi0) if r.xi0 is not None else None,
         "w0": _word_json(r.w0) if r.w0 is not None else None,
-        "infchar": [[_q_str(c) for c in pat] for pat in r.infchar]
+        "infchar": [[format_q(c) for c in pat] for pat in r.infchar]
         if r.infchar is not None else None,
         "family": r.family,
         "params": list(r.params),
     }
 
 
-def record_from_json(obj: dict) -> RealFormRecord:
+# What names a real form, compared when a file claims one.
+_CLASS_FIELDS = {"name": lambda r: r.key, "g_complex": lambda r: r.g_complex,
+                 "k_factors": lambda r: [rs.label for rs in r.space.factors],
+                 "center_dim": lambda r: r.space.center_dim,
+                 "hermitian": lambda r: r.hermitian}
+
+
+def _check_class(r: RealFormRecord, builtins: Callable[[], dict]) -> None:
+    """A record must be the real form it claims: its family's instance at
+    its params or, without a family, the built-in record of its name.  A
+    record that claims neither (a hand-written one) is left alone."""
+    if r.family is None:
+        reference = builtins().get(r.key)
+        if reference is None:
+            return
+        claim = f"the built-in record {reference.name}"
+    else:
+        try:
+            reference = instantiate_family(r.family, r.params)
+        except ValueError as exc:
+            raise RegistryFormatError(f"record {r.name}: {exc}")
+        claim = f"{reference.name}, the {r.family} instance at params {r.params},"
+    differ = [k for k, get in _CLASS_FIELDS.items() if get(r) != get(reference)]
+    if differ:
+        raise RegistryFormatError(f"record {r.name}: does not match {claim} in "
+                                  + ", ".join(differ))
+
+
+def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
     name = obj.get("name") if isinstance(obj, dict) else None
     if not isinstance(name, str):
         raise RegistryFormatError("record without a name")
@@ -710,6 +733,7 @@ def record_from_json(obj: dict) -> RealFormRecord:
             raise
         raise RegistryFormatError(f"{where}: {exc}")
     validate_record(record)
+    _check_class(record, builtins)
     return record
 
 
@@ -733,8 +757,9 @@ def load(text: str) -> tuple[RealFormRecord, ...]:
     if not isinstance(records, list):
         raise RegistryFormatError("schema requires a list under 'records'")
     out: dict[str, RealFormRecord] = {}
+    builtins = cache(lambda: {r.key: r for r in builtin_records()})
     for obj in records:
-        record = record_from_json(obj)
+        record = record_from_json(obj, builtins)
         if record.key in out:
             raise RegistryFormatError(
                 f"record {record.name}: duplicate of record {out[record.key].name}"

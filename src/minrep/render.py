@@ -9,8 +9,8 @@ and half-integer letters wrapped as "(e1-e2+...)/2".
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import lcm
 
+from .linalg import integer_images
 from .rootsys import Weight, is_zero
 from .weyl import WeylWord
 
@@ -43,8 +43,7 @@ def format_weight(w: Weight) -> str:
 
 def _letter_combination(factor: int, v) -> str:
     base = FACTOR_BASES[factor] if factor < len(FACTOR_BASES) else f"x{factor}_"
-    denom = lcm(*(Q(c).denominator for c in v)) if v else 1
-    ints = [int(Q(c) * denom) for c in v]
+    denom, (ints,) = integer_images([v])
     terms = ""
     for k, n in enumerate(ints, start=1):
         if n == 0:

@@ -82,13 +82,6 @@ def pair_coroot(lam: Vector, alpha: Vector) -> Q:
     return 2 * dot(lam, alpha) / dot(alpha, alpha)
 
 
-def reflect(v: Vector, alpha: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to alpha."""
-    if is_zero(alpha):
-        raise ValueError("cannot reflect in the zero vector")
-    return vsub(v, vscale(pair_coroot(v, alpha), alpha))
-
-
 # ---------------------------------------------------------------------------
 # root system construction
 
@@ -460,21 +453,11 @@ def bilinear(space: KSpace, a: Weight, b: Weight) -> Q:
     return total
 
 
-def factor_bilinear(space: KSpace, i: int, a: Weight, b: Weight) -> Q:
-    return dot(a.factors[i], b.factors[i])
-
-
 def space_dominance(space: KSpace, lam: Weight) -> DomInt:
     """Dominance/integrality against every simple root; center ignored."""
     conform(space, lam)
     parts = [dominance(rs, v) for rs, v in zip(space.factors, lam.factors)]
     return DomInt(all(p.dominant for p in parts), all(p.integral for p in parts))
-
-
-def space_reflect(space: KSpace, lam: Weight, factor: int, alpha: Vector) -> Weight:
-    blocks = list(lam.factors)
-    blocks[factor] = reflect(blocks[factor], alpha)
-    return Weight(tuple(blocks), lam.center)
 
 
 def space_weyl_dim(space: KSpace, lam: Weight) -> int:

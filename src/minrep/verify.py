@@ -34,7 +34,7 @@ from .render import format_q, format_vector, format_weight, format_word
 from .rootsys import (
     Vector,
     bilinear,
-    factor_bilinear,
+    dot,
     lattice_period,
     make_root_system,
     omega_to_coords,
@@ -57,28 +57,12 @@ from .weyl import (
     apply,
     as_element,
     compose,
-    equal_elements,
     identity_element,
     line_preservers,
     space_beta_subsystems,
     space_longest_element,
     space_subgroup_longest,
     type_label,
-)
-
-CHECK_NAMES = (
-    "rho",
-    "p_dimension",
-    "ladder_wellformed",
-    "xi0",
-    "w0_table",
-    "w0_formula",
-    "w0_unique",
-    "same_line",
-    "period",
-    "count_and_disjoint",
-    "complex_beta",
-    "infchar_coords",
 )
 
 SKIP_ONE_SIDED = "one-sided record: symmetric line data does not apply"
@@ -165,15 +149,7 @@ def _skip(reason: str):
 
 
 def _module_betas(r: RealFormRecord):
-    out = []
-    for m in r.modules:
-        if m.beta not in out:
-            out.append(m.beta)
-    return out
-
-
-def _is_complex(r: RealFormRecord) -> bool:
-    return len(r.g_complex) == 2
+    return list(dict.fromkeys(m.beta for m in r.modules))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +202,7 @@ def _check_xi0(r: RealFormRecord, config: VerifyConfig):
     scalars = []
     for m in r.modules:
         for i in range(len(r.space.factors)):
-            d = factor_bilinear(r.space, i, r.xi0, m.beta)
+            d = dot(r.xi0.factors[i], m.beta.factors[i])
             if d != 0:
                 return _fail(f"module {m.label}: (xi0, beta) = {format_q(d)} "
                              f"!= 0 in factor {i}")
@@ -273,7 +249,7 @@ def _check_w0_formula(r: RealFormRecord, config: VerifyConfig):
     rhs = compose(as_element(r.space, space_longest_element(r.space)),
                   as_element(r.space, space_subgroup_longest(r.space, subs)))
     shape = ", ".join(map(type_label, subs))
-    if equal_elements(lhs, rhs):
+    if lhs == rhs:
         return _pass(f"w0 equals (longest element) * (longest element fixing "
                      f"beta); orthogonal subsystem per factor: {shape}")
     return _fail(f"stored word {format_word(r.w0)} differs from the "
@@ -403,7 +379,7 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
-    if not _is_complex(r):
+    if len(r.g_complex) != 2:
         return _skip("not a complex form")
     rs = r.space.factors[0]
     theta = weight(r.space, rs.highest_root)
@@ -462,6 +438,8 @@ _CHECKS = {
     "complex_beta": _check_complex_beta,
     "infchar_coords": _check_infchar_coords,
 }
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(name: str, record: RealFormRecord,

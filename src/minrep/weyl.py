@@ -23,19 +23,19 @@ of the default "chamber" line-preserver strategy (trivial on the whole
 catalog), and the "reduced" and "brute" certificates all call it.
 
 The layer is fraction-free inside.  Longest elements and greedy descents
-run on simple-coroot labels with the integer Cartan rows.  A word becomes
-a matrix by reflecting the rows of a scaled identity, letter by letter, on
-integers (row i of m s(v) is row i of m reflected by s(v)); the entries
-become Fractions once, at the end.  What depends only on a root system
-(Cartan rows, mirrors, the longest word, the matrix scale, its orthogonal
-subsystems) is computed once and kept on the RootSystem instance.
+run on simple-coroot labels with the integer Cartan rows.  A word acts on
+a vector, or on the rows of the identity to give its matrix, one way: on
+integer lattice images (see _tracked_image), letter by letter, divided
+back into Fractions once, at the end.  What depends only on a root system
+(Cartan rows, mirrors, root lines, the longest word, the lattice scale,
+its orthogonal subsystems) is computed once and kept on the RootSystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, product
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -52,15 +52,13 @@ from .rootsys import (
     dot,
     is_zero,
     pair_coroot,
-    reflect,
     root_system_from_roots,
     space_dominance,
-    space_reflect,
     vscale,
 )
 
 # Largest group order any enumeration may visit, unless a caller (the CLI's
-# --budget or MINREP_BUDGET) passes another.
+# --budget) passes another.
 DEFAULT_BUDGET = 10 ** 7
 
 
@@ -79,9 +77,6 @@ class WeylWord:
     """Reflection letters (factor index, vector) in printed order."""
     letters: tuple[tuple[int, Vector], ...]
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -89,30 +84,15 @@ class WeylElement:
     blocks: tuple[Matrix, ...]
 
 
-def _proportional_root(rs: RootSystem, v: Vector) -> Vector:
-    """The root on the line of v, or None.  Reflections only see the line,
-    so letters like s(e1-e2) are accepted on a factor whose root is (2,-2)."""
-    for i, c in enumerate(v):
-        if c != 0:
-            break
-    else:
-        return None
-    for r in rs.roots:
-        if r[i] == 0:
-            continue
-        scale = v[i] / r[i]
-        if v == vscale(scale, r):
-            return r
-    return None
-
-
 def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
+    """Reflections only see the line, so any nonzero multiple of a root is
+    a letter: s(e1-e2) is accepted on a factor whose root is (2,-2)."""
     out = []
     for factor, raw in letters:
         v = tuple(Q(c) for c in raw)
         if not 0 <= factor < len(space.factors):
             raise ValueError(f"letter factor {factor} out of range")
-        if _proportional_root(space.factors[factor], v) is None:
+        if is_zero(v) or _mirror(v)[0] not in _memo(space.factors[factor]).lines:
             raise ValueError(f"letter vector {v} is not on a root line of factor {factor}")
         out.append((factor, v))
     return WeylWord(tuple(out))
@@ -127,10 +107,6 @@ def as_element(space: KSpace, w: WeylWord) -> WeylElement:
                              for rs, letters in zip(space.factors, _by_factor(space, w))))
 
 
-def equal_elements(a: WeylElement, b: WeylElement) -> bool:
-    return a.blocks == b.blocks
-
-
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     """Element of 'a after b' (matrix product ab)."""
     return WeylElement(tuple(matmul(x, y) for x, y in zip(a.blocks, b.blocks, strict=True)))
@@ -139,10 +115,9 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
 def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
     conform(space, lam)
     if isinstance(w, WeylWord):
-        out = lam
-        for factor, v in reversed(w.letters):
-            out = space_reflect(space, out, factor, v)
-        return out
+        return Weight(tuple(_act(rs, letters, v) for rs, letters, v
+                            in zip(space.factors, _by_factor(space, w), lam.factors)),
+                      lam.center)
     if isinstance(w, WeylElement):
         if len(w.blocks) != len(space.factors):
             raise ValueError("element block count does not match the space")
@@ -155,13 +130,16 @@ def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
 # per-system integer data
 
 
+def _primitive(u: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*u)
+    return tuple([c // g for c in u])
+
+
 def _mirror(v: Vector) -> tuple[tuple[int, ...], int]:
     """The primitive integer vector on the line of v, and its squared norm.
     Reflecting an integer vector by it stays integral exactly when the
     reflection by v does."""
-    _, (s,) = integer_images([v])
-    g = gcd(*s)
-    s = tuple([c // g for c in s])
+    s = _primitive(integer_images([v])[1][0])
     return s, sum(c * c for c in s)
 
 
@@ -186,20 +164,25 @@ class _Memo:
 
     @cached_property
     def root_images(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
-        """The sorted roots and their integer images (one common scale)."""
-        roots = sorted(self.rs.roots)
+        """The roots and their integer images (one common scale)."""
+        roots = list(self.rs.roots)
         return roots, integer_images(roots)[1]
 
     @cached_property
-    def scale(self) -> int:
-        """An S such that S times any element matrix is an integer matrix.
+    def lines(self) -> frozenset[tuple[int, ...]]:
+        """The primitive integer vector on each root line, both signs."""
+        return frozenset(map(_primitive, self.root_images[1]))
 
-        Row i of the matrix of w is w^-1(e_i).  Let m be the common
-        denominator of the roots, so that m Q(R) is integral.  If every
-        pairing <S e_i, r^vee> lies in m Z, then so does every pairing of
-        each point of S e_i + m Q(R), and reflections keep the orbit of
-        S e_i in that integral coset.  With a = m r the condition reads
-        2 S a_i / (a, a) in Z; S is the least number meeting it.
+    @cached_property
+    def scale(self) -> int:
+        """An S such that the reflection orbit of S u is integral for every
+        integer vector u (so S times an element matrix is integral).
+
+        Let m be the common denominator of the roots, so that m Q(R) is
+        integral.  If every pairing <S e_i, r^vee> lies in m Z, then so does
+        every pairing of S u and of each point of S u + m Q(R), and
+        reflections keep the orbit of S u in that integral coset.  With
+        a = m r the condition reads 2 S a_i / (a, a) in Z; S is the least.
         """
         out = 1
         for a in self.root_images[1]:
@@ -217,18 +200,35 @@ def _memo(rs: RootSystem) -> _Memo:
     return memo
 
 
-def _matrix(rs: RootSystem, letters: Iterable[Vector]) -> Matrix:
-    """The matrix of a word over rs (letters on root lines, printed order).
-    Row i of m s(v) is row i of m reflected by s(v), so the rows of the
-    scaled identity are reflected by each letter in turn, on integers."""
+def _reflected(rs: RootSystem, letters: Iterable[Vector],
+               images: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Lattice images (see _tracked_image) reflected by each letter in turn,
+    in the order given; letters lie on root lines of rs."""
     memo = _memo(rs)
-    scale = memo.scale
-    n = rs.ambient
-    rows = [(0,) * i + (scale,) + (0,) * (n - 1 - i) for i in range(n)]
     for v in letters:
         s, ss = memo.mirror(v)
-        rows = [_reflect_int(row, s, ss) for row in rows]
-    return tuple(tuple([Q(x, scale) for x in row]) for row in rows)
+        images = [_reflect_int(u, s, ss) for u in images]
+    return images
+
+
+def _act(rs: RootSystem, letters: list[Vector], v: Vector) -> Vector:
+    """w(v) for the word of `letters` (printed order) over rs: v's lattice
+    image, reflected rightmost letter first, divided back once."""
+    d, u = _tracked_image(rs, v)
+    (u,) = _reflected(rs, reversed(letters), [u])
+    return tuple([Q(c, d) for c in u])
+
+
+def _matrix(rs: RootSystem, letters: Iterable[Vector]) -> Matrix:
+    """The matrix of a word over rs (letters on root lines, printed order).
+    Row i of m s(v) is row i of m reflected by s(v), so the lattice images
+    of the e_i, rows of a scaled identity, are reflected by each letter in
+    turn."""
+    scale = _memo(rs).scale
+    n = rs.ambient
+    rows = [(0,) * i + (scale,) + (0,) * (n - 1 - i) for i in range(n)]
+    return tuple(tuple([Q(x, scale) for x in row])
+                 for row in _reflected(rs, letters, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +292,12 @@ def space_group_order(space: KSpace) -> int:
 # integer orbit enumeration
 
 
-def _tracked_image(rs: RootSystem, v: Vector) -> tuple[int, ...]:
-    """v scaled so that it and its whole reflection orbit are integral in
-    coordinates."""
-    m = lcm(*(c.denominator for c in v)) if v else 1
-    for r in rs.roots:
-        m = lcm(m, pair_coroot(v, r).denominator)
-    return tuple(int(c * 2 * m) for c in v)
+def _tracked_image(rs: RootSystem, v: Vector) -> tuple[int, tuple[int, ...]]:
+    """(d, d v): v's integer image times the lattice scale, integral along
+    its whole reflection orbit (see _Memo.scale)."""
+    scale = _memo(rs).scale
+    m, (u,) = integer_images([v])
+    return m * scale, tuple([c * scale for c in u])
 
 
 def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, ...]:
@@ -336,7 +335,7 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
 
     A state is (labels, w(t) for t in tracked): the labels are the
     simple-coroot pairings <w(2*rho), alpha_j^vee>, and the tracked images
-    are integer vectors (see _tracked_image).  The search is a reverse
+    are lattice images (see _tracked_image).  The search is a reverse
     search over the orbit of 2*rho, rooted at the labels (2, ..., 2): the
     parent of a point is its reflection in its first descent (the first
     negative label), so s_i u is a child of u exactly when u's label i is
@@ -468,10 +467,7 @@ def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
 
 
 def space_longest_element(space: KSpace) -> WeylWord:
-    letters = []
-    for f, rs in enumerate(space.factors):
-        letters.extend(longest_element(rs, f).letters)
-    return WeylWord(tuple(letters))
+    return space_subgroup_longest(space, space.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +498,8 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
 
 
 def space_subgroup_longest(space: KSpace, subs: Iterable[RootSystem]) -> WeylWord:
-    """Longest element of each factor's subsystem group, as one word over
-    their roots."""
+    """Longest element of each factor's subsystem group (of each factor's
+    group for subs = space.factors), as one word over their roots."""
     letters = []
     for f, sub in enumerate(subs):
         letters.extend(longest_element(sub, f).letters)
@@ -593,7 +589,7 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     for sub, xi_f in zip(subs, xi0.factors):
         descent, labels = _descend(sub, [pair_coroot(xi_f, a) for a in sub.simple])
         u0.append(descent[::-1])
-        parabolics.append(orthogonal_subsystem(sub, reduce(reflect, descent, xi_f))
+        parabolics.append(orthogonal_subsystem(sub, _act(sub, u0[-1], xi_f))
                           if 0 in labels else None)
     _require_within(prod(group_order(par) for par in parabolics if par is not None),
                     budget, "the stabilizer of xi0 in W_beta")
@@ -625,10 +621,10 @@ def _line_preservers_brute(space, beta, xi0, budget):
                     "x".join(rs.label for rs in space.factors))
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
-        b0 = _tracked_image(rs, beta_f)
+        _, b0 = _tracked_image(rs, beta_f)
         _, pos_int = integer_images(rs.positive)
         tests = (_on_line(b0, pos_int), _on_line(tuple(-c for c in b0), pos_int))
-        keep_plus, keep_minus = _survivors(rs, (b0, _tracked_image(rs, xi_f)), tests)
+        keep_plus, keep_minus = _survivors(rs, (b0, _tracked_image(rs, xi_f)[1]), tests)
         plus.append(keep_plus)
         minus.append(keep_minus)
     return _elements(space.factors, (plus, minus))
@@ -638,10 +634,9 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     subs = space_beta_subsystems(space, beta)
     _require_within(prod(map(group_order, subs)), budget, "the beta stabilizer")
 
-    wl_word = space_longest_element(space)
-    wl = as_element(space, wl_word)
-    wl_flips_beta = all(matvec(wl.blocks[f], v) == vscale(-1, v)
-                        for f, v in enumerate(beta.factors))
+    wl = space_longest_element(space)
+    wl_flips_beta = (apply(space, wl, beta).factors
+                     == tuple(vscale(-1, v) for v in beta.factors))
 
     # Candidates are the stabilizer W_beta (sends beta to +beta) and, when
     # w_l beta = -beta, the coset w_l W_beta; nothing else can move beta
@@ -649,14 +644,14 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # fixed set Delta_beta+, and for the coset branch
     # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
     plus, minus = [], []
-    for f, (sub, prefix) in enumerate(zip(subs, _by_factor(space, wl_word))):
+    for rs, sub, prefix, xi_f in zip(space.factors, subs, _by_factor(space, wl),
+                                     xi0.factors):
         _, pos_int = integer_images(sub.positive)
         tests = [_nonnegative_on(pos_int)]
         if wl_flips_beta:
-            _, pos_wl_int = integer_images(
-                [matvec(wl.blocks[f], p) for p in sub.positive])
+            _, pos_wl_int = integer_images([_act(rs, prefix, p) for p in sub.positive])
             tests.append(_nonnegative_on(pos_wl_int))
-        found = _survivors(sub, (_tracked_image(sub, xi0.factors[f]),), tests)
+        found = _survivors(sub, (_tracked_image(sub, xi_f)[1],), tests)
         plus.append(found[0])
         if wl_flips_beta:
             minus.append([prefix + w for w in found[1]])

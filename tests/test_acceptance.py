@@ -22,7 +22,6 @@ from minrep.rootsys import (
     KSpace,
     dot,
     make_root_system,
-    reflect,
     trace_free_canonical,
     weight,
 )
@@ -35,6 +34,8 @@ from minrep.weyl import (
     space_group_order,
     word,
 )
+
+from fraction_reference import reflect
 
 
 def _ms(start_ns: int) -> int:

@@ -122,15 +122,13 @@ def test_verify_budget_skip_still_exits_zero(capsys):
     assert "skipped" in out
 
 
-def test_verify_env_budget_and_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv("MINREP_BUDGET", "2")
+def test_verify_budget_comes_from_the_flag_alone(capsys, monkeypatch):
+    # no environment variable sets the budget; the default is the constant
+    monkeypatch.setenv("MINREP_BUDGET", "1")
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
                        "--check", "w0_unique", "--strategy", "reduced")
-    assert code == 0 and "above budget 2" in out
-    code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique", "--strategy", "reduced",
-                       "--budget", "10000000")
-    assert code == 0 and "pass" in out and "above budget" not in out
+    assert code == 0
+    assert "| e6(6) | w0_unique | pass |" in out
 
 
 def test_verify_default_strategy_is_chamber(capsys):
@@ -163,13 +161,6 @@ def test_verify_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "between 1 and 1" in err
-
-
-def test_verify_bad_env_budget_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("MINREP_BUDGET", "lots")
-    code, _, err = run(capsys, "verify", "--record", "g2_2")
-    assert code == 2
-    assert "MINREP_BUDGET" in err
 
 
 def test_verify_records_file_round_trip(capsys, tmp_path):
@@ -221,6 +212,24 @@ def test_verify_records_file_with_unsupported_type_is_config_error(capsys, tmp_p
     assert code == 2
     assert out == ""
     assert "record g2(2): g_complex unsupported type 'Z3'" in err
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("so(5,2)", {"family": "so_even_even"}),
+    ("e6(-14)", {"name": "e6(6)"}),
+])
+def test_verify_records_file_claiming_another_class_is_config_error(
+        capsys, tmp_path, name, edit):
+    # with one module each, these passed every check as the class they claim
+    doc = json.loads(registry.save([registry.find_record(name)]))
+    doc["records"][0]["modules"] = doc["records"][0]["modules"][:1]
+    doc["records"][0].update(edit)
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: record {doc['records'][0]['name']}: ")
 
 
 @pytest.mark.parametrize("argv", [

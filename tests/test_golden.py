@@ -1,9 +1,9 @@
 """Byte-for-byte pins of the CLI output.
 
-Each file in tests/golden/ is the stdout of one command line below, with
-MINREP_BUDGET unset.  The files were written by the code before the Weyl
-enumerations shared one kernel; a change that alters any byte of a verdict,
-an evidence string or a table cell fails here.
+Each file in tests/golden/ is the stdout of one command line below.  The
+files were written by the code before the Weyl enumerations shared one
+kernel; a change that alters any byte of a verdict, an evidence string or a
+table cell fails here.
 """
 
 from pathlib import Path
@@ -39,7 +39,6 @@ def test_every_golden_file_has_a_command():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("MINREP_BUDGET", raising=False)
+def test_cli_output_matches_golden(name, capsys):
     assert cli.main(CASES[name]) == 0
     assert capsys.readouterr().out == _golden(name)

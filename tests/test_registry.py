@@ -31,8 +31,8 @@ from minrep.registry import (
 from minrep.rootsys import (
     MAX_RANK,
     bilinear,
+    dot,
     make_root_system,
-    factor_bilinear,
     space_rho,
     space_weyl_dim,
     weight,
@@ -189,7 +189,7 @@ def test_line_data_consistency_on_stored_records():
             resid = weight_sub(target, weight_add(r.xi0, weight_scale(c, m.beta)))
             assert weight_is_zero(resid), r.name
             for i in range(len(r.space.factors)):
-                assert factor_bilinear(r.space, i, r.xi0, m.beta) == 0
+                assert dot(r.xi0.factors[i], m.beta.factors[i]) == 0
             seen.add(c)
         beta = r.modules[0].beta
         assert weight_is_zero(weight_add(apply(r.space, r.w0, beta), beta))
@@ -376,6 +376,58 @@ def test_validate_rejects_wrong_null_half():
 def test_save_load_round_trip_all_defaults():
     records = all_default_records()
     assert load(save(records)) == records
+
+
+@pytest.mark.parametrize("r", all_default_records(), ids=lambda r: r.name)
+def test_each_catalog_record_round_trips_on_its_own(r):
+    assert load(save([r])) == (r,)
+
+
+def _one_module_payload(name):
+    payload = json.loads(save([find_record(name)]))
+    obj = payload["records"][0]
+    obj["modules"] = obj["modules"][:1]
+    return payload
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    # the two files that passed `minrep verify` by claiming a class with
+    # one module
+    ("so(5,2)", {"family": "so_even_even"},
+     r"so\(5,2\): so_even_even takes 2 parameter\(s\), got 1"),
+    ("e6(-14)", {"name": "e6(6)"},
+     r"e6\(6\): does not match the built-in record e6\(6\) in k_factors, "
+     "center_dim, hermitian"),
+    ("so(5,2)", {"params": [6]},
+     r"so\(5,2\): does not match so\(6,2\), the so_p_2 instance at params "
+     r"\(6,\), in name, g_complex, k_factors"),
+    ("so(5,2)", {"params": [4]}, r"so\(5,2\): so_p_2 requires p >= 5"),
+    ("so(5,2)", {"family": "su_p_q"}, r"so\(5,2\): unknown family 'su_p_q'"),
+    ("so(5,2)", {"family": None}, None),
+])
+def test_load_refuses_a_record_of_another_class(name, edit, message):
+    payload = _one_module_payload(name)
+    payload["records"][0].update(edit)
+    if message is None:
+        # without a family, a name that no built-in record has is not a
+        # claim, like the hand-written toy record below
+        assert len(load(json.dumps(payload))) == 1
+        return
+    with pytest.raises(RegistryFormatError, match=message):
+        load(json.dumps(payload))
+
+
+def test_load_builds_the_builtin_records_once(monkeypatch):
+    records = builtin_records()
+    text = save(records)
+    calls = []
+    monkeypatch.setattr("minrep.registry.builtin_records",
+                        lambda: calls.append(1) or records)
+    assert load(text) == records
+    assert calls == [1]
+    # records with a family are checked against their family alone
+    load(save(default_instances()))
+    assert calls == [1]
 
 
 def test_rationals_serialize_as_fraction_strings():

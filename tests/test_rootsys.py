@@ -18,7 +18,6 @@ from minrep.rootsys import (
     make_root_system,
     omega_to_coords,
     pair_coroot,
-    reflect,
     root_system_from_roots,
     space_dominance,
     space_rho,
@@ -33,6 +32,8 @@ from minrep.rootsys import (
     weyl_dim,
 )
 from minrep.weyl import orthogonal_subsystem
+
+from fraction_reference import reflect
 
 ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
               "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",

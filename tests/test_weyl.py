@@ -15,7 +15,6 @@ from minrep.rootsys import (
     dot,
     make_root_system,
     pair_coroot,
-    reflect,
     vec,
     vscale,
     weight,
@@ -39,6 +38,8 @@ from minrep.weyl import (
     type_label,
     word,
 )
+
+from fraction_reference import apply_word, reflect
 
 H = Q(1, 2)
 A1D = make_root_system("A1d")
@@ -124,8 +125,7 @@ def test_enumerated_words_are_reduced(label):
     # sends negative.  (w p, rho) = (p, w^-1 rho), so those are the
     # positive roots that pair negatively with w^-1 rho.
     rs = make_root_system(label)
-    start = weyl._tracked_image(rs, rs.rho)
-    scale = next(Q(t) / r for t, r in zip(start, rs.rho) if r)
+    scale, start = weyl._tracked_image(rs, rs.rho)
     images = []
 
     def keep(state):
@@ -187,6 +187,8 @@ def test_word_letters_must_lie_on_root_lines():
         word(sp, [(0, (1, 1, 1))])
     with pytest.raises(ValueError):
         word(sp, [(1, (1, 0, 0))])
+    with pytest.raises(ValueError, match="not on a root line"):
+        word(sp, [(0, (0, 0, 0))])
     # any nonzero multiple of a root is accepted as a letter
     sp2 = KSpace((A1D,), 0)
     w = word(sp2, [(0, (1, -1))])
@@ -197,7 +199,8 @@ def test_apply_word_matches_apply_element():
     rs, sp = _single("B3")
     w = word(sp, [(0, (1, -1, 0)), (0, (0, 0, 1)), (0, (0, 1, 1))])
     lam = weight(sp, (4, 1, -2))
-    assert apply(sp, w, lam) == apply(sp, as_element(sp, w), lam)
+    assert apply(sp, w, lam) == apply_word(w, lam) == weight(sp, (2, 4, 1))
+    assert apply(sp, as_element(sp, w), lam) == apply_word(w, lam)
 
 
 def test_rightmost_letter_acts_first():
@@ -235,7 +238,7 @@ def test_longest_element_of_a_type_is_coordinate_reversal():
 def test_longest_element_properties(label):
     rs, sp = _single(label)
     w = longest_element(rs)
-    assert len(w) == len(rs.positive)
+    assert len(w.letters) == len(rs.positive)
     wl = as_element(sp, w)
     m = wl.blocks[0]
     assert matvec(m, rs.rho) == vscale(-1, rs.rho)
@@ -591,9 +594,44 @@ def test_element_matches_product_of_reflection_matrices(sw):
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_word_and_element_application_agree(sw):
+    # both act on lattice images, so each is held to the Fraction reference
     sp, w = sw
     lam = _probe(sp)
-    assert apply(sp, w, lam) == apply(sp, as_element(sp, w), lam)
+    assert apply(sp, w, lam) == apply_word(w, lam)
+    assert apply(sp, as_element(sp, w), lam) == apply_word(w, lam)
+
+
+LATTICE_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1d")
+
+
+@st.composite
+def rational_vector_and_word(draw):
+    """A system, a vector with random rational coordinates and a word of
+    random root letters, each scaled by a random nonzero rational."""
+    rs = make_root_system(draw(st.sampled_from(LATTICE_TYPES)))
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    v = tuple(draw(rational) for _ in range(rs.ambient))
+    scales = rational.filter(bool)
+    letters = [(0, vscale(draw(scales), r))
+               for r in draw(st.lists(st.sampled_from(sorted(rs.roots)), max_size=8))]
+    return rs, v, letters
+
+
+@given(rational_vector_and_word())
+@settings(max_examples=60, deadline=None)
+def test_lattice_action_matches_fraction_reference(case):
+    rs, v, letters = case
+    sp = KSpace((rs,), 0)
+    w = word(sp, letters)
+    lam = weight(sp, v)
+    assert apply(sp, w, lam) == apply_word(w, lam)
+    # the lattice image stays integral along the whole orbit; a lattice
+    # error would raise inside the walk
+    d, image = weyl._tracked_image(rs, v)
+    assert image == tuple(d * c for c in v)
+    seen = []
+    weyl._survivors(rs, (image,), (seen.append,))
+    assert len(seen) == group_order(rs)
 
 
 def test_catalog_w0_elements_match_product_of_reflection_matrices():
