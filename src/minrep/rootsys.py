@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple
@@ -106,6 +106,18 @@ class RootSystem:
     def trace_redundant(self) -> bool:
         """Factors whose coordinates carry a redundant diagonal direction."""
         return self.family == "A" or self.label == "A1d"
+
+    # written past the frozen __setattr__; eq and hash read only the fields
+    @cached_property
+    def coroot_images(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, K) with u . K_j = L <u, alpha_j^vee> for every vector u: for
+        b_j = m alpha_j the integer images, L is the lcm of their norms and
+        K_j = 2 m (L / (b_j, b_j)) b_j."""
+        m, ints = integer_images(self.simple)
+        norms = [sum(c * c for c in b) for b in ints]
+        big = lcm(*norms)
+        return big, tuple(tuple(2 * m * (big // n) * c for c in b)
+                          for b, n in zip(ints, norms))
 
 
 def _indecomposables(positive: Iterable[Vector]) -> list[Vector]:
@@ -347,10 +359,18 @@ class DomInt(NamedTuple):
     integral: bool
 
 
+def coroot_labels(rs: RootSystem, v: Vector) -> tuple[int, tuple[int, ...]]:
+    """(d, d <v, alpha_j^vee> over the simple roots), integers for d = v's
+    integer scale times the L of RootSystem.coroot_images.  A reflection
+    updates them by an integer Cartan row, so they stay integral."""
+    m, (u,) = integer_images([v])
+    big, coroots = rs.coroot_images
+    return m * big, tuple([sum(map(mul, u, k)) for k in coroots])
+
+
 def dominance(rs: RootSystem, lam: Vector) -> DomInt:
-    pairings = [pair_coroot(lam, a) for a in rs.simple]
-    return DomInt(all(p >= 0 for p in pairings),
-                  all(p.denominator == 1 for p in pairings))
+    d, labels = coroot_labels(rs, lam)
+    return DomInt(all(p >= 0 for p in labels), all(p % d == 0 for p in labels))
 
 
 def weyl_dim(rs: RootSystem, lam: Vector) -> int:
@@ -358,15 +378,17 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     dom = dominance(rs, lam)
     if not (dom.dominant and dom.integral):
         raise ValueError(f"{lam} is not dominant integral for {rs.label}")
-    num, den = Q(1), Q(1)
-    lr = vadd(lam, rs.rho)
-    for a in rs.positive:
-        num *= dot(lr, a)
-        den *= dot(rs.rho, a)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise ValueError(f"Weyl dimension formula gave {d} for {lam} on {rs.label}")
-    return int(d)
+    # one integer image of lam + rho, rho and the roots: scales cancel in num / den
+    _, (lam_int, rho_int, *positive) = integer_images([lam, rs.rho, *rs.positive])
+    lr = tuple(map(add, lam_int, rho_int))
+    num = den = 1
+    for a in positive:
+        num *= sum(map(mul, lr, a))
+        den *= sum(map(mul, rho_int, a))
+    d, rem = divmod(num, den)
+    if rem or d <= 0:
+        raise ValueError(f"Weyl dimension formula gave {Q(num, den)} for {lam} on {rs.label}")
+    return d
 
 
 def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:

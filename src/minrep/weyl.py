@@ -16,19 +16,20 @@ the tree in which each point's parent is its reflection in its first
 descent, so it visits every element exactly once with neither a visited
 set nor a list of states: besides the survivors it keeps, its memory is
 bounded by the rank and the longest word, not by the group order.  Tracked
-vectors (beta, xi0) are reflected along as integer vectors,
-caller-supplied tests pick the survivors, and each survivor's word is its
-path from the root read backwards.  orbit_size, the parabolic stabilizers
-of the default "chamber" line-preserver strategy (trivial on the whole
-catalog), and the "reduced" and "brute" certificates all call it.
+vectors (beta, xi0) ride along as their integer labels too, updated by the
+same Cartan rows; caller-supplied tests read them through integer affine
+forms, and each survivor's word is its path from the root read backwards.
+orbit_size, the parabolic stabilizers of the default "chamber"
+line-preserver strategy (trivial on the whole catalog), and the "reduced"
+and "brute" certificates all call it, and every survivor of the three is
+checked against the definition through apply.
 
 The layer is fraction-free inside.  Longest elements and greedy descents
 run on simple-coroot labels with the integer Cartan rows.  A word acts on
 a vector, or on the rows of the identity to give its matrix, one way: on
 integer lattice images (see _tracked_image), letter by letter, divided
 back into Fractions once, at the end.  What depends only on a root system
-(Cartan rows, mirrors, root lines, the longest word, the lattice scale,
-its orthogonal subsystems) is computed once and kept on the RootSystem.
+is computed once and kept on the RootSystem.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .rootsys import (
     Weight,
     _component_split,
     conform,
+    coroot_labels,
     dot,
     is_zero,
-    pair_coroot,
     root_system_from_roots,
     space_dominance,
     vscale,
@@ -149,9 +150,8 @@ class _Memo:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.rows = _cartan_rows(rs.simple)
-        self.mirrors = [_mirror(a) for a in rs.simple]
-        self._letters = dict(zip(rs.simple, self.mirrors))
+        self.rows = _cartan_rows(rs)
+        self._letters: dict[Vector, tuple[tuple[int, ...], int]] = {}
         self.longest: tuple[Vector, ...] | None = None
         self.perp: dict[Vector, RootSystem] = {}
 
@@ -309,23 +309,38 @@ def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, 
     return tuple([a - c * b for a, b in zip(u, s)])
 
 
-def _cartan_rows(simple: tuple[Vector, ...]) -> list[list[tuple[int, int]]]:
+def _cartan_rows(rs: RootSystem) -> list[list[tuple[int, int]]]:
     """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the j
-    where the entry is nonzero: i itself and its Dynkin neighbours.  The
-    pairings are taken on the integer images of the simple roots."""
-    _, ints = integer_images(simple)
-    norms = [sum(c * c for c in b) for b in ints]
+    where the entry is nonzero: i itself and its Dynkin neighbours, read
+    off the integer labels of alpha_i."""
     rows = []
-    for a in ints:
-        row = []
-        for j, (b, norm) in enumerate(zip(ints, norms)):
-            entry, rem = divmod(2 * sum(map(mul, a, b)), norm)
-            if rem:
-                raise AssertionError(f"Cartan entry {entry + Q(rem, norm)} is not an integer")
-            if entry:
-                row.append((j, entry))
-        rows.append(row)
+    for a in rs.simple:
+        d, labels = coroot_labels(rs, a)
+        if any(lj % d for lj in labels):
+            raise AssertionError(f"Cartan row of {a} is not integral")
+        rows.append([(j, lj // d) for j, lj in enumerate(labels) if lj])
     return rows
+
+
+def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[int, ...], int]]:
+    """For each y, an integer affine form (c, k) on the labels l of w(x)
+    (see coroot_labels): c . l + k is (y, w x) times one positive constant,
+    the same for every y and every w in W(rs).
+
+    W fixes the part x1 of x off the root span.  With y1 the part of y off
+    it and omega_j the fundamental weights, (y, w x) = sum_j (y, omega_j)
+    <w x, alpha_j^vee> + (y1, x1), and w = 1 gives the constant (y1, x1).
+    """
+    d, labels = coroot_labels(rs, x)
+    m, (u,) = integer_images([x])
+    mw, weights = integer_images(rs.fundamental)
+    scale = mw * (d // m)
+    out = []
+    for y in integer_images(list(ys))[1]:
+        c = tuple([sum(map(mul, y, w)) for w in weights])
+        # scale (y . u) is (y, x) at the scale of c . labels
+        out.append((c, scale * sum(map(mul, y, u)) - sum(map(mul, c, labels))))
+    return out
 
 
 def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
@@ -333,9 +348,11 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     """Letters (printed order) of every w in W(rs) whose state passes a
     test, one list per test.
 
-    A state is (labels, w(t) for t in tracked): the labels are the
-    simple-coroot pairings <w(2*rho), alpha_j^vee>, and the tracked images
-    are lattice images (see _tracked_image).  The search is a reverse
+    A state is one flat integer tuple: the simple-coroot labels
+    <w(2*rho), alpha_j^vee>, then those of w(t) for each tracked block t
+    (the labels of a vector, see coroot_labels).  s_i subtracts each block's
+    label i times Cartan row i from that block, and tests read the blocks
+    through integer affine forms (see _forms).  The search is a reverse
     search over the orbit of 2*rho, rooted at the labels (2, ..., 2): the
     parent of a point is its reflection in its first descent (the first
     negative label), so s_i u is a child of u exactly when u's label i is
@@ -346,15 +363,18 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     along first descents.
     """
     simple = rs.simple
-    memo = _memo(rs)
-    mirrors, rows = memo.mirrors, memo.rows
+    rows = _memo(rs).rows
     rank = len(simple)
     # each index's Dynkin neighbours after it; none after the root's `rank`
     later = [[j for j, _ in row if j > i] for i, row in enumerate(rows)] + [[]]
+    # s_i on the tracked blocks: (where label i sits, row i moved there)
+    offsets = [rank * (t + 1) for t in range(len(tracked))]
+    moves = [[(o + i, [(o + j, a) for j, a in row]) for o in offsets]
+             for i, row in enumerate(rows)]
     found: list[list[list[Vector]]] = [[] for _ in tests]
     pairs = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
-    stack = [(((2,) * rank,) + tuple(tracked), None)]
+    stack = [((2,) * rank + tuple(chain.from_iterable(tracked)), None)]
     while stack:
         state, path = stack.pop()
         letters = None
@@ -367,25 +387,26 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
                     i, p = p
                     letters.append(simple[i])
             out.append(letters)
-        labels = state[0]
-        first = next((j for j, lj in enumerate(labels) if lj < 0), rank)
+        first = next((j for j in range(rank) if state[j] < 0), rank)
         # Below the first descent every label is positive, and reflecting
         # by such an i raises the labels of its neighbours, so s_i u is a
         # child.  Past it, the first descent must be a neighbour of i that
         # the reflection turns positive.
         for i in chain(range(first), later[first]):
-            li = labels[i]
+            li = state[i]
             if li <= 0:
                 continue
-            child = list(labels)
+            child = list(state)
             for j, a in rows[i]:
                 child[j] -= li * a
             if i > first and min(child[:i]) <= 0:
                 continue
-            s, ss = mirrors[i]
-            stack.append(((tuple(child),) + tuple([_reflect_int(e, s, ss)
-                                                   for e in state[1:]]),
-                          (i, path)))
+            for src, row in moves[i]:
+                lt = state[src]
+                if lt:
+                    for j, a in row:
+                        child[j] -= lt * a
+            stack.append((tuple(child), (i, path)))
     return found
 
 
@@ -510,22 +531,13 @@ def space_subgroup_longest(space: KSpace, subs: Iterable[RootSystem]) -> WeylWor
 # line preservers
 
 
-def _nonnegative_on(roots: list[tuple[int, ...]]):
-    """State test: w(xi0), the last tracked image, pairs nonnegatively with
-    every root in `roots`."""
+def _nonnegative(forms: list[tuple[tuple[int, ...], int]], start: int):
+    """State test: every form (see _forms) is nonnegative on the state's
+    last tracked block, which starts at index `start`."""
     def test(state) -> bool:
-        x = state[-1]
-        return all(sum(p * q for p, q in zip(a, x)) >= 0 for a in roots)
+        x = state[start:]
+        return all(sum(map(mul, c, x)) + k >= 0 for c, k in forms)
     return test
-
-
-def _on_line(target: tuple[int, ...], roots: list[tuple[int, ...]]):
-    """State test for (w(2*rho), w(beta), w(xi0)): w(beta) == target and,
-    as the xi condition asks, w(xi0) pairs nonnegatively with every root
-    orthogonal to target."""
-    xi_ok = _nonnegative_on(
-        [a for a in roots if sum(p * q for p, q in zip(a, target)) == 0])
-    return lambda state: state[1] == target and xi_ok(state)
 
 
 def _by_factor(space: KSpace, w: WeylWord) -> list[list[Vector]]:
@@ -587,7 +599,7 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     u0: list[list[Vector]] = []
     parabolics: list[RootSystem | None] = []
     for sub, xi_f in zip(subs, xi0.factors):
-        descent, labels = _descend(sub, [pair_coroot(xi_f, a) for a in sub.simple])
+        descent, labels = _descend(sub, coroot_labels(sub, xi_f)[1])
         u0.append(descent[::-1])
         parabolics.append(orthogonal_subsystem(sub, _act(sub, u0[-1], xi_f))
                           if 0 in labels else None)
@@ -603,31 +615,46 @@ def _line_preservers_chamber(space, beta, xi0, budget):
         flip = WeylWord(wl.letters + space_subgroup_longest(space, subs).letters)
         branches.append([[prefix + w for w in words]
                          for prefix, words in zip(_by_factor(space, flip), plus)])
-    out = _elements(space.factors, branches)
+    return _self_checked(space, beta, xi0, _elements(space.factors, branches), "chamber")
 
+
+def _self_checked(space, beta, xi0, out, strategy):
+    """`out`, once each element is checked against the definition through
+    apply; SelfCheckError names the strategy whose survivor fails."""
+    negated = tuple(vscale(-1, v) for v in beta.factors)
+    perp = [[a for a in rs.positive if not dot(a, v)]
+            for rs, v in zip(space.factors, beta.factors)]
     for w in out:
         if apply(space, w, beta).factors not in (beta.factors, negated):
-            raise SelfCheckError("chamber survivor does not send beta to +-beta")
+            raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
         moved = apply(space, w, xi0)
-        for sub, v in zip(subs, moved.factors):
-            if any(dot(a, v) < 0 for a in sub.positive):
-                raise SelfCheckError("chamber survivor does not keep xi0 "
-                                     "dominant for the beta stabilizer")
+        if any(dot(a, v) < 0 for roots, v in zip(perp, moved.factors) for a in roots):
+            raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
+                                 "dominant for the beta stabilizer")
     return out
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
     _require_within(space_group_order(space), budget,
                     "x".join(rs.label for rs in space.factors))
+    # W fixes the part of beta off the root span: w(beta) = beta exactly
+    # when the labels agree, and w(beta) = -beta exactly when they are
+    # negated and beta has no such part (the constant of beta's own form).
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
-        _, b0 = _tracked_image(rs, beta_f)
-        _, pos_int = integer_images(rs.positive)
-        tests = (_on_line(b0, pos_int), _on_line(tuple(-c for c in b0), pos_int))
-        keep_plus, keep_minus = _survivors(rs, (b0, _tracked_image(rs, xi_f)[1]), tests)
-        plus.append(keep_plus)
-        minus.append(keep_minus)
-    return _elements(space.factors, (plus, minus))
+        _, b = coroot_labels(rs, beta_f)
+        *root_forms, (_, off_span) = _forms(rs, rs.positive + (beta_f,), beta_f)
+        perp = [a for a, (c, k) in zip(rs.positive, root_forms)
+                if not sum(map(mul, c, b)) + k]
+        lo, hi = rs.rank, 2 * rs.rank
+        xi_ok = _nonnegative(_forms(rs, perp, xi_f), hi)
+        targets = (b,) if off_span else (b, tuple([-c for c in b]))
+        found = _survivors(rs, (b, coroot_labels(rs, xi_f)[1]),
+                           [lambda state, t=t: state[lo:hi] == t and xi_ok(state)
+                            for t in targets])
+        plus.append(found[0])
+        minus.append(found[1] if len(found) > 1 else [])
+    return _self_checked(space, beta, xi0, _elements(space.factors, (plus, minus)), "brute")
 
 
 def _line_preservers_reduced(space, beta, xi0, budget):
@@ -646,13 +673,13 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     plus, minus = [], []
     for rs, sub, prefix, xi_f in zip(space.factors, subs, _by_factor(space, wl),
                                      xi0.factors):
-        _, pos_int = integer_images(sub.positive)
-        tests = [_nonnegative_on(pos_int)]
+        tests = [_nonnegative(_forms(sub, sub.positive, xi_f), sub.rank)]
         if wl_flips_beta:
-            _, pos_wl_int = integer_images([_act(rs, prefix, p) for p in sub.positive])
-            tests.append(_nonnegative_on(pos_wl_int))
-        found = _survivors(sub, (_tracked_image(sub, xi_f)[1],), tests)
+            flipped = [_act(rs, prefix, p) for p in sub.positive]
+            tests.append(_nonnegative(_forms(sub, flipped, xi_f), sub.rank))
+        found = _survivors(sub, (coroot_labels(sub, xi_f)[1],), tests)
         plus.append(found[0])
         if wl_flips_beta:
             minus.append([prefix + w for w in found[1]])
-    return _elements(space.factors, (plus, minus) if wl_flips_beta else (plus,))
+    branches = (plus, minus) if wl_flips_beta else (plus,)
+    return _self_checked(space, beta, xi0, _elements(space.factors, branches), "reduced")

@@ -2,7 +2,9 @@
 orthogonal subsystems, and the line-preserver search on known data."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from minrep.linalg import identity, matmul, matvec
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
+    coroot_labels,
     dot,
     make_root_system,
     pair_coroot,
@@ -72,17 +75,33 @@ def test_orbit_enumeration_matches_closed_form(label):
     assert orbit_size(rs) == CLOSED_FORM_ORDERS[label]
 
 
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 def test_orbit_enumeration_e6():
     # the reverse search keeps neither a visited set nor a list of states,
     # so its memory does not grow with the 51840 elements
     rs = make_root_system("E6")
-    tracemalloc.start()
-    try:
-        size = orbit_size(rs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    size, peak = _peak_bytes(lambda: orbit_size(rs))
     assert size == 51840
+    assert peak < 2 ** 20
+    # nor when it tracks two vectors, as brute does for beta and xi0 on e6(C)
+    tracked = (coroot_labels(rs, rs.highest_root)[1], coroot_labels(rs, rs.rho)[1])
+    widths = Counter()
+
+    def count(state):
+        widths[len(state)] += 1
+        return False
+
+    _, peak = _peak_bytes(lambda: weyl._survivors(rs, tracked, (count,)))
+    assert widths == {3 * rs.rank: 51840}
     assert peak < 2 ** 20
 
 
@@ -125,20 +144,22 @@ def test_enumerated_words_are_reduced(label):
     # sends negative.  (w p, rho) = (p, w^-1 rho), so those are the
     # positive roots that pair negatively with w^-1 rho.
     rs = make_root_system(label)
-    scale, start = weyl._tracked_image(rs, rs.rho)
-    images = []
+    d, start = coroot_labels(rs, rs.rho)
+    states = []
 
     def keep(state):
-        images.append(state[1])
+        states.append(state)
         return True
 
     (words,) = weyl._survivors(rs, (start,), (keep,))
     assert len(words) == CLOSED_FORM_ORDERS[label]
-    for letters, image in zip(words, images, strict=True):
+    for letters, state in zip(words, states, strict=True):
         w_rho = rs.rho
         for a in reversed(letters):
             w_rho = reflect(w_rho, a)
-        assert vscale(scale, w_rho) == image
+        # the state holds the labels of w(2 rho) and d times those of w(rho)
+        ref = tuple(pair_coroot(w_rho, a) for a in rs.simple)
+        assert state == tuple(2 * c for c in ref) + tuple(d * c for c in ref)
         w_inv_rho = rs.rho
         for a in letters:
             w_inv_rho = reflect(w_inv_rho, a)
@@ -451,6 +472,22 @@ def test_line_preservers_degenerate_rank_two_cases():
                              as_element(spa, longest_element(a2))})
 
 
+@pytest.mark.parametrize("label,beta,fixing", [
+    ("A1", (1, 0), []),
+    ("A2", (1, 0, 0), [(0, (0, 1, -1))]),
+])
+def test_line_preservers_beta_off_the_root_span(label, beta, fixing):
+    # beta has a part off the root span, which W fixes: on A1, s(beta) =
+    # (0, 1) has beta's labels negated but is not -beta, and on A2 no w
+    # negates beta.  With xi0 = 0 the survivors are W_beta: {1} on A1 and
+    # {1, s(e2 - e3)} on A2.
+    rs, sp = _single(label)
+    expected = frozenset({identity_element(sp), as_element(sp, word(sp, fixing))})
+    args = (weight(sp, beta), weight(sp, (0,) * rs.ambient))
+    for strategy in weyl.STRATEGIES:
+        assert line_preservers(sp, *args, strategy) == expected, strategy
+
+
 def test_line_preservers_validates_inputs():
     sp = KSpace((make_root_system("C3"),), 0)
     xi0 = weight(sp, (0, 0, 0))
@@ -510,6 +547,12 @@ def preserver_case(draw):
         for c, omega in zip(coeffs, rs.fundamental):
             v = tuple(a + c * b for a, b in zip(v, omega))
         blocks.append(v)
+    # W fixes the diagonal of an A-type block, so shifting beta along it
+    # keeps beta dominant integral and gives beta a part off the root span
+    for f, rs in enumerate(sp.factors):
+        if rs.family == "A":
+            shift = draw(st.integers(-2, 2))
+            blocks[f] = tuple(c + shift for c in blocks[f])
     if all(all(c == 0 for c in v) for v in blocks):
         blocks[0] = sp.factors[0].fundamental[0]
     coord = st.sampled_from((Q(-1), -H, Q(0), H, Q(1)))
@@ -610,28 +653,56 @@ def rational_vector_and_word(draw):
     random root letters, each scaled by a random nonzero rational."""
     rs = make_root_system(draw(st.sampled_from(LATTICE_TYPES)))
     rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-    v = tuple(draw(rational) for _ in range(rs.ambient))
+    v, y = (tuple(draw(rational) for _ in range(rs.ambient)) for _ in range(2))
     scales = rational.filter(bool)
     letters = [(0, vscale(draw(scales), r))
                for r in draw(st.lists(st.sampled_from(sorted(rs.roots)), max_size=8))]
-    return rs, v, letters
+    return rs, v, y, letters
 
 
 @given(rational_vector_and_word())
 @settings(max_examples=60, deadline=None)
 def test_lattice_action_matches_fraction_reference(case):
-    rs, v, letters = case
+    rs, v, y, letters = case
     sp = KSpace((rs,), 0)
     w = word(sp, letters)
     lam = weight(sp, v)
     assert apply(sp, w, lam) == apply_word(w, lam)
-    # the lattice image stays integral along the whole orbit; a lattice
-    # error would raise inside the walk
-    d, image = weyl._tracked_image(rs, v)
-    assert image == tuple(d * c for c in v)
-    seen = []
-    weyl._survivors(rs, (image,), (seen.append,))
-    assert len(seen) == group_order(rs)
+    # Along the whole orbit walk, each state's tracked block is d times the
+    # labels of the Fraction reference image, the lattice image that apply
+    # reflects stays integral (_reflect_int raises otherwise), and the form
+    # of y reads (y, w v) up to one positive factor, also when both have a
+    # part off the root span (A types, G2, A1d).  A node's word is its
+    # parent's with one more letter in front, and the walk visits the
+    # parent first.
+    d, labels = coroot_labels(rs, v)
+    ((coeffs, const),) = weyl._forms(rs, [y], v)
+    ratios = set()
+    scale, image = weyl._tracked_image(rs, v)
+    assert image == tuple(scale * c for c in v)
+    states = []
+
+    def keep(state):
+        states.append(state)
+        return True
+
+    (words,) = weyl._survivors(rs, (labels,), (keep,))
+    assert len(words) == group_order(rs)
+    ref = {(): (v, image)}
+    for letters, state in zip(words, states, strict=True):
+        key = tuple(letters)
+        if key:
+            parent, lattice = ref[key[1:]]
+            ref[key] = (reflect(parent, key[0]),
+                        weyl._reflected(rs, key[:1], [lattice])[0])
+        w_v, lattice = ref[key]
+        assert state[rs.rank:] == tuple(d * pair_coroot(w_v, a) for a in rs.simple)
+        assert lattice == tuple(scale * c for c in w_v)
+        value, pairing = sum(map(mul, coeffs, state[rs.rank:])) + const, dot(y, w_v)
+        assert (value > 0) == (pairing > 0) and (value < 0) == (pairing < 0)
+        if pairing:
+            ratios.add(value / pairing)
+    assert len(ratios) <= 1
 
 
 def test_catalog_w0_elements_match_product_of_reflection_matrices():
