@@ -1,8 +1,8 @@
 """Command-line surface: run the verification suite, print the summary
 tables, and expose reflection-group utilities.
 
-Exit codes: 0 success, 1 at least one failing check, 2 usage or
-configuration error.  Default output is byte-identical across runs;
+Exit codes: 0 success, 1 at least one failing check or none passing
+(every selected check skipped), 2 usage or configuration error.  Default output is byte-identical across runs;
 timing columns only appear with --timings.
 """
 

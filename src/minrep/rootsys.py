@@ -1,31 +1,36 @@
 """Exact root-system arithmetic in standard (Bourbaki) coordinates.
 
-Every vector is a tuple of Fraction; no floating point is used anywhere in
-this package.  A `RootSystem` is a concrete set of coordinate vectors closed
-under negation, together with a fixed positive system, the simple roots in
-the conventional numbering, rho, and the fundamental weights.
+Integer images inside, Fraction on the `RootSystem` fields: construction
+runs on integer vectors (the roots times one common scale) and makes
+Fractions only for the fields it returns, one per distinct coordinate
+value.  No floating point is used anywhere in this package.  A
+`RootSystem` is a concrete set of coordinate vectors closed under
+negation, together with a fixed positive system, the simple roots in the
+conventional numbering, rho, and the fundamental weights.
 
 Supported constructions:
 
 * classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` up to rank 16
   (A-type lives in full n+1 coordinates, not the traceless hyperplane),
-* exceptional types ``G2``, ``F4``, ``E6``, ``E7``, ``E8`` (the E6 and E7
-  systems live in eight coordinates, as the subsystems of E8 orthogonal to
-  {e6+e8, e7+e8} and to e7+e8 respectively),
+* exceptional types ``G2``, ``F4``, ``E6``, ``E7``, ``E8`` (F4 and the E
+  types are listed in doubled coordinates; the E6 and E7 systems live in
+  eight coordinates, as the subsystems of E8 orthogonal to {e6+e8, e7+e8}
+  and to e7+e8 respectively),
 * ``A1d``: the rank-one system in two coordinates whose positive root is
   (2, -2), so that (1, -1) is the highest weight of the defining
   two-dimensional module.  Weight tables for su(2) factors are written in
   these doubled coordinates.
 * arbitrary embedded systems from an explicit closed root list plus a
-  chamber vector selecting the positive half.
+  chamber vector selecting the positive half by the sign of an integer
+  dot product.
 
-Construction checks its own result (simple roots = indecomposables, rho
-pairs to 1 with every simple coroot, every positive root an N-combination
-of the simple roots).  It computes on integer-scaled vectors: the scaling
-by the lcm of all denominators is exact and injective, so the O(P^2) sum
-set and the dot products behind the Cartan matrix and the fundamental
-weights run on Python integers, and one elimination solves for every
-positive root at once.
+Construction checks its own result on the integer images (simple roots =
+indecomposables, rho pairs to 1 with every simple coroot, read as
+(2 rho, a) = (a, a), every positive root an N-combination of the simple
+roots).  The scaling is exact and injective, so the O(P^2) sum set, the
+dot products behind rho, the Cartan matrix and the fundamental weights,
+and one elimination that solves for every positive root at once all run
+on Python integers.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple
@@ -44,10 +50,6 @@ Vector = tuple[Q, ...]
 
 class UnsupportedCartanType(ValueError):
     pass
-
-
-def vec(*coords) -> Vector:
-    return tuple(Q(c) for c in coords)
 
 
 def vzero(n: int) -> Vector:
@@ -120,17 +122,23 @@ class RootSystem:
                           for b, n in zip(ints, norms))
 
 
-def _indecomposables(positive: Iterable[Vector]) -> list[Vector]:
-    """Positive roots that are not the sum of two positive roots, found by
-    summing their integer images."""
-    pos = list(positive)
-    _, ints = integer_images(pos)
-    sums = {tuple(map(add, a, b)) for i, a in enumerate(ints) for b in ints[i:]}
-    return [p for p, u in zip(pos, ints) if u not in sums]
+IntVector = tuple[int, ...]
 
 
-def _component_split(simple: tuple[Vector, ...]) -> list[list[int]]:
-    """Connected components of the simple system under non-orthogonality."""
+def _idot(u: IntVector, v: IntVector) -> int:
+    return sum(map(mul, u, v))
+
+
+def _indecomposables(positive: list[IntVector]) -> list[IntVector]:
+    """Positive roots, as integer images at one common scale, that are not
+    the sum of two positive roots."""
+    sums = {tuple(map(add, a, b)) for i, a in enumerate(positive) for b in positive[i:]}
+    return [p for p in positive if p not in sums]
+
+
+def _component_split(simple: list[IntVector]) -> list[list[int]]:
+    """Connected components of the simple system under non-orthogonality,
+    read off the simple roots' integer images."""
     n = len(simple)
     seen = [False] * n
     comps = []
@@ -143,158 +151,156 @@ def _component_split(simple: tuple[Vector, ...]) -> list[list[int]]:
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and dot(simple[i], simple[j]) != 0:
+                if not seen[j] and _idot(simple[i], simple[j]) != 0:
                     seen[j] = True
                     stack.append(j)
         comps.append(sorted(comp))
     return comps
 
 
-def _build(label: str, family: str, ambient: int, positive: list[Vector],
-           simple: list[Vector]) -> RootSystem:
-    roots = frozenset(positive) | frozenset(vscale(-1, p) for p in positive)
+def _build(label: str, family: str, ambient: int, scale: int,
+           positive: list[IntVector], simple: list[IntVector]) -> RootSystem:
+    """The system whose positive and simple roots are the integer images
+    `positive` and `simple` divided by `scale`.  Every check runs on the
+    images; Fractions are made for the fields only, one per distinct
+    coordinate value of the roots."""
+    values = set(chain.from_iterable(positive))
+    q = {c: Q(c, scale) for c in values | {-c for c in values}}
+
+    def rational(u: IntVector) -> Vector:
+        return tuple(map(q.__getitem__, u))
+
     if set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
-    rho = vscale(Q(1, 2), _vsum(positive, ambient))
+    two_rho = tuple(map(sum, zip(*positive))) if positive else (0,) * ambient
+    # <rho, a^vee> = 1 reads (2 rho, a) = (a, a), which any common scale keeps
     for a in simple:
-        if pair_coroot(rho, a) != 1:
-            raise ValueError(f"{label}: rho pairing is not 1 against {a}")
-    heights = {}
+        if _idot(two_rho, a) != _idot(a, a):
+            raise ValueError(f"{label}: rho pairing is not 1 against {rational(a)}")
+    heights = []
     for p, coeffs in zip(positive, solve_combination(simple, positive)):
-        if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
-            raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
-        heights[p] = sum(coeffs)
-    fundamental = _fundamental_weights(simple)
-    irreducible = len(_component_split(tuple(simple))) == 1
-    highest = max(positive, key=lambda p: heights[p]) if irreducible else None
+        if coeffs is None or any(c.denominator != 1 or c.numerator < 0 for c in coeffs):
+            raise ValueError(f"{label}: positive root {rational(p)} is not an "
+                             "N-combination of simples")
+        heights.append(sum(c.numerator for c in coeffs))
+    pos = [rational(p) for p in positive]
+    roots = frozenset(pos) | frozenset(tuple([q[-c] for c in p]) for p in positive)
+    rho = tuple(Q(c, 2 * scale) for c in two_rho)
+    fundamental = _fundamental_weights(scale, simple)
+    irreducible = len(_component_split(simple)) == 1
+    highest = (pos[max(range(len(pos)), key=heights.__getitem__)]
+               if irreducible else None)
     return RootSystem(label, family, len(simple), ambient, roots,
-                      tuple(simple), tuple(positive), rho, fundamental, highest)
+                      tuple(map(rational, simple)), tuple(pos), rho, fundamental,
+                      highest)
 
 
-def _vsum(vs: Iterable[Vector], n: int) -> Vector:
-    acc = vzero(n)
-    for v in vs:
-        acc = vadd(acc, v)
-    return acc
-
-
-def _fundamental_weights(simple: list[Vector]) -> tuple[Vector, ...]:
+def _fundamental_weights(scale: int, simple: list[IntVector]) -> tuple[Vector, ...]:
     # omega_i = sum_k x_k alpha_k with <omega_i, alpha_j^vee> = delta_ij.
     # Solving inside the root span pins the weights down even when the
     # ambient space is larger than the rank (A-type, embedded E6/E7).
-    # Both the Cartan entries and the sums run on the integer images m*alpha.
+    # Row j of that system times (alpha_j, alpha_j) is integral:
+    # sum_k 2 (alpha_k, alpha_j) x_k = (alpha_j, alpha_j) delta_ij.
     n = len(simple)
-    m, ints = integer_images(simple)
-    gram = [[sum(map(mul, u, v)) for v in ints] for u in ints]
-    cartan_cols = [tuple(Q(2 * gram[k][j], gram[j][j]) for j in range(n))
-                   for k in range(n)]
-    targets = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
-    coords = list(zip(*ints))
+    gram = [[_idot(u, v) for v in simple] for u in simple]
+    columns = [tuple([2 * g for g in row]) for row in gram]
+    targets = [tuple([gram[j][j] if j == i else 0 for j in range(n)]) for i in range(n)]
+    coords = list(zip(*simple))
     out = []
-    for xs in solve_combination(cartan_cols, targets):
+    for xs in solve_combination(columns, targets):
         if xs is None:
             raise ValueError("a fundamental weight is outside the span of "
                              "the Cartan matrix columns")
         d = lcm(*(x.denominator for x in xs))
         nums = [x.numerator * (d // x.denominator) for x in xs]
-        out.append(tuple(Q(sum(map(mul, nums, col)), d * m) for col in coords))
+        out.append(tuple(Q(_idot(nums, col), d * scale) for col in coords))
     return tuple(out)
 
 
-def _e(i: int, n: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+# Each _pos_<type> returns (scale, positive roots, simple roots): integer
+# vectors that are the roots times scale.  F4 and the E types use doubled
+# coordinates, the rest scale 1.
+
+Listing = tuple[int, list[IntVector], list[IntVector]]
 
 
-def _pos_A(n: int) -> tuple[list[Vector], list[Vector]]:
+def _vec(n: int, *entries: tuple[int, int]) -> IntVector:
+    """The length-n integer vector with the given (index, value) entries."""
+    out = [0] * n
+    for i, c in entries:
+        out[i] = c
+    return tuple(out)
+
+
+def _pairs(n: int, c: int) -> list[IntVector]:
+    """c (e_i - e_j), then c (e_i + e_j), over i < j."""
+    return ([_vec(n, (i, c), (j, -c)) for i in range(n) for j in range(i + 1, n)]
+            + [_vec(n, (i, c), (j, c)) for i in range(n) for j in range(i + 1, n)])
+
+
+def _chain(n: int, c: int) -> list[IntVector]:
+    """c (e_i - e_(i+1)) for i < n - 1."""
+    return [_vec(n, (i, c), (i + 1, -c)) for i in range(n - 1)]
+
+
+def _pos_A(n: int) -> Listing:
     d = n + 1
-    pos = [vsub(_e(i, d), _e(j, d)) for i in range(d) for j in range(i + 1, d)]
-    simple = [vsub(_e(i, d), _e(i + 1, d)) for i in range(n)]
-    return pos, simple
+    pos = [_vec(d, (i, 1), (j, -1)) for i in range(d) for j in range(i + 1, d)]
+    return 1, pos, _chain(d, 1)
 
 
-def _pos_B(n: int) -> tuple[list[Vector], list[Vector]]:
-    pos = [_e(i, n) for i in range(n)]
-    pos += [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [_e(n - 1, n)]
-    return pos, simple
+def _pos_B(n: int) -> Listing:
+    pos = [_vec(n, (i, 1)) for i in range(n)] + _pairs(n, 1)
+    return 1, pos, _chain(n, 1) + [_vec(n, (n - 1, 1))]
 
 
-def _pos_C(n: int) -> tuple[list[Vector], list[Vector]]:
-    pos = [vscale(2, _e(i, n)) for i in range(n)]
-    pos += [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [vscale(2, _e(n - 1, n))]
-    return pos, simple
+def _pos_C(n: int) -> Listing:
+    pos = [_vec(n, (i, 2)) for i in range(n)] + _pairs(n, 1)
+    return 1, pos, _chain(n, 1) + [_vec(n, (n - 1, 2))]
 
 
-def _pos_D(n: int) -> tuple[list[Vector], list[Vector]]:
-    pos = [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
-    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-    simple.append(vadd(_e(n - 2, n), _e(n - 1, n)))
-    return pos, simple
+def _pos_D(n: int) -> Listing:
+    return 1, _pairs(n, 1), _chain(n, 1) + [_vec(n, (n - 2, 1), (n - 1, 1))]
 
 
-def _pos_G2() -> tuple[list[Vector], list[Vector]]:
-    a1 = vec(1, -1, 0)
-    a2 = vec(-2, 1, 1)
-    pos = [a1, a2, vadd(a1, a2), vadd(vscale(2, a1), a2),
-           vadd(vscale(3, a1), a2), vadd(vscale(3, a1), vscale(2, a2))]
-    return pos, [a1, a2]
+def _pos_G2() -> Listing:
+    a1, a2 = (1, -1, 0), (-2, 1, 1)
+    pos = [tuple([i * x + j * y for x, y in zip(a1, a2)])
+           for i, j in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
+    return 1, pos, [a1, a2]
 
 
-def _pos_F4() -> tuple[list[Vector], list[Vector]]:
-    pos = [_e(i, 4) for i in range(4)]
-    pos += [vsub(_e(i, 4), _e(j, 4)) for i in range(4) for j in range(i + 1, 4)]
-    pos += [vadd(_e(i, 4), _e(j, 4)) for i in range(4) for j in range(i + 1, 4)]
-    half = Q(1, 2)
-    for s2 in (1, -1):
-        for s3 in (1, -1):
-            for s4 in (1, -1):
-                pos.append((half, half * s2, half * s3, half * s4))
-    simple = [vsub(_e(1, 4), _e(2, 4)), vsub(_e(2, 4), _e(3, 4)), _e(3, 4),
-              vec(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))]
-    return pos, simple
+def _pos_F4() -> Listing:
+    pos = [_vec(4, (i, 2)) for i in range(4)] + _pairs(4, 2)
+    pos += [(1, s2, s3, s4) for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
+    return 2, pos, _chain(4, 2)[1:] + [_vec(4, (3, 2)), (1, -1, -1, -1)]
 
 
-def _pos_E8() -> tuple[list[Vector], list[Vector]]:
+def _pos_E8() -> Listing:
     pos = []
     for j in range(8):
         for i in range(j):
-            pos.append(vadd(_e(i, 8), _e(j, 8)))
-            pos.append(vadd(vscale(-1, _e(i, 8)), _e(j, 8)))
-    half = Q(1, 2)
+            pos.append(_vec(8, (i, 2), (j, 2)))
+            pos.append(_vec(8, (i, -2), (j, 2)))
     for mask in range(128):
-        signs = [1 if not (mask >> i) & 1 else -1 for i in range(7)]
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            pos.append(tuple([half * s for s in signs] + [half]))
-    simple = [
-        vec(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)),
-        vec(1, 1, 0, 0, 0, 0, 0, 0),
-        vec(-1, 1, 0, 0, 0, 0, 0, 0),
-        vec(0, -1, 1, 0, 0, 0, 0, 0),
-        vec(0, 0, -1, 1, 0, 0, 0, 0),
-        vec(0, 0, 0, -1, 1, 0, 0, 0),
-        vec(0, 0, 0, 0, -1, 1, 0, 0),
-        vec(0, 0, 0, 0, 0, -1, 1, 0),
-    ]
-    return pos, simple
+        signs = [-1 if (mask >> i) & 1 else 1 for i in range(7)]
+        if signs.count(-1) % 2 == 0:
+            pos.append(tuple(signs + [1]))
+    simple = [(1, -1, -1, -1, -1, -1, -1, 1), _vec(8, (0, 2), (1, 2))] + _chain(8, -2)[:6]
+    return 2, pos, simple
 
 
-def _pos_E7() -> tuple[list[Vector], list[Vector]]:
-    pos8, simple8 = _pos_E8()
-    wall = vec(0, 0, 0, 0, 0, 0, 1, 1)
-    pos = [p for p in pos8 if dot(p, wall) == 0]
-    return pos, simple8[:7]
+def _pos_E7() -> Listing:
+    # the E8 roots orthogonal to e7 + e8
+    scale, pos8, simple8 = _pos_E8()
+    return scale, [p for p in pos8 if p[6] + p[7] == 0], simple8[:7]
 
 
-def _pos_E6() -> tuple[list[Vector], list[Vector]]:
-    pos8, simple8 = _pos_E8()
-    w1 = vec(0, 0, 0, 0, 0, 0, 1, 1)
-    w2 = vec(0, 0, 0, 0, 0, 1, 0, 1)
-    pos = [p for p in pos8 if dot(p, w1) == 0 and dot(p, w2) == 0]
-    return pos, simple8[:6]
+def _pos_E6() -> Listing:
+    # the E8 roots orthogonal to e7 + e8 and to e6 + e8
+    scale, pos8, simple8 = _pos_E8()
+    return (scale, [p for p in pos8 if p[6] + p[7] == 0 and p[5] + p[7] == 0],
+            simple8[:6])
 
 
 _MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 2}
@@ -310,11 +316,11 @@ def make_root_system(cartan_type: str) -> RootSystem:
     """Build a root system by type label, e.g. "C4", "E7", "A1d"."""
     label = cartan_type.strip()
     if label == "A1d":
-        return _build("A1d", "A1d", 2, [vec(2, -2)], [vec(2, -2)])
+        return _build("A1d", "A1d", 2, 1, [(2, -2)], [(2, -2)])
     fixed = {"G2": _pos_G2, "F4": _pos_F4, "E6": _pos_E6, "E7": _pos_E7, "E8": _pos_E8}
     if label in fixed:
-        pos, simple = fixed[label]()
-        return _build(label, label[0], len(pos[0]), pos, simple)
+        scale, pos, simple = fixed[label]()
+        return _build(label, label[0], len(pos[0]), scale, pos, simple)
     family, rank_text = label[:1], label[1:]
     if family in "ABCD" and rank_text.isdigit():
         rank = int(rank_text)
@@ -322,8 +328,9 @@ def make_root_system(cartan_type: str) -> RootSystem:
             raise UnsupportedCartanType(
                 f"type {cartan_type!r} has rank above {MAX_RANK}")
         if rank >= _MIN_RANK[family]:
-            pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C, "D": _pos_D}[family](rank)
-            return _build(label, family, len(pos[0]), pos, simple)
+            scale, pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C,
+                                  "D": _pos_D}[family](rank)
+            return _build(label, family, len(pos[0]), scale, pos, simple)
     raise UnsupportedCartanType(
         f"unsupported type {cartan_type!r}; expected one of A>=1, B>=1, C>=1, D>=2, "
         "E6, E7, E8, F4, G2, A1d")
@@ -336,18 +343,22 @@ def root_system_from_roots(label: str, roots: Iterable[Vector], chamber: Vector)
     pairing form the positive system.  An empty root list gives the rank-0
     system in the chamber vector's space.
     """
-    allroots = {tuple(Q(c) for c in r) for r in roots}
-    allroots |= {vscale(-1, r) for r in allroots}
+    scale, images = integer_images(list(roots))
+    _, (c,) = integer_images([chamber])
+    if any(len(u) != len(c) for u in images):
+        raise ValueError(f"a root and the chamber vector {chamber} differ in length")
+    both = set(images)
+    both |= {tuple([-x for x in u]) for u in both}
     pos = []
-    for r in allroots:
-        p = dot(r, chamber)
+    for u in both:
+        p = _idot(u, c)
         if p == 0:
-            raise ValueError(f"chamber vector vanishes on root {r}")
+            raise ValueError(f"chamber vector vanishes on root "
+                             f"{tuple(Q(x, scale) for x in u)}")
         if p > 0:
-            pos.append(r)
+            pos.append(u)
     pos.sort()
-    simple = sorted(_indecomposables(pos))
-    return _build(label, "sub", len(chamber), pos, simple)
+    return _build(label, "sub", len(c), scale, pos, sorted(_indecomposables(pos)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from .rootsys import (
     _component_split,
     conform,
     coroot_labels,
-    dot,
     is_zero,
     root_system_from_roots,
     space_dominance,
@@ -163,15 +162,16 @@ class _Memo:
         return out
 
     @cached_property
-    def root_images(self) -> tuple[list[Vector], list[tuple[int, ...]]]:
-        """The roots and their integer images (one common scale)."""
-        roots = list(self.rs.roots)
-        return roots, integer_images(roots)[1]
+    def positive_images(self) -> list[tuple[int, ...]]:
+        """The integer images of rs.positive, in order, at one common
+        scale."""
+        return integer_images(self.rs.positive)[1]
 
     @cached_property
     def lines(self) -> frozenset[tuple[int, ...]]:
         """The primitive integer vector on each root line, both signs."""
-        return frozenset(map(_primitive, self.root_images[1]))
+        ups = list(map(_primitive, self.positive_images))
+        return frozenset(ups) | frozenset(tuple([-c for c in u]) for u in ups)
 
     @cached_property
     def scale(self) -> int:
@@ -185,7 +185,7 @@ class _Memo:
         a = m r the condition reads 2 S a_i / (a, a) in Z; S is the least.
         """
         out = 1
-        for a in self.root_images[1]:
+        for a in self.positive_images:
             norm = sum(c * c for c in a)
             out = lcm(out, norm // gcd(norm, 2 * gcd(*a)))
         return out
@@ -237,19 +237,21 @@ def _matrix(rs: RootSystem, letters: Iterable[Vector]) -> Matrix:
 
 def _component_profiles(rs: RootSystem) -> list[tuple[str, int]]:
     """(type label, Weyl order) for each irreducible component."""
-    comps = _component_split(rs.simple)
+    _, images = integer_images(rs.simple + rs.positive)
+    simple, positive = images[:rs.rank], images[rs.rank:]
+    comps = _component_split(simple)
     comp_of = {i: k for k, comp in enumerate(comps) for i in comp}
     # a positive root is supported on one component; its first nonzero
     # simple-root coefficient names it
-    pos_norms: list[list[Q]] = [[] for _ in comps]
-    for p, coeffs in zip(rs.positive, solve_combination(list(rs.simple), rs.positive)):
+    pos_norms: list[list[int]] = [[] for _ in comps]
+    for p, coeffs in zip(positive, solve_combination(simple, positive)):
         first = next(i for i, c in enumerate(coeffs) if c != 0)
-        pos_norms[comp_of[first]].append(dot(p, p))
+        pos_norms[comp_of[first]].append(sum(map(mul, p, p)))
     return [_classify_component(len(comp), norms)
             for comp, norms in zip(comps, pos_norms)]
 
 
-def _classify_component(rank: int, positive_norms: list[Q]) -> tuple[str, int]:
+def _classify_component(rank: int, positive_norms: list[int]) -> tuple[str, int]:
     npos = len(positive_norms)
     nroots = 2 * npos
     if len(set(positive_norms)) == 1:
@@ -495,6 +497,13 @@ def space_longest_element(space: KSpace) -> WeylWord:
 # orthogonal subsystems
 
 
+def _orthogonal(rs: RootSystem, v: Vector) -> list[bool]:
+    """For each positive root of rs in order, whether it is orthogonal to
+    v, by integer dot products."""
+    _, (u,) = integer_images([v])
+    return [not sum(map(mul, a, u)) for a in _memo(rs).positive_images]
+
+
 def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
     """The roots of rs orthogonal to v, a root system of rank 0 when there
     are none.  The same system comes back for the same (rs, v)."""
@@ -504,11 +513,9 @@ def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
     memo = _memo(rs)
     sub = memo.perp.get(v)
     if sub is None:
-        roots, images = memo.root_images
-        _, (u,) = integer_images([v])
-        sel = [r for r, a in zip(roots, images) if not sum(map(mul, a, u))]
         # rs.rho is regular for rs, hence for the subsystem; the induced
         # positive part is (subsystem) intersect (positive roots of rs)
+        sel = [r for r, keep in zip(rs.positive, _orthogonal(rs, v)) if keep]
         sub = memo.perp[v] = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
     return sub
 
@@ -622,13 +629,15 @@ def _self_checked(space, beta, xi0, out, strategy):
     """`out`, once each element is checked against the definition through
     apply; SelfCheckError names the strategy whose survivor fails."""
     negated = tuple(vscale(-1, v) for v in beta.factors)
-    perp = [[a for a in rs.positive if not dot(a, v)]
+    # the positive roots orthogonal to beta, as integer images: signs of
+    # dot products survive any positive scale
+    perp = [[a for a, keep in zip(_memo(rs).positive_images, _orthogonal(rs, v)) if keep]
             for rs, v in zip(space.factors, beta.factors)]
     for w in out:
         if apply(space, w, beta).factors not in (beta.factors, negated):
             raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
-        moved = apply(space, w, xi0)
-        if any(dot(a, v) < 0 for roots, v in zip(perp, moved.factors) for a in roots):
+        _, moved = integer_images(apply(space, w, xi0).factors)
+        if any(sum(map(mul, a, u)) < 0 for roots, u in zip(perp, moved) for a in roots):
             raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
                                  "dominant for the beta stabilizer")
     return out

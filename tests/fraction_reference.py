@@ -1,9 +1,27 @@
-"""The Fraction reference for the Weyl layer: reflections in exact
-rational coordinates, letter by letter, as the textbook formula writes
-them.  The package reflects integer lattice images instead; tests compare
-it against these."""
+"""Fraction references for the root-system and Weyl layers, in exact
+rational coordinates, as the textbook formulas write them.  The package
+builds root systems and reflects vectors on integer images instead; tests
+compare it against these."""
 
-from minrep.rootsys import Weight, pair_coroot, vscale, vsub
+from fractions import Fraction as Q
+from math import lcm
+from operator import add, mul
+
+from minrep.linalg import integer_images, solve_combination
+from minrep.rootsys import (
+    RootSystem,
+    Weight,
+    dot,
+    pair_coroot,
+    vadd,
+    vscale,
+    vsub,
+    vzero,
+)
+
+
+def vec(*coords):
+    return tuple(Q(c) for c in coords)
 
 
 def reflect(v, alpha):
@@ -18,3 +36,201 @@ def apply_word(w, lam: Weight) -> Weight:
     for f, v in reversed(w.letters):
         blocks[f] = reflect(blocks[f], v)
     return Weight(tuple(blocks), lam.center)
+
+
+# ---------------------------------------------------------------------------
+# root-system construction on Fraction vectors
+
+
+def _indecomposables(positive):
+    pos = list(positive)
+    _, ints = integer_images(pos)
+    sums = {tuple(map(add, a, b)) for i, a in enumerate(ints) for b in ints[i:]}
+    return [p for p, u in zip(pos, ints) if u not in sums]
+
+
+def _component_split(simple):
+    n = len(simple)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        comp, stack = [], [s]
+        seen[s] = True
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if not seen[j] and dot(simple[i], simple[j]) != 0:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _vsum(vs, n):
+    acc = vzero(n)
+    for v in vs:
+        acc = vadd(acc, v)
+    return acc
+
+
+def _fundamental_weights(simple):
+    n = len(simple)
+    m, ints = integer_images(simple)
+    gram = [[sum(map(mul, u, v)) for v in ints] for u in ints]
+    cartan_cols = [tuple(Q(2 * gram[k][j], gram[j][j]) for j in range(n))
+                   for k in range(n)]
+    targets = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
+    coords = list(zip(*ints))
+    out = []
+    for xs in solve_combination(cartan_cols, targets):
+        d = lcm(*(x.denominator for x in xs))
+        nums = [x.numerator * (d // x.denominator) for x in xs]
+        out.append(tuple(Q(sum(map(mul, nums, col)), d * m) for col in coords))
+    return tuple(out)
+
+
+def build(label, family, ambient, positive, simple) -> RootSystem:
+    roots = frozenset(positive) | frozenset(vscale(-1, p) for p in positive)
+    if set(simple) != set(_indecomposables(positive)):
+        raise ValueError(f"{label}: simple system does not match indecomposables")
+    rho = vscale(Q(1, 2), _vsum(positive, ambient))
+    for a in simple:
+        if pair_coroot(rho, a) != 1:
+            raise ValueError(f"{label}: rho pairing is not 1 against {a}")
+    heights = {}
+    for p, coeffs in zip(positive, solve_combination(simple, positive)):
+        if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
+            raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
+        heights[p] = sum(coeffs)
+    fundamental = _fundamental_weights(simple)
+    irreducible = len(_component_split(tuple(simple))) == 1
+    highest = max(positive, key=lambda p: heights[p]) if irreducible else None
+    return RootSystem(label, family, len(simple), ambient, roots,
+                      tuple(simple), tuple(positive), rho, fundamental, highest)
+
+
+def _e(i, n):
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+
+
+def _pos_A(n):
+    d = n + 1
+    pos = [vsub(_e(i, d), _e(j, d)) for i in range(d) for j in range(i + 1, d)]
+    simple = [vsub(_e(i, d), _e(i + 1, d)) for i in range(n)]
+    return pos, simple
+
+
+def _pos_B(n):
+    pos = [_e(i, n) for i in range(n)]
+    pos += [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [_e(n - 1, n)]
+    return pos, simple
+
+
+def _pos_C(n):
+    pos = [vscale(2, _e(i, n)) for i in range(n)]
+    pos += [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [vscale(2, _e(n - 1, n))]
+    return pos, simple
+
+
+def _pos_D(n):
+    pos = [vsub(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    pos += [vadd(_e(i, n), _e(j, n)) for i in range(n) for j in range(i + 1, n)]
+    simple = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
+    simple.append(vadd(_e(n - 2, n), _e(n - 1, n)))
+    return pos, simple
+
+
+def _pos_G2():
+    a1 = vec(1, -1, 0)
+    a2 = vec(-2, 1, 1)
+    pos = [a1, a2, vadd(a1, a2), vadd(vscale(2, a1), a2),
+           vadd(vscale(3, a1), a2), vadd(vscale(3, a1), vscale(2, a2))]
+    return pos, [a1, a2]
+
+
+def _pos_F4():
+    pos = [_e(i, 4) for i in range(4)]
+    pos += [vsub(_e(i, 4), _e(j, 4)) for i in range(4) for j in range(i + 1, 4)]
+    pos += [vadd(_e(i, 4), _e(j, 4)) for i in range(4) for j in range(i + 1, 4)]
+    half = Q(1, 2)
+    for s2 in (1, -1):
+        for s3 in (1, -1):
+            for s4 in (1, -1):
+                pos.append((half, half * s2, half * s3, half * s4))
+    simple = [vsub(_e(1, 4), _e(2, 4)), vsub(_e(2, 4), _e(3, 4)), _e(3, 4),
+              vec(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))]
+    return pos, simple
+
+
+def _pos_E8():
+    pos = []
+    for j in range(8):
+        for i in range(j):
+            pos.append(vadd(_e(i, 8), _e(j, 8)))
+            pos.append(vadd(vscale(-1, _e(i, 8)), _e(j, 8)))
+    half = Q(1, 2)
+    for mask in range(128):
+        signs = [1 if not (mask >> i) & 1 else -1 for i in range(7)]
+        if sum(1 for s in signs if s < 0) % 2 == 0:
+            pos.append(tuple([half * s for s in signs] + [half]))
+    simple = [
+        vec(Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)),
+        vec(1, 1, 0, 0, 0, 0, 0, 0),
+        vec(-1, 1, 0, 0, 0, 0, 0, 0),
+        vec(0, -1, 1, 0, 0, 0, 0, 0),
+        vec(0, 0, -1, 1, 0, 0, 0, 0),
+        vec(0, 0, 0, -1, 1, 0, 0, 0),
+        vec(0, 0, 0, 0, -1, 1, 0, 0),
+        vec(0, 0, 0, 0, 0, -1, 1, 0),
+    ]
+    return pos, simple
+
+
+def _pos_E7():
+    pos8, simple8 = _pos_E8()
+    wall = vec(0, 0, 0, 0, 0, 0, 1, 1)
+    pos = [p for p in pos8 if dot(p, wall) == 0]
+    return pos, simple8[:7]
+
+
+def _pos_E6():
+    pos8, simple8 = _pos_E8()
+    w1 = vec(0, 0, 0, 0, 0, 0, 1, 1)
+    w2 = vec(0, 0, 0, 0, 0, 1, 0, 1)
+    pos = [p for p in pos8 if dot(p, w1) == 0 and dot(p, w2) == 0]
+    return pos, simple8[:6]
+
+
+def make_root_system(label) -> RootSystem:
+    """The system of a type label that `rootsys.make_root_system` builds."""
+    if label == "A1d":
+        return build("A1d", "A1d", 2, [vec(2, -2)], [vec(2, -2)])
+    fixed = {"G2": _pos_G2, "F4": _pos_F4, "E6": _pos_E6, "E7": _pos_E7, "E8": _pos_E8}
+    if label in fixed:
+        pos, simple = fixed[label]()
+        return build(label, label[0], len(pos[0]), pos, simple)
+    family, rank = label[0], int(label[1:])
+    pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C, "D": _pos_D}[family](rank)
+    return build(label, family, len(pos[0]), pos, simple)
+
+
+def root_system_from_roots(label, roots, chamber) -> RootSystem:
+    allroots = {tuple(Q(c) for c in r) for r in roots}
+    allroots |= {vscale(-1, r) for r in allroots}
+    pos = []
+    for r in allroots:
+        p = dot(r, chamber)
+        if p == 0:
+            raise ValueError(f"chamber vector vanishes on root {r}")
+        if p > 0:
+            pos.append(r)
+    pos.sort()
+    simple = sorted(_indecomposables(pos))
+    return build(label, "sub", len(chamber), pos, simple)

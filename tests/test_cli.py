@@ -114,12 +114,27 @@ def test_verify_record_and_family_are_exclusive(capsys):
 
 
 def test_verify_budget_skip_still_exits_zero(capsys):
+    # next to a check that passes; a selection with no pass does not pass
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique", "--strategy", "reduced",
-                       "--budget", "2")
+                       "--check", "w0_unique", "--check", "rho",
+                       "--strategy", "reduced", "--budget", "2")
     assert code == 0
     assert "above budget 2" in out
-    assert "skipped" in out
+    assert out.rstrip().endswith("overall: pass (1 pass, 1 skipped, 0 fail)")
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_verify_selection_without_a_pass_does_not_pass(capsys, fmt):
+    # the compact e6 has no modules, so both checks skip: nothing certified
+    code, out, _ = run(capsys, "verify", "--record", "e6", "--check",
+                       "w0_unique", "--check", "xi0", "--format", fmt)
+    assert code == 1
+    if fmt == "md":
+        assert out.rstrip().endswith("overall: skipped (0 pass, 2 skipped, 0 fail)")
+    else:
+        doc = json.loads(out)
+        assert doc["overall"] == "skipped"
+        assert [r["status"] for r in doc["reports"]] == ["skipped", "skipped"]
 
 
 def test_verify_budget_comes_from_the_flag_alone(capsys, monkeypatch):
@@ -150,13 +165,12 @@ def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
 
 
 def test_verify_jobs_above_cpu_count_is_usage_error(capsys, monkeypatch):
-    import minrep.verify
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was created")
 
     monkeypatch.setattr("os.cpu_count", lambda: 1)
-    monkeypatch.setattr(minrep.verify, "ProcessPoolExecutor", no_pool)
+    # run_all imports the pool class from here when --jobs asks for one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     code, out, err = run(capsys, "verify", "--record", "g2_2", "--jobs", "2")
     assert code == 2
     assert out == ""

@@ -1,15 +1,18 @@
 """Root-system layer: constructions checked against an independent oracle,
 plus frozen values for the data the rest of the package leans on."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import rootsys
+from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
+    RootSystem,
     UnsupportedCartanType,
     Weight,
     bilinear,
@@ -24,7 +27,6 @@ from minrep.rootsys import (
     space_weyl_dim,
     trace_free_canonical,
     vadd,
-    vec,
     vscale,
     weight,
     weight_add,
@@ -33,7 +35,8 @@ from minrep.rootsys import (
 )
 from minrep.weyl import orthogonal_subsystem
 
-from fraction_reference import reflect
+import fraction_reference
+from fraction_reference import reflect, vec
 
 ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
               "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
@@ -193,10 +196,18 @@ def naive_indecomposables(positive):
     return [p for p in positive if p not in sums]
 
 
+def integer_indecomposables(positive):
+    """The package's indecomposables, found on the integer images of the
+    Fraction roots `positive`, read back as those roots."""
+    _, images = integer_images(positive)
+    found = set(rootsys._indecomposables(images))
+    return [p for p, u in zip(positive, images) if u in found]
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_indecomposables_match_fraction_sums(label):
     positive = list(make_root_system(label).positive)
-    assert rootsys._indecomposables(positive) == naive_indecomposables(positive)
+    assert integer_indecomposables(positive) == naive_indecomposables(positive)
 
 
 def test_integer_indecomposables_match_on_catalog_beta_subsystems():
@@ -208,7 +219,7 @@ def test_integer_indecomposables_match_on_catalog_beta_subsystems():
         if not sub.rank:
             continue
         positive = list(sub.positive)
-        assert rootsys._indecomposables(positive) == naive_indecomposables(positive)
+        assert integer_indecomposables(positive) == naive_indecomposables(positive)
         checked += 1
     assert checked >= 20
 
@@ -222,32 +233,64 @@ def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
         return real(columns, targets)
 
     monkeypatch.setattr(rootsys, "solve_combination", counting)
-    positive, simple = rootsys._pos_E8()
-    rs = rootsys._build("E8", "E", 8, positive, simple)
+    scale, positive, simple = rootsys._pos_E8()
+    rs = rootsys._build("E8", "E", 8, scale, positive, simple)
     assert calls == [120, 8]
     assert rs.fundamental == make_root_system("E8").fundamental
 
 
 def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
-    positive = list(make_root_system("A2").positive)
+    positive = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
     with pytest.raises(ValueError, match="indecomposables"):
-        rootsys._build("bad", "sub", 3, positive, [vec(1, -1, 0), vec(1, 0, -1)])
+        rootsys._build("bad", "sub", 3, 1, positive, [(1, -1, 0), (1, 0, -1)])
 
 
 def test_build_refuses_a_bad_rho_pairing():
     # simple = indecomposables, but rho = (1, 1) pairs to 2 with both
     with pytest.raises(ValueError, match="rho pairing"):
-        rootsys._build("bad", "sub", 2, [vec(1, 0), vec(0, 1), vec(1, 1)],
-                       [vec(1, 0), vec(0, 1)])
+        rootsys._build("bad", "sub", 2, 1, [(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1)])
 
 
 def test_build_refuses_a_positive_root_that_is_not_an_n_combination():
     # (1, 0) is the only indecomposable and rho = (1/2, 0) pairs to 1 with
     # it; the multiples of (0, 1) decompose among themselves but lie outside
     # the span of the simple root
-    positive = [vec(1, 0), vec(0, 1), vec(0, -1), vec(0, 2), vec(0, -2)]
+    positive = [(1, 0), (0, 1), (0, -1), (0, 2), (0, -2)]
     with pytest.raises(ValueError, match="N-combination"):
-        rootsys._build("bad", "sub", 2, positive, [vec(1, 0)])
+        rootsys._build("bad", "sub", 2, 1, positive, [(1, 0)])
+
+
+CLASSICAL_LABELS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 1), ("C", 1), ("D", 2))
+                    for rank in range(low, rootsys.MAX_RANK + 1)]
+
+
+def assert_same_system(rs, ref):
+    """Every field equal to the Fraction reference's, tuples in order, and
+    every coordinate a Fraction."""
+    for field in dataclasses.fields(RootSystem):
+        assert getattr(rs, field.name) == getattr(ref, field.name), field.name
+    vectors = [*rs.roots, *rs.simple, *rs.positive, rs.rho, *rs.fundamental]
+    if rs.highest_root is not None:
+        vectors.append(rs.highest_root)
+    assert all(type(c) is Q for v in vectors for c in v)
+
+
+@pytest.mark.parametrize("label", sorted(set(ALL_LABELS + CLASSICAL_LABELS)))
+def test_integer_construction_matches_the_fraction_reference(label):
+    assert_same_system(make_root_system(label), fraction_reference.make_root_system(label))
+
+
+def test_catalog_subsystems_match_the_fraction_reference():
+    pairs = {(rs, v) for r in all_default_records() for m in r.modules
+             for rs, v in zip(r.space.factors, m.beta.factors)}
+    for rs, v in sorted(pairs, key=repr):
+        roots = [a for a in rs.roots if dot(a, v) == 0]
+        ref = fraction_reference.root_system_from_roots("sub", roots, rs.rho)
+        assert_same_system(root_system_from_roots("sub", roots, rs.rho), ref)
+        # the memoized subsystem, built from the positive roots alone
+        sub = orthogonal_subsystem(rs, v)
+        assert_same_system(sub, dataclasses.replace(ref, label=sub.label))
+    assert len(pairs) >= 30
 
 
 def test_embedded_system_from_long_roots_of_g2():

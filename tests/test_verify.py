@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from minrep import weyl
+from minrep import verify, weyl
 from minrep.registry import (
     MinimalModuleRecord,
     all_default_records,
@@ -305,6 +305,43 @@ def test_disjointness_control_without_separator():
     assert rep.status == "fail" and "no symbolic separator" in rep.evidence
 
 
+def shared_rung_mutant():
+    """sp(2,R) with the weil-even and weil-odd ladders moved onto one line
+    (beta center charge 1/2): the center-charge congruence separator
+    wrongly clears the pair, and the A1 blocks (2n, 0) and (2n + 3, 2n + 1)
+    name the same K-type only after the trace is projected out."""
+    r = find_record("sp(2,R)")
+    even, even_c, odd, odd_c = r.modules
+    beta = weight(r.space, (2, 0), center=(Q(1, 2),))
+    moved = dataclasses.replace(odd, mu0=weight(r.space, (3, 1), center=(1,)), beta=beta)
+    return mutate(r, modules=(dataclasses.replace(even, beta=beta), even_c, moved, odd_c))
+
+
+def test_disjointness_control_with_a_shared_rung():
+    rep = run_check("count_and_disjoint", shared_rung_mutant())
+    assert (rep.status, rep.evidence) == (
+        "fail", "(weil-even, weil-odd) share K-type ((6,-6); 7/2) at rungs m=6, n=5")
+
+
+def test_integer_ladders_meet_where_the_fraction_ladders_do():
+    def meets(x, y):
+        return {(x[k], y[k]) for k in x.keys() & y.keys()}
+
+    records = list(all_default_records()) + [shared_rung_mutant()]
+    assert len(records) == 52
+    shared = 0
+    for r in records:
+        ints = verify._ladder_keys(r)
+        fracs = [{verify._canonical_rung(r, m, n): n for n in range(verify.RUNG_SWEEP + 1)}
+                 for m in r.modules]
+        assert len(ints) == len(fracs)
+        for i in range(len(fracs)):
+            for j in range(i, len(fracs)):
+                assert meets(ints[i], ints[j]) == meets(fracs[i], fracs[j]), r.name
+                shared += i < j and bool(meets(fracs[i], fracs[j]))
+    assert shared == 1
+
+
 def test_complex_beta_control():
     r = find_record("g2(C)")
     bad = MinimalModuleRecord("minimal", r.modules[0].mu0,
@@ -369,6 +406,15 @@ def test_suite_status_reflects_failures():
     assert suite_status(good) == "pass"
     bad = run_all([mutate(r, modules=())], checks=["count_and_disjoint"])
     assert suite_status(bad) == "fail"
+
+
+def test_suite_of_skips_alone_does_not_pass():
+    reports = run_all([find_record("e6")], checks=["w0_unique", "xi0"])
+    assert [rep.status for rep in reports] == ["skipped", "skipped"]
+    assert suite_status(reports) == "skipped"
+    # one pass next to the skips certifies something
+    assert suite_status(run_all([find_record("e6")], checks=["xi0", "rho"])) == "pass"
+    assert suite_status([]) == "skipped"
 
 
 def test_parallel_jobs_agree_with_serial(monkeypatch):

@@ -18,7 +18,6 @@ from minrep.rootsys import (
     dot,
     make_root_system,
     pair_coroot,
-    vec,
     vscale,
     weight,
 )
@@ -42,7 +41,7 @@ from minrep.weyl import (
     word,
 )
 
-from fraction_reference import apply_word, reflect
+from fraction_reference import apply_word, reflect, vec
 
 H = Q(1, 2)
 A1D = make_root_system("A1d")
