@@ -111,8 +111,7 @@ def cmd_verify(args) -> int:
         family = None
     try:
         # VerifyConfig refuses out-of-range settings with ValueError
-        config = VerifyConfig(strategy=args.strategy, budget=args.budget,
-                              jobs=args.jobs)
+        config = VerifyConfig(strategy=args.strategy, budget=args.budget)
         reports = run_all(records, record=args.record, family=family,
                           checks=args.check or None, config=config)
     except KeyError as exc:
@@ -388,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                           help=f"enumeration budget (default {DEFAULT_BUDGET})")
     p_verify.add_argument("--format", choices=("md", "json"), default="md")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--records", metavar="FILE",
                           help="verify records loaded from a registry file")
     p_verify.add_argument("--timings", action="store_true",

@@ -1,4 +1,6 @@
-"""Small exact linear algebra over Fraction vectors and matrices."""
+"""Small exact linear algebra: integer images of Fraction vectors, one
+multi-target solver, and the matrix product that composes Weyl elements
+(which are compared, never applied)."""
 
 from __future__ import annotations
 
@@ -7,14 +9,6 @@ from math import gcd, lcm
 
 Vector = tuple[Q, ...]
 Matrix = tuple[tuple[Q, ...], ...]
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
-
-
-def matvec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((a * b for a, b in zip(row, v, strict=True)), Q(0)) for row in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

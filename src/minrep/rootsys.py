@@ -77,13 +77,6 @@ def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
-def pair_coroot(lam: Vector, alpha: Vector) -> Q:
-    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
-    if is_zero(alpha):
-        raise ValueError("pairing against the zero vector")
-    return 2 * dot(lam, alpha) / dot(alpha, alpha)
-
-
 # ---------------------------------------------------------------------------
 # root system construction
 
@@ -500,27 +493,16 @@ def space_weyl_dim(space: KSpace, lam: Weight) -> int:
     return d
 
 
-def _ratgcd(values: Iterable[Q]) -> Q:
-    g = Q(0)
-    for v in values:
-        if v == 0:
-            continue
-        v = abs(v)
-        g = v if g == 0 else Q(gcd(g.numerator * v.denominator, v.numerator * g.denominator),
-                                g.denominator * v.denominator)
-    return g
-
-
 def lattice_period(space: KSpace, beta: Weight) -> Q:
-    """Least t > 0 such that t*beta pairs integrally with every simple coroot."""
+    """Least t > 0 such that t*beta pairs integrally with every simple
+    coroot: D / gcd(P) for the pairings P / D (see coroot_labels)."""
     conform(space, beta)
-    pairings = []
-    for rs, v in zip(space.factors, beta.factors):
-        pairings.extend(pair_coroot(v, a) for a in rs.simple)
-    g = _ratgcd(pairings)
+    scaled = [coroot_labels(rs, v) for rs, v in zip(space.factors, beta.factors)]
+    big = lcm(*(d for d, _ in scaled))
+    g = gcd(*(c * (big // d) for d, labels in scaled for c in labels))
     if g == 0:
         raise ValueError("beta pairs to zero with every simple coroot")
-    return 1 / g
+    return Q(big, g)
 
 
 def trace_free_canonical(space: KSpace, lam: Weight) -> Weight:

@@ -16,7 +16,6 @@ counterexample witness in the evidence string.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -34,11 +33,11 @@ from .render import format_q, format_vector, format_weight, format_word
 from .rootsys import (
     Vector,
     bilinear,
+    coroot_labels,
     dot,
     lattice_period,
     make_root_system,
     omega_to_coords,
-    pair_coroot,
     space_dominance,
     space_rho,
     space_weyl_dim,
@@ -54,10 +53,10 @@ from .weyl import (
     STRATEGIES,
     BudgetExceededError,
     SelfCheckError,
+    WeylWord,
     apply,
     as_element,
     compose,
-    identity_element,
     line_preservers,
     space_beta_subsystems,
     space_longest_element,
@@ -110,7 +109,6 @@ class VerifyConfig:
     a run impossible, raise ValueError."""
     strategy: str = "chamber"
     budget: int = DEFAULT_BUDGET
-    jobs: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -118,10 +116,6 @@ class VerifyConfig:
                              + ", ".join(STRATEGIES))
         if self.budget < 1:
             raise ValueError(f"budget (--budget) must be positive, got {self.budget}")
-        cpus = os.cpu_count() or 1
-        if not 1 <= self.jobs <= cpus:
-            raise ValueError(f"jobs (--jobs) must be between 1 and {cpus} "
-                             f"(the CPU count), got {self.jobs}")
 
 
 DEFAULT_CONFIG = VerifyConfig()
@@ -150,6 +144,12 @@ def _skip(reason: str):
 
 def _module_betas(r: RealFormRecord):
     return list(dict.fromkeys(m.beta for m in r.modules))
+
+
+def _beta_multiple(space, v, beta) -> Q | None:
+    """The c with v = c*beta, or None when v is off the beta line."""
+    c = bilinear(space, v, beta) / bilinear(space, beta, beta)
+    return c if weight_is_zero(weight_sub(v, weight_scale(c, beta))) else None
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,8 @@ def _check_xi0(r: RealFormRecord, config: VerifyConfig):
                 return _fail(f"module {m.label}: (xi0, beta) = {format_q(d)} "
                              f"!= 0 in factor {i}")
         target = weight_sub(weight_add(m.mu0, r.rho), r.xi0)
-        c = bilinear(r.space, target, m.beta) / bilinear(r.space, m.beta, m.beta)
-        if not weight_is_zero(weight_sub(target, weight_scale(c, m.beta))):
+        c = _beta_multiple(r.space, target, m.beta)
+        if c is None:
             return _fail(f"module {m.label}: mu0 + rho - xi0 = "
                          f"{format_weight(target)} is not a multiple of beta")
         scalars.append(c)
@@ -263,7 +263,7 @@ def _check_w0_unique(r: RealFormRecord, config: VerifyConfig):
         return _skip(SKIP_ONE_SIDED)
     if r.w0 is None or r.xi0 is None:
         return _skip("no stored w0 word")
-    expected = frozenset({identity_element(r.space), as_element(r.space, r.w0)})
+    expected = frozenset({as_element(r.space, WeylWord(())), as_element(r.space, r.w0)})
     for beta in _module_betas(r):
         try:
             got = line_preservers(r.space, beta, r.xi0,
@@ -294,8 +294,8 @@ def _check_same_line(r: RealFormRecord, config: VerifyConfig):
     for m in r.modules:
         v = weight_add(m.mu0, r.rho)
         diff = weight_sub(apply(r.space, r.w0, v), v)
-        c = bilinear(r.space, diff, m.beta) / bilinear(r.space, m.beta, m.beta)
-        if not weight_is_zero(weight_sub(diff, weight_scale(c, m.beta))):
+        c = _beta_multiple(r.space, diff, m.beta)
+        if c is None:
             return _fail(f"module {m.label}: w0(mu0+rho) - (mu0+rho) = "
                          f"{format_weight(diff)} is not a multiple of beta")
         shifts.append(c)
@@ -421,10 +421,11 @@ def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
 def infchar_round_trip(g_label: str, pattern) -> tuple[Vector, bool]:
     """The coordinates of sum_i c_i omega_i for the fundamental-weight
     coefficients `pattern` on type g_label, and whether they pair back to
-    the pattern."""
+    the pattern (their coroot labels, see coroot_labels, are d times it)."""
     rs = make_root_system(g_label)
     coords = omega_to_coords(rs, pattern)
-    return coords, tuple(pair_coroot(coords, a) for a in rs.simple) == tuple(pattern)
+    d, labels = coroot_labels(rs, coords)
+    return coords, labels == tuple([d * c for c in pattern])
 
 
 def _check_infchar_coords(r: RealFormRecord, config: VerifyConfig):
@@ -482,11 +483,6 @@ def run_check(name: str, record: RealFormRecord,
 # suite runner
 
 
-def _run_task(task) -> CheckReport:
-    record, name, config = task
-    return run_check(name, record, config)
-
-
 def run_all(records=None, *, record: str | None = None,
             family: str | None = None, checks=None,
             config: VerifyConfig = DEFAULT_CONFIG) -> tuple[CheckReport, ...]:
@@ -510,14 +506,7 @@ def run_all(records=None, *, record: str | None = None,
         if n not in _CHECKS:
             raise ValueError(f"unknown check {n!r}; known: "
                              + ", ".join(CHECK_NAMES))
-    tasks = [(r, n, config) for r in pool for n in names]
-    if config.jobs > 1:
-        # imported here: the pool module is a sizeable share of the
-        # package's import time, and a serial run never needs it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool_exec:
-            return tuple(pool_exec.map(_run_task, tasks))
-    return tuple(_run_task(t) for t in tasks)
+    return tuple(run_check(n, r, config) for r in pool for n in names)
 
 
 def suite_status(reports) -> str:

@@ -21,15 +21,16 @@ same Cartan rows; caller-supplied tests read them through integer affine
 forms, and each survivor's word is its path from the root read backwards.
 orbit_size, the parabolic stabilizers of the default "chamber"
 line-preserver strategy (trivial on the whole catalog), and the "reduced"
-and "brute" certificates all call it, and every survivor of the three is
-checked against the definition through apply.
+and "brute" certificates all call it, and the word of every survivor of
+the three is checked against the definition.
 
 The layer is fraction-free inside.  Longest elements and greedy descents
-run on simple-coroot labels with the integer Cartan rows.  A word acts on
-a vector, or on the rows of the identity to give its matrix, one way: on
-integer lattice images (see _tracked_image), letter by letter, divided
-back into Fractions once, at the end.  What depends only on a root system
-is computed once and kept on the RootSystem.
+run on simple-coroot labels with the integer Cartan rows.  Words act, and
+element matrices are only compared.  A word acts on a vector, or on the
+rows of the identity to give its matrix, one way: on integer lattice
+images (see _tracked_image), letter by letter, divided back into
+Fractions once, at the end.  What depends only on a root system is kept
+on the RootSystem.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable
 
-from .linalg import Matrix, identity, integer_images, matmul, matvec, solve_combination
+from .linalg import Matrix, integer_images, matmul, solve_combination
 from .rootsys import (
     KSpace,
     RootSystem,
@@ -80,7 +81,7 @@ class WeylWord:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One exact orthogonal matrix per factor; acts trivially on the center."""
+    """One exact orthogonal matrix per factor, center fixed; never applied."""
     blocks: tuple[Matrix, ...]
 
 
@@ -98,10 +99,6 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
     return WeylWord(tuple(out))
 
 
-def identity_element(space: KSpace) -> WeylElement:
-    return WeylElement(tuple(identity(rs.ambient) for rs in space.factors))
-
-
 def as_element(space: KSpace, w: WeylWord) -> WeylElement:
     return WeylElement(tuple(_matrix(rs, letters)
                              for rs, letters in zip(space.factors, _by_factor(space, w))))
@@ -112,18 +109,13 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(tuple(matmul(x, y) for x, y in zip(a.blocks, b.blocks, strict=True)))
 
 
-def apply(space: KSpace, w: WeylWord | WeylElement, lam: Weight) -> Weight:
+def apply(space: KSpace, w: WeylWord, lam: Weight) -> Weight:
+    if not isinstance(w, WeylWord):
+        raise TypeError(f"cannot apply {type(w).__name__}; only a WeylWord acts")
     conform(space, lam)
-    if isinstance(w, WeylWord):
-        return Weight(tuple(_act(rs, letters, v) for rs, letters, v
-                            in zip(space.factors, _by_factor(space, w), lam.factors)),
-                      lam.center)
-    if isinstance(w, WeylElement):
-        if len(w.blocks) != len(space.factors):
-            raise ValueError("element block count does not match the space")
-        return Weight(tuple(matvec(m, v) for m, v in zip(w.blocks, lam.factors)),
-                      lam.center)
-    raise TypeError(f"cannot apply {type(w).__name__}")
+    return Weight(tuple(_act(rs, letters, v) for rs, letters, v
+                        in zip(space.factors, _by_factor(space, w), lam.factors)),
+                  lam.center)
 
 
 # ---------------------------------------------------------------------------
@@ -622,25 +614,27 @@ def _line_preservers_chamber(space, beta, xi0, budget):
         flip = WeylWord(wl.letters + space_subgroup_longest(space, subs).letters)
         branches.append([[prefix + w for w in words]
                          for prefix, words in zip(_by_factor(space, flip), plus)])
-    return _self_checked(space, beta, xi0, _elements(space.factors, branches), "chamber")
+    return _self_checked(space, beta, xi0, branches, "chamber")
 
 
-def _self_checked(space, beta, xi0, out, strategy):
-    """`out`, once each element is checked against the definition through
-    apply; SelfCheckError names the strategy whose survivor fails."""
-    negated = tuple(vscale(-1, v) for v in beta.factors)
-    # the positive roots orthogonal to beta, as integer images: signs of
-    # dot products survive any positive scale
-    perp = [[a for a, keep in zip(_memo(rs).positive_images, _orthogonal(rs, v)) if keep]
-            for rs, v in zip(space.factors, beta.factors)]
-    for w in out:
-        if apply(space, w, beta).factors not in (beta.factors, negated):
-            raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
-        _, moved = integer_images(apply(space, w, xi0).factors)
-        if any(sum(map(mul, a, u)) < 0 for roots, u in zip(perp, moved) for a in roots):
-            raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
-                                 "dominant for the beta stabilizer")
-    return out
+def _self_checked(space, beta, xi0, branches, strategy):
+    """The elements of `branches` (see _elements), once each factor's word
+    is checked through _act: a word of branch k sends the beta block to
+    (-1)^k times itself, and the xi0 block to a point that pairs
+    nonnegatively with the positive roots orthogonal to beta.
+    SelfCheckError names the strategy whose survivor fails."""
+    for sign, branch in zip((1, -1), branches):
+        for rs, words, v, xi in zip(space.factors, branch, beta.factors, xi0.factors):
+            # integer images: signs of dot products survive any positive scale
+            perp = [a for a, keep in zip(_memo(rs).positive_images, _orthogonal(rs, v)) if keep]
+            for w in words:
+                if _act(rs, w, v) != vscale(sign, v):
+                    raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
+                _, (u,) = integer_images([_act(rs, w, xi)])
+                if any(sum(map(mul, a, u)) < 0 for a in perp):
+                    raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
+                                         "dominant for the beta stabilizer")
+    return _elements(space.factors, branches)
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
@@ -663,7 +657,7 @@ def _line_preservers_brute(space, beta, xi0, budget):
                             for t in targets])
         plus.append(found[0])
         minus.append(found[1] if len(found) > 1 else [])
-    return _self_checked(space, beta, xi0, _elements(space.factors, (plus, minus)), "brute")
+    return _self_checked(space, beta, xi0, (plus, minus), "brute")
 
 
 def _line_preservers_reduced(space, beta, xi0, budget):
@@ -691,4 +685,4 @@ def _line_preservers_reduced(space, beta, xi0, budget):
         if wl_flips_beta:
             minus.append([prefix + w for w in found[1]])
     branches = (plus, minus) if wl_flips_beta else (plus,)
-    return _self_checked(space, beta, xi0, _elements(space.factors, branches), "reduced")
+    return _self_checked(space, beta, xi0, branches, "reduced")

@@ -1,10 +1,11 @@
 """Fraction references for the root-system and Weyl layers, in exact
 rational coordinates, as the textbook formulas write them.  The package
-builds root systems and reflects vectors on integer images instead; tests
+builds root systems, reflects vectors and pairs them with coroots on
+integer images instead, and never applies an element matrix; tests
 compare it against these."""
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 from minrep.linalg import integer_images, solve_combination
@@ -12,7 +13,7 @@ from minrep.rootsys import (
     RootSystem,
     Weight,
     dot,
-    pair_coroot,
+    is_zero,
     vadd,
     vscale,
     vsub,
@@ -22,6 +23,37 @@ from minrep.rootsys import (
 
 def vec(*coords):
     return tuple(Q(c) for c in coords)
+
+
+def pair_coroot(lam, alpha):
+    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
+    if is_zero(alpha):
+        raise ValueError("pairing against the zero vector")
+    return 2 * dot(lam, alpha) / dot(alpha, alpha)
+
+
+def identity(n):
+    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+
+
+def matvec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v, strict=True)), Q(0)) for row in m)
+
+
+def apply_element(el, lam: Weight) -> Weight:
+    """el(lam) for a WeylElement: each block's matrix times its factor's
+    block; the center is fixed."""
+    return Weight(tuple(matvec(m, v) for m, v in zip(el.blocks, lam.factors, strict=True)),
+                  lam.center)
+
+
+def lattice_period(space, beta):
+    """Least t > 0 with t*beta pairing integrally with every simple coroot:
+    one over the gcd of the Fraction pairings, which for fractions in
+    lowest terms is gcd(numerators) / lcm(denominators)."""
+    pairings = [pair_coroot(v, a) for rs, v in zip(space.factors, beta.factors)
+                for a in rs.simple]
+    return Q(lcm(*(p.denominator for p in pairings)), gcd(*(p.numerator for p in pairings)))
 
 
 def reflect(v, alpha):

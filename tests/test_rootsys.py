@@ -20,7 +20,6 @@ from minrep.rootsys import (
     lattice_period,
     make_root_system,
     omega_to_coords,
-    pair_coroot,
     root_system_from_roots,
     space_dominance,
     space_rho,
@@ -36,7 +35,7 @@ from minrep.rootsys import (
 from minrep.weyl import orthogonal_subsystem
 
 import fraction_reference
-from fraction_reference import reflect, vec
+from fraction_reference import pair_coroot, reflect, vec
 
 ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
               "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
@@ -379,6 +378,13 @@ def test_lattice_period_rejects_central_beta():
         lattice_period(sp, weight(sp, (1, 1)))
 
 
+def test_lattice_period_matches_fraction_reference_on_catalog_betas():
+    cases = dict.fromkeys((r.space, m.beta) for r in all_default_records() for m in r.modules)
+    assert len(cases) >= 40
+    for sp, beta in cases:
+        assert lattice_period(sp, beta) == fraction_reference.lattice_period(sp, beta), beta
+
+
 def test_trace_free_canonical_only_touches_a_type_blocks():
     sp = KSpace((make_root_system("A2"), make_root_system("B2"), make_root_system("A1d")),
                 center_dim=1)
@@ -430,6 +436,29 @@ def test_reflection_permutes_the_root_set(sv):
     rs, _ = sv
     for a in rs.simple:
         assert {reflect(r, a) for r in rs.roots} == set(rs.roots)
+
+
+@st.composite
+def space_and_weight(draw):
+    """Up to three factors and a center; each block zero or rational."""
+    labels = draw(st.lists(st.sampled_from(["A1", "A2", "B2", "C3", "D4", "G2", "F4", "A1d"]),
+                           min_size=1, max_size=3))
+    sp = KSpace(tuple(map(make_root_system, labels)), center_dim=draw(st.integers(0, 1)))
+    blocks = [(Q(0),) * rs.ambient if draw(st.booleans())
+              else tuple(draw(rational) for _ in range(rs.ambient)) for rs in sp.factors]
+    return sp, weight(sp, *blocks, center=[draw(rational) for _ in range(sp.center_dim)])
+
+
+@given(space_and_weight())
+@settings(max_examples=80, deadline=None)
+def test_lattice_period_matches_fraction_reference(case):
+    sp, beta = case
+    if all(pair_coroot(v, a) == 0 for rs, v in zip(sp.factors, beta.factors)
+           for a in rs.simple):
+        with pytest.raises(ValueError, match="pairs to zero"):
+            lattice_period(sp, beta)
+    else:
+        assert lattice_period(sp, beta) == fraction_reference.lattice_period(sp, beta)
 
 
 @given(st.lists(rational, min_size=4, max_size=4),

@@ -1,5 +1,5 @@
 """Check layer: positive runs on fast records, negative controls by
-mutating fixtures, runner determinism, filters, and parallel execution."""
+mutating fixtures, runner determinism and filters."""
 
 import dataclasses
 from collections import Counter
@@ -7,18 +7,21 @@ from fractions import Fraction as Q
 
 import pytest
 
-from minrep import verify, weyl
+from minrep import rootsys, verify, weyl
 from minrep.registry import (
     MinimalModuleRecord,
     all_default_records,
     find_record,
+    joseph_infchar,
     load,
     save,
 )
 from minrep.rootsys import (
     bilinear,
+    dot,
     make_root_system,
     space_rho,
+    vscale,
     weight,
     weight_add,
     weight_scale,
@@ -32,6 +35,8 @@ from minrep.verify import (
     suite_status,
 )
 from minrep.weyl import WeylWord, word
+
+from fraction_reference import pair_coroot, reflect
 
 FAST_RECORDS = ["f4(4)", "g2(2)", "e6(6)", "sp(2,R)", "sp(2,C)", "so(4,3)",
                 "so(5,2)", "g2(C)", "so(6,1)", "sp(2)", "so(5,4)", "e6(-14)"]
@@ -150,6 +155,51 @@ def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
     rep = run_check("w0_unique", find_record("f4(4)"))
     assert rep.status == "fail"
     assert "strategy chamber" in rep.evidence
+
+
+def _moves_beta(rs, beta, xi0):
+    """A root whose reflection sends beta off its line."""
+    return next((a for a in rs.positive if reflect(beta, a) not in (beta, vscale(-1, beta))),
+                None)
+
+
+def _negates_beta(rs, beta, xi0):
+    """A root on the line of a nonzero beta: its reflection gives the word
+    a sign that the branch fixing beta must refuse."""
+    return next((a for a in rs.positive if any(beta) and reflect(beta, a) == vscale(-1, beta)),
+                None)
+
+
+def _breaks_xi0(rs, beta, xi0):
+    """A root orthogonal to beta whose reflection makes xi0 pair negatively
+    with it."""
+    return next((a for a in rs.positive if dot(a, beta) == 0 and dot(a, xi0) > 0), None)
+
+
+@pytest.mark.parametrize("strategy", weyl.STRATEGIES)
+@pytest.mark.parametrize("pick,flaw", [(_moves_beta, "does not send beta to +-beta"),
+                                       (_negates_beta, "does not send beta to +-beta"),
+                                       (_breaks_xi0, "does not keep xi0 dominant")])
+def test_w0_unique_fails_on_a_survivor_word_that_breaks_the_definition(
+        monkeypatch, strategy, pick, flaw):
+    # every strategy hands its survivor words to the self-check; one bad
+    # word, added to the first factor where `pick` finds a letter, must fail
+    real = weyl._self_checked
+
+    def with_bad_word(space, beta, xi0, branches, name):
+        first = [list(words) for words in branches[0]]
+        for f, (rs, v, xi) in enumerate(zip(space.factors, beta.factors, xi0.factors)):
+            letter = pick(rs, v, xi)
+            if letter is not None:
+                first[f].append([letter])
+                break
+        return real(space, beta, xi0, [first, *branches[1:]], name)
+
+    monkeypatch.setattr(weyl, "_self_checked", with_bad_word)
+    rep = run_check("w0_unique", find_record("f4(4)"), VerifyConfig(strategy=strategy))
+    assert rep.status == "fail"
+    assert rep.evidence.startswith(f"{strategy} survivor {flaw}")
+    assert rep.evidence.endswith(f"(strategy {strategy})")
 
 
 def test_kept_weyl_data_does_not_carry_a_verdict_to_another_record():
@@ -356,6 +406,33 @@ def test_infchar_control():
     assert rep.status == "fail" and "G2 pattern" in rep.evidence
 
 
+# every type joseph_infchar has a pattern for, up to the largest rank built
+INFCHAR_TYPES = [f"{family}{n}" for family, low in (("B", 3), ("C", 2), ("D", 4))
+                 for n in range(low, rootsys.MAX_RANK + 1)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+def test_infchar_types_are_every_type_with_a_pattern():
+    for label in ("A1", "A5", "B2", "C1", "D3", "A1d"):
+        with pytest.raises(ValueError, match="no infinitesimal-character pattern"):
+            joseph_infchar(label)
+
+
+@pytest.mark.parametrize("shift", [0, Q(1, 3)])
+def test_infchar_round_trip_matches_fraction_reference(monkeypatch, shift):
+    # coordinates built with the first coefficient off by `shift` must not
+    # pair back, by the labels or by the Fraction coroot pairings
+    real = verify.omega_to_coords
+    monkeypatch.setattr(verify, "omega_to_coords",
+                        lambda rs, p: real(rs, (p[0] + shift, *p[1:])))
+    for label in INFCHAR_TYPES:
+        rs = make_root_system(label)
+        pattern = joseph_infchar(label)
+        coords, round_trips = verify.infchar_round_trip(label, pattern)
+        assert coords == real(rs, (pattern[0] + shift, *pattern[1:]))
+        pairs_back = tuple(pair_coroot(coords, a) for a in rs.simple) == pattern
+        assert round_trips == pairs_back == (shift == 0), label
+
+
 # ---------------------------------------------------------------------------
 # runner
 
@@ -417,15 +494,6 @@ def test_suite_of_skips_alone_does_not_pass():
     assert suite_status([]) == "skipped"
 
 
-def test_parallel_jobs_agree_with_serial(monkeypatch):
-    # allow the 2-worker config on a 1-CPU machine
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    records = [find_record("g2(2)"), find_record("sp(2,C)")]
-    serial = run_all(records, config=VerifyConfig(jobs=1))
-    parallel = run_all(records, config=VerifyConfig(jobs=2))
-    assert _keys(serial) == _keys(parallel)
-
-
 def test_run_check_names_check_and_record():
     r = find_record("g2(2)")
     for name in CHECK_NAMES:
@@ -437,7 +505,6 @@ def test_run_check_names_check_and_record():
 def test_default_config_values():
     assert DEFAULT_CONFIG.strategy == "chamber"
     assert DEFAULT_CONFIG.budget == 10 ** 7
-    assert DEFAULT_CONFIG.jobs == 1
 
 
 def test_config_refuses_unknown_strategy():
@@ -449,14 +516,6 @@ def test_config_refuses_unknown_strategy():
 def test_config_refuses_budget_below_one(budget):
     with pytest.raises(ValueError, match=f"must be positive, got {budget}"):
         VerifyConfig(budget=budget)
-
-
-@pytest.mark.parametrize("jobs", [0, 3])
-def test_config_refuses_jobs_outside_the_cpu_count(monkeypatch, jobs):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    with pytest.raises(ValueError, match="between 1 and 2"):
-        VerifyConfig(jobs=jobs)
-    assert VerifyConfig(jobs=2).jobs == 2
 
 
 # ---------------------------------------------------------------------------

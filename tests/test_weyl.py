@@ -10,25 +10,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import weyl
-from minrep.linalg import identity, matmul, matvec
+from minrep.linalg import matmul
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
     coroot_labels,
     dot,
     make_root_system,
-    pair_coroot,
     vscale,
     weight,
 )
 from minrep.weyl import (
     BudgetExceededError,
+    WeylElement,
     WeylWord,
     apply,
     as_element,
     compose,
     group_order,
-    identity_element,
     line_preservers,
     longest_element,
     orbit_size,
@@ -41,7 +40,15 @@ from minrep.weyl import (
     word,
 )
 
-from fraction_reference import apply_word, reflect, vec
+from fraction_reference import (
+    apply_element,
+    apply_word,
+    identity,
+    matvec,
+    pair_coroot,
+    reflect,
+    vec,
+)
 
 H = Q(1, 2)
 A1D = make_root_system("A1d")
@@ -196,6 +203,10 @@ def _single(label):
     return rs, KSpace((rs,), 0)
 
 
+def identity_element(sp):
+    return WeylElement(tuple(identity(rs.ambient) for rs in sp.factors))
+
+
 def test_empty_word_is_identity():
     rs, sp = _single("C3")
     assert as_element(sp, word(sp, [])) == identity_element(sp)
@@ -220,7 +231,17 @@ def test_apply_word_matches_apply_element():
     w = word(sp, [(0, (1, -1, 0)), (0, (0, 0, 1)), (0, (0, 1, 1))])
     lam = weight(sp, (4, 1, -2))
     assert apply(sp, w, lam) == apply_word(w, lam) == weight(sp, (2, 4, 1))
-    assert apply(sp, as_element(sp, w), lam) == apply_word(w, lam)
+    assert apply_element(as_element(sp, w), lam) == apply_word(w, lam)
+
+
+def test_apply_takes_only_words():
+    # element matrices are compared, never applied
+    rs, sp = _single("B3")
+    el = as_element(sp, word(sp, [(0, (0, 0, 1))]))
+    with pytest.raises(TypeError, match="cannot apply WeylElement"):
+        apply(sp, el, weight(sp, (4, 1, -2)))
+    with pytest.raises(TypeError, match="cannot apply tuple"):
+        apply(sp, ((0, (0, 0, 1)),), weight(sp, (4, 1, -2)))
 
 
 def test_rightmost_letter_acts_first():
@@ -345,9 +366,10 @@ def test_longest_element_is_computed_once_per_system(monkeypatch):
 
 def test_space_longest_element_spans_all_factors():
     sp = KSpace((make_root_system("C3"), A1D), 0)
-    wl = as_element(sp, space_longest_element(sp))
+    wl = space_longest_element(sp)
     lam = weight(sp, (3, 2, 1), (1, -1))
     assert apply(sp, wl, lam) == weight(sp, (-3, -2, -1), (-1, 1))
+    assert apply_element(as_element(sp, wl), lam) == weight(sp, (-3, -2, -1), (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +431,7 @@ def test_subgroup_longest_fixes_beta_and_flips_the_subsystem():
     beta = weight(sp, (1, 1, 1, 1))
     subs = space_beta_subsystems(sp, beta)
     wbl = as_element(sp, space_subgroup_longest(sp, subs))
-    assert apply(sp, wbl, beta) == beta
+    assert apply_element(wbl, beta) == beta
     for a in subs[0].positive:
         img = matvec(wbl.blocks[0], a)
         assert vscale(-1, img) in subs[0].positive
@@ -435,7 +457,7 @@ def test_line_preservers_doubled_su2_pair():
     assert line_preservers(sp, beta, xi0, "brute") == expected
     assert line_preservers(sp, beta, xi0, "reduced") == expected
     # the word sends beta to -beta
-    assert apply(sp, w0, beta) == weight(sp, (-3, 3), (-1, 1))
+    assert apply_element(w0, beta) == weight(sp, (-3, 3), (-1, 1))
 
 
 def test_line_preservers_c4_record():
@@ -449,7 +471,7 @@ def test_line_preservers_c4_record():
     reduced = line_preservers(sp, beta, xi0, "reduced")
     assert brute == reduced == expected
     # the table word fixes xi0
-    assert apply(sp, w0, xi0) == xi0
+    assert apply_element(w0, xi0) == xi0
 
 
 def test_line_preservers_degenerate_rank_two_cases():
@@ -623,7 +645,7 @@ def test_element_inverse_and_composition(sw):
     inverse = as_element(sp, WeylWord(w.letters[::-1]))
     assert compose(el, inverse) == identity_element(sp)
     lam = _probe(sp)
-    assert apply(sp, inverse, apply(sp, el, lam)) == lam
+    assert apply_element(inverse, apply_element(el, lam)) == lam
 
 
 @given(short_word())
@@ -636,11 +658,12 @@ def test_element_matches_product_of_reflection_matrices(sw):
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_word_and_element_application_agree(sw):
-    # both act on lattice images, so each is held to the Fraction reference
+    # the word acts on lattice images and the element's rows come from
+    # them, so both are held to the Fraction reference
     sp, w = sw
     lam = _probe(sp)
     assert apply(sp, w, lam) == apply_word(w, lam)
-    assert apply(sp, as_element(sp, w), lam) == apply_word(w, lam)
+    assert apply_element(as_element(sp, w), lam) == apply_word(w, lam)
 
 
 LATTICE_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1d")
