@@ -598,6 +598,12 @@ def _exact_int(value, where: str, field: str) -> int:
     return value
 
 
+def _list(value, where: str, field: str) -> list:
+    if not isinstance(value, list):
+        raise RegistryFormatError(f"{where}: {field} must be an array, got {value!r}")
+    return value
+
+
 def _exact_str(value, where: str, field: str) -> str:
     if not isinstance(value, str):
         raise RegistryFormatError(f"{where}: {field} must be a string, got {value!r}")
@@ -615,10 +621,17 @@ def _type_label(value, where: str, field: str) -> str:
 
 
 def _q_parse(s, where: str) -> Q:
+    # a JSON number would pass through a float, and true would read as 1
+    if not isinstance(s, str):
+        raise RegistryFormatError(f"{where}: rational {s!r} must be a string")
     try:
         return Q(s)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):
         raise RegistryFormatError(f"{where}: bad rational {s!r}")
+
+
+def _vector_parse(v, where: str) -> tuple[Q, ...]:
+    return tuple(_q_parse(c, where) for c in _list(v, where, "vector"))
 
 
 def _weight_json(w: Weight):
@@ -629,9 +642,8 @@ def _weight_json(w: Weight):
 def _weight_parse(obj, where: str) -> Weight:
     if not isinstance(obj, dict) or "factors" not in obj:
         raise RegistryFormatError(f"{where}: expected a weight object")
-    factors = tuple(tuple(_q_parse(c, where) for c in v) for v in obj["factors"])
-    center = tuple(_q_parse(c, where) for c in obj.get("center", []))
-    return Weight(factors, center)
+    return Weight(tuple(_vector_parse(v, where) for v in obj["factors"]),
+                  _vector_parse(obj.get("center", []), where))
 
 
 def _word_json(w: WeylWord):
@@ -721,9 +733,12 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
             nonexistence_reason=obj.get("nonexistence_reason"),
             rho=_weight_parse(obj["rho"], where) if obj.get("rho") is not None else None,
             xi0=_weight_parse(obj["xi0"], where) if obj.get("xi0") is not None else None,
-            w0=word(space, [(f, [_q_parse(c, where) for c in v]) for f, v in w0])
+            w0=word(space, [(_exact_int(f, where, "w0 letter factor"),
+                             _vector_parse(v, where))
+                            for f, v in _list(w0, where, "w0")])
             if w0 is not None else None,
-            infchar=tuple(tuple(_q_parse(c, where) for c in pat) for pat in infchar)
+            infchar=tuple(_vector_parse(pat, where)
+                          for pat in _list(infchar, where, "infchar"))
             if infchar is not None else None,
             family=_exact_str(family, where, "family") if family is not None else None,
             params=tuple(_exact_int(p, where, "params") for p in obj.get("params", [])),

@@ -31,6 +31,11 @@ roots).  The scaling is exact and injective, so the O(P^2) sum set, the
 dot products behind rho, the Cartan matrix and the fundamental weights,
 and one elimination that solves for every positive root at once all run
 on Python integers.
+
+Everything else derived from one system (integer images, root lines,
+mirrors, lattice scale, Cartan rows, component types and Weyl orders, the
+longest word, orthogonal subsystems) is a cached property of its
+`RootSystem`, computed on first use and kept with it.
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .linalg import integer_images, solve_combination
 
 Vector = tuple[Q, ...]
+IntVector = tuple[int, ...]
+Mirror = tuple[IntVector, int]  # a reflection letter on integers, see mirror
 
 
 class UnsupportedCartanType(ValueError):
@@ -77,6 +84,23 @@ def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
+def _idot(u: IntVector, v: IntVector) -> int:
+    return sum(map(mul, u, v))
+
+
+def _primitive(u: IntVector) -> IntVector:
+    g = gcd(*u)
+    return tuple([c // g for c in u])
+
+
+def mirror(v: Vector) -> Mirror:
+    """The primitive integer vector on the line of v, and its squared norm:
+    the Weyl layer's letter for the reflection s(v).  Reflecting an integer
+    vector by it stays integral exactly when the reflection by v does."""
+    s = _primitive(integer_images([v])[1][0])
+    return s, _idot(s, s)
+
+
 # ---------------------------------------------------------------------------
 # root system construction
 
@@ -104,7 +128,7 @@ class RootSystem:
 
     # written past the frozen __setattr__; eq and hash read only the fields
     @cached_property
-    def coroot_images(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def coroot_images(self) -> tuple[int, tuple[IntVector, ...]]:
         """(L, K) with u . K_j = L <u, alpha_j^vee> for every vector u: for
         b_j = m alpha_j the integer images, L is the lcm of their norms and
         K_j = 2 m (L / (b_j, b_j)) b_j."""
@@ -114,12 +138,100 @@ class RootSystem:
         return big, tuple(tuple(2 * m * (big // n) * c for c in b)
                           for b, n in zip(ints, norms))
 
+    @cached_property
+    def positive_images(self) -> list[IntVector]:
+        """The integer images of the positive roots, in order, at one scale."""
+        return integer_images(self.positive)[1]
 
-IntVector = tuple[int, ...]
+    @cached_property
+    def fundamental_images(self) -> tuple[int, list[IntVector]]:
+        """integer_images of the fundamental weights."""
+        return integer_images(self.fundamental)
 
+    @cached_property
+    def lines(self) -> frozenset[IntVector]:
+        """The primitive integer vector on each root line, both signs."""
+        ups = [_primitive(u) for u in self.positive_images]
+        return frozenset(ups) | frozenset(tuple([-c for c in u]) for u in ups)
 
-def _idot(u: IntVector, v: IntVector) -> int:
-    return sum(map(mul, u, v))
+    @cached_property
+    def simple_mirrors(self) -> tuple[Mirror, ...]:
+        return tuple(map(mirror, self.simple))
+
+    @cached_property
+    def lattice_scale(self) -> int:
+        """An S such that the reflection orbit of S u is integral for every
+        integer vector u (so S times an element matrix is integral).
+
+        Let m be the common denominator of the roots, so that m Q(R) is
+        integral.  If every pairing <S e_i, r^vee> lies in m Z, then so does
+        every pairing of S u and of each point of S u + m Q(R), and
+        reflections keep the orbit of S u in that integral coset.  With
+        a = m r the condition reads 2 S a_i / (a, a) in Z; S is the least.
+        """
+        out = 1
+        for a in self.positive_images:
+            norm = _idot(a, a)
+            out = lcm(out, norm // gcd(norm, 2 * gcd(*a)))
+        return out
+
+    @cached_property
+    def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the
+        j where the entry is nonzero: i itself and its Dynkin neighbours,
+        read off the integer labels of alpha_i."""
+        rows = []
+        for a in self.simple:
+            d, labels = coroot_labels(self, a)
+            if any(lj % d for lj in labels):
+                raise AssertionError(f"Cartan row of {a} is not integral")
+            rows.append(tuple((j, lj // d) for j, lj in enumerate(labels) if lj))
+        return tuple(rows)
+
+    @cached_property
+    def components(self) -> tuple[tuple[str, int], ...]:
+        """(type label, Weyl order) for each irreducible component."""
+        simple = integer_images(self.simple)[1]
+        out = []
+        for comp in _component_split(simple):
+            # a positive root lies in the span of one component, so it pairs
+            # nonzero with some simple root of that one and with no other
+            norms = [_idot(p, p) for p in self.positive_images
+                     if any(_idot(p, simple[i]) for i in comp)]
+            out.append(_component_type(len(comp), norms))
+        return tuple(out)
+
+    @cached_property
+    def longest_word(self) -> tuple[int, ...]:
+        """The simple-root indices, in printed order, of a reduced word for
+        the longest element (which maps rho to -rho)."""
+        # -rho has every label -1, rho every label 1
+        letters, end = self.descend([-1] * self.rank)
+        if end != [1] * self.rank or len(letters) != len(self.positive):
+            raise AssertionError("descent from -rho is not a reduced word to rho")
+        return tuple(letters)
+
+    @cached_property
+    def perp(self) -> dict[Vector, RootSystem]:
+        """weyl.orthogonal_subsystem's results so far, by vector."""
+        return {}
+
+    def descend(self, labels: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Greedy descent of the labels <u, alpha_j^vee> of a point u into the
+        closed dominant chamber, reflecting in the first negative label.
+        Returns the simple-root indices applied (reversed, a word for the
+        element carrying u there) and the labels reached."""
+        rows = self.cartan_rows
+        labels = list(labels)
+        letters = []
+        while True:
+            i = next((j for j, lj in enumerate(labels) if lj < 0), None)
+            if i is None:
+                return letters, labels
+            li = labels[i]
+            for j, a in rows[i]:
+                labels[j] -= li * a
+            letters.append(i)
 
 
 def _indecomposables(positive: list[IntVector]) -> list[IntVector]:
@@ -149,6 +261,33 @@ def _component_split(simple: list[IntVector]) -> list[list[int]]:
                     stack.append(j)
         comps.append(sorted(comp))
     return comps
+
+
+def _component_type(rank: int, positive_norms: list[int]) -> tuple[str, int]:
+    """(type label, Weyl order) of an irreducible system from its rank and
+    the squared norms of its positive roots."""
+    nroots = 2 * len(positive_norms)
+    if len(set(positive_norms)) == 1:
+        if nroots == rank * (rank + 1):
+            return f"A{rank}", factorial(rank + 1)
+        if rank >= 4 and nroots == 2 * rank * (rank - 1):
+            return f"D{rank}", 2 ** (rank - 1) * factorial(rank)
+        if (rank, nroots) == (6, 72):
+            return "E6", 51840
+        if (rank, nroots) == (7, 126):
+            return "E7", 2903040
+        if (rank, nroots) == (8, 240):
+            return "E8", 696729600
+    else:
+        if (rank, nroots) == (2, 12):
+            return "G2", 12
+        if (rank, nroots) == (4, 48):
+            return "F4", 1152
+        if nroots == 2 * rank * rank:
+            shortest = sum(1 for t in positive_norms if t == min(positive_norms))
+            label = "B" if shortest == rank or rank == 2 else "C"
+            return f"{label}{rank}", 2 ** rank * factorial(rank)
+    raise ValueError(f"unrecognized component: rank {rank}, {nroots} roots")
 
 
 def _build(label: str, family: str, ambient: int, scale: int,

@@ -24,35 +24,36 @@ line-preserver strategy (trivial on the whole catalog), and the "reduced"
 and "brute" certificates all call it, and the word of every survivor of
 the three is checked against the definition.
 
-The layer is fraction-free inside.  Longest elements and greedy descents
-run on simple-coroot labels with the integer Cartan rows.  Words act, and
+The layer is fraction-free inside.  A letter is an integer mirror (see
+rootsys.mirror) from where it is made, the kernel or a descent; a public
+WeylWord is converted once per apply or as_element call.  Words act, and
 element matrices are only compared.  A word acts on a vector, or on the
 rows of the identity to give its matrix, one way: on integer lattice
 images (see _tracked_image), letter by letter, divided back into
-Fractions once, at the end.  What depends only on a root system is kept
-on the RootSystem.
+Fractions once, at the end.  What depends only on a root system is a
+cached property of its RootSystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
 from itertools import chain, product
-from math import factorial, gcd, lcm, prod
+from math import prod
 from operator import mul
 from typing import Iterable
 
-from .linalg import Matrix, integer_images, matmul, solve_combination
+from .linalg import Matrix, integer_images, matmul
 from .rootsys import (
     KSpace,
+    Mirror,
     RootSystem,
     Vector,
     Weight,
-    _component_split,
     conform,
     coroot_labels,
     is_zero,
+    mirror,
     root_system_from_roots,
     space_dominance,
     vscale,
@@ -93,7 +94,7 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
         v = tuple(Q(c) for c in raw)
         if not 0 <= factor < len(space.factors):
             raise ValueError(f"letter factor {factor} out of range")
-        if is_zero(v) or _mirror(v)[0] not in _memo(space.factors[factor]).lines:
+        if is_zero(v) or mirror(v)[0] not in space.factors[factor].lines:
             raise ValueError(f"letter vector {v} is not on a root line of factor {factor}")
         out.append((factor, v))
     return WeylWord(tuple(out))
@@ -119,167 +120,36 @@ def apply(space: KSpace, w: WeylWord, lam: Weight) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# per-system integer data
+# acting on integers
 
 
-def _primitive(u: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*u)
-    return tuple([c // g for c in u])
-
-
-def _mirror(v: Vector) -> tuple[tuple[int, ...], int]:
-    """The primitive integer vector on the line of v, and its squared norm.
-    Reflecting an integer vector by it stays integral exactly when the
-    reflection by v does."""
-    s = _primitive(integer_images([v])[1][0])
-    return s, sum(c * c for c in s)
-
-
-class _Memo:
-    """What this module derives from one root system, each part computed on
-    first use and kept with the system (see _memo)."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.rows = _cartan_rows(rs)
-        self._letters: dict[Vector, tuple[tuple[int, ...], int]] = {}
-        self.longest: tuple[Vector, ...] | None = None
-        self.perp: dict[Vector, RootSystem] = {}
-
-    def mirror(self, v: Vector) -> tuple[tuple[int, ...], int]:
-        """_mirror(v), once per letter."""
-        out = self._letters.get(v)
-        if out is None:
-            out = self._letters[v] = _mirror(v)
-        return out
-
-    @cached_property
-    def positive_images(self) -> list[tuple[int, ...]]:
-        """The integer images of rs.positive, in order, at one common
-        scale."""
-        return integer_images(self.rs.positive)[1]
-
-    @cached_property
-    def lines(self) -> frozenset[tuple[int, ...]]:
-        """The primitive integer vector on each root line, both signs."""
-        ups = list(map(_primitive, self.positive_images))
-        return frozenset(ups) | frozenset(tuple([-c for c in u]) for u in ups)
-
-    @cached_property
-    def scale(self) -> int:
-        """An S such that the reflection orbit of S u is integral for every
-        integer vector u (so S times an element matrix is integral).
-
-        Let m be the common denominator of the roots, so that m Q(R) is
-        integral.  If every pairing <S e_i, r^vee> lies in m Z, then so does
-        every pairing of S u and of each point of S u + m Q(R), and
-        reflections keep the orbit of S u in that integral coset.  With
-        a = m r the condition reads 2 S a_i / (a, a) in Z; S is the least.
-        """
-        out = 1
-        for a in self.positive_images:
-            norm = sum(c * c for c in a)
-            out = lcm(out, norm // gcd(norm, 2 * gcd(*a)))
-        return out
-
-
-def _memo(rs: RootSystem) -> _Memo:
-    memo = vars(rs).get("_weyl_memo")
-    if memo is None:
-        # RootSystem is frozen; like functools.cached_property, write the
-        # instance dict directly.  Equality and hashing read only the fields.
-        memo = vars(rs)["_weyl_memo"] = _Memo(rs)
-    return memo
-
-
-def _reflected(rs: RootSystem, letters: Iterable[Vector],
+def _reflected(letters: Iterable[Mirror],
                images: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Lattice images (see _tracked_image) reflected by each letter in turn,
-    in the order given; letters lie on root lines of rs."""
-    memo = _memo(rs)
-    for v in letters:
-        s, ss = memo.mirror(v)
+    in the order given."""
+    for s, ss in letters:
         images = [_reflect_int(u, s, ss) for u in images]
     return images
 
 
-def _act(rs: RootSystem, letters: list[Vector], v: Vector) -> Vector:
+def _act(rs: RootSystem, letters: list[Mirror], v: Vector) -> Vector:
     """w(v) for the word of `letters` (printed order) over rs: v's lattice
     image, reflected rightmost letter first, divided back once."""
     d, u = _tracked_image(rs, v)
-    (u,) = _reflected(rs, reversed(letters), [u])
+    (u,) = _reflected(reversed(letters), [u])
     return tuple([Q(c, d) for c in u])
 
 
-def _matrix(rs: RootSystem, letters: Iterable[Vector]) -> Matrix:
+def _matrix(rs: RootSystem, letters: Iterable[Mirror]) -> Matrix:
     """The matrix of a word over rs (letters on root lines, printed order).
     Row i of m s(v) is row i of m reflected by s(v), so the lattice images
     of the e_i, rows of a scaled identity, are reflected by each letter in
     turn."""
-    scale = _memo(rs).scale
+    scale = rs.lattice_scale
     n = rs.ambient
     rows = [(0,) * i + (scale,) + (0,) * (n - 1 - i) for i in range(n)]
     return tuple(tuple([Q(x, scale) for x in row])
-                 for row in _reflected(rs, letters, rows))
-
-
-# ---------------------------------------------------------------------------
-# component classification and group orders
-
-
-def _component_profiles(rs: RootSystem) -> list[tuple[str, int]]:
-    """(type label, Weyl order) for each irreducible component."""
-    _, images = integer_images(rs.simple + rs.positive)
-    simple, positive = images[:rs.rank], images[rs.rank:]
-    comps = _component_split(simple)
-    comp_of = {i: k for k, comp in enumerate(comps) for i in comp}
-    # a positive root is supported on one component; its first nonzero
-    # simple-root coefficient names it
-    pos_norms: list[list[int]] = [[] for _ in comps]
-    for p, coeffs in zip(positive, solve_combination(simple, positive)):
-        first = next(i for i, c in enumerate(coeffs) if c != 0)
-        pos_norms[comp_of[first]].append(sum(map(mul, p, p)))
-    return [_classify_component(len(comp), norms)
-            for comp, norms in zip(comps, pos_norms)]
-
-
-def _classify_component(rank: int, positive_norms: list[int]) -> tuple[str, int]:
-    npos = len(positive_norms)
-    nroots = 2 * npos
-    if len(set(positive_norms)) == 1:
-        if nroots == rank * (rank + 1):
-            return f"A{rank}", factorial(rank + 1)
-        if rank >= 4 and nroots == 2 * rank * (rank - 1):
-            return f"D{rank}", 2 ** (rank - 1) * factorial(rank)
-        if (rank, nroots) == (6, 72):
-            return "E6", 51840
-        if (rank, nroots) == (7, 126):
-            return "E7", 2903040
-        if (rank, nroots) == (8, 240):
-            return "E8", 696729600
-    else:
-        if (rank, nroots) == (2, 12):
-            return "G2", 12
-        if (rank, nroots) == (4, 48):
-            return "F4", 1152
-        if nroots == 2 * rank * rank:
-            shortest = sum(1 for t in positive_norms if t == min(positive_norms))
-            label = "B" if shortest == rank or rank == 2 else "C"
-            return f"{label}{rank}", 2 ** rank * factorial(rank)
-    raise ValueError(f"unrecognized component: rank {rank}, {nroots} roots")
-
-
-def group_order(rs: RootSystem) -> int:
-    return prod(n for _, n in _component_profiles(rs))
-
-
-def type_label(rs: RootSystem) -> str:
-    """The component types joined by "x", e.g. "A3xA3"; "empty" at rank 0."""
-    return "x".join(label for label, _ in _component_profiles(rs)) or "empty"
-
-
-def space_group_order(space: KSpace) -> int:
-    return prod(map(group_order, space.factors))
+                 for row in _reflected(letters, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +158,8 @@ def space_group_order(space: KSpace) -> int:
 
 def _tracked_image(rs: RootSystem, v: Vector) -> tuple[int, tuple[int, ...]]:
     """(d, d v): v's integer image times the lattice scale, integral along
-    its whole reflection orbit (see _Memo.scale)."""
-    scale = _memo(rs).scale
+    its whole reflection orbit (see RootSystem.lattice_scale)."""
+    scale = rs.lattice_scale
     m, (u,) = integer_images([v])
     return m * scale, tuple([c * scale for c in u])
 
@@ -303,19 +173,6 @@ def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, 
     return tuple([a - c * b for a, b in zip(u, s)])
 
 
-def _cartan_rows(rs: RootSystem) -> list[list[tuple[int, int]]]:
-    """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the j
-    where the entry is nonzero: i itself and its Dynkin neighbours, read
-    off the integer labels of alpha_i."""
-    rows = []
-    for a in rs.simple:
-        d, labels = coroot_labels(rs, a)
-        if any(lj % d for lj in labels):
-            raise AssertionError(f"Cartan row of {a} is not integral")
-        rows.append([(j, lj // d) for j, lj in enumerate(labels) if lj])
-    return rows
-
-
 def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[int, ...], int]]:
     """For each y, an integer affine form (c, k) on the labels l of w(x)
     (see coroot_labels): c . l + k is (y, w x) times one positive constant,
@@ -327,7 +184,7 @@ def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[
     """
     d, labels = coroot_labels(rs, x)
     m, (u,) = integer_images([x])
-    mw, weights = integer_images(rs.fundamental)
+    mw, weights = rs.fundamental_images
     scale = mw * (d // m)
     out = []
     for y in integer_images(list(ys))[1]:
@@ -338,9 +195,9 @@ def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[
 
 
 def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
-               tests) -> list[list[list[Vector]]]:
-    """Letters (printed order) of every w in W(rs) whose state passes a
-    test, one list per test.
+               tests) -> list[list[list[Mirror]]]:
+    """Mirror letters (printed order) of every w in W(rs) whose state passes
+    a test, one list per test.
 
     A state is one flat integer tuple: the simple-coroot labels
     <w(2*rho), alpha_j^vee>, then those of w(t) for each tracked block t
@@ -356,16 +213,16 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     its path from the root, read backwards: the letters of the walk back
     along first descents.
     """
-    simple = rs.simple
-    rows = _memo(rs).rows
-    rank = len(simple)
+    mirrors = rs.simple_mirrors
+    rows = rs.cartan_rows
+    rank = rs.rank
     # each index's Dynkin neighbours after it; none after the root's `rank`
     later = [[j for j, _ in row if j > i] for i, row in enumerate(rows)] + [[]]
     # s_i on the tracked blocks: (where label i sits, row i moved there)
     offsets = [rank * (t + 1) for t in range(len(tracked))]
     moves = [[(o + i, [(o + j, a) for j, a in row]) for o in offsets]
              for i, row in enumerate(rows)]
-    found: list[list[list[Vector]]] = [[] for _ in tests]
+    found: list[list[list[Mirror]]] = [[] for _ in tests]
     pairs = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
     stack = [((2,) * rank + tuple(chain.from_iterable(tracked)), None)]
@@ -379,7 +236,7 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
                 letters, p = [], path
                 while p is not None:
                     i, p = p
-                    letters.append(simple[i])
+                    letters.append(mirrors[i])
             out.append(letters)
         first = next((j for j in range(rank) if state[j] < 0), rank)
         # Below the first descent every label is positive, and reflecting
@@ -406,7 +263,7 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
 
 def _elements(factors: tuple[RootSystem, ...], branches) -> frozenset[WeylElement]:
     """The elements of every branch: a branch holds one list of words
-    (vector letters, printed order) per factor, and each choice of one
+    (mirror letters, printed order) per factor, and each choice of one
     word per factor is an element."""
     out: set[WeylElement] = set()
     for branch in branches:
@@ -443,42 +300,25 @@ def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
 
 
 # ---------------------------------------------------------------------------
-# longest elements
+# group orders and longest elements
 
 
-def _descend(rs: RootSystem, labels: list) -> tuple[list[Vector], list]:
-    """Greedy descent into the closed dominant chamber, on the simple-coroot
-    labels <u, alpha_j^vee> of a point u: reflect in the first simple root
-    whose label is negative until none is.
+def group_order(rs: RootSystem) -> int:
+    return prod(n for _, n in rs.components)
 
-    Returns the letters in the order applied and the labels reached, so the
-    element carrying u there has the reversed letters as its word.
-    """
-    rows = _memo(rs).rows
-    labels = list(labels)
-    letters = []
-    while True:
-        i = next((j for j, lj in enumerate(labels) if lj < 0), None)
-        if i is None:
-            return letters, labels
-        li = labels[i]
-        for j, a in rows[i]:
-            labels[j] -= li * a
-        letters.append(rs.simple[i])
+
+def type_label(rs: RootSystem) -> str:
+    """The component types joined by "x", e.g. "A3xA3"; "empty" at rank 0."""
+    return "x".join(label for label, _ in rs.components) or "empty"
+
+
+def space_group_order(space: KSpace) -> int:
+    return prod(map(group_order, space.factors))
 
 
 def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
     """Reduced word for the longest element (maps rho to -rho)."""
-    memo = _memo(rs)
-    if memo.longest is None:
-        # -rho has every label -1, rho every label 1
-        letters, end = _descend(rs, [-1] * rs.rank)
-        if end != [1] * rs.rank:
-            raise AssertionError("greedy descent stuck off the orbit")
-        if len(letters) != len(rs.positive):
-            raise AssertionError("longest element word is not reduced")
-        memo.longest = tuple(letters)
-    return WeylWord(tuple((factor, a) for a in memo.longest))
+    return WeylWord(tuple((factor, rs.simple[i]) for i in rs.longest_word))
 
 
 def space_longest_element(space: KSpace) -> WeylWord:
@@ -493,7 +333,7 @@ def _orthogonal(rs: RootSystem, v: Vector) -> list[bool]:
     """For each positive root of rs in order, whether it is orthogonal to
     v, by integer dot products."""
     _, (u,) = integer_images([v])
-    return [not sum(map(mul, a, u)) for a in _memo(rs).positive_images]
+    return [not sum(map(mul, a, u)) for a in rs.positive_images]
 
 
 def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
@@ -502,13 +342,12 @@ def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
     v = tuple(v)
     if len(v) != rs.ambient:
         raise ValueError(f"vector {v} has wrong length for {rs.label}")
-    memo = _memo(rs)
-    sub = memo.perp.get(v)
+    sub = rs.perp.get(v)
     if sub is None:
         # rs.rho is regular for rs, hence for the subsystem; the induced
         # positive part is (subsystem) intersect (positive roots of rs)
         sel = [r for r, keep in zip(rs.positive, _orthogonal(rs, v)) if keep]
-        sub = memo.perp[v] = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
+        sub = rs.perp[v] = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
     return sub
 
 
@@ -520,10 +359,8 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
 def space_subgroup_longest(space: KSpace, subs: Iterable[RootSystem]) -> WeylWord:
     """Longest element of each factor's subsystem group (of each factor's
     group for subs = space.factors), as one word over their roots."""
-    letters = []
-    for f, sub in enumerate(subs):
-        letters.extend(longest_element(sub, f).letters)
-    return WeylWord(tuple(letters))
+    return WeylWord(tuple((f, sub.simple[i]) for f, sub in enumerate(subs)
+                          for i in sub.longest_word))
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +376,26 @@ def _nonnegative(forms: list[tuple[tuple[int, ...], int]], start: int):
     return test
 
 
-def _by_factor(space: KSpace, w: WeylWord) -> list[list[Vector]]:
-    """The letters of w on each factor, in printed order."""
-    out: list[list[Vector]] = [[] for _ in space.factors]
+def _by_factor(space: KSpace, w: WeylWord) -> list[list[Mirror]]:
+    """The letters of w on each factor as mirrors, in printed order."""
+    out: list[list[Mirror]] = [[] for _ in space.factors]
     for f, a in w.letters:
-        out[f].append(a)
+        out[f].append(mirror(a))
     return out
+
+
+def _longest_words(systems: Iterable[RootSystem]) -> list[list[Mirror]]:
+    """The longest element of each system's group, as a mirror word."""
+    return [[rs.simple_mirrors[i] for i in rs.longest_word] for rs in systems]
+
+
+def _flipping_longest(space: KSpace, beta: Weight) -> list[list[Mirror]] | None:
+    """The longest element w_l of W, one mirror word per factor, when it
+    sends beta to -beta; None when it does not."""
+    wl = _longest_words(space.factors)
+    flips = all(_act(rs, w, v) == vscale(-1, v)
+                for rs, w, v in zip(space.factors, wl, beta.factors))
+    return wl if flips else None
 
 
 STRATEGIES = ("chamber", "reduced", "brute")
@@ -595,11 +446,11 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # P is generated by the simple roots of Delta_beta+ at which xi_dom has
     # label 0 (the same lemma), so it is built only when there are some.
     subs = space_beta_subsystems(space, beta)
-    u0: list[list[Vector]] = []
+    u0: list[list[Mirror]] = []
     parabolics: list[RootSystem | None] = []
     for sub, xi_f in zip(subs, xi0.factors):
-        descent, labels = _descend(sub, coroot_labels(sub, xi_f)[1])
-        u0.append(descent[::-1])
+        descent, labels = sub.descend(coroot_labels(sub, xi_f)[1])
+        u0.append([sub.simple_mirrors[i] for i in reversed(descent)])
         parabolics.append(orthogonal_subsystem(sub, _act(sub, u0[-1], xi_f))
                           if 0 in labels else None)
     _require_within(prod(group_order(par) for par in parabolics if par is not None),
@@ -608,12 +459,10 @@ def _line_preservers_chamber(space, beta, xi0, budget):
             [p + u for p in _survivors(par, (), (_every_state,))[0]]
             for par, u in zip(parabolics, u0)]
     branches = [plus]
-    wl = space_longest_element(space)
-    negated = tuple(vscale(-1, v) for v in beta.factors)
-    if apply(space, wl, beta).factors == negated:
-        flip = WeylWord(wl.letters + space_subgroup_longest(space, subs).letters)
-        branches.append([[prefix + w for w in words]
-                         for prefix, words in zip(_by_factor(space, flip), plus)])
+    wl = _flipping_longest(space, beta)
+    if wl is not None:
+        branches.append([[prefix + wbl + w for w in words]
+                         for prefix, wbl, words in zip(wl, _longest_words(subs), plus)])
     return _self_checked(space, beta, xi0, branches, "chamber")
 
 
@@ -626,7 +475,7 @@ def _self_checked(space, beta, xi0, branches, strategy):
     for sign, branch in zip((1, -1), branches):
         for rs, words, v, xi in zip(space.factors, branch, beta.factors, xi0.factors):
             # integer images: signs of dot products survive any positive scale
-            perp = [a for a, keep in zip(_memo(rs).positive_images, _orthogonal(rs, v)) if keep]
+            perp = [a for a, keep in zip(rs.positive_images, _orthogonal(rs, v)) if keep]
             for w in words:
                 if _act(rs, w, v) != vscale(sign, v):
                     raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
@@ -646,9 +495,8 @@ def _line_preservers_brute(space, beta, xi0, budget):
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
         _, b = coroot_labels(rs, beta_f)
-        *root_forms, (_, off_span) = _forms(rs, rs.positive + (beta_f,), beta_f)
-        perp = [a for a, (c, k) in zip(rs.positive, root_forms)
-                if not sum(map(mul, c, b)) + k]
+        ((_, off_span),) = _forms(rs, [beta_f], beta_f)
+        perp = [a for a, keep in zip(rs.positive, _orthogonal(rs, beta_f)) if keep]
         lo, hi = rs.rank, 2 * rs.rank
         xi_ok = _nonnegative(_forms(rs, perp, xi_f), hi)
         targets = (b,) if off_span else (b, tuple([-c for c in b]))
@@ -664,9 +512,7 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     subs = space_beta_subsystems(space, beta)
     _require_within(prod(map(group_order, subs)), budget, "the beta stabilizer")
 
-    wl = space_longest_element(space)
-    wl_flips_beta = (apply(space, wl, beta).factors
-                     == tuple(vscale(-1, v) for v in beta.factors))
+    wl = _flipping_longest(space, beta)
 
     # Candidates are the stabilizer W_beta (sends beta to +beta) and, when
     # w_l beta = -beta, the coset w_l W_beta; nothing else can move beta
@@ -674,15 +520,14 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # fixed set Delta_beta+, and for the coset branch
     # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
     plus, minus = [], []
-    for rs, sub, prefix, xi_f in zip(space.factors, subs, _by_factor(space, wl),
-                                     xi0.factors):
+    for f, (rs, sub, xi_f) in enumerate(zip(space.factors, subs, xi0.factors)):
         tests = [_nonnegative(_forms(sub, sub.positive, xi_f), sub.rank)]
-        if wl_flips_beta:
-            flipped = [_act(rs, prefix, p) for p in sub.positive]
+        if wl is not None:
+            flipped = [_act(rs, wl[f], p) for p in sub.positive]
             tests.append(_nonnegative(_forms(sub, flipped, xi_f), sub.rank))
         found = _survivors(sub, (coroot_labels(sub, xi_f)[1],), tests)
         plus.append(found[0])
-        if wl_flips_beta:
-            minus.append([prefix + w for w in found[1]])
-    branches = (plus, minus) if wl_flips_beta else (plus,)
+        if wl is not None:
+            minus.append([wl[f] + w for w in found[1]])
+    branches = (plus, minus) if wl is not None else (plus,)
     return _self_checked(space, beta, xi0, branches, "reduced")

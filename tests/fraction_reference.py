@@ -21,6 +21,13 @@ from minrep.rootsys import (
 )
 
 
+# The 23 types that the per-type tests and the `minrep weyl longest`
+# golden files run over.
+ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
+              "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
+              "A1d"]
+
+
 def vec(*coords):
     return tuple(Q(c) for c in coords)
 

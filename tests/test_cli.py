@@ -187,6 +187,17 @@ def test_verify_records_file_with_bad_data_exits_one(capsys, tmp_path):
     assert "overall: fail" in out
 
 
+def test_verify_records_file_with_inexact_data_is_config_error(capsys, tmp_path):
+    doc = json.loads(registry.save([registry.find_record("g2(2)")]))
+    doc["records"][0]["rho"]["factors"][0][0] = True
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert "record g2(2): rational True must be a string" in err
+
+
 def test_verify_records_file_without_records_is_config_error(capsys, tmp_path):
     # an empty selection used to print "overall: pass" and exit 0
     path = tmp_path / "empty.json"

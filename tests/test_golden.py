@@ -1,9 +1,11 @@
 """Byte-for-byte pins of the CLI output.
 
 Each file in tests/golden/ is the stdout of one command line below.  The
-files were written by the code before the Weyl enumerations shared one
-kernel; a change that alters any byte of a verdict, an evidence string or a
-table cell fails here.
+`verify` and `table` files were written by the code before the Weyl
+enumerations shared one kernel, the `weyl` files before the per-system
+data moved onto RootSystem; a change that alters any byte of a verdict, an
+evidence string, a table cell, a longest word or a subsystem type fails
+here.
 """
 
 from pathlib import Path
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from minrep import cli
+
+from fraction_reference import ALL_LABELS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +32,16 @@ TABLE_FORMATS = (("markdown", "md"), ("csv", "csv"), ("json", "json"),
                  ("latex", "tex"))
 CASES.update({f"table_{table}.{ext}": ["table", table, "--format", fmt]
               for table in cli.TABLES for fmt, ext in TABLE_FORMATS})
+CASES.update({f"weyl_longest_{label}.txt": ["weyl", "longest", label]
+              for label in ALL_LABELS})
+CASES.update({
+    "weyl_order_F4.txt": ["weyl", "order", "F4"],
+    # above the default budget: the closed form alone, with a note on stderr
+    "weyl_order_E8.txt": ["weyl", "order", "E8"],
+    "weyl_subsystem_E8.txt": ["weyl", "subsystem", "E8",
+                              "--orthogonal-to", "0,0,0,0,0,0,1,1"],
+    "weyl_subsystem_G2.txt": ["weyl", "subsystem", "G2", "--orthogonal-to=-1,0,1"],
+})
 
 
 def _golden(name: str) -> str:

@@ -472,6 +472,44 @@ def test_load_rejects_bad_rational():
         load(json.dumps(payload))
 
 
+def _g2_2_payload():
+    return json.loads(save([find_record("g2(2)")]))
+
+
+def _refused(payload, message):
+    with pytest.raises(RegistryFormatError, match=f"^record g2\\(2\\): {message}"):
+        load(json.dumps(payload))
+
+
+def test_load_refuses_a_rational_written_as_a_json_number():
+    # it would pass through a float: 4503599627370497/4503599627370496
+    payload = _g2_2_payload()
+    payload["records"][0]["xi0"]["factors"][0][0] = 1.0000000000000002
+    _refused(payload, "rational 1.0000000000000002 must be a string")
+
+
+def test_load_refuses_true_as_a_rational():
+    # true would read as 1, the stored value, and the rho check would pass
+    payload = _g2_2_payload()
+    payload["records"][0]["rho"]["factors"][0][0] = True
+    _refused(payload, "rational True must be a string")
+
+
+def test_load_refuses_a_vector_written_as_a_string():
+    # "20" would be read character by character as (2, 0)
+    payload = _g2_2_payload()
+    payload["records"][0]["modules"][0]["mu0"]["factors"][0] = "20"
+    _refused(payload, "vector must be an array, got '20'")
+
+
+def test_load_refuses_a_letter_factor_that_is_not_an_integer():
+    # true would read as factor 1, the stored factor
+    payload = _g2_2_payload()
+    assert payload["records"][0]["w0"][1][0] == 1
+    payload["records"][0]["w0"][1][0] = True
+    _refused(payload, "w0 letter factor must be an integer, got True")
+
+
 def _e8_8_payload():
     return json.loads(save([find_record("e8(8)")]))
 

@@ -35,11 +35,7 @@ from minrep.rootsys import (
 from minrep.weyl import orthogonal_subsystem
 
 import fraction_reference
-from fraction_reference import pair_coroot, reflect, vec
-
-ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
-              "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
-              "A1d"]
+from fraction_reference import ALL_LABELS, pair_coroot, reflect, vec
 
 
 def closure_from_simples(simple):

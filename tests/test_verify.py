@@ -20,6 +20,7 @@ from minrep.rootsys import (
     bilinear,
     dot,
     make_root_system,
+    mirror,
     space_rho,
     vscale,
     weight,
@@ -148,13 +149,18 @@ def test_w0_unique_chamber_budget_bounds_the_parabolic():
 def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
     # dropping w_beta,l from the coset branch leaves a survivor that breaks
     # the definition; the self-check must turn that into a fail
-    import minrep.weyl
+    real = weyl._longest_words
 
-    monkeypatch.setattr(minrep.weyl, "space_subgroup_longest",
-                        lambda space, subs: word(space, []))
+    def without_w_beta_l(systems):
+        # the beta-orthogonal subsystems are the embedded ("sub") systems
+        return [[] if rs.family == "sub" else w
+                for rs, w in zip(systems, real(systems))]
+
+    monkeypatch.setattr(weyl, "_longest_words", without_w_beta_l)
     rep = run_check("w0_unique", find_record("f4(4)"))
     assert rep.status == "fail"
-    assert "strategy chamber" in rep.evidence
+    assert rep.evidence == ("chamber survivor does not keep xi0 dominant for "
+                            "the beta stabilizer (strategy chamber)")
 
 
 def _moves_beta(rs, beta, xi0):
@@ -191,7 +197,7 @@ def test_w0_unique_fails_on_a_survivor_word_that_breaks_the_definition(
         for f, (rs, v, xi) in enumerate(zip(space.factors, beta.factors, xi0.factors)):
             letter = pick(rs, v, xi)
             if letter is not None:
-                first[f].append([letter])
+                first[f].append([mirror(letter)])
                 break
         return real(space, beta, xi0, [first, *branches[1:]], name)
 

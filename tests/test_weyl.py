@@ -9,11 +9,12 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep import weyl
+from minrep import linalg, rootsys, weyl
 from minrep.linalg import matmul
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
+    RootSystem,
     coroot_labels,
     dot,
     make_root_system,
@@ -41,6 +42,7 @@ from minrep.weyl import (
 )
 
 from fraction_reference import (
+    ALL_LABELS,
     apply_element,
     apply_word,
     identity,
@@ -52,6 +54,12 @@ from fraction_reference import (
 
 H = Q(1, 2)
 A1D = make_root_system("A1d")
+
+
+def line(letter):
+    """A Fraction vector on the root line of a mirror letter (see
+    rootsys.mirror); reflections only see the line."""
+    return vec(*letter[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +170,13 @@ def test_enumerated_words_are_reduced(label):
     for letters, state in zip(words, states, strict=True):
         w_rho = rs.rho
         for a in reversed(letters):
-            w_rho = reflect(w_rho, a)
+            w_rho = reflect(w_rho, line(a))
         # the state holds the labels of w(2 rho) and d times those of w(rho)
         ref = tuple(pair_coroot(w_rho, a) for a in rs.simple)
         assert state == tuple(2 * c for c in ref) + tuple(d * c for c in ref)
         w_inv_rho = rs.rho
         for a in letters:
-            w_inv_rho = reflect(w_inv_rho, a)
+            w_inv_rho = reflect(w_inv_rho, line(a))
         assert len(letters) == sum(dot(p, w_inv_rho) < 0 for p in rs.positive)
 
 
@@ -288,11 +296,6 @@ def test_longest_element_properties(label):
         assert 2 * dot(matvec(m, rs.rho), a) / dot(a, a) == -1
 
 
-ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
-              "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
-              "A1d"]
-
-
 def fraction_descent(simple, u):
     """Reference: greedy descent of u on Fraction dot products, reflecting
     in the first simple root that pairs negatively with it.  Returns the
@@ -345,10 +348,10 @@ def test_label_descent_of_xi0_matches_fraction_descent():
             subs = space_beta_subsystems(r.space, m.beta)
             for rs, sub, xi in zip(r.space.factors, subs, r.xi0.factors):
                 for system in (rs, sub):
-                    letters, labels = weyl._descend(
-                        system, [pair_coroot(xi, a) for a in system.simple])
+                    letters, labels = system.descend(
+                        [pair_coroot(xi, a) for a in system.simple])
                     ref_letters, end = fraction_descent(system.simple, xi)
-                    assert letters == ref_letters
+                    assert [system.simple[i] for i in letters] == ref_letters
                     assert labels == [pair_coroot(end, a) for a in system.simple]
                     checked += bool(letters)
     assert checked >= 10
@@ -358,10 +361,43 @@ def test_longest_element_is_computed_once_per_system(monkeypatch):
     rs = orthogonal_subsystem(make_root_system("E8"), vec(0, 0, 0, 0, 0, 0, 1, 1))
     first = longest_element(rs, 1)
     calls = []
-    monkeypatch.setattr(weyl, "_descend", lambda *a: calls.append(a))
+    monkeypatch.setattr(RootSystem, "descend", lambda *a: calls.append(a))
     assert longest_element(rs, 1) == first
     assert longest_element(rs, 0).letters == tuple((0, a) for _, a in first.letters)
     assert calls == []
+
+
+def test_per_system_data_is_computed_once(monkeypatch):
+    # group orders, type labels, the longest word and orthogonal subsystems
+    # read data kept on the RootSystem: a second round on the same system
+    # solves, splits into components, descends and builds nothing
+    rs = make_root_system.__wrapped__("E7")
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    def round_on_rs():
+        sub = orthogonal_subsystem(rs, rs.highest_root)
+        return (group_order(rs), type_label(rs), longest_element(rs),
+                sub, group_order(sub), type_label(sub), longest_element(sub))
+
+    for module in (linalg, rootsys, weyl):
+        for name in ("solve_combination", "root_system_from_roots", "_component_split"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(RootSystem, "descend", counting("descend", RootSystem.descend))
+    first = round_on_rs()
+    assert set(calls) == {"solve_combination", "root_system_from_roots",
+                          "_component_split", "descend"}
+    calls.clear()
+    assert round_on_rs() == first
+    assert calls == []
+    assert first[:2] == (2903040, "E7")
+    assert first[4:6] == (23040, "D6")
 
 
 def test_space_longest_element_spans_all_factors():
@@ -715,8 +751,8 @@ def test_lattice_action_matches_fraction_reference(case):
         key = tuple(letters)
         if key:
             parent, lattice = ref[key[1:]]
-            ref[key] = (reflect(parent, key[0]),
-                        weyl._reflected(rs, key[:1], [lattice])[0])
+            ref[key] = (reflect(parent, line(key[0])),
+                        weyl._reflected(key[:1], [lattice])[0])
         w_v, lattice = ref[key]
         assert state[rs.rank:] == tuple(d * pair_coroot(w_v, a) for a in rs.simple)
         assert lattice == tuple(scale * c for c in w_v)
