@@ -87,7 +87,7 @@ def normalize_name(name: str) -> str:
 
 def dim_of_type(label: str) -> int:
     rs = make_root_system(label)
-    return len(rs.roots) + rs.rank
+    return 2 * len(rs.positive) + rs.rank
 
 
 def g_dimension(record: RealFormRecord) -> int:
@@ -388,11 +388,10 @@ def _fixed_records() -> list[RealFormRecord]:
 @dataclass(frozen=True)
 class Family:
     family_id: str
-    arity: int
     constraint: str
     accepts: Callable
     build: Callable
-    defaults: tuple[tuple[int, ...], ...]
+    defaults: tuple[tuple[int, ...], ...]  # the first fixes the arity
 
 
 def _so_even_even(n: int, m: int) -> RealFormRecord:
@@ -518,24 +517,24 @@ def _so_compact(n: int) -> RealFormRecord:
 
 
 FAMILIES: dict[str, Family] = {f.family_id: f for f in [
-    Family("so_even_even", 2, "n >= m >= 2",
+    Family("so_even_even", "n >= m >= 2",
            lambda n, m: n >= m >= 2, _so_even_even, ((2, 2), (3, 2), (4, 3))),
-    Family("so_odd_odd", 2, "n >= m >= 1 and n + m >= 3",
+    Family("so_odd_odd", "n >= m >= 1 and n + m >= 3",
            lambda n, m: n >= m >= 1 and n + m >= 3, _so_odd_odd, ((2, 1), (3, 2))),
-    Family("so_2n_3", 1, "n >= 2", lambda n: n >= 2, _so_2n_3, ((2,), (4,))),
-    Family("so_p_2", 1, "p >= 5", lambda p: p >= 5, _so_p_2, ((5,), (6,), (7,))),
-    Family("sp_R", 1, "n >= 2", lambda n: n >= 2, _sp_R, ((2,), (3,), (5,))),
-    Family("so_star", 1, "n >= 4", lambda n: n >= 4, _so_star, ((4,), (5,))),
-    Family("sp_C", 1, "n >= 2", lambda n: n >= 2, _sp_C, ((2,), (3,))),
-    Family("so_C", 1, "n >= 7", lambda n: n >= 7, _so_C, ((7,), (8,))),
-    Family("so_n_1", 1, "n >= 6", lambda n: n >= 6, _so_n_1, ((6,), (7,))),
-    Family("sp_p_q", 2, "p >= 1 and q >= 1",
+    Family("so_2n_3", "n >= 2", lambda n: n >= 2, _so_2n_3, ((2,), (4,))),
+    Family("so_p_2", "p >= 5", lambda p: p >= 5, _so_p_2, ((5,), (6,), (7,))),
+    Family("sp_R", "n >= 2", lambda n: n >= 2, _sp_R, ((2,), (3,), (5,))),
+    Family("so_star", "n >= 4", lambda n: n >= 4, _so_star, ((4,), (5,))),
+    Family("sp_C", "n >= 2", lambda n: n >= 2, _sp_C, ((2,), (3,))),
+    Family("so_C", "n >= 7", lambda n: n >= 7, _so_C, ((7,), (8,))),
+    Family("so_n_1", "n >= 6", lambda n: n >= 6, _so_n_1, ((6,), (7,))),
+    Family("sp_p_q", "p >= 1 and q >= 1",
            lambda p, q: p >= 1 and q >= 1, _sp_p_q, ((1, 1), (2, 1))),
-    Family("so_odd_sum", 2, "p >= q >= 4 and p + q odd",
+    Family("so_odd_sum", "p >= q >= 4 and p + q odd",
            lambda p, q: p >= q >= 4 and (p + q) % 2 == 1, _so_odd_sum,
            ((5, 4), (6, 5))),
-    Family("sp_compact", 1, "n >= 2", lambda n: n >= 2, _sp_compact, ((2,), (3,))),
-    Family("so_compact", 1, "n >= 7", lambda n: n >= 7, _so_compact, ((7,), (8,))),
+    Family("sp_compact", "n >= 2", lambda n: n >= 2, _sp_compact, ((2,), (3,))),
+    Family("so_compact", "n >= 7", lambda n: n >= 7, _so_compact, ((7,), (8,))),
 ]}
 
 
@@ -545,8 +544,9 @@ def instantiate_family(family_id: str, params: Iterable[int]) -> RealFormRecord:
                          + ", ".join(sorted(FAMILIES)))
     fam = FAMILIES[family_id]
     params = tuple(int(p) for p in params)
-    if len(params) != fam.arity:
-        raise ValueError(f"{family_id} takes {fam.arity} parameter(s), got {len(params)}")
+    arity = len(fam.defaults[0])
+    if len(params) != arity:
+        raise ValueError(f"{family_id} takes {arity} parameter(s), got {len(params)}")
     if not fam.accepts(*params):
         raise ValueError(f"{family_id} requires {fam.constraint}, got {params}")
     record = fam.build(*params)

@@ -20,27 +20,28 @@ Supported constructions:
   (2, -2), so that (1, -1) is the highest weight of the defining
   two-dimensional module.  Weight tables for su(2) factors are written in
   these doubled coordinates.
-* arbitrary embedded systems from an explicit closed root list plus a
-  chamber vector selecting the positive half by the sign of an integer
-  dot product.
+* subsystems (`subsystem`): a selection of a system's positive roots,
+  with the induced positive system, cut from its integer images.
 
-Construction checks its own result on the integer images (simple roots =
-indecomposables, rho pairs to 1 with every simple coroot, read as
-(2 rho, a) = (a, a), every positive root an N-combination of the simple
-roots).  The scaling is exact and injective, so the O(P^2) sum set, the
-dot products behind rho, the Cartan matrix and the fundamental weights,
-and one elimination that solves for every positive root at once all run
-on Python integers.
+A `RootSystem` keeps the integers it is built from as fields: its scale
+and the images of its positive and simple roots at that scale, which a
+subsystem shares with its parent.  Construction checks its own result on
+these images (simple roots = indecomposables, rho pairs to 1 with every
+simple coroot, read as (2 rho, a) = (a, a), every positive root an
+N-combination of the simple roots).  The scaling is exact and injective,
+so the O(P^2) sum set, the dot products behind rho, the Cartan matrix
+and the fundamental weights, and one elimination that solves for every
+positive root at once all run on Python integers.
 
-Everything else derived from one system (integer images, root lines,
+Everything else derived from one system (the full root set, root lines,
 mirrors, lattice scale, Cartan rows, component types and Weyl orders, the
 longest word, orthogonal subsystems) is a cached property of its
-`RootSystem`, computed on first use and kept with it.
+`RootSystem`, computed on first use from those fields and kept with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -108,15 +109,18 @@ def mirror(v: Vector) -> Mirror:
 @dataclass(frozen=True)
 class RootSystem:
     label: str
-    family: str                 # "A".."G" or "sub" for embedded systems
+    family: str                 # "A".."G" or "sub" for subsystems
     rank: int
     ambient: int
-    roots: frozenset[Vector]
     simple: tuple[Vector, ...]
     positive: tuple[Vector, ...]
     rho: Vector
     fundamental: tuple[Vector, ...]
     highest_root: Vector | None  # None when the system is reducible
+    # the roots times `scale`, in the order of positive and simple
+    scale: int = field(compare=False)
+    positive_images: tuple[IntVector, ...] = field(compare=False)
+    simple_images: tuple[IntVector, ...] = field(compare=False)
 
     def __repr__(self) -> str:  # keep dataclass noise out of assertion output
         return f"RootSystem({self.label})"
@@ -126,22 +130,21 @@ class RootSystem:
         """Factors whose coordinates carry a redundant diagonal direction."""
         return self.family == "A" or self.label == "A1d"
 
-    # written past the frozen __setattr__; eq and hash read only the fields
+    # written past the frozen __setattr__; eq and hash read the Fraction fields
+    @cached_property
+    def roots(self) -> frozenset[Vector]:
+        """Every root, both signs."""
+        return frozenset(self.positive) | frozenset(vscale(-1, p) for p in self.positive)
+
     @cached_property
     def coroot_images(self) -> tuple[int, tuple[IntVector, ...]]:
         """(L, K) with u . K_j = L <u, alpha_j^vee> for every vector u: for
-        b_j = m alpha_j the integer images, L is the lcm of their norms and
-        K_j = 2 m (L / (b_j, b_j)) b_j."""
-        m, ints = integer_images(self.simple)
-        norms = [sum(c * c for c in b) for b in ints]
+        b_j = m alpha_j the simple images at the scale m, L is the lcm of
+        their norms and K_j = 2 m (L / (b_j, b_j)) b_j."""
+        norms = [_idot(b, b) for b in self.simple_images]
         big = lcm(*norms)
-        return big, tuple(tuple(2 * m * (big // n) * c for c in b)
-                          for b, n in zip(ints, norms))
-
-    @cached_property
-    def positive_images(self) -> list[IntVector]:
-        """The integer images of the positive roots, in order, at one scale."""
-        return integer_images(self.positive)[1]
+        return big, tuple(tuple(2 * self.scale * (big // n) * c for c in b)
+                          for b, n in zip(self.simple_images, norms))
 
     @cached_property
     def fundamental_images(self) -> tuple[int, list[IntVector]]:
@@ -156,18 +159,19 @@ class RootSystem:
 
     @cached_property
     def simple_mirrors(self) -> tuple[Mirror, ...]:
-        return tuple(map(mirror, self.simple))
+        return tuple((s, _idot(s, s)) for s in map(_primitive, self.simple_images))
 
     @cached_property
     def lattice_scale(self) -> int:
         """An S such that the reflection orbit of S u is integral for every
         integer vector u (so S times an element matrix is integral).
 
-        Let m be the common denominator of the roots, so that m Q(R) is
-        integral.  If every pairing <S e_i, r^vee> lies in m Z, then so does
-        every pairing of S u and of each point of S u + m Q(R), and
-        reflections keep the orbit of S u in that integral coset.  With
-        a = m r the condition reads 2 S a_i / (a, a) in Z; S is the least.
+        Let m be the scale of the held images, any integer that makes
+        m Q(R) integral (a subsystem holds its parent's).  If every pairing
+        <S e_i, r^vee> lies in m Z, then so does every pairing of S u and
+        of each point of S u + m Q(R), and reflections keep the orbit of
+        S u in that integral coset.  With a = m r the condition reads
+        2 S a_i / (a, a) in Z; S is the least.
         """
         out = 1
         for a in self.positive_images:
@@ -179,10 +183,12 @@ class RootSystem:
     def cartan_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Row i of the Cartan matrix as (j, <alpha_i, alpha_j^vee>) over the
         j where the entry is nonzero: i itself and its Dynkin neighbours,
-        read off the integer labels of alpha_i."""
+        read off the integer labels of alpha_i (see coroot_labels)."""
+        big, coroots = self.coroot_images
+        d = self.scale * big
         rows = []
-        for a in self.simple:
-            d, labels = coroot_labels(self, a)
+        for a in self.simple_images:
+            labels = [_idot(a, k) for k in coroots]
             if any(lj % d for lj in labels):
                 raise AssertionError(f"Cartan row of {a} is not integral")
             rows.append(tuple((j, lj // d) for j, lj in enumerate(labels) if lj))
@@ -191,7 +197,7 @@ class RootSystem:
     @cached_property
     def components(self) -> tuple[tuple[str, int], ...]:
         """(type label, Weyl order) for each irreducible component."""
-        simple = integer_images(self.simple)[1]
+        simple = self.simple_images
         out = []
         for comp in _component_split(simple):
             # a positive root lies in the span of one component, so it pairs
@@ -212,8 +218,8 @@ class RootSystem:
         return tuple(letters)
 
     @cached_property
-    def perp(self) -> dict[Vector, RootSystem]:
-        """weyl.orthogonal_subsystem's results so far, by vector."""
+    def perp(self) -> dict[IntVector, RootSystem]:
+        """weyl.orthogonal_subsystem's results so far, by line (see there)."""
         return {}
 
     def descend(self, labels: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -296,8 +302,7 @@ def _build(label: str, family: str, ambient: int, scale: int,
     `positive` and `simple` divided by `scale`.  Every check runs on the
     images; Fractions are made for the fields only, one per distinct
     coordinate value of the roots."""
-    values = set(chain.from_iterable(positive))
-    q = {c: Q(c, scale) for c in values | {-c for c in values}}
+    q = {c: Q(c, scale) for c in set(chain.from_iterable(positive))}
 
     def rational(u: IntVector) -> Vector:
         return tuple(map(q.__getitem__, u))
@@ -316,15 +321,14 @@ def _build(label: str, family: str, ambient: int, scale: int,
                              "N-combination of simples")
         heights.append(sum(c.numerator for c in coeffs))
     pos = [rational(p) for p in positive]
-    roots = frozenset(pos) | frozenset(tuple([q[-c] for c in p]) for p in positive)
     rho = tuple(Q(c, 2 * scale) for c in two_rho)
     fundamental = _fundamental_weights(scale, simple)
     irreducible = len(_component_split(simple)) == 1
     highest = (pos[max(range(len(pos)), key=heights.__getitem__)]
                if irreducible else None)
-    return RootSystem(label, family, len(simple), ambient, roots,
+    return RootSystem(label, family, len(simple), ambient,
                       tuple(map(rational, simple)), tuple(pos), rho, fundamental,
-                      highest)
+                      highest, scale, tuple(positive), tuple(simple))
 
 
 def _fundamental_weights(scale: int, simple: list[IntVector]) -> tuple[Vector, ...]:
@@ -468,29 +472,13 @@ def make_root_system(cartan_type: str) -> RootSystem:
         "E6, E7, E8, F4, G2, A1d")
 
 
-def root_system_from_roots(label: str, roots: Iterable[Vector], chamber: Vector) -> RootSystem:
-    """Embedded system from an explicit root list and a chamber vector.
-
-    The chamber vector must not vanish on any root; roots with positive
-    pairing form the positive system.  An empty root list gives the rank-0
-    system in the chamber vector's space.
-    """
-    scale, images = integer_images(list(roots))
-    _, (c,) = integer_images([chamber])
-    if any(len(u) != len(c) for u in images):
-        raise ValueError(f"a root and the chamber vector {chamber} differ in length")
-    both = set(images)
-    both |= {tuple([-x for x in u]) for u in both}
-    pos = []
-    for u in both:
-        p = _idot(u, c)
-        if p == 0:
-            raise ValueError(f"chamber vector vanishes on root "
-                             f"{tuple(Q(x, scale) for x in u)}")
-        if p > 0:
-            pos.append(u)
-    pos.sort()
-    return _build(label, "sub", len(c), scale, pos, sorted(_indecomposables(pos)))
+def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:
+    """The subsystem of rs whose positive roots are the positive roots of
+    rs flagged by `keep` (one flag each, in order), a closed set such as
+    the roots on a subspace, with the positive system rs induces.  It holds
+    their images at rs's scale, sorted."""
+    pos = sorted(p for p, k in zip(rs.positive_images, keep, strict=True) if k)
+    return _build(label, "sub", rs.ambient, rs.scale, pos, sorted(_indecomposables(pos)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +509,11 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     dom = dominance(rs, lam)
     if not (dom.dominant and dom.integral):
         raise ValueError(f"{lam} is not dominant integral for {rs.label}")
-    # one integer image of lam + rho, rho and the roots: scales cancel in num / den
-    _, (lam_int, rho_int, *positive) = integer_images([lam, rs.rho, *rs.positive])
+    # lam + rho and rho at one scale, the roots at theirs: scales cancel in num / den
+    _, (lam_int, rho_int) = integer_images([lam, rs.rho])
     lr = tuple(map(add, lam_int, rho_int))
     num = den = 1
-    for a in positive:
+    for a in rs.positive_images:
         num *= sum(map(mul, lr, a))
         den *= sum(map(mul, rho_int, a))
     d, rem = divmod(num, den)

@@ -152,6 +152,18 @@ def _beta_multiple(space, v, beta) -> Q | None:
     return c if weight_is_zero(weight_sub(v, weight_scale(c, beta))) else None
 
 
+def _line_data_skip(r: RealFormRecord, *fields: str):
+    """The skip of a check on the symmetric line data (xi0, the w0 word) when
+    r has no modules, is one-sided or lacks one of `fields`; else None."""
+    if not r.modules:
+        return _skip(SKIP_NO_MODULES)
+    if r.hermitian:
+        return _skip(SKIP_ONE_SIDED)
+    if any(getattr(r, f) is None for f in fields):
+        return _skip("no stored w0 word" if "w0" in fields else "no stored xi0")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -193,12 +205,8 @@ def _check_ladder_wellformed(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_xi0(r: RealFormRecord, config: VerifyConfig):
-    if not r.modules:
-        return _skip(SKIP_NO_MODULES)
-    if r.hermitian:
-        return _skip(SKIP_ONE_SIDED)
-    if r.xi0 is None:
-        return _skip("no stored xi0")
+    if skip := _line_data_skip(r, "xi0"):
+        return skip
     scalars = []
     for m in r.modules:
         for i in range(len(r.space.factors)):
@@ -218,12 +226,8 @@ def _check_xi0(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_w0_table(r: RealFormRecord, config: VerifyConfig):
-    if not r.modules:
-        return _skip(SKIP_NO_MODULES)
-    if r.hermitian:
-        return _skip(SKIP_ONE_SIDED)
-    if r.w0 is None or r.xi0 is None:
-        return _skip("no stored w0 word")
+    if skip := _line_data_skip(r, "w0", "xi0"):
+        return skip
     for beta in _module_betas(r):
         image = apply(r.space, r.w0, beta)
         if not weight_is_zero(weight_add(image, beta)):
@@ -237,12 +241,8 @@ def _check_w0_table(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_w0_formula(r: RealFormRecord, config: VerifyConfig):
-    if not r.modules:
-        return _skip(SKIP_NO_MODULES)
-    if r.hermitian:
-        return _skip(SKIP_ONE_SIDED)
-    if r.w0 is None:
-        return _skip("no stored w0 word")
+    if skip := _line_data_skip(r, "w0"):
+        return skip
     beta = _module_betas(r)[0]
     subs = space_beta_subsystems(r.space, beta)
     lhs = as_element(r.space, r.w0)
@@ -257,12 +257,8 @@ def _check_w0_formula(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_w0_unique(r: RealFormRecord, config: VerifyConfig):
-    if not r.modules:
-        return _skip(SKIP_NO_MODULES)
-    if r.hermitian:
-        return _skip(SKIP_ONE_SIDED)
-    if r.w0 is None or r.xi0 is None:
-        return _skip("no stored w0 word")
+    if skip := _line_data_skip(r, "w0", "xi0"):
+        return skip
     expected = frozenset({as_element(r.space, WeylWord(())), as_element(r.space, r.w0)})
     for beta in _module_betas(r):
         try:
@@ -284,12 +280,8 @@ def _check_w0_unique(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_same_line(r: RealFormRecord, config: VerifyConfig):
-    if not r.modules:
-        return _skip(SKIP_NO_MODULES)
-    if r.hermitian:
-        return _skip(SKIP_ONE_SIDED)
-    if r.w0 is None:
-        return _skip("no stored w0 word")
+    if skip := _line_data_skip(r, "w0"):
+        return skip
     shifts = []
     for m in r.modules:
         v = weight_add(m.mu0, r.rho)

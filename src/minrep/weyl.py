@@ -29,9 +29,9 @@ rootsys.mirror) from where it is made, the kernel or a descent; a public
 WeylWord is converted once per apply or as_element call.  Words act, and
 element matrices are only compared.  A word acts on a vector, or on the
 rows of the identity to give its matrix, one way: on integer lattice
-images (see _tracked_image), letter by letter, divided back into
-Fractions once, at the end.  What depends only on a root system is a
-cached property of its RootSystem.
+images (see _tracked_image), letter by letter; only apply divides one
+back into Fractions (and _matrix, the rows of an element to compare).
+What depends only on a root system is a cached property of its RootSystem.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterable
 
@@ -54,9 +54,8 @@ from .rootsys import (
     coroot_labels,
     is_zero,
     mirror,
-    root_system_from_roots,
     space_dominance,
-    vscale,
+    subsystem,
 )
 
 # Largest group order any enumeration may visit, unless a caller (the CLI's
@@ -114,9 +113,13 @@ def apply(space: KSpace, w: WeylWord, lam: Weight) -> Weight:
     if not isinstance(w, WeylWord):
         raise TypeError(f"cannot apply {type(w).__name__}; only a WeylWord acts")
     conform(space, lam)
-    return Weight(tuple(_act(rs, letters, v) for rs, letters, v
-                        in zip(space.factors, _by_factor(space, w), lam.factors)),
-                  lam.center)
+    blocks = []
+    for rs, letters, v in zip(space.factors, _by_factor(space, w), lam.factors):
+        # v's lattice image, reflected rightmost letter first, divided back once
+        d, u = _tracked_image(rs, v)
+        (u,) = _reflected(reversed(letters), [u])
+        blocks.append(tuple([Q(c, d) for c in u]))
+    return Weight(tuple(blocks), lam.center)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +133,6 @@ def _reflected(letters: Iterable[Mirror],
     for s, ss in letters:
         images = [_reflect_int(u, s, ss) for u in images]
     return images
-
-
-def _act(rs: RootSystem, letters: list[Mirror], v: Vector) -> Vector:
-    """w(v) for the word of `letters` (printed order) over rs: v's lattice
-    image, reflected rightmost letter first, divided back once."""
-    d, u = _tracked_image(rs, v)
-    (u,) = _reflected(reversed(letters), [u])
-    return tuple([Q(c, d) for c in u])
 
 
 def _matrix(rs: RootSystem, letters: Iterable[Mirror]) -> Matrix:
@@ -173,10 +168,12 @@ def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, 
     return tuple([a - c * b for a, b in zip(u, s)])
 
 
-def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[int, ...], int]]:
-    """For each y, an integer affine form (c, k) on the labels l of w(x)
-    (see coroot_labels): c . l + k is (y, w x) times one positive constant,
-    the same for every y and every w in W(rs).
+def _forms(rs: RootSystem, ys: Iterable[tuple[int, ...]],
+           x: Vector) -> list[tuple[tuple[int, ...], int]]:
+    """For each integer vector y, an integer affine form (c, k) on the
+    labels l of w(x) (see coroot_labels): c . l + k is (y, w x) times one
+    positive constant, the same for every w in W(rs) and, when the ys are
+    images at one scale, for every y.
 
     W fixes the part x1 of x off the root span.  With y1 the part of y off
     it and omega_j the fundamental weights, (y, w x) = sum_j (y, omega_j)
@@ -187,7 +184,7 @@ def _forms(rs: RootSystem, ys: Iterable[Vector], x: Vector) -> list[tuple[tuple[
     mw, weights = rs.fundamental_images
     scale = mw * (d // m)
     out = []
-    for y in integer_images(list(ys))[1]:
+    for y in ys:
         c = tuple([sum(map(mul, y, w)) for w in weights])
         # scale (y . u) is (y, x) at the scale of c . labels
         out.append((c, scale * sum(map(mul, y, u)) - sum(map(mul, c, labels))))
@@ -329,25 +326,20 @@ def space_longest_element(space: KSpace) -> WeylWord:
 # orthogonal subsystems
 
 
-def _orthogonal(rs: RootSystem, v: Vector) -> list[bool]:
-    """For each positive root of rs in order, whether it is orthogonal to
-    v, by integer dot products."""
-    _, (u,) = integer_images([v])
-    return [not sum(map(mul, a, u)) for a in rs.positive_images]
-
-
 def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
-    """The roots of rs orthogonal to v, a root system of rank 0 when there
-    are none.  The same system comes back for the same (rs, v)."""
+    """The roots of rs orthogonal to v (Fractions or integers), of rank 0
+    when there are none; one system serves every nonzero multiple of v."""
     v = tuple(v)
     if len(v) != rs.ambient:
         raise ValueError(f"vector {v} has wrong length for {rs.label}")
-    sub = rs.perp.get(v)
+    # one key per line: the primitive vector on it of the larger sign, or 0
+    _, (u,) = integer_images([v])
+    g = gcd(*u) or 1
+    u = max(tuple([c // g for c in u]), tuple([-c // g for c in u]))
+    sub = rs.perp.get(u)
     if sub is None:
-        # rs.rho is regular for rs, hence for the subsystem; the induced
-        # positive part is (subsystem) intersect (positive roots of rs)
-        sel = [r for r, keep in zip(rs.positive, _orthogonal(rs, v)) if keep]
-        sub = rs.perp[v] = root_system_from_roots(f"{rs.label}-perp", sel, rs.rho)
+        keep = [not sum(map(mul, a, u)) for a in rs.positive_images]
+        sub = rs.perp[u] = subsystem(rs, keep, f"{rs.label}-perp")
     return sub
 
 
@@ -393,9 +385,11 @@ def _flipping_longest(space: KSpace, beta: Weight) -> list[list[Mirror]] | None:
     """The longest element w_l of W, one mirror word per factor, when it
     sends beta to -beta; None when it does not."""
     wl = _longest_words(space.factors)
-    flips = all(_act(rs, w, v) == vscale(-1, v)
-                for rs, w, v in zip(space.factors, wl, beta.factors))
-    return wl if flips else None
+    for rs, w, v in zip(space.factors, wl, beta.factors):
+        _, u = _tracked_image(rs, v)
+        if _reflected(reversed(w), [u]) != [tuple([-c for c in u])]:
+            return None
+    return wl
 
 
 STRATEGIES = ("chamber", "reduced", "brute")
@@ -451,8 +445,8 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     for sub, xi_f in zip(subs, xi0.factors):
         descent, labels = sub.descend(coroot_labels(sub, xi_f)[1])
         u0.append([sub.simple_mirrors[i] for i in reversed(descent)])
-        parabolics.append(orthogonal_subsystem(sub, _act(sub, u0[-1], xi_f))
-                          if 0 in labels else None)
+        (xi_dom,) = _reflected(reversed(u0[-1]), [_tracked_image(sub, xi_f)[1]])
+        parabolics.append(orthogonal_subsystem(sub, xi_dom) if 0 in labels else None)
     _require_within(prod(group_order(par) for par in parabolics if par is not None),
                     budget, "the stabilizer of xi0 in W_beta")
     plus = [[u] if par is None else
@@ -468,19 +462,22 @@ def _line_preservers_chamber(space, beta, xi0, budget):
 
 def _self_checked(space, beta, xi0, branches, strategy):
     """The elements of `branches` (see _elements), once each factor's word
-    is checked through _act: a word of branch k sends the beta block to
+    is checked on lattice images: a word of branch k sends the beta block to
     (-1)^k times itself, and the xi0 block to a point that pairs
     nonnegatively with the positive roots orthogonal to beta.
     SelfCheckError names the strategy whose survivor fails."""
     for sign, branch in zip((1, -1), branches):
         for rs, words, v, xi in zip(space.factors, branch, beta.factors, xi0.factors):
-            # integer images: signs of dot products survive any positive scale
-            perp = [a for a, keep in zip(rs.positive_images, _orthogonal(rs, v)) if keep]
+            # lattice images: signs of dot products survive any positive scale
+            _, b = _tracked_image(rs, v)
+            _, x = _tracked_image(rs, xi)
+            target = tuple([sign * c for c in b])
+            perp = [a for a in rs.positive_images if not sum(map(mul, a, b))]
             for w in words:
-                if _act(rs, w, v) != vscale(sign, v):
+                wb, wx = _reflected(reversed(w), [b, x])
+                if wb != target:
                     raise SelfCheckError(f"{strategy} survivor does not send beta to +-beta")
-                _, (u,) = integer_images([_act(rs, w, xi)])
-                if any(sum(map(mul, a, u)) < 0 for a in perp):
+                if any(sum(map(mul, a, wx)) < 0 for a in perp):
                     raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
                                          "dominant for the beta stabilizer")
     return _elements(space.factors, branches)
@@ -495,8 +492,9 @@ def _line_preservers_brute(space, beta, xi0, budget):
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
         _, b = coroot_labels(rs, beta_f)
-        ((_, off_span),) = _forms(rs, [beta_f], beta_f)
-        perp = [a for a, keep in zip(rs.positive, _orthogonal(rs, beta_f)) if keep]
+        _, (u,) = integer_images([beta_f])
+        ((_, off_span),) = _forms(rs, [u], beta_f)
+        perp = [a for a in rs.positive_images if not sum(map(mul, a, u))]
         lo, hi = rs.rank, 2 * rs.rank
         xi_ok = _nonnegative(_forms(rs, perp, xi_f), hi)
         targets = (b,) if off_span else (b, tuple([-c for c in b]))
@@ -521,9 +519,11 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
     plus, minus = [], []
     for f, (rs, sub, xi_f) in enumerate(zip(space.factors, subs, xi0.factors)):
-        tests = [_nonnegative(_forms(sub, sub.positive, xi_f), sub.rank)]
+        tests = [_nonnegative(_forms(sub, sub.positive_images, xi_f), sub.rank)]
         if wl is not None:
-            flipped = [_act(rs, wl[f], p) for p in sub.positive]
+            # W(rs) permutes the roots of rs, so the images of the subsystem's
+            # roots, held at rs's scale, reflect to images of roots
+            flipped = _reflected(reversed(wl[f]), sub.positive_images)
             tests.append(_nonnegative(_forms(sub, flipped, xi_f), sub.rank))
         found = _survivors(sub, (coroot_labels(sub, xi_f)[1],), tests)
         plus.append(found[0])

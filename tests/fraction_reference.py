@@ -4,13 +4,13 @@ builds root systems, reflects vectors and pairs them with coroots on
 integer images instead, and never applies an element matrix; tests
 compare it against these."""
 
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import add, mul
 
 from minrep.linalg import integer_images, solve_combination
 from minrep.rootsys import (
-    RootSystem,
     Weight,
     dot,
     is_zero,
@@ -131,7 +131,22 @@ def _fundamental_weights(simple):
     return tuple(out)
 
 
-def build(label, family, ambient, positive, simple) -> RootSystem:
+@dataclass(frozen=True)
+class ReferenceSystem:
+    """The Fraction fields of a `rootsys.RootSystem`, and its roots."""
+    label: str
+    family: str
+    rank: int
+    ambient: int
+    roots: frozenset
+    simple: tuple
+    positive: tuple
+    rho: tuple
+    fundamental: tuple
+    highest_root: tuple | None
+
+
+def build(label, family, ambient, positive, simple) -> ReferenceSystem:
     roots = frozenset(positive) | frozenset(vscale(-1, p) for p in positive)
     if set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
@@ -147,8 +162,8 @@ def build(label, family, ambient, positive, simple) -> RootSystem:
     fundamental = _fundamental_weights(simple)
     irreducible = len(_component_split(tuple(simple))) == 1
     highest = max(positive, key=lambda p: heights[p]) if irreducible else None
-    return RootSystem(label, family, len(simple), ambient, roots,
-                      tuple(simple), tuple(positive), rho, fundamental, highest)
+    return ReferenceSystem(label, family, len(simple), ambient, roots,
+                           tuple(simple), tuple(positive), rho, fundamental, highest)
 
 
 def _e(i, n):
@@ -247,7 +262,7 @@ def _pos_E6():
     return pos, simple8[:6]
 
 
-def make_root_system(label) -> RootSystem:
+def make_root_system(label) -> ReferenceSystem:
     """The system of a type label that `rootsys.make_root_system` builds."""
     if label == "A1d":
         return build("A1d", "A1d", 2, [vec(2, -2)], [vec(2, -2)])
@@ -260,7 +275,9 @@ def make_root_system(label) -> RootSystem:
     return build(label, family, len(pos[0]), pos, simple)
 
 
-def root_system_from_roots(label, roots, chamber) -> RootSystem:
+def root_system_from_roots(label, roots, chamber) -> ReferenceSystem:
+    """The system of the closed root list `roots`, its positive roots those
+    pairing positively with `chamber`, in sorted order."""
     allroots = {tuple(Q(c) for c in r) for r in roots}
     allroots |= {vscale(-1, r) for r in allroots}
     pos = []

@@ -12,7 +12,6 @@ from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
-    RootSystem,
     UnsupportedCartanType,
     Weight,
     bilinear,
@@ -20,7 +19,6 @@ from minrep.rootsys import (
     lattice_period,
     make_root_system,
     omega_to_coords,
-    root_system_from_roots,
     space_dominance,
     space_rho,
     space_weyl_dim,
@@ -260,9 +258,9 @@ CLASSICAL_LABELS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 1), ("
 
 
 def assert_same_system(rs, ref):
-    """Every field equal to the Fraction reference's, tuples in order, and
-    every coordinate a Fraction."""
-    for field in dataclasses.fields(RootSystem):
+    """Every Fraction field, and the roots, equal to the Fraction
+    reference's, tuples in order, and every coordinate a Fraction."""
+    for field in dataclasses.fields(fraction_reference.ReferenceSystem):
         assert getattr(rs, field.name) == getattr(ref, field.name), field.name
     vectors = [*rs.roots, *rs.simple, *rs.positive, rs.rho, *rs.fundamental]
     if rs.highest_root is not None:
@@ -275,43 +273,46 @@ def test_integer_construction_matches_the_fraction_reference(label):
     assert_same_system(make_root_system(label), fraction_reference.make_root_system(label))
 
 
+def assert_same_subsystem(rs, v):
+    """orthogonal_subsystem(rs, v) is the Fraction reference's system of
+    the roots of rs orthogonal to v, and holds its images at rs's scale."""
+    sub = orthogonal_subsystem(rs, v)
+    roots = [a for a in rs.roots if dot(a, v) == 0]
+    ref = fraction_reference.root_system_from_roots(sub.label, roots, rs.rho)
+    assert_same_system(sub, ref)
+    assert sub.scale == rs.scale
+    assert sub.positive_images == tuple(tuple(rs.scale * c for c in p)
+                                        for p in sub.positive)
+
+
 def test_catalog_subsystems_match_the_fraction_reference():
     pairs = {(rs, v) for r in all_default_records() for m in r.modules
              for rs, v in zip(r.space.factors, m.beta.factors)}
     for rs, v in sorted(pairs, key=repr):
-        roots = [a for a in rs.roots if dot(a, v) == 0]
-        ref = fraction_reference.root_system_from_roots("sub", roots, rs.rho)
-        assert_same_system(root_system_from_roots("sub", roots, rs.rho), ref)
-        # the memoized subsystem, built from the positive roots alone
-        sub = orthogonal_subsystem(rs, v)
-        assert_same_system(sub, dataclasses.replace(ref, label=sub.label))
+        assert_same_subsystem(rs, v)
     assert len(pairs) >= 30
 
 
-def test_embedded_system_from_long_roots_of_g2():
-    g2 = make_root_system("G2")
-    longs = [r for r in g2.roots if dot(r, r) == 6]
-    sub = root_system_from_roots("G2-long", longs, g2.rho)
-    assert len(sub.positive) == 3 and sub.rank == 2
-    # three positive roots of equal length with pairwise product -3: type A2
-    assert all(dot(p, p) == 6 for p in sub.positive)
-    assert {dot(sub.simple[0], sub.simple[1])} == {-3}
+@pytest.mark.parametrize("label,v", [("E8", vec(0, 0, 0, 0, 0, 0, 1, 1)),
+                                     ("G2", vec(-1, 0, 1))])
+def test_golden_subsystems_match_the_fraction_reference(label, v):
+    # the vectors of the `minrep weyl subsystem` golden files
+    assert_same_subsystem(make_root_system(label), v)
 
 
-def test_embedded_system_from_no_roots_has_rank_zero():
-    # the ambient dimension comes from the chamber vector, as there is no
-    # root to read it from
-    rs = root_system_from_roots("none", [], vec(1, 2, 3))
-    assert (rs.rank, rs.ambient) == (0, 3)
-    assert rs.roots == frozenset() and rs.simple == rs.positive == ()
-    assert rs.rho == vec(0, 0, 0)
-    assert rs.fundamental == () and rs.highest_root is None
+def test_build_hashes_no_fraction(monkeypatch):
+    # every check and every index of a build runs on the integer images
+    hashed = []
+    real = Q.__hash__
 
+    def counting(q):
+        hashed.append(q)
+        return real(q)
 
-def test_embedded_system_rejects_chamber_on_a_wall():
-    g2 = make_root_system("G2")
-    with pytest.raises(ValueError):
-        root_system_from_roots("bad", g2.roots, vec(1, 1, 1))
+    monkeypatch.setattr(Q, "__hash__", counting)
+    for label in ("E8", "F4", "A1d"):
+        make_root_system.__wrapped__(label)
+    assert hashed == []
 
 
 # ---------------------------------------------------------------------------

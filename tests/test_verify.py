@@ -84,6 +84,26 @@ def test_hermitian_record_skips_line_checks():
         assert "one-sided" in rep.evidence
 
 
+@pytest.mark.parametrize("check,missing,reason", [
+    ("xi0", "xi0", "no stored xi0"),
+    ("xi0", "w0", None),
+    ("w0_table", "w0", "no stored w0 word"),
+    ("w0_table", "xi0", "no stored w0 word"),
+    ("w0_formula", "w0", "no stored w0 word"),
+    ("w0_formula", "xi0", None),
+    ("w0_unique", "w0", "no stored w0 word"),
+    ("w0_unique", "xi0", "no stored w0 word"),
+    ("same_line", "w0", "no stored w0 word"),
+    ("same_line", "xi0", None),
+])
+def test_line_checks_skip_exactly_when_their_stored_data_is_missing(check, missing, reason):
+    rep = run_check(check, mutate(find_record("f4(4)"), **{missing: None}))
+    if reason is None:
+        assert rep.status == "pass"
+    else:
+        assert (rep.status, rep.evidence) == ("skipped", reason)
+
+
 def test_same_line_shift_value_on_worked_example():
     rep = run_check("same_line", find_record("e8(-24)"))
     assert rep.status == "pass"
@@ -234,9 +254,17 @@ def _on_new_systems(records):
             for r in records]
 
 
+def _line(v):
+    """One key for v, 2v and -v; the zero vector is its own."""
+    if all(c == 0 for c in v):
+        return tuple(v)
+    s, _ = mirror(v)
+    return frozenset({s, tuple(-c for c in s)})
+
+
 def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     builds = []
-    real_build = weyl.root_system_from_roots
+    real_build = weyl.subsystem
 
     def counting_build(*args):
         builds.append(args)
@@ -248,15 +276,16 @@ def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     def counting_subsystem(rs, v):
         before = len(builds)
         out = real_subsystem(rs, v)
-        per_key[rs.roots, tuple(v)] += len(builds) - before
+        per_key[rs.roots, _line(v)] += len(builds) - before
         return out
 
-    monkeypatch.setattr(weyl, "root_system_from_roots", counting_build)
+    monkeypatch.setattr(weyl, "subsystem", counting_build)
     monkeypatch.setattr(weyl, "orthogonal_subsystem", counting_subsystem)
     reports = run_all(_on_new_systems(all_default_records()),
                       checks=["w0_formula", "w0_unique"])
     assert suite_status(reports) == "pass"
-    # w0_formula and w0_unique ask for the same subsystems; each is built once
+    # w0_formula and w0_unique ask for the same subsystems; each line's is
+    # built once
     assert len(builds) == sum(per_key.values()) == len(per_key) >= 20
 
 

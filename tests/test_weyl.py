@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import linalg, rootsys, weyl
-from minrep.linalg import matmul
+from minrep.linalg import integer_images, matmul
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
@@ -386,13 +386,13 @@ def test_per_system_data_is_computed_once(monkeypatch):
                 sub, group_order(sub), type_label(sub), longest_element(sub))
 
     for module in (linalg, rootsys, weyl):
-        for name in ("solve_combination", "root_system_from_roots", "_component_split"):
+        for name in ("solve_combination", "subsystem", "_component_split"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(RootSystem, "descend", counting("descend", RootSystem.descend))
     first = round_on_rs()
-    assert set(calls) == {"solve_combination", "root_system_from_roots",
-                          "_component_split", "descend"}
+    assert set(calls) == {"solve_combination", "subsystem", "_component_split",
+                          "descend"}
     calls.clear()
     assert round_on_rs() == first
     assert calls == []
@@ -451,6 +451,21 @@ def test_orthogonal_subsystem_can_be_empty_or_everything():
     everything = orthogonal_subsystem(g2, vec(0, 0, 0))
     assert everything.roots == g2.roots
     assert group_order(everything) == 12
+
+
+def test_orthogonal_subsystem_is_one_per_line():
+    f4 = make_root_system.__wrapped__("F4")
+    v = f4.fundamental[0]
+    sub = orthogonal_subsystem(f4, v)
+    assert orthogonal_subsystem(f4, vscale(2, v)) is sub
+    assert orthogonal_subsystem(f4, vscale(-1, v)) is sub
+    assert orthogonal_subsystem(f4, vscale(-H, v)) is sub
+    assert type_label(sub) == "C3"
+    # the zero vector is its own line, orthogonal to every root
+    everything = orthogonal_subsystem(f4, vec(0, 0, 0, 0))
+    assert everything is not sub and everything.roots == f4.roots
+    assert orthogonal_subsystem(f4, (0, 0, 0, 0)) is everything
+    assert len(f4.perp) == 2
 
 
 def test_orthogonal_subsystem_splits_into_components():
@@ -708,13 +723,19 @@ LATTICE_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1d")
 @st.composite
 def rational_vector_and_word(draw):
     """A system, a vector with random rational coordinates and a word of
-    random root letters, each scaled by a random nonzero rational."""
+    random root letters, each scaled by a random nonzero rational.  The
+    system is a type, or its subsystem orthogonal to a root or to a
+    fundamental weight, which holds its images at the type's scale."""
     rs = make_root_system(draw(st.sampled_from(LATTICE_TYPES)))
+    if draw(st.booleans()):
+        rs = orthogonal_subsystem(rs, draw(st.sampled_from(
+            sorted(rs.positive) + list(rs.fundamental))))
     rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     v, y = (tuple(draw(rational) for _ in range(rs.ambient)) for _ in range(2))
     scales = rational.filter(bool)
-    letters = [(0, vscale(draw(scales), r))
-               for r in draw(st.lists(st.sampled_from(sorted(rs.roots)), max_size=8))]
+    roots = draw(st.lists(st.sampled_from(sorted(rs.roots)), max_size=8)
+                 if rs.rank else st.just([]))
+    letters = [(0, vscale(draw(scales), r)) for r in roots]
     return rs, v, y, letters
 
 
@@ -734,7 +755,7 @@ def test_lattice_action_matches_fraction_reference(case):
     # parent's with one more letter in front, and the walk visits the
     # parent first.
     d, labels = coroot_labels(rs, v)
-    ((coeffs, const),) = weyl._forms(rs, [y], v)
+    ((coeffs, const),) = weyl._forms(rs, integer_images([y])[1], v)
     ratios = set()
     scale, image = weyl._tracked_image(rs, v)
     assert image == tuple(scale * c for c in v)
