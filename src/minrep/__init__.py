@@ -4,8 +4,8 @@ The library reconstructs root-system data for the maximal compact
 subgroups of simple real Lie groups, stores the catalog of minimal
 K-type ladders, and machine-checks the identities behind the
 classification: line-preserver uniqueness, ladder disjointness,
-lattice periods, and infinitesimal characters.  Every number is a
-fractions.Fraction; nothing here floats.
+lattice periods, and infinitesimal characters.  It computes on integers
+and takes and returns fractions.Fraction values; nothing here floats.
 """
 
 from .registry import (

@@ -15,7 +15,6 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from . import registry
 from .registry import (
@@ -26,7 +25,7 @@ from .registry import (
     joseph_infchar,
     k_display,
 )
-from .render import format_q, format_weight, format_word
+from .render import format_q, format_weight, format_word, parse_q
 from .rootsys import UnsupportedCartanType, make_root_system
 from .verify import (
     CHECK_NAMES,
@@ -348,7 +347,7 @@ def cmd_weyl(args) -> int:
     if args.orthogonal_to is None:
         raise UsageError("subsystem requires --orthogonal-to")
     try:
-        v = tuple(Q(part) for part in args.orthogonal_to.split(","))
+        v = tuple(map(parse_q, args.orthogonal_to.split(",")))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed vector {args.orthogonal_to!r}; expected "
                          "comma-separated rationals like 1,0,-1/2")
@@ -356,7 +355,7 @@ def cmd_weyl(args) -> int:
         raise UsageError(f"vector has {len(v)} coordinates, {rs.label} "
                          f"lives in {rs.ambient}")
     sub = orthogonal_subsystem(rs, v)
-    print(f"{len(sub.roots)} roots, type {type_label(sub)}")
+    print(f"{2 * len(sub.positive_images)} roots, type {type_label(sub)}")
     return 0
 
 

@@ -1,13 +1,12 @@
 """Small exact linear algebra: integer images of Fraction vectors, one
-multi-target solver, and the matrix product that composes Weyl elements
-(which are compared, never applied)."""
+multi-target solver that answers in integers, and the matrix product that
+composes Weyl elements (which are compared, never applied)."""
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
 
-Vector = tuple[Q, ...]
 Matrix = tuple[tuple[Q, ...], ...]
 
 
@@ -26,17 +25,17 @@ def integer_images(vectors) -> tuple[int, list[tuple[int, ...]]]:
     return m, [tuple(c.numerator * (m // c.denominator) for c in v) for v in vectors]
 
 
-def solve_combination(columns: list[Vector],
-                      targets: list[Vector]) -> list[tuple[Q, ...] | None]:
-    """Solve sum_k x_k * columns[k] = t exactly for every target t.
+def solve_combination(columns, targets) -> list[tuple[int, tuple[int, ...]] | None]:
+    """Solve sum_k x_k * columns[k] = t exactly for every target t: (d, xs)
+    with x_k = xs_k / d and d > 0 the lcm of their denominators (as in
+    integer_images), or None when t is outside the span of the columns.
 
     One fraction-free Gauss-Jordan elimination on integer-scaled rows serves
-    all targets: they ride along as extra augmented columns.  Columns must be
-    linearly independent (ValueError otherwise).  The entry for a target
-    outside their span is None.
+    all targets: they ride along as extra augmented columns.  Columns must
+    be linearly independent (ValueError otherwise).
     """
     if not columns:
-        return [() if all(c == 0 for c in t) else None for t in targets]
+        return [(1, ()) if not any(t) else None for t in targets]
     nrows = len(columns[0])
     ncols = len(columns)
     # augmented rows [col_0[i], ..., col_{k-1}[i] | t_0[i], t_1[i], ...], all
@@ -56,11 +55,15 @@ def solve_combination(columns: list[Vector],
                 row = [pv * x - f * y for x, y in zip(rows[i], pivot_row)]
                 g = gcd(*row)
                 rows[i] = [x // g for x in row] if g > 1 else row
-    # row c now reads d_c x_c = t-entry for each pivot column c
+    # row c now reads p_c x_c = t-entry for each pivot column c
+    pivots = [rows[c][c] for c in range(ncols)]
+    big = lcm(*pivots)
     out = []
     for j in range(ncols, ncols + len(targets)):
         if any(rows[i][j] != 0 for i in range(ncols, nrows)):
             out.append(None)
-        else:
-            out.append(tuple(Q(rows[c][j], rows[c][c]) for c in range(ncols)))
+            continue
+        xs = [rows[c][j] * (big // p) for c, p in enumerate(pivots)]
+        g = gcd(big, *xs)
+        out.append((big // g, tuple([x // g for x in xs])))
     return out

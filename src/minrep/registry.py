@@ -18,7 +18,7 @@ from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Iterable
 
-from .render import format_q
+from .render import format_q, parse_q
 from .rootsys import (
     KSpace,
     RootSystem,
@@ -87,7 +87,7 @@ def normalize_name(name: str) -> str:
 
 def dim_of_type(label: str) -> int:
     rs = make_root_system(label)
-    return 2 * len(rs.positive) + rs.rank
+    return 2 * len(rs.positive_images) + rs.rank
 
 
 def g_dimension(record: RealFormRecord) -> int:
@@ -126,18 +126,11 @@ def joseph_infchar(g_label: str) -> tuple[Q, ...]:
     character, indexed by the Cartan type of one simple component."""
     family, rank_text = g_label[:1], g_label[1:]
     h, one = Q(1, 2), Q(1)
-    if family == "B" and rank_text.isdigit():
-        n = int(rank_text)
-        if n >= 3:
-            return (one,) * (n - 3) + (h, h, one)
-    if family == "C" and rank_text.isdigit():
-        n = int(rank_text)
-        if n >= 2:
-            return (one,) * (n - 1) + (h,)
-    if family == "D" and rank_text.isdigit():
-        n = int(rank_text)
-        if n >= 4:
-            return (one,) * (n - 3) + (Q(0), one, one)
+    # classical types from their least rank: ones, then a fixed tail
+    least, tail = {"B": (3, (h, h, one)), "C": (2, (h,)),
+                   "D": (4, (Q(0), one, one))}.get(family, (0, ()))
+    if tail and rank_text.isdigit() and int(rank_text) >= least:
+        return (one,) * (int(rank_text) - len(tail)) + tail
     fixed = {
         "E6": (1, 1, 1, 0, 1, 1),
         "E7": (1, 1, 1, 0, 1, 1, 1),
@@ -169,12 +162,9 @@ def validate_record(r: RealFormRecord) -> None:
         _fail(r.name, f"unknown nonexistence reason {r.nonexistence_reason!r}")
     for t in r.g_complex:
         make_root_system(t)
-    for w in r.p_summands:
-        conform(r.space, w)
-    if r.rho is not None:
-        conform(r.space, r.rho)
-    if r.xi0 is not None:
-        conform(r.space, r.xi0)
+    for w in (*r.p_summands, r.rho, r.xi0):
+        if w is not None:
+            conform(r.space, w)
     if r.hermitian and r.space.center_dim != 1:
         _fail(r.name, "one-sided records need a one-dimensional center")
     if r.modules:
@@ -625,7 +615,7 @@ def _q_parse(s, where: str) -> Q:
     if not isinstance(s, str):
         raise RegistryFormatError(f"{where}: rational {s!r} must be a string")
     try:
-        return Q(s)
+        return parse_q(s)
     except (ValueError, ZeroDivisionError):
         raise RegistryFormatError(f"{where}: bad rational {s!r}")
 

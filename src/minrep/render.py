@@ -8,6 +8,7 @@ and half-integer letters wrapped as "(e1-e2+...)/2".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 from .linalg import integer_images
@@ -21,6 +22,15 @@ def format_q(x) -> str:
     x = Q(x)
     return str(x.numerator) if x.denominator == 1 else \
         f"{x.numerator}/{x.denominator}"
+
+
+def parse_q(text: str) -> Q:
+    """The inverse of format_q: "p" or "p/q" in ASCII digits, p maybe signed
+    (Fraction would also read decimals, underscores and costly exponents)."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"not a rational p or p/q: {text!r}")
+    num, _, den = text.partition("/")
+    return Q(int(num), int(den or 1))
 
 
 def format_vector(v) -> str:

@@ -1,12 +1,11 @@
 """Exact root-system arithmetic in standard (Bourbaki) coordinates.
 
-Integer images inside, Fraction on the `RootSystem` fields: construction
-runs on integer vectors (the roots times one common scale) and makes
-Fractions only for the fields it returns, one per distinct coordinate
-value.  No floating point is used anywhere in this package.  A
-`RootSystem` is a concrete set of coordinate vectors closed under
-negation, together with a fixed positive system, the simple roots in the
-conventional numbering, rho, and the fundamental weights.
+A `RootSystem` is a concrete set of coordinate vectors closed under
+negation, with a fixed positive system and the simple roots in the
+conventional numbering, held as integers: the positive and simple roots
+times one common `scale`.  Fractions are made only for the views that
+print or store a vector (the simple roots, rho, the fundamental weights,
+the highest root); no floating point is used anywhere in this package.
 
 Supported constructions:
 
@@ -23,17 +22,15 @@ Supported constructions:
 * subsystems (`subsystem`): a selection of a system's positive roots,
   with the induced positive system, cut from its integer images.
 
-A `RootSystem` keeps the integers it is built from as fields: its scale
-and the images of its positive and simple roots at that scale, which a
-subsystem shares with its parent.  Construction checks its own result on
-these images (simple roots = indecomposables, rho pairs to 1 with every
-simple coroot, read as (2 rho, a) = (a, a), every positive root an
-N-combination of the simple roots).  The scaling is exact and injective,
-so the O(P^2) sum set, the dot products behind rho, the Cartan matrix
-and the fundamental weights, and one elimination that solves for every
-positive root at once all run on Python integers.
+A subsystem shares its parent's scale.  Construction checks its own
+result on these images (simple roots = indecomposables, rho pairs to 1
+with every simple coroot, read as (2 rho, a) = (a, a), every positive root
+an N-combination of the simple roots).  The scaling is exact and
+injective, so the O(P^2) sum set, the dot products behind rho, and one
+elimination that solves for every positive root at once run on Python
+integers, as do the Cartan matrix and the fundamental weights later.
 
-Everything else derived from one system (the full root set, root lines,
+Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, component types and Weyl orders, the
 longest word, orthogonal subsystems) is a cached property of its
 `RootSystem`, computed on first use from those fields and kept with it.
@@ -41,10 +38,9 @@ longest word, orthogonal subsystems) is a cached property of its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterable, NamedTuple
@@ -58,10 +54,6 @@ Mirror = tuple[IntVector, int]  # a reflection letter on integers, see mirror
 
 class UnsupportedCartanType(ValueError):
     pass
-
-
-def vzero(n: int) -> Vector:
-    return (Q(0),) * n
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -112,15 +104,10 @@ class RootSystem:
     family: str                 # "A".."G" or "sub" for subsystems
     rank: int
     ambient: int
-    simple: tuple[Vector, ...]
-    positive: tuple[Vector, ...]
-    rho: Vector
-    fundamental: tuple[Vector, ...]
-    highest_root: Vector | None  # None when the system is reducible
-    # the roots times `scale`, in the order of positive and simple
-    scale: int = field(compare=False)
-    positive_images: tuple[IntVector, ...] = field(compare=False)
-    simple_images: tuple[IntVector, ...] = field(compare=False)
+    # the positive roots in order, the simple in their numbering, times scale
+    scale: int
+    positive_images: tuple[IntVector, ...]
+    simple_images: tuple[IntVector, ...]
 
     def __repr__(self) -> str:  # keep dataclass noise out of assertion output
         return f"RootSystem({self.label})"
@@ -130,11 +117,40 @@ class RootSystem:
         """Factors whose coordinates carry a redundant diagonal direction."""
         return self.family == "A" or self.label == "A1d"
 
-    # written past the frozen __setattr__; eq and hash read the Fraction fields
+    # cached properties are written past the frozen __setattr__; eq and hash
+    # read the fields alone
     @cached_property
-    def roots(self) -> frozenset[Vector]:
-        """Every root, both signs."""
-        return frozenset(self.positive) | frozenset(vscale(-1, p) for p in self.positive)
+    def simple(self) -> tuple[Vector, ...]:
+        return tuple(_rational(b, self.scale) for b in self.simple_images)
+
+    @cached_property
+    def two_rho(self) -> IntVector:
+        """2 rho times scale: the sum of the positive images."""
+        return tuple(map(sum, zip((0,) * self.ambient, *self.positive_images)))
+
+    @cached_property
+    def rho(self) -> Vector:
+        return _rational(self.two_rho, 2 * self.scale)
+
+    @cached_property
+    def fundamental_images(self) -> tuple[int, list[IntVector]]:
+        """(m, [m omega_i]): the fundamental weights at one integer scale."""
+        return _fundamental_weights(self.scale, self.simple_images)
+
+    @cached_property
+    def fundamental(self) -> tuple[Vector, ...]:
+        m, images = self.fundamental_images
+        return tuple(_rational(u, m) for u in images)
+
+    @cached_property
+    def highest_root(self) -> Vector | None:
+        """None when reducible; else the dominant root of greatest norm (there
+        are at most two dominant roots, Bourbaki VI 1.8)."""
+        if len(_component_split(self.simple_images)) != 1:
+            return None
+        dominant = [p for p in self.positive_images
+                    if all(_idot(p, a) >= 0 for a in self.simple_images)]
+        return _rational(max(dominant, key=lambda p: _idot(p, p)), self.scale)
 
     @cached_property
     def coroot_images(self) -> tuple[int, tuple[IntVector, ...]]:
@@ -145,11 +161,6 @@ class RootSystem:
         big = lcm(*norms)
         return big, tuple(tuple(2 * self.scale * (big // n) * c for c in b)
                           for b, n in zip(self.simple_images, norms))
-
-    @cached_property
-    def fundamental_images(self) -> tuple[int, list[IntVector]]:
-        """integer_images of the fundamental weights."""
-        return integer_images(self.fundamental)
 
     @cached_property
     def lines(self) -> frozenset[IntVector]:
@@ -213,7 +224,7 @@ class RootSystem:
         the longest element (which maps rho to -rho)."""
         # -rho has every label -1, rho every label 1
         letters, end = self.descend([-1] * self.rank)
-        if end != [1] * self.rank or len(letters) != len(self.positive):
+        if end != [1] * self.rank or len(letters) != len(self.positive_images):
             raise AssertionError("descent from -rho is not a reduced word to rho")
         return tuple(letters)
 
@@ -300,38 +311,27 @@ def _build(label: str, family: str, ambient: int, scale: int,
            positive: list[IntVector], simple: list[IntVector]) -> RootSystem:
     """The system whose positive and simple roots are the integer images
     `positive` and `simple` divided by `scale`.  Every check runs on the
-    images; Fractions are made for the fields only, one per distinct
-    coordinate value of the roots."""
-    q = {c: Q(c, scale) for c in set(chain.from_iterable(positive))}
-
-    def rational(u: IntVector) -> Vector:
-        return tuple(map(q.__getitem__, u))
-
+    images; a Fraction is made only to name a root in a refusal."""
+    rs = RootSystem(label, family, len(simple), ambient, scale,
+                    tuple(positive), tuple(simple))
     if set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
-    two_rho = tuple(map(sum, zip(*positive))) if positive else (0,) * ambient
     # <rho, a^vee> = 1 reads (2 rho, a) = (a, a), which any common scale keeps
     for a in simple:
-        if _idot(two_rho, a) != _idot(a, a):
-            raise ValueError(f"{label}: rho pairing is not 1 against {rational(a)}")
-    heights = []
-    for p, coeffs in zip(positive, solve_combination(simple, positive)):
-        if coeffs is None or any(c.denominator != 1 or c.numerator < 0 for c in coeffs):
-            raise ValueError(f"{label}: positive root {rational(p)} is not an "
+        if _idot(rs.two_rho, a) != _idot(a, a):
+            raise ValueError(f"{label}: rho pairing is not 1 against {_rational(a, scale)}")
+    for p, sol in zip(positive, solve_combination(simple, positive)):
+        if sol is None or any(x % sol[0] or x < 0 for x in sol[1]):
+            raise ValueError(f"{label}: positive root {_rational(p, scale)} is not an "
                              "N-combination of simples")
-        heights.append(sum(c.numerator for c in coeffs))
-    pos = [rational(p) for p in positive]
-    rho = tuple(Q(c, 2 * scale) for c in two_rho)
-    fundamental = _fundamental_weights(scale, simple)
-    irreducible = len(_component_split(simple)) == 1
-    highest = (pos[max(range(len(pos)), key=heights.__getitem__)]
-               if irreducible else None)
-    return RootSystem(label, family, len(simple), ambient,
-                      tuple(map(rational, simple)), tuple(pos), rho, fundamental,
-                      highest, scale, tuple(positive), tuple(simple))
+    return rs
 
 
-def _fundamental_weights(scale: int, simple: list[IntVector]) -> tuple[Vector, ...]:
+def _rational(u: IntVector, scale: int) -> Vector:
+    return tuple([Q(c, scale) for c in u])
+
+
+def _fundamental_weights(scale: int, simple) -> tuple[int, list[IntVector]]:
     # omega_i = sum_k x_k alpha_k with <omega_i, alpha_j^vee> = delta_ij.
     # Solving inside the root span pins the weights down even when the
     # ambient space is larger than the rank (A-type, embedded E6/E7).
@@ -341,16 +341,15 @@ def _fundamental_weights(scale: int, simple: list[IntVector]) -> tuple[Vector, .
     gram = [[_idot(u, v) for v in simple] for u in simple]
     columns = [tuple([2 * g for g in row]) for row in gram]
     targets = [tuple([gram[j][j] if j == i else 0 for j in range(n)]) for i in range(n)]
+    solutions = solve_combination(columns, targets)
+    if any(sol is None for sol in solutions):
+        raise ValueError("a fundamental weight is outside the span of "
+                         "the Cartan matrix columns")
+    # with x_k = xs_k / d and alpha_k = b_k / scale, omega_i = (sum_k xs_k b_k) / (d scale)
+    big = lcm(*(d for d, _ in solutions))
     coords = list(zip(*simple))
-    out = []
-    for xs in solve_combination(columns, targets):
-        if xs is None:
-            raise ValueError("a fundamental weight is outside the span of "
-                             "the Cartan matrix columns")
-        d = lcm(*(x.denominator for x in xs))
-        nums = [x.numerator * (d // x.denominator) for x in xs]
-        out.append(tuple(Q(_idot(nums, col), d * scale) for col in coords))
-    return tuple(out)
+    return big * scale, [tuple([_idot(xs, col) * (big // d) for col in coords])
+                         for d, xs in solutions]
 
 
 # Each _pos_<type> returns (scale, positive roots, simple roots): integer
@@ -509,13 +508,13 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     dom = dominance(rs, lam)
     if not (dom.dominant and dom.integral):
         raise ValueError(f"{lam} is not dominant integral for {rs.label}")
-    # lam + rho and rho at one scale, the roots at theirs: scales cancel in num / den
-    _, (lam_int, rho_int) = integer_images([lam, rs.rho])
-    lr = tuple(map(add, lam_int, rho_int))
+    # lam + rho and rho times 2 m scale, the roots at theirs: scales cancel in num / den
+    m, (lam_int,) = integer_images([lam])
+    lr = tuple([2 * rs.scale * a + m * b for a, b in zip(lam_int, rs.two_rho)])
     num = den = 1
     for a in rs.positive_images:
         num *= sum(map(mul, lr, a))
-        den *= sum(map(mul, rho_int, a))
+        den *= m * sum(map(mul, rs.two_rho, a))
     d, rem = divmod(num, den)
     if rem or d <= 0:
         raise ValueError(f"Weyl dimension formula gave {Q(num, den)} for {lam} on {rs.label}")
@@ -527,10 +526,7 @@ def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:
     cs = [Q(c) for c in coeffs]
     if len(cs) != rs.rank:
         raise ValueError(f"expected {rs.rank} coefficients for {rs.label}, got {len(cs)}")
-    out = vzero(rs.ambient)
-    for c, w in zip(cs, rs.fundamental):
-        out = vadd(out, vscale(c, w))
-    return out
+    return tuple(sum(map(mul, cs, col), Q(0)) for col in zip(*rs.fundamental))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +589,7 @@ def weight_is_zero(a: Weight) -> bool:
 
 
 def space_rho(space: KSpace) -> Weight:
-    return Weight(tuple(rs.rho for rs in space.factors), vzero(space.center_dim))
+    return Weight(tuple(rs.rho for rs in space.factors), (Q(0),) * space.center_dim)
 
 
 def bilinear(space: KSpace, a: Weight, b: Weight) -> Q:

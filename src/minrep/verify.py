@@ -383,13 +383,12 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
             if sep is None:
                 return _fail(f"no symbolic separator certifies ({a.label}, "
                              f"{b.label}) stay disjoint beyond the sweep")
-            if ladders[i].keys() & ladders[j].keys():
-                # name a shared rung by its Fraction K-type
-                la, lb = ({_canonical_rung(r, m, n): n for n in range(RUNG_SWEEP + 1)}
-                          for m in (a, b))
-                k = next(iter(set(la) & set(lb)))
+            if shared := ladders[i].keys() & ladders[j].keys():
+                k = min(shared)  # the least shared key, shown as its K-type
+                m, n = ladders[i][k], ladders[j][k]
                 return _fail(f"({a.label}, {b.label}) share K-type "
-                             f"{format_weight(k)} at rungs m={la[k]}, n={lb[k]}")
+                             f"{format_weight(_canonical_rung(r, a, m))} "
+                             f"at rungs m={m}, n={n}")
             notes.append(f"({a.label},{b.label}): {sep}")
     return _pass(f"count {count} as expected; pairwise disjoint "
                  f"through rung {RUNG_SWEEP}; separators: " + "; ".join(notes))

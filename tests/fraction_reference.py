@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import add, mul
 
-from minrep.linalg import integer_images, solve_combination
+from minrep.linalg import integer_images
 from minrep.rootsys import (
     Weight,
     dot,
@@ -17,7 +17,6 @@ from minrep.rootsys import (
     vadd,
     vscale,
     vsub,
-    vzero,
 )
 
 
@@ -30,6 +29,18 @@ ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
 
 def vec(*coords):
     return tuple(Q(c) for c in coords)
+
+
+def positive_roots(rs):
+    """The positive roots of a `rootsys.RootSystem`, its images divided by
+    its scale."""
+    return tuple(tuple(Q(c, rs.scale) for c in p) for p in rs.positive_images)
+
+
+def all_roots(rs):
+    """Every root of a `rootsys.RootSystem`, both signs."""
+    pos = positive_roots(rs)
+    return frozenset(pos) | frozenset(vscale(-1, p) for p in pos)
 
 
 def pair_coroot(lam, alpha):
@@ -108,8 +119,28 @@ def _component_split(simple):
     return comps
 
 
+def solve(columns, targets):
+    """For each target t, the Fractions x with sum_k x_k columns[k] = t, or
+    None when t is outside the span of the (independent) columns: one
+    Gauss-Jordan elimination on Fraction rows, the targets as augmented
+    columns."""
+    ncols = len(columns)
+    rows = [[Q(col[i]) for col in columns] + [Q(t[i]) for t in targets]
+            for i in range(len((columns or targets or [()])[0]))]
+    for c in range(ncols):
+        pr = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        rows[c], rows[pr] = rows[pr], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c] != 0:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[c])]
+    return [None if any(row[ncols + j] for row in rows[ncols:])
+            else tuple(row[ncols + j] for row in rows[:ncols])
+            for j in range(len(targets))]
+
+
 def _vsum(vs, n):
-    acc = vzero(n)
+    acc = (Q(0),) * n
     for v in vs:
         acc = vadd(acc, v)
     return acc
@@ -124,7 +155,7 @@ def _fundamental_weights(simple):
     targets = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
     coords = list(zip(*ints))
     out = []
-    for xs in solve_combination(cartan_cols, targets):
+    for xs in solve(cartan_cols, targets):
         d = lcm(*(x.denominator for x in xs))
         nums = [x.numerator * (d // x.denominator) for x in xs]
         out.append(tuple(Q(sum(map(mul, nums, col)), d * m) for col in coords))
@@ -155,7 +186,7 @@ def build(label, family, ambient, positive, simple) -> ReferenceSystem:
         if pair_coroot(rho, a) != 1:
             raise ValueError(f"{label}: rho pairing is not 1 against {a}")
     heights = {}
-    for p, coeffs in zip(positive, solve_combination(simple, positive)):
+    for p, coeffs in zip(positive, solve(simple, positive)):
         if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
         heights[p] = sum(coeffs)

@@ -35,7 +35,7 @@ from minrep.weyl import (
     word,
 )
 
-from fraction_reference import reflect
+from fraction_reference import positive_roots, reflect
 
 
 def _ms(start_ns: int) -> int:
@@ -289,7 +289,7 @@ def test_structural_properties():
     for label in ("A2", "B3", "G2", "F4"):
         rs = make_root_system(label)
         lam = rs.rho
-        for alpha in rs.positive:
+        for alpha in positive_roots(rs):
             assert reflect(alpha, alpha) == tuple(-c for c in alpha)
             assert reflect(reflect(lam, alpha), alpha) == lam
 

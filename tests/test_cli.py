@@ -420,6 +420,15 @@ def test_weyl_subsystem_malformed_vector(capsys):
     assert "malformed vector" in err
 
 
+@pytest.mark.parametrize("part", ["1e999999999", "0.5", "1_0"])
+def test_weyl_subsystem_refuses_a_coordinate_that_is_not_p_or_p_over_q(capsys, part):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "weyl", "subsystem", "G2", "--orthogonal-to", f"1,{part},0")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "malformed vector" in err
+
+
 def test_weyl_subsystem_wrong_length(capsys):
     code, _, err = run(capsys, "weyl", "subsystem", "E8",
                        "--orthogonal-to", "1,0")

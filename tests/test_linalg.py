@@ -1,12 +1,15 @@
-"""Exact linear algebra: the multi-target solver against one-target solves
-and against an independent rank oracle."""
+"""Exact linear algebra: the multi-target solver against one-target solves,
+against the Fraction reference's elimination, and against an independent
+rank oracle."""
 
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep.linalg import solve_combination
+from minrep.linalg import integer_images, solve_combination
+
+from fraction_reference import solve
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -30,6 +33,15 @@ def rank(vectors) -> int:
 def combination(coeffs, columns, n):
     return tuple(sum((x * col[i] for x, col in zip(coeffs, columns)), Q(0))
                  for i in range(n))
+
+
+def as_integers(xs):
+    """A Fraction solution in solve_combination's form: (d, d xs), with d
+    the lcm of the denominators."""
+    if xs is None:
+        return None
+    d, (ints,) = integer_images([xs])
+    return d, ints
 
 
 @st.composite
@@ -65,19 +77,25 @@ def test_multi_target_solve_agrees_with_one_target_solves(case):
         return
     batch = solve_combination(columns, targets)
     assert batch == [solve_combination(columns, [t])[0] for t in targets]
-    for t, xs in zip(targets, batch):
-        if xs is None:
+    assert batch == [as_integers(xs) for xs in solve(columns, targets)]
+    for t, sol in zip(targets, batch):
+        if sol is None:
             assert rank(columns + [t]) > len(columns)
         else:
-            assert combination(xs, columns, len(t)) == t
+            d, xs = sol
+            assert d > 0
+            assert combination([Q(x, d) for x in xs], columns, len(t)) == t
 
 
 def test_solve_examples():
     cols = [(Q(1), Q(1), Q(0)), (Q(1), Q(-1), Q(0))]
     assert solve_combination(cols, [(Q(2), Q(0), Q(0)), (Q(0), Q(0), Q(1)),
                                     (Q(1), Q(0), Q(0))]) == [
-        (Q(1), Q(1)), None, (Q(1, 2), Q(1, 2))]
+        (1, (1, 1)), None, (2, (1, 1))]
     assert solve_combination(cols, []) == []
-    assert solve_combination([], [(Q(0), Q(0)), (Q(1), Q(0))]) == [(), None]
+    assert solve_combination([], [(Q(0), Q(0)), (Q(1), Q(0))]) == [(1, ()), None]
+    # integer entries; x = (1/2, 1/3) has d = 6, the lcm of its denominators
+    assert solve_combination([(2, 0), (0, 3)], [(1, 1), (4, -6)]) == [
+        (6, (3, 2)), (1, (2, -2))]
     with pytest.raises(ValueError, match="dependent"):
         solve_combination(cols + [(Q(2), Q(0), Q(0))], [(Q(1), Q(0), Q(0))])

@@ -2,6 +2,7 @@
 validation invariants, and the JSON round trip."""
 
 import json
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -493,6 +494,25 @@ def test_load_refuses_true_as_a_rational():
     payload = _g2_2_payload()
     payload["records"][0]["rho"]["factors"][0][0] = True
     _refused(payload, "rational True must be a string")
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "0.5", "1_0"])
+def test_load_refuses_a_rational_that_is_not_p_or_p_over_q(text):
+    # Fraction would read each of these, the first by building an integer
+    # of about 3.3 billion bits
+    payload = _g2_2_payload()
+    payload["records"][0]["xi0"]["factors"][0][0] = text
+    start = time.perf_counter()
+    _refused(payload, f"bad rational {text!r}")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text,value", [("-1/2", Q(-1, 2)), ("3", Q(3))])
+def test_load_reads_p_and_p_over_q(text, value):
+    payload = _g2_2_payload()
+    payload["records"][0]["xi0"]["factors"][0][0] = text
+    (r,) = load(json.dumps(payload))
+    assert r.xi0.factors[0][0] == value
 
 
 def test_load_refuses_a_vector_written_as_a_string():

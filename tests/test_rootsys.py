@@ -2,6 +2,8 @@
 plus frozen values for the data the rest of the package leans on."""
 
 import dataclasses
+import fractions
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -33,7 +35,14 @@ from minrep.rootsys import (
 from minrep.weyl import orthogonal_subsystem
 
 import fraction_reference
-from fraction_reference import ALL_LABELS, pair_coroot, reflect, vec
+from fraction_reference import (
+    ALL_LABELS,
+    all_roots,
+    pair_coroot,
+    positive_roots,
+    reflect,
+    vec,
+)
 
 
 def closure_from_simples(simple):
@@ -53,15 +62,16 @@ def closure_from_simples(simple):
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_roots_match_reflection_closure(label):
     rs = make_root_system(label)
-    assert set(rs.roots) == closure_from_simples(rs.simple)
+    assert all_roots(rs) == closure_from_simples(rs.simple)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_positive_half_is_the_rho_positive_half(label):
     rs = make_root_system(label)
-    assert len(rs.positive) * 2 == len(rs.roots)
-    assert all(dot(p, rs.rho) > 0 for p in rs.positive)
-    assert all(vscale(-1, p) in rs.roots for p in rs.positive)
+    roots = all_roots(rs)
+    assert len(rs.positive_images) * 2 == len(roots)
+    assert all(dot(p, rs.rho) > 0 for p in positive_roots(rs))
+    assert all(vscale(-1, p) in roots for p in positive_roots(rs))
 
 
 @pytest.mark.parametrize("label,count", [
@@ -69,7 +79,7 @@ def test_positive_half_is_the_rho_positive_half(label):
     ("G2", 6), ("F4", 24), ("E6", 36), ("E7", 63), ("E8", 120), ("A1d", 1),
 ])
 def test_positive_root_counts(label, count):
-    assert len(make_root_system(label).positive) == count
+    assert len(make_root_system(label).positive_images) == count
 
 
 @pytest.mark.parametrize("label,rho", [
@@ -143,7 +153,7 @@ def test_weyl_dimension_frozen_values(label, index, dim):
 def test_weyl_dimension_of_adjoint_is_root_count_plus_rank():
     for label in ["A4", "B3", "C4", "D5", "G2", "F4", "E6", "E7", "E8"]:
         rs = make_root_system(label)
-        assert weyl_dim(rs, rs.highest_root) == len(rs.roots) + rs.rank
+        assert weyl_dim(rs, rs.highest_root) == 2 * len(rs.positive_images) + rs.rank
 
 
 def test_weyl_dimension_rejects_non_dominant():
@@ -199,7 +209,7 @@ def integer_indecomposables(positive):
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_indecomposables_match_fraction_sums(label):
-    positive = list(make_root_system(label).positive)
+    positive = list(positive_roots(make_root_system(label)))
     assert integer_indecomposables(positive) == naive_indecomposables(positive)
 
 
@@ -211,13 +221,15 @@ def test_integer_indecomposables_match_on_catalog_beta_subsystems():
         sub = orthogonal_subsystem(rs, v)
         if not sub.rank:
             continue
-        positive = list(sub.positive)
+        positive = list(positive_roots(sub))
         assert integer_indecomposables(positive) == naive_indecomposables(positive)
         checked += 1
     assert checked >= 20
 
 
 def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
+    # a build solves once, for the simple-root coordinates of every positive
+    # root; the fundamental weights are solved for on their first use
     calls = []
     real = rootsys.solve_combination
 
@@ -228,8 +240,9 @@ def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
     monkeypatch.setattr(rootsys, "solve_combination", counting)
     scale, positive, simple = rootsys._pos_E8()
     rs = rootsys._build("E8", "E", 8, scale, positive, simple)
-    assert calls == [120, 8]
+    assert calls == [120]
     assert rs.fundamental == make_root_system("E8").fundamental
+    assert calls == [120, 8]
 
 
 def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
@@ -258,11 +271,14 @@ CLASSICAL_LABELS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 1), ("
 
 
 def assert_same_system(rs, ref):
-    """Every Fraction field, and the roots, equal to the Fraction
-    reference's, tuples in order, and every coordinate a Fraction."""
+    """Every Fraction view, the positive roots and the roots (read off the
+    images) equal to the Fraction reference's, tuples in order, and every
+    coordinate of a view a Fraction."""
+    read = {"positive": positive_roots(rs), "roots": all_roots(rs)}
     for field in dataclasses.fields(fraction_reference.ReferenceSystem):
-        assert getattr(rs, field.name) == getattr(ref, field.name), field.name
-    vectors = [*rs.roots, *rs.simple, *rs.positive, rs.rho, *rs.fundamental]
+        got = read[field.name] if field.name in read else getattr(rs, field.name)
+        assert got == getattr(ref, field.name), field.name
+    vectors = [*rs.simple, rs.rho, *rs.fundamental]
     if rs.highest_root is not None:
         vectors.append(rs.highest_root)
     assert all(type(c) is Q for v in vectors for c in v)
@@ -277,12 +293,12 @@ def assert_same_subsystem(rs, v):
     """orthogonal_subsystem(rs, v) is the Fraction reference's system of
     the roots of rs orthogonal to v, and holds its images at rs's scale."""
     sub = orthogonal_subsystem(rs, v)
-    roots = [a for a in rs.roots if dot(a, v) == 0]
+    roots = [a for a in all_roots(rs) if dot(a, v) == 0]
     ref = fraction_reference.root_system_from_roots(sub.label, roots, rs.rho)
     assert_same_system(sub, ref)
     assert sub.scale == rs.scale
     assert sub.positive_images == tuple(tuple(rs.scale * c for c in p)
-                                        for p in sub.positive)
+                                        for p in ref.positive)
 
 
 def test_catalog_subsystems_match_the_fraction_reference():
@@ -313,6 +329,43 @@ def test_build_hashes_no_fraction(monkeypatch):
     for label in ("E8", "F4", "A1d"):
         make_root_system.__wrapped__(label)
     assert hashed == []
+
+
+def fraction_calls(run):
+    """The names of the functions of fractions.py called while run() runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_fraction_calls_are_counted():
+    assert "__new__" in fraction_calls(lambda: Q(1, 2))
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_construction_makes_no_fraction(label):
+    assert fraction_calls(lambda: make_root_system.__wrapped__(label)) == []
+
+
+@pytest.mark.parametrize("label,v", [("E8", (0, 0, 0, 0, 0, 0, 1, 1)), ("G2", (-1, 0, 1))])
+def test_orthogonal_subsystem_makes_no_fraction(label, v):
+    # the vectors of the `minrep weyl subsystem` golden files, as integers
+    rs = make_root_system.__wrapped__(label)
+    assert fraction_calls(lambda: orthogonal_subsystem(rs, v)) == []
+
+
+def test_a_root_system_is_its_integers():
+    assert [f.name for f in dataclasses.fields(rootsys.RootSystem)] == [
+        "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images"]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +485,7 @@ def test_reflection_is_isometric_involution(sv):
 def test_reflection_permutes_the_root_set(sv):
     rs, _ = sv
     for a in rs.simple:
-        assert {reflect(r, a) for r in rs.roots} == set(rs.roots)
+        assert {reflect(r, a) for r in all_roots(rs)} == all_roots(rs)
 
 
 @st.composite

@@ -37,7 +37,7 @@ from minrep.verify import (
 )
 from minrep.weyl import WeylWord, word
 
-from fraction_reference import pair_coroot, reflect
+from fraction_reference import all_roots, pair_coroot, positive_roots, reflect
 
 FAST_RECORDS = ["f4(4)", "g2(2)", "e6(6)", "sp(2,R)", "sp(2,C)", "so(4,3)",
                 "so(5,2)", "g2(C)", "so(6,1)", "sp(2)", "so(5,4)", "e6(-14)"]
@@ -185,21 +185,21 @@ def test_w0_unique_fails_when_the_closed_form_is_wrong(monkeypatch):
 
 def _moves_beta(rs, beta, xi0):
     """A root whose reflection sends beta off its line."""
-    return next((a for a in rs.positive if reflect(beta, a) not in (beta, vscale(-1, beta))),
+    return next((a for a in positive_roots(rs) if reflect(beta, a) not in (beta, vscale(-1, beta))),
                 None)
 
 
 def _negates_beta(rs, beta, xi0):
     """A root on the line of a nonzero beta: its reflection gives the word
     a sign that the branch fixing beta must refuse."""
-    return next((a for a in rs.positive if any(beta) and reflect(beta, a) == vscale(-1, beta)),
+    return next((a for a in positive_roots(rs) if any(beta) and reflect(beta, a) == vscale(-1, beta)),
                 None)
 
 
 def _breaks_xi0(rs, beta, xi0):
     """A root orthogonal to beta whose reflection makes xi0 pair negatively
     with it."""
-    return next((a for a in rs.positive if dot(a, beta) == 0 and dot(a, xi0) > 0), None)
+    return next((a for a in positive_roots(rs) if dot(a, beta) == 0 and dot(a, xi0) > 0), None)
 
 
 @pytest.mark.parametrize("strategy", weyl.STRATEGIES)
@@ -276,7 +276,7 @@ def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     def counting_subsystem(rs, v):
         before = len(builds)
         out = real_subsystem(rs, v)
-        per_key[rs.roots, _line(v)] += len(builds) - before
+        per_key[all_roots(rs), _line(v)] += len(builds) - before
         return out
 
     monkeypatch.setattr(weyl, "subsystem", counting_build)
@@ -403,9 +403,21 @@ def shared_rung_mutant():
 
 
 def test_disjointness_control_with_a_shared_rung():
+    # the witness is the shared rung of least integer key
     rep = run_check("count_and_disjoint", shared_rung_mutant())
     assert (rep.status, rep.evidence) == (
-        "fail", "(weil-even, weil-odd) share K-type ((6,-6); 7/2) at rungs m=6, n=5")
+        "fail", "(weil-even, weil-odd) share K-type ((1,-1); 1) at rungs m=1, n=0")
+
+
+def test_disjointness_names_a_shared_rung_of_two_equal_modules(monkeypatch):
+    # no separator refuses the pair first, and every rung is shared: the
+    # least key is the bottom one
+    r = find_record("sp(2,C)")
+    clone = dataclasses.replace(r.modules[0], label="clone")
+    monkeypatch.setattr(verify, "_separator", lambda *args: "stubbed")
+    rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
+    assert (rep.status, rep.evidence) == (
+        "fail", "(even, clone) share K-type 0 at rungs m=0, n=0")
 
 
 def test_integer_ladders_meet_where_the_fraction_ladders_do():
