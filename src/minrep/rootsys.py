@@ -26,7 +26,8 @@ A subsystem shares its parent's scale.  Construction checks its own
 result on these images (simple roots = indecomposables, rho pairs to 1
 with every simple coroot, read as (2 rho, a) = (a, a), every positive root
 an N-combination of the simple roots).  The scaling is exact and
-injective, so the O(P^2) sum set, the dot products behind rho, and one
+injective, so the root lookups behind the indecomposables (P x rank of
+them on a positive system), the dot products behind rho, and one
 elimination that solves for every positive root at once run on Python
 integers, as do the Cartan matrix and the fundamental weights later.
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import add, mul
+from operator import mul, sub
 from typing import Iterable, NamedTuple
 
 from .linalg import integer_images, solve_combination
@@ -251,11 +252,32 @@ class RootSystem:
             letters.append(i)
 
 
+def _splits(p: IntVector, others: Iterable[IntVector], positive: set[IntVector]) -> bool:
+    """Whether p - q is in `positive` for some q in `others`."""
+    return any(tuple(map(sub, p, q)) in positive for q in others)
+
+
 def _indecomposables(positive: list[IntVector]) -> list[IntVector]:
     """Positive roots, as integer images at one common scale, that are not
-    the sum of two positive roots."""
-    sums = {tuple(map(add, a, b)) for i, a in enumerate(positive) for b in positive[i:]}
-    return [p for p in positive if p not in sums]
+    the sum of two positive roots: the definition, P x P lookups."""
+    pos = set(positive)
+    return [p for p in positive if not _splits(p, positive, pos)]
+
+
+def _simple_roots(positive: list[IntVector], two_rho: IntVector) -> list[IntVector]:
+    """The indecomposables of a positive system in P x rank lookups, for
+    any two_rho positive on it.  Every non-simple positive root is a simple
+    root plus a positive root (Humphreys, Introduction to Lie Algebras,
+    10.2), and that simple root pairs less with two_rho, so a walk in
+    increasing pairing keeps a root when no root kept before it leaves a
+    positive root on subtraction.  On any list of vectors the walk keeps
+    every indecomposable, and perhaps more."""
+    pos = set(positive)
+    found: list[IntVector] = []
+    for p in sorted(positive, key=lambda p: _idot(two_rho, p)):
+        if not _splits(p, found, pos):
+            found.append(p)
+    return found
 
 
 def _component_split(simple: list[IntVector]) -> list[list[int]]:
@@ -314,7 +336,13 @@ def _build(label: str, family: str, ambient: int, scale: int,
     images; a Fraction is made only to name a root in a refusal."""
     rs = RootSystem(label, family, len(simple), ambient, scale,
                     tuple(positive), tuple(simple))
-    if set(simple) != set(_indecomposables(positive)):
+    # simple = indecomposables when no simple root splits (rank x P lookups)
+    # and the walk keeps only simple roots; failing that, the definition
+    # (P x P lookups) decides
+    pos = set(positive)
+    shown = (not any(_splits(a, positive, pos) for a in simple)
+             and set(_simple_roots(positive, rs.two_rho)) <= set(simple))
+    if not shown and set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
     # <rho, a^vee> = 1 reads (2 rho, a) = (a, a), which any common scale keeps
     for a in simple:
@@ -477,7 +505,7 @@ def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:
     the roots on a subspace, with the positive system rs induces.  It holds
     their images at rs's scale, sorted."""
     pos = sorted(p for p, k in zip(rs.positive_images, keep, strict=True) if k)
-    return _build(label, "sub", rs.ambient, rs.scale, pos, sorted(_indecomposables(pos)))
+    return _build(label, "sub", rs.ambient, rs.scale, pos, sorted(_simple_roots(pos, rs.two_rho)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,9 @@ from .weyl import (
     WeylWord,
     apply,
     as_element,
-    compose,
     line_preservers,
+    longest_product,
     space_beta_subsystems,
-    space_longest_element,
-    space_subgroup_longest,
     type_label,
 )
 
@@ -246,8 +244,7 @@ def _check_w0_formula(r: RealFormRecord, config: VerifyConfig):
     beta = _module_betas(r)[0]
     subs = space_beta_subsystems(r.space, beta)
     lhs = as_element(r.space, r.w0)
-    rhs = compose(as_element(r.space, space_longest_element(r.space)),
-                  as_element(r.space, space_subgroup_longest(r.space, subs)))
+    rhs = longest_product(r.space, subs)
     shape = ", ".join(map(type_label, subs))
     if lhs == rhs:
         return _pass(f"w0 equals (longest element) * (longest element fixing "

@@ -15,14 +15,19 @@ neighbours.  A reverse search (Avis and Fukuda, 1996) walks, depth first,
 the tree in which each point's parent is its reflection in its first
 descent, so it visits every element exactly once with neither a visited
 set nor a list of states: besides the survivors it keeps, its memory is
-bounded by the rank and the longest word, not by the group order.  Tracked
+bounded by the rank and the longest word, not by the group order.  A
+point's first descent is the letter that made it, read off its path, and
+only the Dynkin neighbours after it need a test to be a child.  Tracked
 vectors (beta, xi0) ride along as their integer labels too, updated by the
 same Cartan rows; caller-supplied tests read them through integer affine
 forms, and each survivor's word is its path from the root read backwards.
 orbit_size, the parabolic stabilizers of the default "chamber"
 line-preserver strategy (trivial on the whole catalog), and the "reduced"
 and "brute" certificates all call it, and the word of every survivor of
-the three is checked against the definition.
+the three is checked against the definition.  "reduced" tests only the
+simple roots of the beta stabilizer's positive system (and their w_l
+images): a point pairs nonnegatively with a positive system exactly when
+it does with its simple roots.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -100,8 +105,7 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
 
 
 def as_element(space: KSpace, w: WeylWord) -> WeylElement:
-    return WeylElement(tuple(_matrix(rs, letters)
-                             for rs, letters in zip(space.factors, _by_factor(space, w))))
+    return _element(space, _by_factor(space, w))
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -133,6 +137,11 @@ def _reflected(letters: Iterable[Mirror],
     for s, ss in letters:
         images = [_reflect_int(u, s, ss) for u in images]
     return images
+
+
+def _element(space: KSpace, words: Iterable[Iterable[Mirror]]) -> WeylElement:
+    """The element of one mirror word per factor."""
+    return WeylElement(tuple(_matrix(rs, w) for rs, w in zip(space.factors, words, strict=True)))
 
 
 def _matrix(rs: RootSystem, letters: Iterable[Mirror]) -> Matrix:
@@ -209,22 +218,37 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     is visited once, depth first, with no visited set.  A node's word is
     its path from the root, read backwards: the letters of the walk back
     along first descents.
+
+    The first descent of the child s_i u is i: the reflection makes label i
+    negative and the child rule keeps every earlier one positive.  So a
+    node reads its first descent off the head of its path (`rank` at the
+    root) and never scans its labels.  Below it every label is positive,
+    and reflecting by such an i only raises the labels of its neighbours,
+    so every i there gives a child with no test.  Past it, s_i must turn
+    the negative label f = first positive, so i is a Dynkin neighbour of f
+    (with label i positive); only those are tested, first on label f and
+    then on the labels between f and i.
     """
     mirrors = rs.simple_mirrors
-    rows = rs.cartan_rows
     rank = rs.rank
-    # each index's Dynkin neighbours after it; none after the root's `rank`
-    later = [[j for j, _ in row if j > i] for i, row in enumerate(rows)] + [[]]
-    # s_i on the tracked blocks: (where label i sits, row i moved there)
-    offsets = [rank * (t + 1) for t in range(len(tracked))]
-    moves = [[(o + i, [(o + j, a) for j, a in row]) for o in offsets]
+    rows = rs.cartan_rows
+    # s_i on the state, in the 2*rho block and each tracked block: (src, j,
+    # a) takes a times the label at src off index j, a in Cartan row i
+    offsets = [rank * t for t in range(len(tracked) + 1)]
+    moves = [[(o + i, o + j, a) for o in offsets for j, a in row]
              for i, row in enumerate(rows)]
+    # per first descent f: the letters below f, and f's Dynkin neighbours
+    # i after it with <alpha_i, alpha_f^vee> (none at the root, f = rank)
+    free = [[(i, moves[i]) for i in range(f)] for f in range(rank + 1)]
+    tested = [[(i, dict(rows[i])[f], moves[i]) for i, _ in row if i > f]
+              for f, row in enumerate(rows)] + [[]]
     found: list[list[list[Mirror]]] = [[] for _ in tests]
     pairs = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
     stack = [((2,) * rank + tuple(chain.from_iterable(tracked)), None)]
+    push, pop = stack.append, stack.pop
     while stack:
-        state, path = stack.pop()
+        state, path = pop()
         letters = None
         for test, out in pairs:
             if not test(state):
@@ -235,26 +259,21 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
                     i, p = p
                     letters.append(mirrors[i])
             out.append(letters)
-        first = next((j for j in range(rank) if state[j] < 0), rank)
-        # Below the first descent every label is positive, and reflecting
-        # by such an i raises the labels of its neighbours, so s_i u is a
-        # child.  Past it, the first descent must be a neighbour of i that
-        # the reflection turns positive.
-        for i in chain(range(first), later[first]):
-            li = state[i]
-            if li <= 0:
+        first = rank if path is None else path[0]
+        for i, move in free[first]:
+            child = list(state)
+            for src, j, a in move:
+                child[j] -= state[src] * a
+            push((tuple(child), (i, path)))
+        for i, c, move in tested[first]:
+            # label `first` of s_i u, state[first] - state[i] * c with c < 0
+            if state[first] <= state[i] * c:
                 continue
             child = list(state)
-            for j, a in rows[i]:
-                child[j] -= li * a
-            if i > first and min(child[:i]) <= 0:
-                continue
-            for src, row in moves[i]:
-                lt = state[src]
-                if lt:
-                    for j, a in row:
-                        child[j] -= lt * a
-            stack.append((tuple(child), (i, path)))
+            for src, j, a in move:
+                child[j] -= state[src] * a
+            if min(child[first:i]) > 0:
+                push((tuple(child), (i, path)))
     return found
 
 
@@ -318,10 +337,6 @@ def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
     return WeylWord(tuple((factor, rs.simple[i]) for i in rs.longest_word))
 
 
-def space_longest_element(space: KSpace) -> WeylWord:
-    return space_subgroup_longest(space, space.factors)
-
-
 # ---------------------------------------------------------------------------
 # orthogonal subsystems
 
@@ -348,11 +363,11 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
                  for rs, v in zip(space.factors, beta.factors))
 
 
-def space_subgroup_longest(space: KSpace, subs: Iterable[RootSystem]) -> WeylWord:
-    """Longest element of each factor's subsystem group (of each factor's
-    group for subs = space.factors), as one word over their roots."""
-    return WeylWord(tuple((f, sub.simple[i]) for f, sub in enumerate(subs)
-                          for i in sub.longest_word))
+def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
+    """The element w_l w_subs,l: the longest element of W after the longest
+    element of each factor's subsystem group, from their mirror words."""
+    return compose(_element(space, _longest_words(space.factors)),
+                   _element(space, _longest_words(subs)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +513,33 @@ def _line_preservers_brute(space, beta, xi0, budget):
         lo, hi = rs.rank, 2 * rs.rank
         xi_ok = _nonnegative(_forms(rs, perp, xi_f), hi)
         targets = (b,) if off_span else (b, tuple([-c for c in b]))
+        # one nonzero label of beta's (any when beta_f is 0) rules out most
+        # states before the block is sliced
+        k = next((j for j, c in enumerate(b) if c), 0)
         found = _survivors(rs, (b, coroot_labels(rs, xi_f)[1]),
-                           [lambda state, t=t: state[lo:hi] == t and xi_ok(state)
+                           [lambda state, t=t, at=lo + k, tk=t[k]:
+                            state[at] == tk and state[lo:hi] == t and xi_ok(state)
                             for t in targets])
         plus.append(found[0])
         minus.append(found[1] if len(found) > 1 else [])
     return _self_checked(space, beta, xi0, (plus, minus), "brute")
+
+
+def _reduced_tests(sub: RootSystem, xi: Vector, flip: list[Mirror] | None):
+    """The reduced strategy's state tests on W(sub) = W_beta, tracking xi0's
+    block: u(xi0) pairs nonnegatively with Delta_beta+ and, given the word
+    `flip` of w_l (None when w_l does not send beta to -beta), with w_l
+    Delta_beta+, since (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi)
+    >= 0.  Every positive root is an N-combination of the simple ones, so
+    a point pairs nonnegatively with a positive system exactly when it does
+    with its simple roots, and only those are tested."""
+    ys = [sub.simple_images]
+    if flip is not None:
+        # W permutes the roots of the factor, so the images of the
+        # subsystem's roots, held at the factor's scale, reflect to images
+        # of roots
+        ys.append(_reflected(reversed(flip), sub.simple_images))
+    return [_nonnegative(_forms(sub, y, xi), sub.rank) for y in ys]
 
 
 def _line_preservers_reduced(space, beta, xi0, budget):
@@ -514,17 +550,10 @@ def _line_preservers_reduced(space, beta, xi0, budget):
 
     # Candidates are the stabilizer W_beta (sends beta to +beta) and, when
     # w_l beta = -beta, the coset w_l W_beta; nothing else can move beta
-    # along its own line.  The roots tested in the xi condition are then the
-    # fixed set Delta_beta+, and for the coset branch
-    # (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi) >= 0.
+    # along its own line.
     plus, minus = [], []
-    for f, (rs, sub, xi_f) in enumerate(zip(space.factors, subs, xi0.factors)):
-        tests = [_nonnegative(_forms(sub, sub.positive_images, xi_f), sub.rank)]
-        if wl is not None:
-            # W(rs) permutes the roots of rs, so the images of the subsystem's
-            # roots, held at rs's scale, reflect to images of roots
-            flipped = _reflected(reversed(wl[f]), sub.positive_images)
-            tests.append(_nonnegative(_forms(sub, flipped, xi_f), sub.rank))
+    for f, (sub, xi_f) in enumerate(zip(subs, xi0.factors)):
+        tests = _reduced_tests(sub, xi_f, None if wl is None else wl[f])
         found = _survivors(sub, (coroot_labels(sub, xi_f)[1],), tests)
         plus.append(found[0])
         if wl is not None:

@@ -201,9 +201,13 @@ def naive_indecomposables(positive):
 
 def integer_indecomposables(positive):
     """The package's indecomposables, found on the integer images of the
-    Fraction roots `positive`, read back as those roots."""
+    Fraction roots `positive`, read back as those roots.  The definition
+    and the walk in increasing pairing with 2 rho (`_simple_roots`) must
+    agree on them."""
     _, images = integer_images(positive)
     found = set(rootsys._indecomposables(images))
+    two_rho = tuple(map(sum, zip(*images)))
+    assert set(rootsys._simple_roots(images, two_rho)) == found
     return [p for p, u in zip(positive, images) if u in found]
 
 

@@ -4,6 +4,7 @@ orthogonal subsystems, and the line-preserver search on known data."""
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
+from math import prod
 from operator import mul
 
 import pytest
@@ -31,12 +32,11 @@ from minrep.weyl import (
     group_order,
     line_preservers,
     longest_element,
+    longest_product,
     orbit_size,
     orthogonal_subsystem,
     space_beta_subsystems,
     space_group_order,
-    space_longest_element,
-    space_subgroup_longest,
     type_label,
     word,
 )
@@ -53,6 +53,7 @@ from fraction_reference import (
     reflect,
     vec,
 )
+from kernel_reference import reference_survivors
 
 H = Q(1, 2)
 A1D = make_root_system("A1d")
@@ -180,6 +181,28 @@ def test_enumerated_words_are_reduced(label):
         for a in letters:
             w_inv_rho = reflect(w_inv_rho, line(a))
         assert len(letters) == sum(dot(p, w_inv_rho) < 0 for p in positive_roots(rs))
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+@pytest.mark.parametrize("label", [label for label in ALL_LABELS
+                                   if group_order(make_root_system(label)) <= 10 ** 5])
+def test_survivors_match_the_reference_kernel(label, blocks):
+    # reading the first descent off the path and testing only the Dynkin
+    # neighbours after it walks the same tree as scanning and testing every
+    # letter: the same states in the same order, and the same words
+    rs = make_root_system(label)
+    tracked = (coroot_labels(rs, rs.rho)[1], coroot_labels(rs, rs.simple[0])[1])[:blocks]
+
+    def tests(states):
+        def keep(state):
+            states.append(state)
+            return True
+        return keep, lambda state: state[-1] > 0
+
+    got, want = [], []
+    assert weyl._survivors(rs, tracked, tests(got)) == reference_survivors(rs, tracked, tests(want))
+    assert got == want
+    assert len(got) == group_order(rs)
 
 
 def test_enumeration_budget_refusal_names_the_order():
@@ -403,11 +426,11 @@ def test_per_system_data_is_computed_once(monkeypatch):
 
 
 def test_space_longest_element_spans_all_factors():
+    # with rank-0 subsystems, w_subs,l = 1 and longest_product is w_l
     sp = KSpace((make_root_system("C3"), A1D), 0)
-    wl = space_longest_element(sp)
+    none = [orthogonal_subsystem(rs, rs.rho) for rs in sp.factors]
     lam = weight(sp, (3, 2, 1), (1, -1))
-    assert apply(sp, wl, lam) == weight(sp, (-3, -2, -1), (-1, 1))
-    assert apply_element(as_element(sp, wl), lam) == weight(sp, (-3, -2, -1), (-1, 1))
+    assert apply_element(longest_product(sp, none), lam) == weight(sp, (-3, -2, -1), (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +506,8 @@ def test_subgroup_longest_fixes_beta_and_flips_the_subsystem():
     sp = KSpace((c4,), 0)
     beta = weight(sp, (1, 1, 1, 1))
     subs = space_beta_subsystems(sp, beta)
-    wbl = as_element(sp, space_subgroup_longest(sp, subs))
+    # w_l is an involution, so w_l (w_l w_beta,l) = w_beta,l
+    wbl = compose(as_element(sp, longest_element(c4)), longest_product(sp, subs))
     assert apply_element(wbl, beta) == beta
     for a in positive_roots(subs[0]):
         img = matvec(wbl.blocks[0], a)
@@ -494,7 +518,7 @@ def test_subgroup_longest_of_empty_subsystem_is_identity():
     g2 = make_root_system("G2")
     sp = KSpace((g2,), 0)
     sub = orthogonal_subsystem(g2, g2.rho)
-    assert space_subgroup_longest(sp, (sub,)) == word(sp, [])
+    assert longest_product(sp, (sub,)) == as_element(sp, longest_element(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +666,35 @@ def test_line_preserver_strategies_agree(case):
     chamber = line_preservers(sp, beta, xi0, "chamber")
     assert chamber == line_preservers(sp, beta, xi0, "reduced")
     assert chamber == line_preservers(sp, beta, xi0, "brute")
+
+
+def _reduced_cases():
+    """(record, beta) for each beta of each record with line data whose
+    beta stabilizer W_beta has order at most 10**6."""
+    return [pytest.param(r, beta, id=f"{r.name}-{k}") for r in all_default_records()
+            if r.modules and not r.hermitian and r.xi0 is not None and r.w0 is not None
+            for k, beta in enumerate(dict.fromkeys(m.beta for m in r.modules))
+            if prod(map(group_order, space_beta_subsystems(r.space, beta))) <= 10 ** 6]
+
+
+@pytest.mark.parametrize("record, beta", _reduced_cases())
+def test_reduced_simple_root_forms_keep_the_survivors(record, beta):
+    # the reduced strategy tests u(xi0) on the simple roots of Delta_beta+
+    # (and their w_l images); testing every positive root keeps the same
+    # survivors
+    space = record.space
+    wl = weyl._flipping_longest(space, beta)
+    subs = space_beta_subsystems(space, beta)
+    for f, (sub, xi) in enumerate(zip(subs, record.xi0.factors)):
+        flip = None if wl is None else wl[f]
+        roots = [sub.positive_images]
+        if flip is not None:
+            roots.append(weyl._reflected(reversed(flip), sub.positive_images))
+        every_root = [weyl._nonnegative(weyl._forms(sub, ys, xi), sub.rank) for ys in roots]
+        tracked = (coroot_labels(sub, xi)[1],)
+        simple = weyl._survivors(sub, tracked, weyl._reduced_tests(sub, xi, flip))
+        assert simple == weyl._survivors(sub, tracked, every_root)
+        assert len(simple) == len(roots) and simple[0]
 
 
 # ---------------------------------------------------------------------------
