@@ -4,8 +4,10 @@ The library reconstructs root-system data for the maximal compact
 subgroups of simple real Lie groups, stores the catalog of minimal
 K-type ladders, and machine-checks the identities behind the
 classification: line-preserver uniqueness, ladder disjointness,
-lattice periods, and infinitesimal characters.  It computes on integers
-and takes and returns fractions.Fraction values; nothing here floats.
+lattice periods, and infinitesimal characters.  It computes on integers:
+vectors and weights go in and come out as fractions.Fraction values,
+while Weyl group elements stay integer matrices at a fixed scale, made
+only to be compared.  Nothing here floats.
 """
 
 from .registry import (

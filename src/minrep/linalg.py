@@ -1,21 +1,19 @@
-"""Small exact linear algebra: integer images of Fraction vectors, one
-multi-target solver that answers in integers, and the matrix product that
-composes Weyl elements (which are compared, never applied)."""
+"""Small exact linear algebra on integers: integer images of Fraction
+vectors, one multi-target solver that answers in integers, and the integer
+matrix product that composes Weyl elements (which are compared, never
+applied)."""
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import gcd, lcm
 
-Matrix = tuple[tuple[Q, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b, strict=True))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col, strict=True)), Q(0)) for col in cols)
-        for row in a
-    )
+    return tuple(tuple([sum([x * y for x, y in zip(row, col, strict=True)]) for col in cols])
+                 for row in a)
 
 
 def integer_images(vectors) -> tuple[int, list[tuple[int, ...]]]:

@@ -550,11 +550,14 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
 
 
 def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:
-    """Coordinates of sum_i c_i omega_i (fundamental-weight coefficients)."""
-    cs = [Q(c) for c in coeffs]
+    """Coordinates of sum_i c_i omega_i (fundamental-weight coefficients,
+    Fractions or integers), combined on the integer images of both."""
+    cs = tuple(coeffs)
     if len(cs) != rs.rank:
         raise ValueError(f"expected {rs.rank} coefficients for {rs.label}, got {len(cs)}")
-    return tuple(sum(map(mul, cs, col), Q(0)) for col in zip(*rs.fundamental))
+    d, (u,) = integer_images([cs])
+    m, weights = rs.fundamental_images
+    return _rational(tuple([sum(map(mul, u, col)) for col in zip(*weights)]), d * m)
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +621,6 @@ def weight_is_zero(a: Weight) -> bool:
 
 def space_rho(space: KSpace) -> Weight:
     return Weight(tuple(rs.rho for rs in space.factors), (Q(0),) * space.center_dim)
-
-
-def bilinear(space: KSpace, a: Weight, b: Weight) -> Q:
-    """Block-diagonal coordinate form: factor dots plus the center dot."""
-    conform(space, a)
-    conform(space, b)
-    total = dot(a.center, b.center)
-    for u, v in zip(a.factors, b.factors):
-        total += dot(u, v)
-    return total
 
 
 def space_dominance(space: KSpace, lam: Weight) -> DomInt:

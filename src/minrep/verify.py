@@ -19,6 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
+from operator import mul
 
 from .linalg import integer_images
 from .registry import (
@@ -32,7 +34,6 @@ from .registry import (
 from .render import format_q, format_vector, format_weight, format_word
 from .rootsys import (
     Vector,
-    bilinear,
     coroot_labels,
     dot,
     lattice_period,
@@ -144,10 +145,16 @@ def _module_betas(r: RealFormRecord):
     return list(dict.fromkeys(m.beta for m in r.modules))
 
 
-def _beta_multiple(space, v, beta) -> Q | None:
-    """The c with v = c*beta, or None when v is off the beta line."""
-    c = bilinear(space, v, beta) / bilinear(space, beta, beta)
-    return c if weight_is_zero(weight_sub(v, weight_scale(c, beta))) else None
+def _beta_multiple(v, beta) -> Q | None:
+    """The c with v = c*beta, or None when v is off the beta line: decided
+    on integer images of both, all blocks and the center in one vector,
+    where the form is the plain dot product; only c is a Fraction."""
+    _, (x, b) = integer_images([tuple(chain(*w.factors, w.center)) for w in (v, beta)])
+    xb, bb = sum(map(mul, x, b)), sum(map(mul, b, b))
+    # v = c beta with c = xb / bb exactly when bb x = xb b
+    if any(bb * p != xb * q for p, q in zip(x, b, strict=True)):
+        return None
+    return Q(xb, bb)
 
 
 def _line_data_skip(r: RealFormRecord, *fields: str):
@@ -213,7 +220,7 @@ def _check_xi0(r: RealFormRecord, config: VerifyConfig):
                 return _fail(f"module {m.label}: (xi0, beta) = {format_q(d)} "
                              f"!= 0 in factor {i}")
         target = weight_sub(weight_add(m.mu0, r.rho), r.xi0)
-        c = _beta_multiple(r.space, target, m.beta)
+        c = _beta_multiple(target, m.beta)
         if c is None:
             return _fail(f"module {m.label}: mu0 + rho - xi0 = "
                          f"{format_weight(target)} is not a multiple of beta")
@@ -283,7 +290,7 @@ def _check_same_line(r: RealFormRecord, config: VerifyConfig):
     for m in r.modules:
         v = weight_add(m.mu0, r.rho)
         diff = weight_sub(apply(r.space, r.w0, v), v)
-        c = _beta_multiple(r.space, diff, m.beta)
+        c = _beta_multiple(diff, m.beta)
         if c is None:
             return _fail(f"module {m.label}: w0(mu0+rho) - (mu0+rho) = "
                          f"{format_weight(diff)} is not a multiple of beta")

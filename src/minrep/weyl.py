@@ -3,9 +3,10 @@ subsystems, exhaustive enumeration, and the line-preserver search.
 
 Conventions.  A word s(v1)s(v2)...s(vk) denotes the composition that applies
 s(vk) first; its matrix is the product of the letter matrices in printed
-order (column-vector convention).  Group elements are exact rational
-orthogonal matrices, one block per factor of the ambient space; the center
-is always fixed pointwise.
+order (column-vector convention).  Group elements are exact orthogonal
+matrices, one block per factor of the ambient space, each held as the
+integer matrix S M for S the factor's lattice scale; the center is always
+fixed pointwise.
 
 Every enumeration runs through one kernel, _survivors.  It realizes group
 elements as orbit points of a strictly dominant regular vector (2*rho),
@@ -31,18 +32,20 @@ it does with its simple roots.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
-WeylWord is converted once per apply or as_element call.  Words act, and
-element matrices are only compared.  A word acts on a vector, or on the
-rows of the identity to give its matrix, one way: on integer lattice
-images (see _tracked_image), letter by letter; only apply divides one
-back into Fractions (and _matrix, the rows of an element to compare).
-What depends only on a root system is a cached property of its RootSystem.
+WeylWord converts its letters once, on first use.  Words act, and element
+matrices are only compared.  A word acts on a vector, or on the rows of
+the scaled identity to give its matrix, one way: on integer lattice images
+(see _tracked_image), letter by letter; only apply divides its image back
+into Fractions.  Elements stay integral: their rows are those lattice
+images, and compose divides each product exactly by the scale.  What
+depends only on a root system is a cached property of its RootSystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import chain, product
 from math import gcd, prod
 from operator import mul
@@ -83,11 +86,21 @@ class WeylWord:
     """Reflection letters (factor index, vector) in printed order."""
     letters: tuple[tuple[int, Vector], ...]
 
+    # written past the frozen __setattr__; eq and hash read the letters alone
+    @cached_property
+    def mirrors(self) -> tuple[tuple[int, Mirror], ...]:
+        """The letters as (factor index, integer mirror), converted once."""
+        return tuple([(f, mirror(a)) for f, a in self.letters])
+
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One exact orthogonal matrix per factor, center fixed; never applied."""
+    """One orthogonal matrix M per factor, center fixed; never applied.
+    Block k is the integer matrix S M for S = scales[k], the lattice scale
+    of factor k (see RootSystem.lattice_scale): its rows are the lattice
+    images of the e_i.  Equality and hashing read these integers."""
     blocks: tuple[Matrix, ...]
+    scales: tuple[int, ...]
 
 
 def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
@@ -109,8 +122,13 @@ def as_element(space: KSpace, w: WeylWord) -> WeylElement:
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Element of 'a after b' (matrix product ab)."""
-    return WeylElement(tuple(matmul(x, y) for x, y in zip(a.blocks, b.blocks, strict=True)))
+    """Element of 'a after b' (matrix product ab): (S A)(S B) divided by S,
+    exactly, since S AB is integral too."""
+    if a.scales != b.scales:
+        raise ValueError(f"elements held at scales {a.scales} and {b.scales}")
+    return WeylElement(tuple(_divided(matmul(x, y), s)
+                             for x, y, s in zip(a.blocks, b.blocks, a.scales, strict=True)),
+                       a.scales)
 
 
 def apply(space: KSpace, w: WeylWord, lam: Weight) -> Weight:
@@ -139,21 +157,31 @@ def _reflected(letters: Iterable[Mirror],
     return images
 
 
+def _divided(m: Matrix, scale: int) -> Matrix:
+    if any(c % scale for row in m for c in row):
+        raise AssertionError("product left the tracked lattice")
+    return tuple(tuple([c // scale for c in row]) for row in m)
+
+
 def _element(space: KSpace, words: Iterable[Iterable[Mirror]]) -> WeylElement:
     """The element of one mirror word per factor."""
-    return WeylElement(tuple(_matrix(rs, w) for rs, w in zip(space.factors, words, strict=True)))
+    return WeylElement(tuple(_matrix(rs, w) for rs, w in zip(space.factors, words, strict=True)),
+                       _scales(space.factors))
+
+
+def _scales(factors: Iterable[RootSystem]) -> tuple[int, ...]:
+    return tuple(rs.lattice_scale for rs in factors)
 
 
 def _matrix(rs: RootSystem, letters: Iterable[Mirror]) -> Matrix:
-    """The matrix of a word over rs (letters on root lines, printed order).
-    Row i of m s(v) is row i of m reflected by s(v), so the lattice images
-    of the e_i, rows of a scaled identity, are reflected by each letter in
-    turn."""
+    """S times the matrix of a word over rs (letters on root lines, printed
+    order), for S the lattice scale.  Row i of m s(v) is row i of m
+    reflected by s(v), so the lattice images of the e_i, rows of the scaled
+    identity, are reflected by each letter in turn."""
     scale = rs.lattice_scale
     n = rs.ambient
     rows = [(0,) * i + (scale,) + (0,) * (n - 1 - i) for i in range(n)]
-    return tuple(tuple([Q(x, scale) for x in row])
-                 for row in _reflected(letters, rows))
+    return tuple(_reflected(letters, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +309,12 @@ def _elements(factors: tuple[RootSystem, ...], branches) -> frozenset[WeylElemen
     """The elements of every branch: a branch holds one list of words
     (mirror letters, printed order) per factor, and each choice of one
     word per factor is an element."""
+    scales = _scales(factors)
     out: set[WeylElement] = set()
     for branch in branches:
         pools = [[_matrix(rs, w) for w in words]
                  for rs, words in zip(factors, branch, strict=True)]
-        out.update(map(WeylElement, product(*pools)))
+        out.update(WeylElement(blocks, scales) for blocks in product(*pools))
     return frozenset(out)
 
 
@@ -386,8 +415,8 @@ def _nonnegative(forms: list[tuple[tuple[int, ...], int]], start: int):
 def _by_factor(space: KSpace, w: WeylWord) -> list[list[Mirror]]:
     """The letters of w on each factor as mirrors, in printed order."""
     out: list[list[Mirror]] = [[] for _ in space.factors]
-    for f, a in w.letters:
-        out[f].append(mirror(a))
+    for f, s in w.mirrors:
+        out[f].append(s)
     return out
 
 

@@ -1,9 +1,12 @@
 """Fraction references for the root-system and Weyl layers, in exact
 rational coordinates, as the textbook formulas write them.  The package
-builds root systems, reflects vectors and pairs them with coroots on
-integer images instead, and never applies an element matrix; tests
-compare it against these."""
+builds root systems, reflects vectors, pairs them with coroots and holds
+Weyl elements on integer images instead, and never applies an element
+matrix; tests compare it against these, and count the calls into
+fractions.py that a run makes (fraction_calls)."""
 
+import fractions
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
@@ -12,6 +15,7 @@ from operator import add, mul
 from minrep.linalg import integer_images
 from minrep.rootsys import (
     Weight,
+    conform,
     dot,
     is_zero,
     vadd,
@@ -50,18 +54,58 @@ def pair_coroot(lam, alpha):
     return 2 * dot(lam, alpha) / dot(alpha, alpha)
 
 
+def fraction_calls(run):
+    """The names of the functions of fractions.py called while run() runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def bilinear(space, a: Weight, b: Weight):
+    """Block-diagonal coordinate form: factor dots plus the center dot."""
+    conform(space, a)
+    conform(space, b)
+    total = dot(a.center, b.center)
+    for u, v in zip(a.factors, b.factors):
+        total += dot(u, v)
+    return total
+
+
 def identity(n):
     return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    cols = tuple(zip(*b, strict=True))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col, strict=True)), Q(0))
+                       for col in cols) for row in a)
 
 
 def matvec(m, v):
     return tuple(sum((a * b for a, b in zip(row, v, strict=True)), Q(0)) for row in m)
 
 
+def element_blocks(el):
+    """The Fraction matrices of a WeylElement: each block's integer rows
+    divided by its scale."""
+    return tuple(tuple(tuple(Q(c, s) for c in row) for row in m)
+                 for m, s in zip(el.blocks, el.scales, strict=True))
+
+
 def apply_element(el, lam: Weight) -> Weight:
     """el(lam) for a WeylElement: each block's matrix times its factor's
     block; the center is fixed."""
-    return Weight(tuple(matvec(m, v) for m, v in zip(el.blocks, lam.factors, strict=True)),
+    return Weight(tuple(matvec(m, v) for m, v in zip(element_blocks(el), lam.factors,
+                                                     strict=True)),
                   lam.center)
 
 

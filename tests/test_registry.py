@@ -31,7 +31,6 @@ from minrep.registry import (
 )
 from minrep.rootsys import (
     MAX_RANK,
-    bilinear,
     dot,
     make_root_system,
     space_rho,
@@ -44,6 +43,8 @@ from minrep.rootsys import (
 )
 from minrep.verify import PAPER_COUNTS, paper_count, run_all
 from minrep.weyl import apply
+
+from fraction_reference import bilinear
 
 
 # ---------------------------------------------------------------------------

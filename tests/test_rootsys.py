@@ -2,8 +2,6 @@
 plus frozen values for the data the rest of the package leans on."""
 
 import dataclasses
-import fractions
-import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -16,7 +14,6 @@ from minrep.rootsys import (
     KSpace,
     UnsupportedCartanType,
     Weight,
-    bilinear,
     dot,
     lattice_period,
     make_root_system,
@@ -38,6 +35,8 @@ import fraction_reference
 from fraction_reference import (
     ALL_LABELS,
     all_roots,
+    bilinear,
+    fraction_calls,
     pair_coroot,
     positive_roots,
     reflect,
@@ -333,22 +332,6 @@ def test_build_hashes_no_fraction(monkeypatch):
     for label in ("E8", "F4", "A1d"):
         make_root_system.__wrapped__(label)
     assert hashed == []
-
-
-def fraction_calls(run):
-    """The names of the functions of fractions.py called while run() runs."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def test_fraction_calls_are_counted():

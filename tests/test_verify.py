@@ -17,7 +17,6 @@ from minrep.registry import (
     save,
 )
 from minrep.rootsys import (
-    bilinear,
     dot,
     make_root_system,
     mirror,
@@ -37,7 +36,14 @@ from minrep.verify import (
 )
 from minrep.weyl import WeylWord, word
 
-from fraction_reference import all_roots, pair_coroot, positive_roots, reflect
+from fraction_reference import (
+    all_roots,
+    bilinear,
+    fraction_calls,
+    pair_coroot,
+    positive_roots,
+    reflect,
+)
 
 FAST_RECORDS = ["f4(4)", "g2(2)", "e6(6)", "sp(2,R)", "sp(2,C)", "so(4,3)",
                 "so(5,2)", "g2(C)", "so(6,1)", "sp(2)", "so(5,4)", "e6(-14)"]
@@ -118,6 +124,17 @@ def test_xi0_scalar_on_worked_example():
 def test_w0_formula_names_the_orthogonal_subsystem():
     rep = run_check("w0_formula", find_record("e6(6)"))
     assert rep.status == "pass" and "A3" in rep.evidence
+
+
+def test_w0_formula_makes_no_fraction():
+    # both sides of the factorization are integer elements; a record whose
+    # check skips makes none either
+    statuses = Counter()
+    for r in all_default_records():
+        calls = fraction_calls(
+            lambda: statuses.update([verify._check_w0_formula(r, verify.DEFAULT_CONFIG)[0]]))
+        assert "__new__" not in calls, r.name
+    assert statuses["pass"] >= 20
 
 
 def test_count_separators_for_the_four_module_record():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import linalg, rootsys, weyl
-from minrep.linalg import integer_images, matmul
+from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
@@ -46,7 +46,10 @@ from fraction_reference import (
     all_roots,
     apply_element,
     apply_word,
+    element_blocks,
+    fraction_calls,
     identity,
+    matmul,
     matvec,
     pair_coroot,
     positive_roots,
@@ -149,7 +152,7 @@ def _reflection_closure(rs):
 @pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
 def test_enumeration_equals_reflection_closure(label):
     rs = make_root_system(label)
-    elements = [el.blocks[0] for el in enumerate_group(rs)]
+    elements = [element_blocks(el)[0] for el in enumerate_group(rs)]
     assert len(elements) == CLOSED_FORM_ORDERS[label]
     assert set(elements) == _reflection_closure(rs)
 
@@ -218,7 +221,7 @@ def test_enumerated_elements_are_distinct_orthogonal_root_permutations():
     seen = set()
     eye = identity(3)
     for el in enumerate_group(rs):
-        (m,) = el.blocks
+        (m,) = element_blocks(el)
         assert m not in seen
         seen.add(m)
         transpose = tuple(zip(*m))
@@ -237,7 +240,13 @@ def _single(label):
 
 
 def identity_element(sp):
-    return WeylElement(tuple(identity(rs.ambient) for rs in sp.factors))
+    """The identity, held as S times the identity matrix per factor, S the
+    factor's lattice scale."""
+    scales = tuple(rs.lattice_scale for rs in sp.factors)
+    el = WeylElement(tuple(tuple(tuple(s * c for c in row) for row in identity(rs.ambient))
+                           for rs, s in zip(sp.factors, scales)), scales)
+    assert element_blocks(el) == tuple(identity(rs.ambient) for rs in sp.factors)
+    return el
 
 
 def test_empty_word_is_identity():
@@ -288,14 +297,14 @@ def test_rightmost_letter_acts_first():
 def test_longest_element_acts_as_minus_one_when_it_does(label):
     rs, sp = _single(label)
     wl = as_element(sp, longest_element(rs))
-    assert matvec(wl.blocks[0], rs.rho) == vscale(-1, rs.rho)
+    assert matvec(element_blocks(wl)[0], rs.rho) == vscale(-1, rs.rho)
     neg = tuple(tuple(-Q(i == j) for j in range(rs.ambient)) for i in range(rs.ambient))
-    assert wl.blocks[0] == neg
+    assert element_blocks(wl)[0] == neg
 
 
 def test_longest_element_of_g2_negates_the_root_span():
     rs, sp = _single("G2")
-    m = as_element(sp, longest_element(rs)).blocks[0]
+    m = element_blocks(as_element(sp, longest_element(rs)))[0]
     for r in all_roots(rs):
         assert matvec(m, r) == vscale(-1, r)
     # the direction orthogonal to every root is fixed
@@ -305,7 +314,7 @@ def test_longest_element_of_g2_negates_the_root_span():
 def test_longest_element_of_a_type_is_coordinate_reversal():
     rs, sp = _single("A3")
     wl = as_element(sp, longest_element(rs))
-    assert matvec(wl.blocks[0], vec(5, 7, 11, 13)) == vec(13, 11, 7, 5)
+    assert matvec(element_blocks(wl)[0], vec(5, 7, 11, 13)) == vec(13, 11, 7, 5)
 
 
 @pytest.mark.parametrize("label", ["A2", "A5", "B4", "C3", "D3", "D4", "E6", "E7", "A1d"])
@@ -314,7 +323,7 @@ def test_longest_element_properties(label):
     w = longest_element(rs)
     assert len(w.letters) == len(positive_roots(rs))
     wl = as_element(sp, w)
-    m = wl.blocks[0]
+    m = element_blocks(wl)[0]
     assert matvec(m, rs.rho) == vscale(-1, rs.rho)
     assert matmul(m, m) == identity(rs.ambient)
     for a in rs.simple:
@@ -510,7 +519,7 @@ def test_subgroup_longest_fixes_beta_and_flips_the_subsystem():
     wbl = compose(as_element(sp, longest_element(c4)), longest_product(sp, subs))
     assert apply_element(wbl, beta) == beta
     for a in positive_roots(subs[0]):
-        img = matvec(wbl.blocks[0], a)
+        img = matvec(element_blocks(wbl)[0], a)
         assert vscale(-1, img) in positive_roots(subs[0])
 
 
@@ -584,6 +593,21 @@ def test_line_preservers_beta_off_the_root_span(label, beta, fixing):
     args = (weight(sp, beta), weight(sp, (0,) * rs.ambient))
     for strategy in weyl.STRATEGIES:
         assert line_preservers(sp, *args, strategy) == expected, strategy
+
+
+@pytest.mark.parametrize("strategy", weyl.STRATEGIES)
+def test_line_preservers_make_no_fraction(strategy):
+    # the search, its self-check and the element pools stay on integers
+    checked = 0
+    for r in all_default_records():
+        if r.hermitian or r.xi0 is None or space_group_order(r.space) > 10 ** 6:
+            continue
+        for m in r.modules:
+            calls = fraction_calls(
+                lambda: line_preservers(r.space, m.beta, r.xi0, strategy, 10 ** 6))
+            assert "__new__" not in calls, r.name
+            checked += 1
+    assert checked >= 20
 
 
 def test_line_preservers_validates_inputs():
@@ -754,11 +778,21 @@ def test_element_inverse_and_composition(sw):
     assert apply_element(inverse, apply_element(el, lam)) == lam
 
 
+def test_compose_refuses_a_product_off_the_lattice():
+    # a block held at scale 2 whose square is not 2 times an integer matrix
+    half = WeylElement((((1, 0), (0, 1)),), (2,))
+    with pytest.raises(AssertionError, match="left the tracked lattice"):
+        compose(half, half)
+    # nor does it multiply blocks held at different scales
+    with pytest.raises(ValueError, match="scales"):
+        compose(half, WeylElement((((1, 0), (0, 1)),), (1,)))
+
+
 @given(short_word())
 @settings(max_examples=50, deadline=None)
 def test_element_matches_product_of_reflection_matrices(sw):
     sp, w = sw
-    assert as_element(sp, w).blocks == dense_product(sp, w)
+    assert element_blocks(as_element(sp, w)) == dense_product(sp, w)
 
 
 @given(short_word())
@@ -843,6 +877,7 @@ def test_catalog_w0_elements_match_product_of_reflection_matrices():
     checked = 0
     for r in all_default_records():
         if r.w0 is not None:
-            assert as_element(r.space, r.w0).blocks == dense_product(r.space, r.w0), r.name
+            assert element_blocks(as_element(r.space, r.w0)) == dense_product(r.space, r.w0), \
+                r.name
             checked += 1
     assert checked >= 20
