@@ -43,7 +43,6 @@ from .weyl import (
     STRATEGIES,
     group_order,
     longest_element,
-    orbit_size,
     orthogonal_subsystem,
     type_label,
 )
@@ -321,24 +320,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    if args.budget <= 0:
-        raise UsageError(f"--budget must be positive, got {args.budget}")
     try:
         rs = make_root_system(args.type)
     except UnsupportedCartanType as exc:
         raise UsageError(str(exc))
     if args.action == "order":
-        closed = group_order(rs)
-        if closed <= args.budget:
-            enumerated = orbit_size(rs, args.budget)
-            if enumerated != closed:
-                print(f"error: enumeration found {enumerated} elements, "
-                      f"closed form gives {closed}", file=sys.stderr)
-                return 1
-        else:
-            print(f"note: order {closed} above budget {args.budget}, "
-                  f"enumeration cross-check skipped", file=sys.stderr)
-        print(closed)
+        print(group_order(rs))
         return 0
     if args.action == "longest":
         print(format_word(longest_element(rs)))
@@ -405,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rational coordinates; a VEC "
                              "that starts with '-' must be written "
                              "--orthogonal-to=VEC")
-    p_weyl.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_weyl.set_defaults(func=cmd_weyl)
     return parser
 

@@ -32,9 +32,10 @@ elimination that solves for every positive root at once run on Python
 integers, as do the Cartan matrix and the fundamental weights later.
 
 Everything else derived from one system (the Fraction views, root lines,
-mirrors, lattice scale, Cartan rows, component types and Weyl orders, the
-longest word, orthogonal subsystems) is a cached property of its
-`RootSystem`, computed on first use from those fields and kept with it.
+mirrors, lattice scale, Cartan rows, component types, the longest word,
+orthogonal subsystems) is a cached property of its `RootSystem`, computed
+on first use from those fields and kept with it.  Weyl-group orders are not
+transcribed: weyl.group_order counts them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, NamedTuple
 
@@ -207,8 +208,8 @@ class RootSystem:
         return tuple(rows)
 
     @cached_property
-    def components(self) -> tuple[tuple[str, int], ...]:
-        """(type label, Weyl order) for each irreducible component."""
+    def components(self) -> tuple[str, ...]:
+        """The type label of each irreducible component."""
         simple = self.simple_images
         out = []
         for comp in _component_split(simple):
@@ -302,30 +303,25 @@ def _component_split(simple: list[IntVector]) -> list[list[int]]:
     return comps
 
 
-def _component_type(rank: int, positive_norms: list[int]) -> tuple[str, int]:
-    """(type label, Weyl order) of an irreducible system from its rank and
-    the squared norms of its positive roots."""
+def _component_type(rank: int, positive_norms: list[int]) -> str:
+    """The type label of an irreducible system from its rank and the
+    squared norms of its positive roots."""
     nroots = 2 * len(positive_norms)
     if len(set(positive_norms)) == 1:
         if nroots == rank * (rank + 1):
-            return f"A{rank}", factorial(rank + 1)
+            return f"A{rank}"
         if rank >= 4 and nroots == 2 * rank * (rank - 1):
-            return f"D{rank}", 2 ** (rank - 1) * factorial(rank)
-        if (rank, nroots) == (6, 72):
-            return "E6", 51840
-        if (rank, nroots) == (7, 126):
-            return "E7", 2903040
-        if (rank, nroots) == (8, 240):
-            return "E8", 696729600
+            return f"D{rank}"
+        if (rank, nroots) in ((6, 72), (7, 126), (8, 240)):
+            return f"E{rank}"
     else:
         if (rank, nroots) == (2, 12):
-            return "G2", 12
+            return "G2"
         if (rank, nroots) == (4, 48):
-            return "F4", 1152
+            return "F4"
         if nroots == 2 * rank * rank:
             shortest = sum(1 for t in positive_norms if t == min(positive_norms))
-            label = "B" if shortest == rank or rank == 2 else "C"
-            return f"{label}{rank}", 2 ** rank * factorial(rank)
+            return f"{'B' if shortest == rank or rank == 2 else 'C'}{rank}"
     raise ValueError(f"unrecognized component: rank {rank}, {nroots} roots")
 
 

@@ -304,7 +304,10 @@ def _check_period(r: RealFormRecord, config: VerifyConfig):
         return _skip(SKIP_NO_MODULES)
     expected = Q(1, 2) if r.family in ("sp_R", "sp_C") else Q(1)
     for beta in _module_betas(r):
-        period = lattice_period(r.space, beta)
+        try:
+            period = lattice_period(r.space, beta)
+        except ValueError as exc:
+            return _fail(f"the {format_weight(beta)} ladder has no lattice period: {exc}")
         if period != expected:
             return _fail(f"lattice period of the {format_weight(beta)} ladder "
                          f"is {format_q(period)}, expected {format_q(expected)}")
@@ -401,6 +404,9 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
 def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
     if len(r.g_complex) != 2:
         return _skip("not a complex form")
+    if len(r.space.factors) != 1:
+        return _fail(f"K has {len(r.space.factors)} factors; a complex form "
+                     "needs K to be one factor")
     rs = r.space.factors[0]
     theta = weight(r.space, rs.highest_root)
     for beta in _module_betas(r):

@@ -8,27 +8,27 @@ matrices, one block per factor of the ambient space, each held as the
 integer matrix S M for S the factor's lattice scale; the center is always
 fixed pointwise.
 
-Every enumeration runs through one kernel, _survivors.  It realizes group
-elements as orbit points of a strictly dominant regular vector (2*rho),
-held as their simple-coroot labels: the map w -> w(2*rho) is a bijection,
-and a simple reflection changes only its own label and those of its Dynkin
-neighbours.  A reverse search (Avis and Fukuda, 1996) walks, depth first,
-the tree in which each point's parent is its reflection in its first
-descent, so it visits every element exactly once with neither a visited
-set nor a list of states: besides the survivors it keeps, its memory is
-bounded by the rank and the longest word, not by the group order.  A
-point's first descent is the letter that made it, read off its path, and
-only the Dynkin neighbours after it need a test to be a child.  Tracked
-vectors (beta, xi0) ride along as their integer labels too, updated by the
-same Cartan rows; caller-supplied tests read them through integer affine
-forms, and each survivor's word is its path from the root read backwards.
-orbit_size, the parabolic stabilizers of the default "chamber"
-line-preserver strategy (trivial on the whole catalog), and the "reduced"
-and "brute" certificates all call it, and the word of every survivor of
-the three is checked against the definition.  "reduced" tests only the
-simple roots of the beta stabilizer's positive system (and their w_l
-images): a point pairs nonnegatively with a positive system exactly when
-it does with its simple roots.
+Every enumeration runs through one kernel, _survivors.  It walks the orbit
+of a dominant point, held as simple-coroot labels: a simple reflection
+changes only its own label and those of its Dynkin neighbours.  A reverse
+search (Avis and Fukuda, 1996) walks, depth first, the tree in which each
+point's parent is its reflection in its first descent, so it visits every
+point exactly once with neither a visited set nor a list of states:
+besides the survivors it keeps, its memory is bounded by the rank and the
+longest word, not by the orbit.  A point's first descent is the letter
+that made it, read off its path, and only the Dynkin neighbours after it
+need a test to be a child.  On the orbit of the regular vector 2*rho the
+map w -> w(2*rho) is a bijection, so that walk visits every group element.
+Tracked vectors (beta, xi0) ride along as their integer labels too,
+updated by the same Cartan rows; caller-supplied tests read them through
+integer affine forms, and each survivor's word is its path from the root
+read backwards.  The parabolic stabilizers of the default "chamber"
+line-preserver strategy (trivial on the whole catalog) and the "reduced"
+and "brute" certificates walk 2*rho, and the word of every survivor of the
+three is checked against the definition.  "reduced" tests only the simple
+roots of the beta stabilizer's positive system (and their w_l images): a
+point pairs nonnegatively with a positive system exactly when it does with
+its simple roots.  group_order counts fundamental-weight orbits instead.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, count, product
 from math import gcd, prod
 from operator import mul
 from typing import Iterable
@@ -66,8 +66,8 @@ from .rootsys import (
     subsystem,
 )
 
-# Largest group order any enumeration may visit, unless a caller (the CLI's
-# --budget) passes another.
+# Largest group order any enumeration may visit, unless a caller (`minrep
+# verify --budget`) passes another.
 DEFAULT_BUDGET = 10 ** 7
 
 
@@ -229,38 +229,43 @@ def _forms(rs: RootSystem, ys: Iterable[tuple[int, ...]],
 
 
 def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
-               tests) -> list[list[list[Mirror]]]:
-    """Mirror letters (printed order) of every w in W(rs) whose state passes
-    a test, one list per test.
+               tests, start: tuple[int, ...] | None = None) -> list[list[list[Mirror]]]:
+    """Mirror letters (printed order) of one w per point of an orbit whose
+    state passes a test, one list per test.
 
-    A state is one flat integer tuple: the simple-coroot labels
-    <w(2*rho), alpha_j^vee>, then those of w(t) for each tracked block t
-    (the labels of a vector, see coroot_labels).  s_i subtracts each block's
-    label i times Cartan row i from that block, and tests read the blocks
-    through integer affine forms (see _forms).  The search is a reverse
-    search over the orbit of 2*rho, rooted at the labels (2, ..., 2): the
-    parent of a point is its reflection in its first descent (the first
-    negative label), so s_i u is a child of u exactly when u's label i is
-    positive and every label of s_i u before i is positive.  Every point of
-    the orbit is regular, so these parents form one tree and each element
-    is visited once, depth first, with no visited set.  A node's word is
-    its path from the root, read backwards: the letters of the walk back
-    along first descents.
+    The orbit is that of the dominant point with labels `start` on the
+    first n = len(start) simple roots, under the parabolic subgroup they
+    generate; by default the regular 2*rho under W(rs), one point per
+    element.  A state is one flat integer tuple: the simple-coroot labels
+    <w(start), alpha_j^vee> (j < n), then those of w(t) for each tracked
+    block t (see coroot_labels).  s_i subtracts each block's label i times
+    Cartan row i from that block, and tests read the blocks through integer
+    affine forms (see _forms).  The search is a reverse search rooted at
+    `start`: the parent of a point is its reflection in its first descent
+    (the first negative label), so s_i u is a child of u exactly when u's
+    label i is positive and no label of s_i u before i is negative.  These
+    parents form one tree and each point is visited once, depth first, with
+    no visited set.  A node's word is its path from the root, read
+    backwards: the letters of the walk back along first descents.
 
     The first descent of the child s_i u is i: the reflection makes label i
-    negative and the child rule keeps every earlier one positive.  So a
-    node reads its first descent off the head of its path (`rank` at the
-    root) and never scans its labels.  Below it every label is positive,
-    and reflecting by such an i only raises the labels of its neighbours,
-    so every i there gives a child with no test.  Past it, s_i must turn
-    the negative label f = first positive, so i is a Dynkin neighbour of f
-    (with label i positive); only those are tested, first on label f and
-    then on the labels between f and i.
+    negative and the child rule keeps every earlier one nonnegative.  So a
+    node reads its first descent off the head of its path (n at the root)
+    and never scans its labels.  Below it no label is negative, and
+    reflecting by such an i only raises the labels of its neighbours, so
+    every i there with a nonzero label (all, on a regular orbit) gives a
+    child with no further test.  Past it, s_i must turn the negative label
+    f nonnegative, so i is a Dynkin neighbour of f (with label i positive);
+    only those are tested, first on label f and then on the labels between
+    f and i.
     """
     mirrors = rs.simple_mirrors
-    rank = rs.rank
-    rows = rs.cartan_rows
-    # s_i on the state, in the 2*rho block and each tracked block: (src, j,
+    if start is None:
+        start = (2,) * rs.rank
+    rank = len(start)
+    # the Cartan rows of the first `rank` nodes: a principal submatrix
+    rows = [tuple([(j, a) for j, a in row if j < rank]) for row in rs.cartan_rows[:rank]]
+    # s_i on the state, in the start block and each tracked block: (src, j,
     # a) takes a times the label at src off index j, a in Cartan row i
     offsets = [rank * t for t in range(len(tracked) + 1)]
     moves = [[(o + i, o + j, a) for o in offsets for j, a in row]
@@ -273,7 +278,7 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     found: list[list[list[Mirror]]] = [[] for _ in tests]
     pairs = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
-    stack = [((2,) * rank + tuple(chain.from_iterable(tracked)), None)]
+    stack = [(start + tuple(chain.from_iterable(tracked)), None)]
     push, pop = stack.append, stack.pop
     while stack:
         state, path = pop()
@@ -289,18 +294,20 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
             out.append(letters)
         first = rank if path is None else path[0]
         for i, move in free[first]:
+            if not state[i]:
+                continue
             child = list(state)
             for src, j, a in move:
                 child[j] -= state[src] * a
             push((tuple(child), (i, path)))
         for i, c, move in tested[first]:
             # label `first` of s_i u, state[first] - state[i] * c with c < 0
-            if state[first] <= state[i] * c:
+            if state[first] < state[i] * c:
                 continue
             child = list(state)
             for src, j, a in move:
                 child[j] -= state[src] * a
-            if min(child[first:i]) > 0:
+            if min(child[first:i]) >= 0:
                 push((tuple(child), (i, path)))
     return found
 
@@ -330,31 +337,27 @@ def _every_state(state) -> bool:
     return True
 
 
-def orbit_size(rs: RootSystem, budget: int = DEFAULT_BUDGET) -> int:
-    """Group order measured by direct orbit enumeration (no closed forms)."""
-    _require_within(group_order(rs), budget, rs.label)
-    size = 0
-
-    def count(state) -> bool:
-        nonlocal size
-        size += 1
-        return False
-
-    _survivors(rs, (), (count,))
-    return size
-
-
 # ---------------------------------------------------------------------------
 # group orders and longest elements
 
 
 def group_order(rs: RootSystem) -> int:
-    return prod(n for _, n in rs.components)
+    """|W(rs)| by orbit-stabilizer: the stabilizer of the last node's
+    fundamental weight, labels (0, ..., 0, 1), is the parabolic subgroup of
+    the other nodes (Chevalley's lemma, Humphreys, Reflection Groups and
+    Coxeter Groups, 1.12), whose order is counted the same way."""
+    order = 1
+    for n in range(1, rs.rank + 1):
+        # the test counts each state and keeps none
+        seen = count()
+        _survivors(rs, (), (lambda state: next(seen) < 0,), (0,) * (n - 1) + (1,))
+        order *= next(seen)
+    return order
 
 
 def type_label(rs: RootSystem) -> str:
     """The component types joined by "x", e.g. "A3xA3"; "empty" at rank 0."""
-    return "x".join(label for label, _ in rs.components) or "empty"
+    return "x".join(rs.components) or "empty"
 
 
 def space_group_order(space: KSpace) -> int:

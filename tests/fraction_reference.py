@@ -3,15 +3,19 @@ rational coordinates, as the textbook formulas write them.  The package
 builds root systems, reflects vectors, pairs them with coroots and holds
 Weyl elements on integer images instead, and never applies an element
 matrix; tests compare it against these, and count the calls into
-fractions.py that a run makes (fraction_calls)."""
+fractions.py that a run makes (fraction_calls).  The package counts Weyl
+group orders by orbit-stabilizer; height_partition_order reads them off
+the root heights instead, and orbit_size walks the whole group."""
 
 import fractions
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import add, mul
 
+from minrep import weyl
 from minrep.linalg import integer_images
 from minrep.rootsys import (
     Weight,
@@ -130,6 +134,47 @@ def apply_word(w, lam: Weight) -> Weight:
     for f, v in reversed(w.letters):
         blocks[f] = reflect(blocks[f], v)
     return Weight(tuple(blocks), lam.center)
+
+
+def orbit_closure(simple, lam):
+    """The orbit of lam under the group that the reflections in `simple`
+    generate, by breadth-first search on Fraction vectors."""
+    orbit = {lam}
+    frontier = orbit
+    while frontier:
+        frontier = {reflect(v, a) for v in frontier for a in simple} - orbit
+        orbit |= frontier
+    return orbit
+
+
+# ---------------------------------------------------------------------------
+# group orders
+
+
+def height_partition_order(rs):
+    """|W| = prod_k (k + 1)^(n_k - n_(k+1)) for n_k the number of positive
+    roots of height k: the heights' dual partition is the exponents
+    (Kostant, Amer. J. Math. 81, 1959; Humphreys, Reflection Groups and
+    Coxeter Groups, 3.20).  Heights are solved for in Fractions."""
+    n = Counter(int(sum(xs)) for xs in solve(rs.simple, positive_roots(rs)))
+    order = 1
+    for k in n:
+        order *= (k + 1) ** (n[k] - n[k + 1])
+    return order
+
+
+def orbit_size(rs):
+    """|W(rs)| by walking the whole orbit of the regular vector 2 rho with
+    the package's kernel, one point per element."""
+    size = 0
+
+    def count(state):
+        nonlocal size
+        size += 1
+        return False
+
+    weyl._survivors(rs, (), (count,))
+    return size
 
 
 # ---------------------------------------------------------------------------

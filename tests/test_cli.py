@@ -9,6 +9,7 @@ import pytest
 
 from minrep import registry
 from minrep.cli import main
+from minrep.verify import CHECK_NAMES, run_check
 
 
 def run(capsys, *argv):
@@ -214,6 +215,40 @@ def test_verify_records_file_missing_is_config_error(capsys):
     assert "cannot read" in err
 
 
+def test_verify_records_file_with_degenerate_beta_or_k_fails_every_report(capsys, tmp_path):
+    # two hand-written records that load: toy(1,1) is so*(8) with beta on
+    # A3's trace direction, so it pairs to zero with every simple coroot;
+    # toy(2,2) is g2(2) claiming the complex form G2 x G2 on a two-factor K.
+    # Each check reports on them, and none raises.
+    doc = json.loads(registry.save([registry.find_record("so*(8)"),
+                                    registry.find_record("g2(2)")]))
+    hermitian, complex_ = doc["records"]
+    hermitian.update(name="toy(1,1)", family=None, params=[])
+    for m, charge in zip(hermitian["modules"], ("1", "-1")):
+        m["beta"] = {"factors": [["1", "1", "1", "1"]], "center": [charge]}
+    hermitian["p_summands"] = [m["beta"] for m in hermitian["modules"]]
+    complex_.update(name="toy(2,2)", g_complex=["G2", "G2"],
+                    infchar=complex_["infchar"] * 2)
+    text = json.dumps(doc)
+    records = registry.load(text)
+    reports = {(r.name, name): run_check(name, r) for r in records for name in CHECK_NAMES}
+    assert len(reports) == 24
+    assert reports["toy(1,1)", "period"].status == "fail"
+    assert ("beta pairs to zero with every simple coroot"
+            in reports["toy(1,1)", "period"].evidence)
+    assert reports["toy(2,2)", "complex_beta"].status == "fail"
+    assert ("a complex form needs K to be one factor"
+            in reports["toy(2,2)", "complex_beta"].evidence)
+    path = tmp_path / "toys.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 1
+    assert err == ""
+    for (record, name), rep in reports.items():
+        assert f"| {record} | {name} | {rep.status} | {rep.evidence} |" in out
+    assert "overall: fail" in out
+
+
 def test_verify_records_file_with_unsupported_type_is_config_error(capsys, tmp_path):
     doc = json.loads(registry.save([registry.find_record("g2(2)")]))
     doc["records"][0]["g_complex"] = ["Z3"]
@@ -351,18 +386,20 @@ def test_weyl_order_f4(capsys):
 
 
 def test_weyl_order_large_skips_enumeration(capsys):
+    # orbit-stabilizer counts E8 without walking its group, and says nothing more
     code, out, err = run(capsys, "weyl", "order", "E8")
     assert code == 0
-    assert out.strip() == "696729600"
-    assert "cross-check skipped" in err
+    assert out == "696729600\n"
+    assert err == ""
 
 
-@pytest.mark.parametrize("budget", ["0", "-4"])
-def test_weyl_nonpositive_budget_is_usage_error(capsys, budget):
+@pytest.mark.parametrize("budget", ["5", "0", "-4"])
+def test_weyl_budget_is_an_unrecognized_argument(capsys, budget):
+    # no weyl action enumerates under a budget; --budget is verify's alone
     code, out, err = run(capsys, "weyl", "order", "A2", "--budget", budget)
     assert code == 2
     assert out == ""
-    assert f"--budget must be positive, got {budget}" in err
+    assert "unrecognized arguments: --budget" in err
 
 
 def test_weyl_longest_c4_negates_everything(capsys):

@@ -36,7 +36,7 @@ CASES.update({f"weyl_longest_{label}.txt": ["weyl", "longest", label]
               for label in ALL_LABELS})
 CASES.update({
     "weyl_order_F4.txt": ["weyl", "order", "F4"],
-    # above the default budget: the closed form alone, with a note on stderr
+    # counted by orbit-stabilizer, like every order; the group is never walked
     "weyl_order_E8.txt": ["weyl", "order", "E8"],
     "weyl_subsystem_E8.txt": ["weyl", "subsystem", "E8",
                               "--orthogonal-to", "0,0,0,0,0,0,1,1"],

@@ -1,6 +1,8 @@
-"""Weyl layer: enumeration against closed-form orders, longest elements,
-orthogonal subsystems, and the line-preserver search on known data."""
+"""Weyl layer: counted orders against closed forms and root heights,
+enumeration, longest elements, orthogonal subsystems, and the
+line-preserver search on known data."""
 
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
@@ -33,7 +35,6 @@ from minrep.weyl import (
     line_preservers,
     longest_element,
     longest_product,
-    orbit_size,
     orthogonal_subsystem,
     space_beta_subsystems,
     space_group_order,
@@ -48,9 +49,12 @@ from fraction_reference import (
     apply_word,
     element_blocks,
     fraction_calls,
+    height_partition_order,
     identity,
     matmul,
     matvec,
+    orbit_closure,
+    orbit_size,
     pair_coroot,
     positive_roots,
     reflect,
@@ -82,17 +86,50 @@ CLOSED_FORM_ORDERS = {
 }
 
 
+# every type make_root_system builds
+TYPES = ([f"{family}{n}" for family, least in (("A", 1), ("B", 1), ("C", 1), ("D", 2))
+          for n in range(least, rootsys.MAX_RANK + 1)]
+         + ["E6", "E7", "E8", "F4", "G2", "A1d"])
+# the types of TYPES with |W| <= 10^6 (test_group_order_matches_root_heights
+# checks the list), whose whole group orbit_size walks
+WALKED = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(1, 8)]
+          + [f"C{n}" for n in range(1, 8)] + [f"D{n}" for n in range(2, 8)]
+          + ["E6", "F4", "G2", "A1d"])
+# the types of ALL_LABELS with |W| <= 10^5, chosen without the kernel
+KERNEL_LABELS = [label for label in ALL_LABELS
+                 if height_partition_order(make_root_system(label)) <= 10 ** 5]
+
+
 @pytest.mark.parametrize("label,order", sorted(CLOSED_FORM_ORDERS.items()))
 def test_group_order_closed_forms(label, order):
     assert group_order(make_root_system(label)) == order
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
-                                   "C2", "C3", "C4", "D2", "D3", "D4", "D5",
-                                   "D6", "G2", "F4", "A1d"])
+def test_group_order_matches_root_heights():
+    # orbit-stabilizer on the kernel against Kostant's height partition, on
+    # every buildable type and on each distinct beta-subsystem of the catalog
+    systems = [make_root_system(label) for label in TYPES]
+    systems += dict.fromkeys(sub for r in all_default_records() for m in r.modules
+                             for sub in space_beta_subsystems(r.space, m.beta))
+    assert len(systems) == 69 + 34
+    orders, seconds = [], 0.0
+    for rs in systems:
+        start = time.perf_counter()
+        orders.append(group_order(rs))
+        seconds += time.perf_counter() - start
+        # one at a time, so that a miscount fails before a larger walk
+        assert orders[-1] == height_partition_order(rs), rs.label
+    assert seconds < 2
+    assert [label for label, n in zip(TYPES, orders) if n <= 10 ** 6] == WALKED
+
+
+@pytest.mark.parametrize("label", WALKED)
 def test_orbit_enumeration_matches_closed_form(label):
+    # the whole group, one element per point of the regular orbit
     rs = make_root_system(label)
-    assert orbit_size(rs) == CLOSED_FORM_ORDERS[label]
+    order = orbit_size(rs)
+    assert order == group_order(rs)
+    assert order == CLOSED_FORM_ORDERS.get(label, order)
 
 
 def _peak_bytes(run):
@@ -187,8 +224,7 @@ def test_enumerated_words_are_reduced(label):
 
 
 @pytest.mark.parametrize("blocks", [0, 1, 2])
-@pytest.mark.parametrize("label", [label for label in ALL_LABELS
-                                   if group_order(make_root_system(label)) <= 10 ** 5])
+@pytest.mark.parametrize("label", KERNEL_LABELS)
 def test_survivors_match_the_reference_kernel(label, blocks):
     # reading the first descent off the path and testing only the Dynkin
     # neighbours after it walks the same tree as scanning and testing every
@@ -208,10 +244,38 @@ def test_survivors_match_the_reference_kernel(label, blocks):
     assert len(got) == group_order(rs)
 
 
+@pytest.mark.parametrize("label", KERNEL_LABELS)
+def test_survivors_walk_orbits_with_zero_labels(label):
+    # from the labels of a fundamental weight, under W and, as group_order
+    # walks them, under the parabolic of the first n nodes from the last
+    # one's weight: one word per point of the Fraction orbit, its state the
+    # point's labels on those n coroots
+    rs = make_root_system(label)
+    cases = ([(rs.rank, k) for k in range(rs.rank)]
+             + [(n, n - 1) for n in range(1, rs.rank)])
+    for n, k in cases:
+        states = []
+
+        def keep(state):
+            states.append(state)
+            return True
+
+        (words,) = weyl._survivors(rs, (), (keep,), tuple(int(j == k) for j in range(n)))
+        # a node's word is its parent's with one more letter in front, and
+        # the walk visits the parent first
+        point = {(): rs.fundamental[k]}
+        for letters in map(tuple, words[1:]):
+            point[letters] = reflect(point[letters[1:]], line(letters[0]))
+        points = [point[tuple(letters)] for letters in words]
+        assert len(set(points)) == len(points)
+        assert set(points) == orbit_closure(rs.simple[:n], rs.fundamental[k])
+        assert states == [tuple(pair_coroot(v, a) for a in rs.simple[:n]) for v in points]
+
+
 def test_enumeration_budget_refusal_names_the_order():
     rs = make_root_system("E7")
     with pytest.raises(BudgetExceededError) as info:
-        orbit_size(rs, budget=10 ** 6)
+        weyl._require_within(group_order(rs), 10 ** 6, rs.label)
     assert "2903040" in str(info.value)
     assert info.value.order == 2903040
 
@@ -694,11 +758,12 @@ def test_line_preserver_strategies_agree(case):
 
 def _reduced_cases():
     """(record, beta) for each beta of each record with line data whose
-    beta stabilizer W_beta has order at most 10**6."""
+    beta stabilizer W_beta has order at most 10**6, chosen without the
+    kernel."""
     return [pytest.param(r, beta, id=f"{r.name}-{k}") for r in all_default_records()
             if r.modules and not r.hermitian and r.xi0 is not None and r.w0 is not None
             for k, beta in enumerate(dict.fromkeys(m.beta for m in r.modules))
-            if prod(map(group_order, space_beta_subsystems(r.space, beta))) <= 10 ** 6]
+            if prod(map(height_partition_order, space_beta_subsystems(r.space, beta))) <= 10 ** 6]
 
 
 @pytest.mark.parametrize("record, beta", _reduced_cases())
