@@ -14,7 +14,7 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import registry
 from .registry import (
@@ -127,8 +127,7 @@ def cmd_verify(args) -> int:
 # tables
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     table_id: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]      # cells are str or list[str]

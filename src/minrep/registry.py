@@ -13,10 +13,9 @@ per-factor coordinate arrays plus a "center" array.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .render import format_q, parse_q
 from .rootsys import (
@@ -43,8 +42,7 @@ REASON_PARITY = "howe-vogan-parity"
 NULL_HALVES = ("p-", "p+")
 
 
-@dataclass(frozen=True)
-class MinimalModuleRecord:
+class MinimalModuleRecord(NamedTuple):
     """One module: bottom K-type mu0 and the ladder direction beta.
 
     For the one-sided (Hermitian) cases, null_half records which half of
@@ -57,8 +55,7 @@ class MinimalModuleRecord:
     null_half: str | None = None
 
 
-@dataclass(frozen=True)
-class RealFormRecord:
+class RealFormRecord(NamedTuple):
     name: str                               # e.g. "f4(4)", "so(6,4)", "sp(2,R)"
     g_complex: tuple[str, ...]              # Cartan types of the complexification
     space: KSpace
@@ -375,8 +372,7 @@ def _fixed_records() -> list[RealFormRecord]:
 # parametric families
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     family_id: str
     constraint: str
     accepts: Callable

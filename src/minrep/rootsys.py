@@ -26,10 +26,15 @@ A subsystem shares its parent's scale.  Construction checks its own
 result on these images (simple roots = indecomposables, rho pairs to 1
 with every simple coroot, read as (2 rho, a) = (a, a), every positive root
 an N-combination of the simple roots).  The scaling is exact and
-injective, so the root lookups behind the indecomposables (P x rank of
-them on a positive system), the dot products behind rho, and one
-elimination that solves for every positive root at once run on Python
-integers, as do the Cartan matrix and the fundamental weights later.
+injective, so these checks run on Python integers, as do the Cartan
+matrix and the fundamental weights later.  On a positive system the
+simple-root walk (P x rank root lookups, see _simple_roots) certifies the
+first and the last at once: each root it does not keep is a kept simple
+root plus a positive root of smaller 2 rho pairing, so by induction every
+positive root is an N-combination.  Only a listing where a simple root
+splits, or the walk keeps a root that is not simple, falls back to the
+definition (P x P lookups) and to one elimination that solves for every
+positive root at once.
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, component types, the longest word,
@@ -40,7 +45,6 @@ transcribed: weyl.group_order counts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -100,8 +104,7 @@ def mirror(v: Vector) -> Mirror:
 # root system construction
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class _RootSystemFields(NamedTuple):
     label: str
     family: str                 # "A".."G" or "sub" for subsystems
     rank: int
@@ -111,7 +114,12 @@ class RootSystem:
     positive_images: tuple[IntVector, ...]
     simple_images: tuple[IntVector, ...]
 
-    def __repr__(self) -> str:  # keep dataclass noise out of assertion output
+
+class RootSystem(_RootSystemFields):
+    # no __slots__: the cached properties live in the instance __dict__,
+    # while eq and hash are the tuple's and read the fields alone
+
+    def __repr__(self) -> str:  # keep the images out of assertion output
         return f"RootSystem({self.label})"
 
     @property
@@ -119,8 +127,6 @@ class RootSystem:
         """Factors whose coordinates carry a redundant diagonal direction."""
         return self.family == "A" or self.label == "A1d"
 
-    # cached properties are written past the frozen __setattr__; eq and hash
-    # read the fields alone
     @cached_property
     def simple(self) -> tuple[Vector, ...]:
         return tuple(_rational(b, self.scale) for b in self.simple_images)
@@ -344,6 +350,12 @@ def _build(label: str, family: str, ambient: int, scale: int,
     for a in simple:
         if _idot(rs.two_rho, a) != _idot(a, a):
             raise ValueError(f"{label}: rho pairing is not 1 against {_rational(a, scale)}")
+    # the walk certifies N-combinations: a root it skips is a kept simple root
+    # a, which pairs to (a, a) > 0 with 2 rho by the check above, plus a
+    # positive root of smaller pairing, so induction on the pairing ends at
+    # kept roots; only the fallback solves
+    if shown:
+        return rs
     for p, sol in zip(positive, solve_combination(simple, positive)):
         if sol is None or any(x % sol[0] or x < 0 for x in sol[1]):
             raise ValueError(f"{label}: positive root {_rational(p, scale)} is not an "
@@ -560,8 +572,7 @@ def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:
 # composite spaces: ordered simple factors plus an abelian center
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Per-factor coordinate blocks plus center coordinates."""
     factors: tuple[Vector, ...]
     center: Vector = ()
@@ -570,8 +581,7 @@ class Weight:
         return f"Weight({self.factors}, center={self.center})"
 
 
-@dataclass(frozen=True)
-class KSpace:
+class KSpace(NamedTuple):
     factors: tuple[RootSystem, ...]
     center_dim: int = 0
 

@@ -17,10 +17,10 @@ counterexample witness in the evidence string.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import integer_images
 from .registry import (
@@ -102,26 +102,34 @@ def paper_count(r: RealFormRecord) -> int | None:
 RUNG_SWEEP = 50
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """How to run the checks; settings that would make a pass vacuous, or
-    a run impossible, raise ValueError."""
+class _VerifySettings(NamedTuple):
     strategy: str = "chamber"
     budget: int = DEFAULT_BUDGET
 
-    def __post_init__(self):
+
+class VerifyConfig(_VerifySettings):
+    """How to run the checks; settings that would make a pass vacuous, or
+    a run impossible, raise ValueError, on _replace too."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of "
                              + ", ".join(STRATEGIES))
         if self.budget < 1:
             raise ValueError(f"budget (--budget) must be positive, got {self.budget}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 DEFAULT_CONFIG = VerifyConfig()
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     record: str
     status: str          # "pass" | "fail" | "skipped"

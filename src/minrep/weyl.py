@@ -43,13 +43,12 @@ depends only on a root system is a cached property of its RootSystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import chain, count, product
 from math import gcd, prod
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .linalg import Matrix, integer_images, matmul
 from .rootsys import (
@@ -81,20 +80,22 @@ class BudgetExceededError(RuntimeError):
 # words and elements
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """Reflection letters (factor index, vector) in printed order."""
+class _WeylWordFields(NamedTuple):
     letters: tuple[tuple[int, Vector], ...]
 
-    # written past the frozen __setattr__; eq and hash read the letters alone
+
+class WeylWord(_WeylWordFields):
+    """Reflection letters (factor index, vector) in printed order."""
+
+    # no __slots__: the cached property lives in the instance __dict__, while
+    # eq and hash are the tuple's and read the letters alone
     @cached_property
     def mirrors(self) -> tuple[tuple[int, Mirror], ...]:
         """The letters as (factor index, integer mirror), converted once."""
         return tuple([(f, mirror(a)) for f, a in self.letters])
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """One orthogonal matrix M per factor, center fixed; never applied.
     Block k is the integer matrix S M for S = scales[k], the lattice scale
     of factor k (see RootSystem.lattice_scale): its rows are the lattice

@@ -8,7 +8,6 @@ falsifiability of every check.  Timing bounds use integer nanosecond
 clocks throughout.
 """
 
-import dataclasses
 import json
 import time
 from fractions import Fraction as Q
@@ -319,49 +318,46 @@ def _mutators():
     def bump_weight(w, factor=0):
         body = list(w.factors)
         body[factor] = (body[factor][0] + 1,) + body[factor][1:]
-        return dataclasses.replace(w, factors=tuple(body))
+        return w._replace(factors=tuple(body))
 
     def bad_rho(r):
-        return dataclasses.replace(r, rho=bump_weight(r.rho))
+        return r._replace(rho=bump_weight(r.rho))
 
     def bad_ladder(r):
         m = r.modules[0]
-        rogue = dataclasses.replace(m, beta=dataclasses.replace(
-            m.beta, factors=((0, -1),) + m.beta.factors[1:]))
-        return dataclasses.replace(r, modules=(rogue,) + r.modules[1:])
+        rogue = m._replace(beta=m.beta._replace(
+            factors=((0, -1),) + m.beta.factors[1:]))
+        return r._replace(modules=(rogue,) + r.modules[1:])
 
     def bad_xi0(r):
-        return dataclasses.replace(r, xi0=bump_weight(r.xi0))
+        return r._replace(xi0=bump_weight(r.xi0))
 
     def bad_w0(r):
-        return dataclasses.replace(
-            r, w0=word(r.space, [(0, (1, 0, 1, 0, 0, 0, 0, 0))]))
+        return r._replace(w0=word(r.space, [(0, (1, 0, 1, 0, 0, 0, 0, 0))]))
 
     def bad_count(r):
-        return dataclasses.replace(r, modules=r.modules[:-1])
+        return r._replace(modules=r.modules[:-1])
 
     def bad_infchar(r):
         rows = tuple(row[:-1] + (row[-1] + shift,) for row in r.infchar)
-        return dataclasses.replace(r, infchar=rows)
+        return r._replace(infchar=rows)
 
     return {
         "rho": ("e6(6)", bad_rho),
-        "p_dimension": ("e6(6)", lambda r: dataclasses.replace(
-            r, p_summands=(bump_weight(r.p_summands[0]),))),
+        "p_dimension": ("e6(6)", lambda r: r._replace(
+            p_summands=(bump_weight(r.p_summands[0]),))),
         "ladder_wellformed": ("so(4,3)", bad_ladder),
         "xi0": ("e6(6)", bad_xi0),
         "w0_table": ("e8(8)", bad_w0),
         "w0_formula": ("e8(8)", bad_w0),
-        "w0_unique": ("g2(2)", lambda r: dataclasses.replace(
-            r, w0=word(r.space, [(0, (2, -2))]))),
+        "w0_unique": ("g2(2)", lambda r: r._replace(w0=word(r.space, [(0, (2, -2))]))),
         "same_line": ("e8(8)", bad_w0),
-        "period": ("e7(7)", lambda r: dataclasses.replace(r, family="sp_R")),
+        "period": ("e7(7)", lambda r: r._replace(family="sp_R")),
         "count_and_disjoint": ("e8(8)", bad_count),
-        "complex_beta": ("g2(C)", lambda r: dataclasses.replace(
-            r, modules=(dataclasses.replace(
-                r.modules[0], beta=dataclasses.replace(
-                    r.modules[0].beta, factors=((Q(1), Q(-1), Q(0)),))),
-                ) + r.modules[1:])),
+        "complex_beta": ("g2(C)", lambda r: r._replace(modules=(
+            r.modules[0]._replace(beta=r.modules[0].beta._replace(
+                factors=((Q(1), Q(-1), Q(0)),))),
+        ) + r.modules[1:])),
         "infchar_coords": ("e6(6)", bad_infchar),
     }
 

@@ -1,14 +1,20 @@
 """Source hygiene, checked on the syntax tree: no `assert` in the package
 (`python -O` strips it, and with it the check), no imported name that the
 importing file never uses, and no public function or class that only the
-tests call."""
+tests call.  Also the cold start: importing the command line loads no
+`dataclasses`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import minrep
+from minrep.registry import find_record
+from minrep.rootsys import make_root_system
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "minrep").glob("*.py"))
@@ -113,3 +119,20 @@ def test_no_assert_statements_in_the_package(path):
     lines = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_cold_start_loads_no_dataclasses():
+    # every command pays for what `import minrep.cli` loads; dataclasses
+    # brings inspect with it.  -S keeps site hooks out of the count.
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, minrep.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout == "False\n"
+    # the value types stay frozen
+    rs = make_root_system("G2")
+    record = find_record("g2(2)")
+    for value, field in ((rs, "label"), (record.rho, "factors"), (record, "name")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))

@@ -230,9 +230,13 @@ def test_integer_indecomposables_match_on_catalog_beta_subsystems():
     assert checked >= 20
 
 
-def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
-    # a build solves once, for the simple-root coordinates of every positive
-    # root; the fundamental weights are solved for on their first use
+def test_build_solves_nothing_and_weights_once(monkeypatch):
+    # the simple-root walk certifies that every positive root is an
+    # N-combination, so no build solves, of a listed type or of a catalog
+    # beta-subsystem; the fundamental weights are solved for on first use
+    pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
+             for rs, v in zip(r.space.factors, m.beta.factors)}
+    expected = make_root_system("E8").fundamental
     calls = []
     real = rootsys.solve_combination
 
@@ -241,11 +245,15 @@ def test_build_solves_once_for_heights_and_once_for_weights(monkeypatch):
         return real(columns, targets)
 
     monkeypatch.setattr(rootsys, "solve_combination", counting)
-    scale, positive, simple = rootsys._pos_E8()
-    rs = rootsys._build("E8", "E", 8, scale, positive, simple)
-    assert calls == [120]
-    assert rs.fundamental == make_root_system("E8").fundamental
-    assert calls == [120, 8]
+    for label in ALL_LABELS:
+        make_root_system.__wrapped__(label)
+    subs = {orthogonal_subsystem(make_root_system.__wrapped__(label), v)
+            for label, v in pairs}
+    assert calls == []
+    assert sum(1 for sub in subs if sub.rank) >= 30
+    rs = make_root_system.__wrapped__("E8")
+    assert rs.fundamental == expected
+    assert calls == [8]
 
 
 def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
@@ -351,8 +359,8 @@ def test_orthogonal_subsystem_makes_no_fraction(label, v):
 
 
 def test_a_root_system_is_its_integers():
-    assert [f.name for f in dataclasses.fields(rootsys.RootSystem)] == [
-        "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images"]
+    assert rootsys.RootSystem._fields == (
+        "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images")
 
 
 # ---------------------------------------------------------------------------

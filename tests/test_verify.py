@@ -1,7 +1,6 @@
 """Check layer: positive runs on fast records, negative controls by
 mutating fixtures, runner determinism and filters."""
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -50,7 +49,7 @@ FAST_RECORDS = ["f4(4)", "g2(2)", "e6(6)", "sp(2,R)", "sp(2,C)", "so(4,3)",
 
 
 def mutate(r, **kw):
-    return dataclasses.replace(r, **kw)
+    return r._replace(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def _on_new_systems(records):
             built[rs.label] = make_root_system.__wrapped__(rs.label)
         return built[rs.label]
 
-    return [mutate(r, space=dataclasses.replace(r.space, factors=tuple(map(new, r.space.factors))))
+    return [mutate(r, space=r.space._replace(factors=tuple(map(new, r.space.factors))))
             for r in records]
 
 
@@ -402,7 +401,7 @@ def test_count_fails_on_a_record_the_paper_table_lacks():
 
 def test_disjointness_control_without_separator():
     r = find_record("sp(2,C)")
-    clone = dataclasses.replace(r.modules[0], label="clone")
+    clone = r.modules[0]._replace(label="clone")
     rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
     assert rep.status == "fail" and "no symbolic separator" in rep.evidence
 
@@ -415,8 +414,8 @@ def shared_rung_mutant():
     r = find_record("sp(2,R)")
     even, even_c, odd, odd_c = r.modules
     beta = weight(r.space, (2, 0), center=(Q(1, 2),))
-    moved = dataclasses.replace(odd, mu0=weight(r.space, (3, 1), center=(1,)), beta=beta)
-    return mutate(r, modules=(dataclasses.replace(even, beta=beta), even_c, moved, odd_c))
+    moved = odd._replace(mu0=weight(r.space, (3, 1), center=(1,)), beta=beta)
+    return mutate(r, modules=(even._replace(beta=beta), even_c, moved, odd_c))
 
 
 def test_disjointness_control_with_a_shared_rung():
@@ -430,7 +429,7 @@ def test_disjointness_names_a_shared_rung_of_two_equal_modules(monkeypatch):
     # no separator refuses the pair first, and every rung is shared: the
     # least key is the bottom one
     r = find_record("sp(2,C)")
-    clone = dataclasses.replace(r.modules[0], label="clone")
+    clone = r.modules[0]._replace(label="clone")
     monkeypatch.setattr(verify, "_separator", lambda *args: "stubbed")
     rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
     assert (rep.status, rep.evidence) == (
@@ -574,12 +573,16 @@ def test_default_config_values():
 def test_config_refuses_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         VerifyConfig(strategy="bogus")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        DEFAULT_CONFIG._replace(strategy="bogus")
 
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_config_refuses_budget_below_one(budget):
     with pytest.raises(ValueError, match=f"must be positive, got {budget}"):
         VerifyConfig(budget=budget)
+    with pytest.raises(ValueError, match=f"must be positive, got {budget}"):
+        DEFAULT_CONFIG._replace(budget=budget)
 
 
 # ---------------------------------------------------------------------------

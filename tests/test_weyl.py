@@ -489,8 +489,7 @@ def test_per_system_data_is_computed_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(RootSystem, "descend", counting("descend", RootSystem.descend))
     first = round_on_rs()
-    assert set(calls) == {"solve_combination", "subsystem", "_component_split",
-                          "descend"}
+    assert set(calls) == {"subsystem", "_component_split", "descend"}
     calls.clear()
     assert round_on_rs() == first
     assert calls == []
