@@ -49,7 +49,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import integer_images, solve_combination
 
@@ -392,7 +392,7 @@ def _fundamental_weights(scale: int, simple) -> tuple[int, list[IntVector]]:
 # vectors that are the roots times scale.  F4 and the E types use doubled
 # coordinates, the rest scale 1.
 
-Listing = tuple[int, list[IntVector], list[IntVector]]
+Listing = tuple[int, Sequence[IntVector], Sequence[IntVector]]
 
 
 def _vec(n: int, *entries: tuple[int, int]) -> IntVector:
@@ -447,7 +447,9 @@ def _pos_F4() -> Listing:
     return 2, pos, _chain(4, 2)[1:] + [_vec(4, (3, 2)), (1, -1, -1, -1)]
 
 
+@lru_cache(maxsize=None)
 def _pos_E8() -> Listing:
+    """Listed once and shared by E6 and E7, so held in tuples."""
     pos = []
     for j in range(8):
         for i in range(j):
@@ -458,7 +460,7 @@ def _pos_E8() -> Listing:
         if signs.count(-1) % 2 == 0:
             pos.append(tuple(signs + [1]))
     simple = [(1, -1, -1, -1, -1, -1, -1, 1), _vec(8, (0, 2), (1, 2))] + _chain(8, -2)[:6]
-    return 2, pos, simple
+    return 2, tuple(pos), tuple(simple)
 
 
 def _pos_E7() -> Listing:

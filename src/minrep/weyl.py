@@ -19,16 +19,30 @@ longest word, not by the orbit.  A point's first descent is the letter
 that made it, read off its path, and only the Dynkin neighbours after it
 need a test to be a child.  On the orbit of the regular vector 2*rho the
 map w -> w(2*rho) is a bijection, so that walk visits every group element.
-Tracked vectors (beta, xi0) ride along as their integer labels too,
-updated by the same Cartan rows; caller-supplied tests read them through
-integer affine forms, and each survivor's word is its path from the root
-read backwards.  The parabolic stabilizers of the default "chamber"
-line-preserver strategy (trivial on the whole catalog) and the "reduced"
-and "brute" certificates walk 2*rho, and the word of every survivor of the
-three is checked against the definition.  "reduced" tests only the simple
-roots of the beta stabilizer's positive system (and their w_l images): a
-point pairs nonnegatively with a positive system exactly when it does with
-its simple roots.  group_order counts fundamental-weight orbits instead.
+Tracked vectors (beta, xi0) ride along as their integer labels too.
+
+A state is one int (see _Orbit).  Label j of block t (the start block,
+then each tracked one) is a k-bit field at position j*blocks + t, biased
+by 2^(k-1), so the labels j of all blocks are adjacent and s_i on every
+block is one multiply by Cartan row i spread over those positions.  The
+width k comes from a proved bound: label j of w(v) is <v, gamma^vee> for
+the coroot gamma^vee = w^-1 alpha_j^vee, whose coefficients on the simple
+coroots are at most 6 in absolute value (Bourbaki, Lie Groups and Lie
+Algebras, ch. VI, plates I-IX: the highest coroot of E8 has the largest),
+so every label of the orbit is at most 6 sum_i |l_i| for l the labels of
+v.  A test is a key, one masked compare of the packed state ("block =
+target", "block >= 0", "block <= 0", or nothing), and an optional check
+that runs only where the key matches; each survivor's word is its path
+from the root read backwards.  The parabolic stabilizers of the default
+"chamber" line-preserver strategy (trivial on the whole catalog) and the
+"reduced" and "brute" certificates walk 2*rho, and the word of every
+survivor of the three is checked against the definition.  "brute" keys on
+w(beta) = +-beta and checks xi0 on the matches.  "reduced" keys on signs
+alone: a point pairs nonnegatively with Delta_beta+ exactly when it does
+with its simple roots, i.e. is dominant for it, and when w_l beta = -beta,
+-w_l preserves Delta_beta+ and so permutes its simple roots, which makes
+"nonnegative on w_l Delta_beta+" read "antidominant".  group_order counts
+fundamental-weight orbits instead, without decoding a state.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -45,7 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import chain, count, product
+from itertools import count, product
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, NamedTuple
@@ -229,25 +243,104 @@ def _forms(rs: RootSystem, ys: Iterable[tuple[int, ...]],
     return out
 
 
-def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
-               tests, start: tuple[int, ...] | None = None) -> list[list[list[Mirror]]]:
-    """Mirror letters (printed order) of one w per point of an orbit whose
-    state passes a test, one list per test.
+def _label_bound(blocks: Iterable[tuple[int, ...]]) -> int:
+    """6 sum_i |l_i| over the worst block l: no label of any point of the
+    block's orbit exceeds it in absolute value (see the module docstring),
+    0 when there are no labels."""
+    return 6 * max((sum(map(abs, b)) for b in blocks), default=0)
 
-    The orbit is that of the dominant point with labels `start` on the
-    first n = len(start) simple roots, under the parabolic subgroup they
-    generate; by default the regular 2*rho under W(rs), one point per
-    element.  A state is one flat integer tuple: the simple-coroot labels
-    <w(start), alpha_j^vee> (j < n), then those of w(t) for each tracked
-    block t (see coroot_labels).  s_i subtracts each block's label i times
-    Cartan row i from that block, and tests read the blocks through integer
-    affine forms (see _forms).  The search is a reverse search rooted at
-    `start`: the parent of a point is its reflection in its first descent
-    (the first negative label), so s_i u is a child of u exactly when u's
-    label i is positive and no label of s_i u before i is negative.  These
-    parents form one tree and each point is visited once, depth first, with
-    no visited set.  A node's word is its path from the root, read
-    backwards: the letters of the walk back along first descents.
+
+# The key every state matches (see _Orbit).
+_EVERY = (0, 0, 0)
+
+
+class _Orbit(NamedTuple):
+    """An orbit walk of _survivors and the layout of its packed states
+    (see there): block 0 is the start, then one block per tracked vector.
+    A field never leaves [1, 2^width - 1], so its top bit is set exactly
+    when its label is nonnegative.  A key (offset, mask, value) matches a
+    state when (state + offset) & mask == value."""
+    rs: RootSystem
+    rank: int
+    blocks: int
+    width: int
+    root: int
+
+    def _placed(self, block: int, values: Iterable[int]) -> int:
+        """values[j] placed in the field of label j of the block."""
+        k, nb = self.width, self.blocks
+        return sum(c << k * (j * nb + block) for j, c in enumerate(values))
+
+    def labels(self, state: int, block: int) -> tuple[int, ...]:
+        k, nb = self.width, self.blocks
+        field, bias = (1 << k) - 1, 1 << k - 1
+        return tuple([(state >> k * (j * nb + block) & field) - bias
+                      for j in range(self.rank)])
+
+    def equal(self, block: int, target: Iterable[int]) -> tuple[int, int, int]:
+        """Key: the block's labels are `target`."""
+        bias = 1 << self.width - 1
+        return (0, self._placed(block, [(1 << self.width) - 1] * self.rank),
+                self._placed(block, [c + bias for c in target]))
+
+    def nonnegative(self, block: int) -> tuple[int, int, int]:
+        """Key: every label of the block is >= 0 (every top bit set)."""
+        top = self._placed(block, [1 << self.width - 1] * self.rank)
+        return (0, top, top)
+
+    def nonpositive(self, block: int) -> tuple[int, int, int]:
+        """Key: every label of the block is <= 0, i.e. each field less one
+        (never below 0, so no borrow) has its top bit clear."""
+        _, top, _ = self.nonnegative(block)
+        return (-self._placed(block, [1] * self.rank), top, 0)
+
+
+def _orbit(rs: RootSystem, tracked: tuple[tuple[int, ...], ...] = (),
+           start: tuple[int, ...] | None = None) -> _Orbit:
+    """The walk of the dominant point with labels `start` on the first n =
+    len(start) simple roots, under the parabolic subgroup they generate,
+    carrying the tracked blocks (labels on the same n coroots, see
+    coroot_labels); by default the regular 2*rho under W(rs), one point per
+    element."""
+    if start is None:
+        start = (2,) * rs.rank
+    blocks = (start, *tracked)
+    width = _label_bound(blocks).bit_length() + 1
+    bias = 1 << width - 1
+    root = sum((c + bias) << width * (j * len(blocks) + t)
+               for t, b in enumerate(blocks) for j, c in enumerate(b))
+    return _Orbit(rs, len(start), len(blocks), width, root)
+
+
+def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
+    """Mirror letters (printed order) of one w per point of the orbit whose
+    state passes a test, one list per test.  A test is a pair (key, check):
+    the state must match the key (see _Orbit), and then satisfy the check,
+    a callable on the packed state, unless it is None.  The keys ask
+    "block = target", "block >= 0" (dominant: how "reduced" keys W_beta),
+    "block <= 0" (antidominant: its w_l coset, since -w_l permutes the
+    simple roots of Delta_beta+), or nothing (_EVERY).
+
+    Label j of block t is the width-bit field at bit width * (j * blocks +
+    t), biased by 2^(width - 1).  The width is _label_bound's bit length
+    plus one: label j of w(v) is <v, gamma^vee> for a coroot gamma^vee,
+    whose simple-coroot coefficients are at most 6 in absolute value
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates), so no label
+    leaves its field.  s_i on all blocks at once: with step = width *
+    blocks, the fields of label i of every block, shifted down by i * step
+    and unbiased, are the integer g = sum_t l_(i,t) 2^(width t), and state
+    - g R_i, for R_i = sum_j a_ij 2^(step j) over Cartan row i, takes
+    l_(i,t) a_ij off label j of each block t.  The result is exact as an
+    integer and every field stays in range, so it is the packed state of
+    s_i u.
+
+    The search is a reverse search rooted at the start: the parent of a
+    point is its reflection in its first descent (the first negative label
+    of block 0), so s_i u is a child of u exactly when u's label i is
+    positive and no label of s_i u before i is negative.  These parents
+    form one tree and each point is visited once, depth first, with no
+    visited set.  A node's word is its path from the root, read backwards:
+    the letters of the walk back along first descents.
 
     The first descent of the child s_i u is i: the reflection makes label i
     negative and the child rule keeps every earlier one nonnegative.  So a
@@ -256,36 +349,40 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
     reflecting by such an i only raises the labels of its neighbours, so
     every i there with a nonzero label (all, on a regular orbit) gives a
     child with no further test.  Past it, s_i must turn the negative label
-    f nonnegative, so i is a Dynkin neighbour of f (with label i positive);
-    only those are tested, first on label f and then on the labels between
-    f and i.
+    f nonnegative, so i is a Dynkin neighbour of f with label i positive
+    (one compare of its field); only those are tried, and s_i u is kept
+    when its labels f to i - 1 are nonnegative, one masked compare.
     """
+    rs, rank, nb, k, root = orbit
     mirrors = rs.simple_mirrors
-    if start is None:
-        start = (2,) * rs.rank
-    rank = len(start)
-    # the Cartan rows of the first `rank` nodes: a principal submatrix
-    rows = [tuple([(j, a) for j, a in row if j < rank]) for row in rs.cartan_rows[:rank]]
-    # s_i on the state, in the start block and each tracked block: (src, j,
-    # a) takes a times the label at src off index j, a in Cartan row i
-    offsets = [rank * t for t in range(len(tracked) + 1)]
-    moves = [[(o + i, o + j, a) for o in offsets for j, a in row]
-             for i, row in enumerate(rows)]
-    # per first descent f: the letters below f, and f's Dynkin neighbours
-    # i after it with <alpha_i, alpha_f^vee> (none at the root, f = rank)
-    free = [[(i, moves[i]) for i in range(f)] for f in range(rank + 1)]
-    tested = [[(i, dict(rows[i])[f], moves[i]) for i, _ in row if i > f]
-              for f, row in enumerate(rows)] + [[]]
+    step = k * nb
+    bias = 1 << k - 1
+    gmask = (1 << step) - 1
+    gbias = sum(bias << k * t for t in range(nb))
+    # R_i over the Cartan rows of the first `rank` nodes, a principal submatrix
+    rows = [sum(a << step * j for j, a in row if j < rank) for row in rs.cartan_rows[:rank]]
+    # letter i: the field of label i in block 0, that field at label 0, the
+    # shift to label i's fields, and R_i
+    letter = [(i, (1 << k) - 1 << step * i, bias << step * i, step * i, rows[i])
+              for i in range(rank)]
+    # per first descent f: the letters below f; and f's Dynkin neighbours i
+    # after it, with the top bits of labels f to i - 1 (none at the root,
+    # f = rank)
+    free = [letter[:f] for f in range(rank + 1)]
+    tested = [[letter[i] + (sum(bias << step * j for j in range(f, i)),)
+               for i, _ in row if f < i < rank]
+              for f, row in enumerate(rs.cartan_rows[:rank])] + [[]]
     found: list[list[list[Mirror]]] = [[] for _ in tests]
-    pairs = list(zip(tests, found))
+    keyed = [(offset, mask, value, check, out)
+             for ((offset, mask, value), check), out in zip(tests, found)]
     # a path is (letter index, parent path), None at the root
-    stack = [(start + tuple(chain.from_iterable(tracked)), None)]
+    stack = [(root, None)]
     push, pop = stack.append, stack.pop
     while stack:
         state, path = pop()
         letters = None
-        for test, out in pairs:
-            if not test(state):
+        for offset, mask, value, check, out in keyed:
+            if (state + offset) & mask != value or not (check is None or check(state)):
                 continue
             if letters is None:
                 letters, p = [], path
@@ -294,22 +391,15 @@ def _survivors(rs: RootSystem, tracked: tuple[tuple[int, ...], ...],
                     letters.append(mirrors[i])
             out.append(letters)
         first = rank if path is None else path[0]
-        for i, move in free[first]:
-            if not state[i]:
+        for i, field, zero, shift, row in free[first]:
+            if state & field != zero:
+                push((state - ((state >> shift & gmask) - gbias) * row, (i, path)))
+        for i, field, zero, shift, row, span in tested[first]:
+            if state & field <= zero:
                 continue
-            child = list(state)
-            for src, j, a in move:
-                child[j] -= state[src] * a
-            push((tuple(child), (i, path)))
-        for i, c, move in tested[first]:
-            # label `first` of s_i u, state[first] - state[i] * c with c < 0
-            if state[first] < state[i] * c:
-                continue
-            child = list(state)
-            for src, j, a in move:
-                child[j] -= state[src] * a
-            if min(child[first:i]) >= 0:
-                push((tuple(child), (i, path)))
+            child = state - ((state >> shift & gmask) - gbias) * row
+            if child & span == span:
+                push((child, (i, path)))
     return found
 
 
@@ -334,10 +424,6 @@ def _require_within(order: int, budget: int, what: str) -> None:
             order)
 
 
-def _every_state(state) -> bool:
-    return True
-
-
 # ---------------------------------------------------------------------------
 # group orders and longest elements
 
@@ -349,9 +435,9 @@ def group_order(rs: RootSystem) -> int:
     Coxeter Groups, 1.12), whose order is counted the same way."""
     order = 1
     for n in range(1, rs.rank + 1):
-        # the test counts each state and keeps none
+        # the check counts each state and keeps none
         seen = count()
-        _survivors(rs, (), (lambda state: next(seen) < 0,), (0,) * (n - 1) + (1,))
+        _survivors(_orbit(rs, (), (0,) * (n - 1) + (1,)), [(_EVERY, lambda state: next(seen) < 0)])
         order *= next(seen)
     return order
 
@@ -407,13 +493,13 @@ def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
 # line preservers
 
 
-def _nonnegative(forms: list[tuple[tuple[int, ...], int]], start: int):
-    """State test: every form (see _forms) is nonnegative on the state's
-    last tracked block, which starts at index `start`."""
-    def test(state) -> bool:
-        x = state[start:]
+def _nonnegative(forms: list[tuple[tuple[int, ...], int]], orbit: _Orbit, block: int):
+    """State check: every form (see _forms) is nonnegative on the labels of
+    one block of the packed state."""
+    def check(state: int) -> bool:
+        x = orbit.labels(state, block)
         return all(sum(map(mul, c, x)) + k >= 0 for c, k in forms)
-    return test
+    return check
 
 
 def _by_factor(space: KSpace, w: WeylWord) -> list[list[Mirror]]:
@@ -498,7 +584,7 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     _require_within(prod(group_order(par) for par in parabolics if par is not None),
                     budget, "the stabilizer of xi0 in W_beta")
     plus = [[u] if par is None else
-            [p + u for p in _survivors(par, (), (_every_state,))[0]]
+            [p + u for p in _survivors(_orbit(par), [(_EVERY, None)])[0]]
             for par, u in zip(parabolics, u0)]
     branches = [plus]
     wl = _flipping_longest(space, beta)
@@ -543,36 +629,26 @@ def _line_preservers_brute(space, beta, xi0, budget):
         _, (u,) = integer_images([beta_f])
         ((_, off_span),) = _forms(rs, [u], beta_f)
         perp = [a for a in rs.positive_images if not sum(map(mul, a, u))]
-        lo, hi = rs.rank, 2 * rs.rank
-        xi_ok = _nonnegative(_forms(rs, perp, xi_f), hi)
+        orbit = _orbit(rs, (b, coroot_labels(rs, xi_f)[1]))
+        xi_ok = _nonnegative(_forms(rs, perp, xi_f), orbit, 2)
         targets = (b,) if off_span else (b, tuple([-c for c in b]))
-        # one nonzero label of beta's (any when beta_f is 0) rules out most
-        # states before the block is sliced
-        k = next((j for j, c in enumerate(b) if c), 0)
-        found = _survivors(rs, (b, coroot_labels(rs, xi_f)[1]),
-                           [lambda state, t=t, at=lo + k, tk=t[k]:
-                            state[at] == tk and state[lo:hi] == t and xi_ok(state)
-                            for t in targets])
+        found = _survivors(orbit, [(orbit.equal(1, t), xi_ok) for t in targets])
         plus.append(found[0])
         minus.append(found[1] if len(found) > 1 else [])
     return _self_checked(space, beta, xi0, (plus, minus), "brute")
 
 
-def _reduced_tests(sub: RootSystem, xi: Vector, flip: list[Mirror] | None):
-    """The reduced strategy's state tests on W(sub) = W_beta, tracking xi0's
-    block: u(xi0) pairs nonnegatively with Delta_beta+ and, given the word
-    `flip` of w_l (None when w_l does not send beta to -beta), with w_l
+def _reduced_tests(orbit: _Orbit, flips: bool):
+    """The reduced strategy's tests on W(sub) = W_beta, tracking xi0's
+    labels on sub's simple coroots as block 1: u(xi0) pairs nonnegatively
+    with Delta_beta+ and, when w_l sends beta to -beta (`flips`), with w_l
     Delta_beta+, since (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi)
     >= 0.  Every positive root is an N-combination of the simple ones, so
-    a point pairs nonnegatively with a positive system exactly when it does
-    with its simple roots, and only those are tested."""
-    ys = [sub.simple_images]
-    if flip is not None:
-        # W permutes the roots of the factor, so the images of the
-        # subsystem's roots, held at the factor's scale, reflect to images
-        # of roots
-        ys.append(_reflected(reversed(flip), sub.simple_images))
-    return [_nonnegative(_forms(sub, y, xi), sub.rank) for y in ys]
+    the first reads "dominant": every label >= 0.  -w_l sends Delta_beta+
+    (positive, orthogonal to beta) into itself, so it permutes its simple
+    roots, and the second reads "antidominant": every label <= 0."""
+    keys = [orbit.nonnegative(1), orbit.nonpositive(1)] if flips else [orbit.nonnegative(1)]
+    return [(key, None) for key in keys]
 
 
 def _line_preservers_reduced(space, beta, xi0, budget):
@@ -586,8 +662,8 @@ def _line_preservers_reduced(space, beta, xi0, budget):
     # along its own line.
     plus, minus = [], []
     for f, (sub, xi_f) in enumerate(zip(subs, xi0.factors)):
-        tests = _reduced_tests(sub, xi_f, None if wl is None else wl[f])
-        found = _survivors(sub, (coroot_labels(sub, xi_f)[1],), tests)
+        orbit = _orbit(sub, (coroot_labels(sub, xi_f)[1],))
+        found = _survivors(orbit, _reduced_tests(orbit, wl is not None))
         plus.append(found[0])
         if wl is not None:
             minus.append([wl[f] + w for w in found[1]])

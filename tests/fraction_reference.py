@@ -173,7 +173,7 @@ def orbit_size(rs):
         size += 1
         return False
 
-    weyl._survivors(rs, (), (count,))
+    weyl._survivors(weyl._orbit(rs), [(weyl._EVERY, count)])
     return size
 
 

@@ -132,6 +132,12 @@ def test_orbit_enumeration_matches_closed_form(label):
     assert order == CLOSED_FORM_ORDERS.get(label, order)
 
 
+def decoded(orbit, state):
+    """A packed kernel state (see weyl._Orbit) as one flat tuple: the labels
+    of the start block, then those of each tracked block."""
+    return sum((orbit.labels(state, t) for t in range(orbit.blocks)), ())
+
+
 def _peak_bytes(run):
     tracemalloc.start()
     try:
@@ -151,20 +157,21 @@ def test_orbit_enumeration_e6():
     assert peak < 2 ** 20
     # nor when it tracks two vectors, as brute does for beta and xi0 on e6(C)
     tracked = (coroot_labels(rs, rs.highest_root)[1], coroot_labels(rs, rs.rho)[1])
+    orbit = weyl._orbit(rs, tracked)
     widths = Counter()
 
     def count(state):
-        widths[len(state)] += 1
+        widths[len(decoded(orbit, state))] += 1
         return False
 
-    _, peak = _peak_bytes(lambda: weyl._survivors(rs, tracked, (count,)))
+    _, peak = _peak_bytes(lambda: weyl._survivors(orbit, [(weyl._EVERY, count)]))
     assert widths == {3 * rs.rank: 51840}
     assert peak < 2 ** 20
 
 
 def enumerate_group(rs):
     """Every element of W(rs) exactly once, as single-block elements."""
-    (words,) = weyl._survivors(rs, (), (weyl._every_state,))
+    (words,) = weyl._survivors(weyl._orbit(rs), [(weyl._EVERY, None)])
     return weyl._elements((rs,), [[words]])
 
 
@@ -202,13 +209,14 @@ def test_enumerated_words_are_reduced(label):
     # positive roots that pair negatively with w^-1 rho.
     rs = make_root_system(label)
     d, start = coroot_labels(rs, rs.rho)
+    orbit = weyl._orbit(rs, (start,))
     states = []
 
     def keep(state):
-        states.append(state)
+        states.append(decoded(orbit, state))
         return True
 
-    (words,) = weyl._survivors(rs, (start,), (keep,))
+    (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
     assert len(words) == CLOSED_FORM_ORDERS[label]
     for letters, state in zip(words, states, strict=True):
         w_rho = rs.rho
@@ -231,17 +239,94 @@ def test_survivors_match_the_reference_kernel(label, blocks):
     # letter: the same states in the same order, and the same words
     rs = make_root_system(label)
     tracked = (coroot_labels(rs, rs.rho)[1], coroot_labels(rs, rs.simple[0])[1])[:blocks]
-
-    def tests(states):
-        def keep(state):
-            states.append(state)
-            return True
-        return keep, lambda state: state[-1] > 0
-
+    orbit = weyl._orbit(rs, tracked)
     got, want = [], []
-    assert weyl._survivors(rs, tracked, tests(got)) == reference_survivors(rs, tracked, tests(want))
+
+    def keep(state):
+        got.append(decoded(orbit, state))
+        return True
+
+    def last_positive(state):
+        return decoded(orbit, state)[-1] > 0
+
+    def reference_keep(state):
+        want.append(state)
+        return True
+
+    assert (weyl._survivors(orbit, [(weyl._EVERY, keep), (weyl._EVERY, last_positive)])
+            == reference_survivors(rs, tracked, (reference_keep, lambda state: state[-1] > 0)))
     assert got == want
     assert len(got) == group_order(rs)
+
+
+def test_survivors_at_rank_zero():
+    # one point, the root, with the empty word: it matches every key, as in
+    # the reference
+    rs = orthogonal_subsystem(make_root_system("A1"), make_root_system("A1").simple[0])
+    assert rs.rank == 0
+    orbit = weyl._orbit(rs, ((),))
+    assert orbit.root == 0
+    tests = [(weyl._EVERY, None), (orbit.equal(1, ()), None),
+             (orbit.nonnegative(1), None), (orbit.nonpositive(1), lambda state: state == 0)]
+    assert weyl._survivors(orbit, tests) == [[[]]] * 4
+    assert reference_survivors(rs, ((),), [lambda state: state == ()]) == [[[]]]
+    assert group_order(rs) == 1
+
+
+@pytest.mark.parametrize("label", KERNEL_LABELS)
+def test_labels_stay_within_the_width_bound(label):
+    # over each full walk the kernel tests make (2 rho carrying rho and the
+    # first simple root, or the highest root when there is one; every
+    # fundamental weight), no label exceeds 6 sum |l| of the worst block,
+    # and that bound fits the field the kernel picks, sign included
+    rs = make_root_system(label)
+    walks = [((2,) * rs.rank, (coroot_labels(rs, rs.rho)[1], coroot_labels(rs, v)[1]))
+             for v in (rs.simple[0], rs.highest_root) if v is not None]
+    walks += [(tuple(int(j == k) for j in range(rs.rank)), ()) for k in range(rs.rank)]
+    for start, tracked in walks:
+        orbit = weyl._orbit(rs, tracked, start)
+        bound = weyl._label_bound((start, *tracked))
+        assert bound < 2 ** (orbit.width - 1)
+        largest = 0
+
+        def see(state):
+            nonlocal largest
+            largest = max(largest, *map(abs, decoded(orbit, state)))
+            return False
+
+        weyl._survivors(orbit, [(weyl._EVERY, see)])
+        assert largest <= bound
+
+
+@pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
+def test_keys_match_exactly_the_decoded_states(label):
+    # each key against its meaning on the decoded block, at every state of
+    # a walk carrying a fundamental weight (zero labels) and rho (none)
+    rs = make_root_system(label)
+    omega = coroot_labels(rs, rs.fundamental[-1])[1]
+    orbit = weyl._orbit(rs, (omega, coroot_labels(rs, rs.rho)[1]))
+    keys = {"equal": orbit.equal(1, omega), "nonnegative": orbit.nonnegative(1),
+            "nonpositive": orbit.nonpositive(1), "rho_nonnegative": orbit.nonnegative(2),
+            "rho_nonpositive": orbit.nonpositive(2)}
+    meaning = {"equal": lambda x, y: x == omega,
+               "nonnegative": lambda x, y: min(x) >= 0, "nonpositive": lambda x, y: max(x) <= 0,
+               "rho_nonnegative": lambda x, y: min(y) >= 0,
+               "rho_nonpositive": lambda x, y: max(y) <= 0}
+    seen = Counter()
+
+    def check(state):
+        x, y = orbit.labels(state, 1), orbit.labels(state, 2)
+        for name, (offset, mask, value) in keys.items():
+            matched = (state + offset) & mask == value
+            assert matched == meaning[name](x, y), name
+            seen[name] += matched
+        return False
+
+    weyl._survivors(orbit, [(weyl._EVERY, check)])
+    # omega's dominant and antidominant points, each reached by its
+    # stabilizer's elements; rho's, each by one element
+    assert seen["nonnegative"] == seen["nonpositive"] == seen["equal"] > 1
+    assert seen["rho_nonnegative"] == seen["rho_nonpositive"] == 1
 
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
@@ -254,13 +339,14 @@ def test_survivors_walk_orbits_with_zero_labels(label):
     cases = ([(rs.rank, k) for k in range(rs.rank)]
              + [(n, n - 1) for n in range(1, rs.rank)])
     for n, k in cases:
+        orbit = weyl._orbit(rs, (), tuple(int(j == k) for j in range(n)))
         states = []
 
         def keep(state):
-            states.append(state)
+            states.append(decoded(orbit, state))
             return True
 
-        (words,) = weyl._survivors(rs, (), (keep,), tuple(int(j == k) for j in range(n)))
+        (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
         # a node's word is its parent's with one more letter in front, and
         # the walk visits the parent first
         point = {(): rs.fundamental[k]}
@@ -767,22 +853,25 @@ def _reduced_cases():
 
 @pytest.mark.parametrize("record, beta", _reduced_cases())
 def test_reduced_simple_root_forms_keep_the_survivors(record, beta):
-    # the reduced strategy tests u(xi0) on the simple roots of Delta_beta+
-    # (and their w_l images); testing every positive root keeps the same
-    # survivors
+    # the reduced strategy keys u(xi0) on the signs of its labels on
+    # Delta_beta+'s simple coroots, >= 0 (and <= 0 for the w_l coset);
+    # testing every positive root (and every w_l image) through its form
+    # keeps the same survivors, for xi0 and for a point with zero labels,
+    # the first fundamental weight of Delta_beta
     space = record.space
     wl = weyl._flipping_longest(space, beta)
     subs = space_beta_subsystems(space, beta)
-    for f, (sub, xi) in enumerate(zip(subs, record.xi0.factors)):
-        flip = None if wl is None else wl[f]
+    for f, (sub, xi0) in enumerate(zip(subs, record.xi0.factors)):
         roots = [sub.positive_images]
-        if flip is not None:
-            roots.append(weyl._reflected(reversed(flip), sub.positive_images))
-        every_root = [weyl._nonnegative(weyl._forms(sub, ys, xi), sub.rank) for ys in roots]
-        tracked = (coroot_labels(sub, xi)[1],)
-        simple = weyl._survivors(sub, tracked, weyl._reduced_tests(sub, xi, flip))
-        assert simple == weyl._survivors(sub, tracked, every_root)
-        assert len(simple) == len(roots) and simple[0]
+        if wl is not None:
+            roots.append(weyl._reflected(reversed(wl[f]), sub.positive_images))
+        for xi in (xi0, *sub.fundamental[:1]):
+            orbit = weyl._orbit(sub, (coroot_labels(sub, xi)[1],))
+            every_root = [(weyl._EVERY, weyl._nonnegative(weyl._forms(sub, ys, xi), orbit, 1))
+                          for ys in roots]
+            simple = weyl._survivors(orbit, weyl._reduced_tests(orbit, wl is not None))
+            assert simple == weyl._survivors(orbit, every_root)
+            assert len(simple) == len(roots) and all(simple)
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +1001,14 @@ def test_lattice_action_matches_fraction_reference(case):
     ratios = set()
     scale, image = weyl._tracked_image(rs, v)
     assert image == tuple(scale * c for c in v)
+    orbit = weyl._orbit(rs, (labels,))
     states = []
 
     def keep(state):
-        states.append(state)
+        states.append(decoded(orbit, state))
         return True
 
-    (words,) = weyl._survivors(rs, (labels,), (keep,))
+    (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
     assert len(words) == group_order(rs)
     ref = {(): (v, image)}
     for letters, state in zip(words, states, strict=True):
