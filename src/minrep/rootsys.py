@@ -38,9 +38,10 @@ positive root at once.
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, component types, the longest word,
-orthogonal subsystems) is a cached property of its `RootSystem`, computed
-on first use from those fields and kept with it.  Weyl-group orders are not
-transcribed: weyl.group_order counts them.
+orthogonal subsystems, the Weyl-group order) is a cached property of its
+`RootSystem`, computed on first use from those fields and kept with it.
+Weyl-group orders are not transcribed: weyl.group_order counts them, once
+per system.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import integer_images, solve_combination
+from .linalg import Matrix, integer_images, solve_combination
 
 Vector = tuple[Q, ...]
 IntVector = tuple[int, ...]
@@ -240,6 +241,18 @@ class RootSystem(_RootSystemFields):
     def perp(self) -> dict[IntVector, RootSystem]:
         """weyl.orthogonal_subsystem's results so far, by line (see there)."""
         return {}
+
+    @cached_property
+    def flips(self) -> dict[RootSystem, Matrix]:
+        """weyl.longest_product's blocks on this system so far, by subsystem."""
+        return {}
+
+    @cached_property
+    def order(self) -> int:
+        """|W|, counted by weyl.group_order on first use (weyl builds on
+        this module, so it is imported here)."""
+        from .weyl import group_order
+        return group_order(self)
 
     def descend(self, labels: Iterable[int]) -> tuple[list[int], list[int]]:
         """Greedy descent of the labels <u, alpha_j^vee> of a point u into the

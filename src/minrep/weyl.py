@@ -34,15 +34,19 @@ v.  A test is a key, one masked compare of the packed state ("block =
 target", "block >= 0", "block <= 0", or nothing), and an optional check
 that runs only where the key matches; each survivor's word is its path
 from the root read backwards.  The parabolic stabilizers of the default
-"chamber" line-preserver strategy (trivial on the whole catalog) and the
-"reduced" and "brute" certificates walk 2*rho, and the word of every
-survivor of the three is checked against the definition.  "brute" keys on
-w(beta) = +-beta and checks xi0 on the matches.  "reduced" keys on signs
-alone: a point pairs nonnegatively with Delta_beta+ exactly when it does
-with its simple roots, i.e. is dominant for it, and when w_l beta = -beta,
--w_l preserves Delta_beta+ and so permutes its simple roots, which makes
-"nonnegative on w_l Delta_beta+" read "antidominant".  group_order counts
-fundamental-weight orbits instead, without decoding a state.
+"chamber" line-preserver strategy (trivial on the whole catalog), the
+"reduced" certificate and the parabolic W_J of "brute" walk 2*rho, and the
+word of every survivor of the three is checked against the definition.
+"brute" covers W as the words x of the orbit of the last fundamental
+weight omega_n times its stabilizer W_J (see _cosets): each x whose
+x^-1(+-beta) pairs with omega_n as beta does is one "block = target" key
+on the W_J walk, and xi0 is checked on the matches.
+"reduced" keys on signs alone: a point pairs nonnegatively with
+Delta_beta+ exactly when it does with its simple roots, i.e. is dominant
+for it, and when w_l beta = -beta, -w_l preserves Delta_beta+ and so
+permutes its simple roots, which makes "nonnegative on w_l Delta_beta+"
+read "antidominant".  group_order counts fundamental-weight orbits
+instead, without decoding a state.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -278,8 +282,13 @@ class _Orbit(NamedTuple):
                       for j in range(self.rank)])
 
     def equal(self, block: int, target: Iterable[int]) -> tuple[int, int, int]:
-        """Key: the block's labels are `target`."""
+        """Key: the block's labels are `target`.  A target label that does
+        not fit a field is no label of the orbit, and that key matches no
+        state (it would spill into the next field)."""
         bias = 1 << self.width - 1
+        target = list(target)
+        if not all(-bias <= c < bias for c in target):
+            return (0, 0, 1)
         return (0, self._placed(block, [(1 << self.width) - 1] * self.rank),
                 self._placed(block, [c + bias for c in target]))
 
@@ -428,16 +437,23 @@ def _require_within(order: int, budget: int, what: str) -> None:
 # group orders and longest elements
 
 
+def _last_weight_orbit(rs: RootSystem, n: int) -> _Orbit:
+    """The walk of the n-th fundamental weight, labels (0, ..., 0, 1), under
+    the parabolic subgroup of the first n nodes.  Its stabilizer there is
+    the parabolic of the first n - 1 (Chevalley's lemma, Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12)."""
+    return _orbit(rs, (), (0,) * (n - 1) + (1,))
+
+
 def group_order(rs: RootSystem) -> int:
-    """|W(rs)| by orbit-stabilizer: the stabilizer of the last node's
-    fundamental weight, labels (0, ..., 0, 1), is the parabolic subgroup of
-    the other nodes (Chevalley's lemma, Humphreys, Reflection Groups and
-    Coxeter Groups, 1.12), whose order is counted the same way."""
+    """|W(rs)| by orbit-stabilizer over the chain of first-n parabolics (see
+    _last_weight_orbit).  Callers read RootSystem.order, which counts once
+    per system."""
     order = 1
     for n in range(1, rs.rank + 1):
         # the check counts each state and keeps none
         seen = count()
-        _survivors(_orbit(rs, (), (0,) * (n - 1) + (1,)), [(_EVERY, lambda state: next(seen) < 0)])
+        _survivors(_last_weight_orbit(rs, n), [(_EVERY, lambda state: next(seen) < 0)])
         order *= next(seen)
     return order
 
@@ -448,7 +464,7 @@ def type_label(rs: RootSystem) -> str:
 
 
 def space_group_order(space: KSpace) -> int:
-    return prod(map(group_order, space.factors))
+    return prod(rs.order for rs in space.factors)
 
 
 def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
@@ -484,9 +500,18 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
 
 def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
     """The element w_l w_subs,l: the longest element of W after the longest
-    element of each factor's subsystem group, from their mirror words."""
-    return compose(_element(space, _longest_words(space.factors)),
-                   _element(space, _longest_words(subs)))
+    element of each factor's subsystem group, from their mirror words.  A
+    factor's block is multiplied out once per subsystem and kept on the
+    factor (RootSystem.flips): w0_formula and chamber's coset branch of one
+    record both read it."""
+    blocks = []
+    for rs, sub in zip(space.factors, subs, strict=True):
+        block = rs.flips.get(sub)
+        if block is None:
+            wl, wsub = (_matrix(rs, w) for w in _longest_words((rs, sub)))
+            block = rs.flips[sub] = _divided(matmul(wl, wsub), rs.lattice_scale)
+        blocks.append(block)
+    return WeylElement(tuple(blocks), _scales(space.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +606,7 @@ def _line_preservers_chamber(space, beta, xi0, budget):
         u0.append([sub.simple_mirrors[i] for i in reversed(descent)])
         (xi_dom,) = _reflected(reversed(u0[-1]), [_tracked_image(sub, xi_f)[1]])
         parabolics.append(orthogonal_subsystem(sub, xi_dom) if 0 in labels else None)
-    _require_within(prod(group_order(par) for par in parabolics if par is not None),
+    _require_within(prod(par.order for par in parabolics if par is not None),
                     budget, "the stabilizer of xi0 in W_beta")
     plus = [[u] if par is None else
             [p + u for p in _survivors(_orbit(par), [(_EVERY, None)])[0]]
@@ -591,15 +616,21 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     if wl is not None:
         branches.append([[prefix + wbl + w for w in words]
                          for prefix, wbl, words in zip(wl, _longest_words(subs), plus)])
-    return _self_checked(space, beta, xi0, branches, "chamber")
+    _self_checked(space, beta, xi0, branches, "chamber")
+    kept = _elements(space.factors, [plus])
+    if wl is None:
+        return kept
+    # every coset word starts with w_l w_beta,l, whose element is kept
+    flip = longest_product(space, subs)
+    return kept | {compose(flip, el) for el in kept}
 
 
 def _self_checked(space, beta, xi0, branches, strategy):
-    """The elements of `branches` (see _elements), once each factor's word
-    is checked on lattice images: a word of branch k sends the beta block to
-    (-1)^k times itself, and the xi0 block to a point that pairs
-    nonnegatively with the positive roots orthogonal to beta.
-    SelfCheckError names the strategy whose survivor fails."""
+    """Check each factor's word of every branch on lattice images: a word
+    of branch k sends the beta block to (-1)^k times itself, and the xi0
+    block to a point that pairs nonnegatively with the positive roots
+    orthogonal to beta.  SelfCheckError names the strategy whose survivor
+    fails."""
     for sign, branch in zip((1, -1), branches):
         for rs, words, v, xi in zip(space.factors, branch, beta.factors, xi0.factors):
             # lattice images: signs of dot products survive any positive scale
@@ -614,28 +645,69 @@ def _self_checked(space, beta, xi0, branches, strategy):
                 if any(sum(map(mul, a, wx)) < 0 for a in perp):
                     raise SelfCheckError(f"{strategy} survivor does not keep xi0 "
                                          "dominant for the beta stabilizer")
-    return _elements(space.factors, branches)
+
+
+def _cosets(rs: RootSystem) -> tuple[RootSystem, tuple[int, ...], list[list[Mirror]]]:
+    """(J, o, X) for o the integer image of the last fundamental weight
+    omega_n: J is the subsystem orthogonal to o, the parabolic of nodes 1 to
+    n - 1, whose group W_J is the stabilizer of omega_n (Chevalley's lemma,
+    Humphreys, Reflection Groups and Coxeter Groups, 1.10 and 1.12), and X
+    holds one word x per point x(omega_n) of its orbit.  So every w in W is
+    x v for exactly one x in X and v in W_J.  At rank 0, W = W_J = 1."""
+    if not rs.rank:
+        return rs, (0,) * rs.ambient, [[]]
+    o = rs.fundamental_images[1][-1]
+    (words,) = _survivors(_last_weight_orbit(rs, rs.rank), [(_EVERY, None)])
+    return orthogonal_subsystem(rs, o), o, words
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
+    """Every w = x v of W_K (see _cosets), one W_J walk per factor.  x v
+    sends beta to +-beta exactly when v(beta) = x^-1(+-beta).  v(beta) -
+    beta lies in span J, the part of the root span orthogonal to omega_n,
+    so only an x^-1(+-beta) that pairs with omega_n as beta does can
+    match, and -beta only when beta has no part off the root span (W fixes
+    it).  Two such points differ by a vector of span J, so they are equal
+    exactly when their labels on J's simple coroots are: each candidate x
+    is one "block = target" key on the walk, which tracks beta and xi0 on
+    those coroots.  Where it matches, the check asks (x^-1 alpha, v xi0) =
+    (alpha, x v xi0) >= 0 for every positive root alpha orthogonal to
+    beta.  A survivor's word is x's word, then v's."""
     _require_within(space_group_order(space), budget,
                     "x".join(rs.label for rs in space.factors))
-    # W fixes the part of beta off the root span: w(beta) = beta exactly
-    # when the labels agree, and w(beta) = -beta exactly when they are
-    # negated and beta has no such part (the constant of beta's own form).
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
-        _, b = coroot_labels(rs, beta_f)
-        _, (u,) = integer_images([beta_f])
-        ((_, off_span),) = _forms(rs, [u], beta_f)
-        perp = [a for a in rs.positive_images if not sum(map(mul, a, u))]
-        orbit = _orbit(rs, (b, coroot_labels(rs, xi_f)[1]))
-        xi_ok = _nonnegative(_forms(rs, perp, xi_f), orbit, 2)
-        targets = (b,) if off_span else (b, tuple([-c for c in b]))
-        found = _survivors(orbit, [(orbit.equal(1, t), xi_ok) for t in targets])
-        plus.append(found[0])
-        minus.append(found[1] if len(found) > 1 else [])
-    return _self_checked(space, beta, xi0, (plus, minus), "brute")
+        sub, o, cosets = _cosets(rs)
+        _, b = _tracked_image(rs, beta_f)
+        # the constant of beta's own form is zero exactly when beta has no
+        # part off the root span
+        ((_, off_span),) = _forms(rs, [b], beta_f)
+        signs = (1,) if off_span else (1, -1)
+        perp = [a for a in rs.positive_images if not sum(map(mul, a, b))]
+        _, coroots = sub.coroot_images
+
+        def labels(u):
+            return tuple([sum(map(mul, u, k)) for k in coroots])
+
+        orbit = _orbit(sub, (labels(b), coroot_labels(sub, xi_f)[1]))
+        level = sum(map(mul, b, o))
+        tests, owners = [], []
+        for x in cosets:
+            # the letters in printed order, first applied first, act as x^-1
+            (xb,) = _reflected(x, [b])
+            for sign in signs:
+                if sign * sum(map(mul, xb, o)) == level:
+                    forms = _forms(sub, _reflected(x, perp), xi_f)
+                    tests.append((orbit.equal(1, [sign * c for c in labels(xb)]),
+                                  _nonnegative(forms, orbit, 2)))
+                    owners.append((sign, x))
+        branches = {1: [], -1: []}
+        for (sign, x), found in zip(owners, _survivors(orbit, tests)):
+            branches[sign] += [x + v for v in found]
+        plus.append(branches[1])
+        minus.append(branches[-1])
+    _self_checked(space, beta, xi0, (plus, minus), "brute")
+    return _elements(space.factors, (plus, minus))
 
 
 def _reduced_tests(orbit: _Orbit, flips: bool):
@@ -653,7 +725,7 @@ def _reduced_tests(orbit: _Orbit, flips: bool):
 
 def _line_preservers_reduced(space, beta, xi0, budget):
     subs = space_beta_subsystems(space, beta)
-    _require_within(prod(map(group_order, subs)), budget, "the beta stabilizer")
+    _require_within(prod(sub.order for sub in subs), budget, "the beta stabilizer")
 
     wl = _flipping_longest(space, beta)
 
@@ -668,4 +740,5 @@ def _line_preservers_reduced(space, beta, xi0, budget):
         if wl is not None:
             minus.append([wl[f] + w for w in found[1]])
     branches = (plus, minus) if wl is not None else (plus,)
-    return _self_checked(space, beta, xi0, branches, "reduced")
+    _self_checked(space, beta, xi0, branches, "reduced")
+    return _elements(space.factors, branches)

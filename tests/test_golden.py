@@ -3,9 +3,10 @@
 Each file in tests/golden/ is the stdout of one command line below.  The
 `verify` and `table` files were written by the code before the Weyl
 enumerations shared one kernel, the `weyl` files before the per-system
-data moved onto RootSystem; a change that alters any byte of a verdict, an
-evidence string, a table cell, a longest word or a subsystem type fails
-here.
+data moved onto RootSystem, and `verify_brute_default_w0_unique.md` by the
+brute search that visited every element of W_K; a change that alters any
+byte of a verdict, an evidence string, a table cell, a longest word or a
+subsystem type fails here.
 """
 
 from pathlib import Path
@@ -27,6 +28,9 @@ CASES = {
     "verify_brute_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique",
         "--budget", "1000000"],
+    # at the default budget e8(-24), e8(8) and e7(C) pass too: 23 pass rows
+    "verify_brute_default_w0_unique.md": [
+        "verify", "--strategy", "brute", "--check", "w0_unique"],
 }
 TABLE_FORMATS = (("markdown", "md"), ("csv", "csv"), ("json", "json"),
                  ("latex", "tex"))

@@ -270,6 +270,47 @@ def _on_new_systems(records):
             for r in records]
 
 
+def test_group_orders_are_counted_once_per_system(monkeypatch):
+    # RootSystem.order keeps each count: the brute run asks for the order of
+    # every record's K, and a K factor type recurs across records
+    counted = Counter()
+    real = weyl.group_order
+
+    def counting(rs):
+        counted[rs.label] += 1
+        return real(rs)
+
+    monkeypatch.setattr(weyl, "group_order", counting)
+    reports = run_all(_on_new_systems(all_default_records()), checks=["w0_unique"],
+                      config=VerifyConfig(strategy="brute", budget=10 ** 6))
+    assert [rep.status for rep in reports].count("pass") == 20
+    assert len(counted) == 19
+    assert set(counted.values()) == {1}
+
+
+def test_chamber_coset_elements_reuse_the_longest_product(monkeypatch):
+    # w0_formula multiplies out w_l w_beta,l once per factor; w0_unique's
+    # coset branch then composes its elements from that product, so no
+    # element matrix is reflected through a word as long as w_l (16 letters
+    # on C4, where the stored w0 has 2)
+    (r,) = _on_new_systems([find_record("e6(6)")])
+    (rs,) = r.space.factors
+    calls = []
+    real = weyl._matrix
+
+    def recording(system, letters):
+        letters = list(letters)
+        calls.append(len(letters))
+        return real(system, letters)
+
+    monkeypatch.setattr(weyl, "_matrix", recording)
+    assert run_check("w0_formula", r).status == "pass"
+    assert len(rs.longest_word) == 16 and 16 in calls
+    calls.clear()
+    assert run_check("w0_unique", r).status == "pass"
+    assert calls and max(calls) < 16
+
+
 def _line(v):
     """One key for v, 2v and -v; the zero vector is its own."""
     if all(c == 0 for c in v):

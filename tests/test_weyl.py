@@ -60,6 +60,7 @@ from fraction_reference import (
     reflect,
     vec,
 )
+from brute_reference import reference_brute
 from kernel_reference import reference_survivors
 
 H = Q(1, 2)
@@ -155,7 +156,8 @@ def test_orbit_enumeration_e6():
     size, peak = _peak_bytes(lambda: orbit_size(rs))
     assert size == 51840
     assert peak < 2 ** 20
-    # nor when it tracks two vectors, as brute does for beta and xi0 on e6(C)
+    # nor when it tracks two vectors, as brute's parabolic walk does for beta
+    # and xi0
     tracked = (coroot_labels(rs, rs.highest_root)[1], coroot_labels(rs, rs.rho)[1])
     orbit = weyl._orbit(rs, tracked)
     widths = Counter()
@@ -327,6 +329,48 @@ def test_keys_match_exactly_the_decoded_states(label):
     # stabilizer's elements; rho's, each by one element
     assert seen["nonnegative"] == seen["nonpositive"] == seen["equal"] > 1
     assert seen["rho_nonnegative"] == seen["rho_nonpositive"] == 1
+
+
+def test_equal_key_with_a_target_outside_the_fields_matches_nothing():
+    # on the start block alone the fields of one block are adjacent: a
+    # label one field width above (below) the root's, with the next label
+    # one less (more), would place the root's own value and match it.  No
+    # point has such a label, and the key matches no state.
+    rs = make_root_system("B3")
+    orbit = weyl._orbit(rs)
+    wide = 1 << orbit.width
+    far = [(2 + wide, 1, 2), (2 - wide, 3, 2)]
+    tests = [(orbit.equal(0, (2, 2, 2)), None)] + [(orbit.equal(0, t), None) for t in far]
+    assert weyl._survivors(orbit, tests) == [[[]], [], []]
+
+
+def test_coset_words_times_the_parabolic_walk_give_each_element_once():
+    # every w in W is x v for exactly one coset word x and v in W_J: over
+    # the types with |W| <= 10^5, the points x v (2 rho) are the reference
+    # orbit of 2 rho, each once
+    for label in KERNEL_LABELS:
+        rs = make_root_system(label)
+        sub, omega, cosets = weyl._cosets(rs)
+        # omega is the last fundamental weight, and J the other nodes
+        *others, last = coroot_labels(rs, vec(*omega))[1]
+        assert others == [0] * (rs.rank - 1) and last > 0
+        assert sub.rank == rs.rank - 1
+        (parabolic,) = weyl._survivors(weyl._orbit(sub), [(weyl._EVERY, None)])
+        _, r = weyl._tracked_image(rs, vscale(2, rs.rho))
+        _, coroots = rs.coroot_images
+        unit = sum(map(mul, r, coroots[0])) // 2
+
+        def labels(u):
+            return tuple(sum(map(mul, u, k)) // unit for k in coroots)
+
+        got = []
+        for v in parabolic:
+            (vr,) = weyl._reflected(reversed(v), [r])
+            got += [labels(weyl._reflected(reversed(x), [vr])[0]) for x in cosets]
+        want = []
+        reference_survivors(rs, (), [lambda state: want.append(state)])
+        assert len(got) == len(cosets) * len(parabolic) == len(want), label
+        assert sorted(got) == sorted(want), label
 
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
@@ -744,6 +788,18 @@ def test_line_preservers_beta_off_the_root_span(label, beta, fixing):
         assert line_preservers(sp, *args, strategy) == expected, strategy
 
 
+def test_line_preservers_with_a_rank_zero_factor():
+    # a factor with no roots has the trivial group: its only coset word and
+    # parabolic element are empty, and the A2 factor decides alone
+    a1, a2 = make_root_system("A1"), make_root_system("A2")
+    empty = orthogonal_subsystem(a1, a1.simple[0])
+    sp = KSpace((empty, a2), 0)
+    args = (weight(sp, (0, 0), (1, 0, -1)), weight(sp, (1, 0), (0, 0, 0)))
+    expected = frozenset({identity_element(sp), as_element(sp, longest_element(a2, 1))})
+    for strategy in weyl.STRATEGIES:
+        assert line_preservers(sp, *args, strategy) == expected, strategy
+
+
 @pytest.mark.parametrize("strategy", weyl.STRATEGIES)
 def test_line_preservers_make_no_fraction(strategy):
     # the search, its self-check and the element pools stay on integers
@@ -839,6 +895,29 @@ def test_line_preserver_strategies_agree(case):
     chamber = line_preservers(sp, beta, xi0, "chamber")
     assert chamber == line_preservers(sp, beta, xi0, "reduced")
     assert chamber == line_preservers(sp, beta, xi0, "brute")
+
+
+@given(preserver_case())
+@settings(max_examples=60, deadline=None)
+def test_brute_matches_the_element_by_element_reference(case):
+    sp, beta, xi0 = case
+    got = line_preservers(sp, beta, xi0, "brute")
+    assert {element_blocks(el) for el in got} == reference_brute(sp, beta, xi0)
+
+
+def _brute_cases():
+    """(record, beta) for each beta of each record with line data whose W_K
+    has order at most 10**5, chosen without the kernel."""
+    return [pytest.param(r, beta, id=f"{r.name}-{k}") for r in all_default_records()
+            if r.modules and r.xi0 is not None
+            and prod(map(height_partition_order, r.space.factors)) <= 10 ** 5
+            for k, beta in enumerate(dict.fromkeys(m.beta for m in r.modules))]
+
+
+@pytest.mark.parametrize("record, beta", _brute_cases())
+def test_brute_matches_the_element_by_element_reference_on_the_catalog(record, beta):
+    got = line_preservers(record.space, beta, record.xi0, "brute")
+    assert {element_blocks(el) for el in got} == reference_brute(record.space, beta, record.xi0)
 
 
 def _reduced_cases():
