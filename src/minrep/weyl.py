@@ -35,12 +35,15 @@ target", "block >= 0", "block <= 0", or nothing), and an optional check
 that runs only where the key matches; each survivor's word is its path
 from the root read backwards.  The parabolic stabilizers of the default
 "chamber" line-preserver strategy (trivial on the whole catalog), the
-"reduced" certificate and the parabolic W_J of "brute" walk 2*rho, and the
-word of every survivor of the three is checked against the definition.
-"brute" covers W as the words x of the orbit of the last fundamental
-weight omega_n times its stabilizer W_J (see _cosets): each x whose
-x^-1(+-beta) pairs with omega_n as beta does is one "block = target" key
-on the W_J walk, and xi0 is checked on the matches.
+"reduced" certificate and the beta stabilizer W_beta of "brute" walk
+2*rho, and the word of every survivor of the three is checked against the
+definition.  "brute" covers W as the words x of the orbit of beta times
+W_beta, the group of the roots orthogonal to beta (Chevalley's lemma,
+Humphreys, Reflection Groups and Coxeter Groups, 1.12): x v sends beta to
++-beta exactly when x does, so one "block = target" key on the orbit walk
+finds the -beta coset, and each candidate x is one check of the definition
+on the W_beta walk, through forms compiled to their nonzero terms (see
+_nonnegative).
 "reduced" keys on signs alone: a point pairs nonnegatively with
 Delta_beta+ exactly when it does with its simple roots, i.e. is dominant
 for it, and when w_l beta = -beta, -w_l preserves Delta_beta+ and so
@@ -437,23 +440,18 @@ def _require_within(order: int, budget: int, what: str) -> None:
 # group orders and longest elements
 
 
-def _last_weight_orbit(rs: RootSystem, n: int) -> _Orbit:
-    """The walk of the n-th fundamental weight, labels (0, ..., 0, 1), under
-    the parabolic subgroup of the first n nodes.  Its stabilizer there is
-    the parabolic of the first n - 1 (Chevalley's lemma, Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12)."""
-    return _orbit(rs, (), (0,) * (n - 1) + (1,))
-
-
 def group_order(rs: RootSystem) -> int:
-    """|W(rs)| by orbit-stabilizer over the chain of first-n parabolics (see
-    _last_weight_orbit).  Callers read RootSystem.order, which counts once
-    per system."""
+    """|W(rs)| by orbit-stabilizer over the chain of first-n parabolics: in
+    the parabolic of the first n nodes, the n-th fundamental weight, labels
+    (0, ..., 0, 1), has the parabolic of the first n - 1 as its stabilizer
+    (Chevalley's lemma, Humphreys, Reflection Groups and Coxeter Groups,
+    1.12).  Callers read RootSystem.order, which counts once per system."""
     order = 1
     for n in range(1, rs.rank + 1):
         # the check counts each state and keeps none
         seen = count()
-        _survivors(_last_weight_orbit(rs, n), [(_EVERY, lambda state: next(seen) < 0)])
+        orbit = _orbit(rs, (), (0,) * (n - 1) + (1,))
+        _survivors(orbit, [(_EVERY, lambda state: next(seen) < 0)])
         order *= next(seen)
     return order
 
@@ -520,10 +518,24 @@ def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
 
 def _nonnegative(forms: list[tuple[tuple[int, ...], int]], orbit: _Orbit, block: int):
     """State check: every form (see _forms) is nonnegative on the labels of
-    one block of the packed state."""
+    one block of the packed state.  Compiled once: a form c . l + k keeps
+    its terms with c_j nonzero as (shift of field j, c_j), read off the
+    biased fields f_j = l_j + bias, with the bias folded into the constant,
+    k - bias sum_j c_j.  Forms with the fewest terms go first, so a state
+    that fails one simple root (a single label) fails at once."""
+    k, nb = orbit.width, orbit.blocks
+    field, bias = (1 << k) - 1, 1 << k - 1
+    compiled = sorted((([(k * (j * nb + block), cj) for j, cj in enumerate(c) if cj],
+                        const - bias * sum(c)) for c, const in forms),
+                      key=lambda form: len(form[0]))
+
     def check(state: int) -> bool:
-        x = orbit.labels(state, block)
-        return all(sum(map(mul, c, x)) + k >= 0 for c, k in forms)
+        for terms, const in compiled:
+            for shift, cj in terms:
+                const += cj * (state >> shift & field)
+            if const < 0:
+                return False
+        return True
     return check
 
 
@@ -647,65 +659,45 @@ def _self_checked(space, beta, xi0, branches, strategy):
                                          "dominant for the beta stabilizer")
 
 
-def _cosets(rs: RootSystem) -> tuple[RootSystem, tuple[int, ...], list[list[Mirror]]]:
-    """(J, o, X) for o the integer image of the last fundamental weight
-    omega_n: J is the subsystem orthogonal to o, the parabolic of nodes 1 to
-    n - 1, whose group W_J is the stabilizer of omega_n (Chevalley's lemma,
-    Humphreys, Reflection Groups and Coxeter Groups, 1.10 and 1.12), and X
-    holds one word x per point x(omega_n) of its orbit.  So every w in W is
-    x v for exactly one x in X and v in W_J.  At rank 0, W = W_J = 1."""
-    if not rs.rank:
-        return rs, (0,) * rs.ambient, [[]]
-    o = rs.fundamental_images[1][-1]
-    (words,) = _survivors(_last_weight_orbit(rs, rs.rank), [(_EVERY, None)])
-    return orthogonal_subsystem(rs, o), o, words
+def _flips(rs: RootSystem, v: Vector) -> list[list[Mirror]]:
+    """The words x of the orbit walk of the dominant v with x(v) = -v: the
+    one whose point has the labels of -v, which is -v when v has no part
+    off the root span, and none when it has (W fixes that part)."""
+    _, u = _tracked_image(rs, v)
+    # the constant of v's own form is zero exactly when v has no part off
+    # the root span
+    ((_, off_span),) = _forms(rs, [u], v)
+    if off_span:
+        return []
+    labels = coroot_labels(rs, v)[1]
+    orbit = _orbit(rs, (), labels)
+    return _survivors(orbit, [(orbit.equal(0, [-c for c in labels]), None)])[0]
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
-    """Every w = x v of W_K (see _cosets), one W_J walk per factor.  x v
-    sends beta to +-beta exactly when v(beta) = x^-1(+-beta).  v(beta) -
-    beta lies in span J, the part of the root span orthogonal to omega_n,
-    so only an x^-1(+-beta) that pairs with omega_n as beta does can
-    match, and -beta only when beta has no part off the root span (W fixes
-    it).  Two such points differ by a vector of span J, so they are equal
-    exactly when their labels on J's simple coroots are: each candidate x
-    is one "block = target" key on the walk, which tracks beta and xi0 on
-    those coroots.  Where it matches, the check asks (x^-1 alpha, v xi0) =
-    (alpha, x v xi0) >= 0 for every positive root alpha orthogonal to
-    beta.  A survivor's word is x's word, then v's."""
+    """Every w = x v of W_K: per factor, x from the orbit walk of beta, one
+    word per coset x W_beta, and v from one walk of W_beta, the group of J,
+    the roots orthogonal to the dominant beta (Chevalley's lemma, Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12).  x v (beta) = x(beta), so
+    the candidates are x = 1 and the -beta coset (see _flips).  The W_beta
+    walk tracks xi0 on J's simple coroots, and each candidate is one check
+    of the definition: (x^-1 alpha, v xi0) = (alpha, x v xi0) >= 0 for
+    every positive root alpha orthogonal to beta.  A survivor's word is x's
+    word, then v's."""
     _require_within(space_group_order(space), budget,
                     "x".join(rs.label for rs in space.factors))
     plus, minus = [], []
     for rs, beta_f, xi_f in zip(space.factors, beta.factors, xi0.factors):
-        sub, o, cosets = _cosets(rs)
-        _, b = _tracked_image(rs, beta_f)
-        # the constant of beta's own form is zero exactly when beta has no
-        # part off the root span
-        ((_, off_span),) = _forms(rs, [b], beta_f)
-        signs = (1,) if off_span else (1, -1)
-        perp = [a for a in rs.positive_images if not sum(map(mul, a, b))]
-        _, coroots = sub.coroot_images
-
-        def labels(u):
-            return tuple([sum(map(mul, u, k)) for k in coroots])
-
-        orbit = _orbit(sub, (labels(b), coroot_labels(sub, xi_f)[1]))
-        level = sum(map(mul, b, o))
-        tests, owners = [], []
-        for x in cosets:
-            # the letters in printed order, first applied first, act as x^-1
-            (xb,) = _reflected(x, [b])
-            for sign in signs:
-                if sign * sum(map(mul, xb, o)) == level:
-                    forms = _forms(sub, _reflected(x, perp), xi_f)
-                    tests.append((orbit.equal(1, [sign * c for c in labels(xb)]),
-                                  _nonnegative(forms, orbit, 2)))
-                    owners.append((sign, x))
-        branches = {1: [], -1: []}
-        for (sign, x), found in zip(owners, _survivors(orbit, tests)):
-            branches[sign] += [x + v for v in found]
-        plus.append(branches[1])
-        minus.append(branches[-1])
+        flips = _flips(rs, beta_f)
+        sub = orthogonal_subsystem(rs, beta_f)
+        walk = _orbit(sub, (coroot_labels(sub, xi_f)[1],))
+        # the letters in printed order, first applied first, act as x^-1
+        tests = [(_EVERY, _nonnegative(_forms(sub, _reflected(x, sub.positive_images), xi_f),
+                                       walk, 1))
+                 for x in [[], *flips]]
+        kept, *flipped = _survivors(walk, tests)
+        plus.append(kept)
+        minus.append([x + v for x, found in zip(flips, flipped) for v in found])
     _self_checked(space, beta, xi0, (plus, minus), "brute")
     return _elements(space.factors, (plus, minus))
 

@@ -8,7 +8,7 @@ kept when it meets the definition on Fraction vectors: w(beta) is beta or
 w(xi0).  Both vectors are rebuilt from their labels and the part off the
 root span, which W fixes, but only where the labels of w(beta) are those of
 +-beta, which w(beta) = +-beta requires.  The package walks each factor's
-group as coset words times one parabolic walk instead; tests compare the
+group as the orbit of beta times its stabilizer instead; tests compare the
 two."""
 
 from fractions import Fraction as Q
@@ -26,6 +26,11 @@ def _from_labels(rs, d, labels, off):
     for c, omega in zip(labels, rs.fundamental):
         off = vadd(off, vscale(Q(c, d), omega))
     return off
+
+
+def off_span_part(rs, v):
+    """The part of v off the root span, which W fixes."""
+    return _split(rs, v)[2]
 
 
 def _split(rs, v):

@@ -3,10 +3,12 @@
 Each file in tests/golden/ is the stdout of one command line below.  The
 `verify` and `table` files were written by the code before the Weyl
 enumerations shared one kernel, the `weyl` files before the per-system
-data moved onto RootSystem, and `verify_brute_default_w0_unique.md` by the
-brute search that visited every element of W_K; a change that alters any
-byte of a verdict, an evidence string, a table cell, a longest word or a
-subsystem type fails here.
+data moved onto RootSystem, `verify_brute_default_w0_unique.md` by the
+brute search that visited every element of W_K, and
+`verify_brute_w0_unique.json` by the brute search that walked the orbit
+of the last fundamental weight times its stabilizer; a change that alters
+any byte of a verdict, an evidence string, a table cell, a longest word or
+a subsystem type fails here.
 """
 
 from pathlib import Path
@@ -28,6 +30,9 @@ CASES = {
     "verify_brute_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique",
         "--budget", "1000000"],
+    "verify_brute_w0_unique.json": [
+        "verify", "--strategy", "brute", "--check", "w0_unique",
+        "--format", "json", "--budget", "1000000"],
     # at the default budget e8(-24), e8(8) and e7(C) pass too: 23 pass rows
     "verify_brute_default_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique"],

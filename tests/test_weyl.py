@@ -2,6 +2,7 @@
 enumeration, longest elements, orthogonal subsystems, and the
 line-preserver search on known data."""
 
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -60,7 +61,7 @@ from fraction_reference import (
     reflect,
     vec,
 )
-from brute_reference import reference_brute
+from brute_reference import off_span_part, reference_brute
 from kernel_reference import reference_survivors
 
 H = Q(1, 2)
@@ -156,8 +157,7 @@ def test_orbit_enumeration_e6():
     size, peak = _peak_bytes(lambda: orbit_size(rs))
     assert size == 51840
     assert peak < 2 ** 20
-    # nor when it tracks two vectors, as brute's parabolic walk does for beta
-    # and xi0
+    # nor when it tracks two vectors
     tracked = (coroot_labels(rs, rs.highest_root)[1], coroot_labels(rs, rs.rho)[1])
     orbit = weyl._orbit(rs, tracked)
     widths = Counter()
@@ -331,6 +331,47 @@ def test_keys_match_exactly_the_decoded_states(label):
     assert seen["rho_nonnegative"] == seen["rho_nonpositive"] == 1
 
 
+@pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
+def test_compiled_forms_read_as_the_decoded_labels(label):
+    # _nonnegative compiles each form to its nonzero terms on the biased
+    # fields, the bias folded into the constant; at every state of a full
+    # walk carrying a fundamental weight (zero labels) and rho, it must
+    # agree with evaluating every form on the decoded block, in any order
+    rs = make_root_system(label)
+    n = rs.rank
+    orbit = weyl._orbit(rs, (coroot_labels(rs, rs.fundamental[0])[1],
+                             coroot_labels(rs, rs.rho)[1]))
+    rng = random.Random(label)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    form_lists = [
+        [],
+        [((0,) * n, 0)], [((0,) * n, -1)],
+        [(unit[0], 0), (tuple(-c for c in unit[-1]), 3)],
+        # the first form passes wherever the rest may fail: each is read
+        [((0,) * n, 5), (tuple(range(-1, n - 1)), -2), (unit[1], 1)],
+    ]
+    form_lists += [[(tuple(rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(n)),
+                     rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
+                   for _ in range(12)]
+    checks = [(forms, block, [weyl._nonnegative(ordered, orbit, block)
+                              for ordered in (forms, forms[::-1],
+                                              rng.sample(forms, len(forms)))])
+              for forms in form_lists for block in (1, 2)]
+    outcomes = Counter()
+
+    def see(state):
+        for forms, block, compiled in checks:
+            x = orbit.labels(state, block)
+            want = all(sum(map(mul, c, x)) + k >= 0 for c, k in forms)
+            assert [check(state) for check in compiled] == [want] * 3, (forms, block)
+            outcomes[want] += 1
+        return False
+
+    weyl._survivors(orbit, [(weyl._EVERY, see)])
+    assert outcomes[True] and outcomes[False]
+    assert sum(outcomes.values()) == len(checks) * group_order(rs)
+
+
 def test_equal_key_with_a_target_outside_the_fields_matches_nothing():
     # on the start block alone the fields of one block are adjacent: a
     # label one field width above (below) the root's, with the next label
@@ -344,33 +385,58 @@ def test_equal_key_with_a_target_outside_the_fields_matches_nothing():
     assert weyl._survivors(orbit, tests) == [[[]], [], []]
 
 
-def test_coset_words_times_the_parabolic_walk_give_each_element_once():
-    # every w in W is x v for exactly one coset word x and v in W_J: over
-    # the types with |W| <= 10^5, the points x v (2 rho) are the reference
-    # orbit of 2 rho, each once
-    for label in KERNEL_LABELS:
-        rs = make_root_system(label)
-        sub, omega, cosets = weyl._cosets(rs)
-        # omega is the last fundamental weight, and J the other nodes
-        *others, last = coroot_labels(rs, vec(*omega))[1]
-        assert others == [0] * (rs.rank - 1) and last > 0
-        assert sub.rank == rs.rank - 1
-        (parabolic,) = weyl._survivors(weyl._orbit(sub), [(weyl._EVERY, None)])
-        _, r = weyl._tracked_image(rs, vscale(2, rs.rho))
-        _, coroots = rs.coroot_images
-        unit = sum(map(mul, r, coroots[0])) // 2
+def _walked_points(words, act, root):
+    """The image of `root` under each word of a walk, in order: a node's
+    word is its parent's with one more letter in front, and the walk
+    visits the parent first."""
+    point = {(): root}
+    for letters in map(tuple, words[1:]):
+        point[letters] = act(letters[0], point[letters[1:]])
+    return [point[tuple(letters)] for letters in words]
 
-        def labels(u):
-            return tuple(sum(map(mul, u, k)) // unit for k in coroots)
 
-        got = []
-        for v in parabolic:
-            (vr,) = weyl._reflected(reversed(v), [r])
-            got += [labels(weyl._reflected(reversed(x), [vr])[0]) for x in cosets]
-        want = []
-        reference_survivors(rs, (), [lambda state: want.append(state)])
-        assert len(got) == len(cosets) * len(parabolic) == len(want), label
-        assert sorted(got) == sorted(want), label
+@pytest.mark.parametrize("label", KERNEL_LABELS)
+def test_beta_orbit_words_times_the_stabilizer_walk_give_each_element_once(label):
+    # every w in W is x v for exactly one word x of the orbit walk of a
+    # dominant beta and one v in W_beta, the group of the roots orthogonal
+    # to beta: for beta each fundamental weight, the highest root, 2 rho
+    # and 0, the points x v (2 rho) are the reference orbit of 2 rho, each
+    # once, and the empty word, walked first, is the only x that fixes beta
+    rs = make_root_system(label)
+    want = []
+    reference_survivors(rs, (), [lambda state: want.append(state)])
+    want.sort()
+    _, r = weyl._tracked_image(rs, vscale(2, rs.rho))
+    _, coroots = rs.coroot_images
+    unit = sum(map(mul, r, coroots[0])) // 2
+    index = {m: i for i, m in enumerate(rs.simple_mirrors)}
+
+    def reflected_labels(letter, points):
+        # labels of s_i u from those of u, by Cartan row i
+        i = index[letter]
+        out = []
+        for p in points:
+            q = list(p)
+            for j, a in rs.cartan_rows[i]:
+                q[j] -= p[i] * a
+            out.append(tuple(q))
+        return out
+
+    betas = [*rs.fundamental, rs.highest_root, vscale(2, rs.rho), (Q(0),) * rs.ambient]
+    for beta in (b for b in betas if b is not None):
+        start = coroot_labels(rs, beta)[1]
+        (cosets,) = weyl._survivors(weyl._orbit(rs, (), start), [(weyl._EVERY, None)])
+        assert cosets[0] == []
+        fixed = _walked_points(cosets, reflected_labels, [start])
+        assert [x for x, (p,) in zip(cosets, fixed) if p == start] == [[]]
+        sub = orthogonal_subsystem(rs, beta)
+        (stabilizer,) = weyl._survivors(weyl._orbit(sub), [(weyl._EVERY, None)])
+        v_rho = [tuple(sum(map(mul, u, k)) // unit for k in coroots)
+                 for u in _walked_points(stabilizer, lambda m, u: weyl._reflected([m], [u])[0], r)]
+        got = sorted(p for points in _walked_points(cosets, reflected_labels, v_rho)
+                     for p in points)
+        assert len(cosets) * len(stabilizer) == len(want), (label, beta)
+        assert got == want, (label, beta)
 
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
@@ -789,8 +855,8 @@ def test_line_preservers_beta_off_the_root_span(label, beta, fixing):
 
 
 def test_line_preservers_with_a_rank_zero_factor():
-    # a factor with no roots has the trivial group: its only coset word and
-    # parabolic element are empty, and the A2 factor decides alone
+    # a factor with no roots has the trivial group: its only orbit word and
+    # stabilizer element are empty, and the A2 factor decides alone
     a1, a2 = make_root_system("A1"), make_root_system("A2")
     empty = orthogonal_subsystem(a1, a1.simple[0])
     sp = KSpace((empty, a2), 0)
@@ -918,6 +984,45 @@ def _brute_cases():
 def test_brute_matches_the_element_by_element_reference_on_the_catalog(record, beta):
     got = line_preservers(record.space, beta, record.xi0, "brute")
     assert {element_blocks(el) for el in got} == reference_brute(record.space, beta, record.xi0)
+
+
+def _check_flips(space, beta):
+    """Brute's -beta coset: a factor has a word x with x(beta) = -beta
+    exactly when its longest element flips beta, never when beta has a part
+    off the root span, and the space has one on every factor exactly when
+    _flipping_longest finds w_l."""
+    flips = []
+    for rs, v in zip(space.factors, beta.factors):
+        words = weyl._flips(rs, v)
+        _, b = weyl._tracked_image(rs, v)
+        minus_b = [tuple(-c for c in b)]
+        assert all(weyl._reflected(reversed(x), [b]) == minus_b for x in words)
+        (wl,) = weyl._longest_words([rs])
+        assert len(words) == (weyl._reflected(reversed(wl), [b]) == minus_b)
+        if off_span_part(rs, v) != (Q(0),) * rs.ambient:
+            assert words == []
+        flips.append(bool(words))
+    assert all(flips) == (weyl._flipping_longest(space, beta) is not None)
+    return flips
+
+
+@pytest.mark.parametrize("record, beta", _brute_cases())
+def test_brute_flips_beta_exactly_when_the_longest_element_does(record, beta):
+    _check_flips(record.space, beta)
+
+
+@given(preserver_case())
+@settings(max_examples=60, deadline=None)
+def test_brute_flips_beta_exactly_when_the_longest_element_does_on_random_cases(case):
+    sp, beta, _ = case
+    _check_flips(sp, beta)
+
+
+def test_brute_finds_no_flip_off_the_root_span():
+    # on A1, s(1, 0) = (0, 1) has the labels of -(1, 0) but is not -(1, 0)
+    a1, sp = _single("A1")
+    assert _check_flips(sp, weight(sp, (1, 0))) == [False]
+    assert _check_flips(sp, weight(sp, (1, -1))) == [True]
 
 
 def _reduced_cases():
