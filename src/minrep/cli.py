@@ -56,17 +56,18 @@ class UsageError(Exception):
 
 
 def _verify_reports_json(reports, with_timings: bool) -> str:
-    payload = {
-        "schema": "minrep-verify/1",
-        "overall": suite_status(reports),
-        "reports": [
-            {"check": r.check, "record": r.record, "status": r.status,
-             "evidence": r.evidence,
-             "duration_ms": r.duration_ms if with_timings else 0}
-            for r in reports
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of json.dumps(payload, indent=2), laid out here: with an
+    indent, json runs its pure-Python encoder, so only the strings go
+    through json.dumps, which encodes them in C."""
+    q = json.dumps
+    rows = ",\n".join(
+        f'    {{\n      "check": {q(r.check)},\n      "record": {q(r.record)},\n'
+        f'      "status": {q(r.status)},\n      "evidence": {q(r.evidence)},\n'
+        f'      "duration_ms": {r.duration_ms if with_timings else 0}\n    }}'
+        for r in reports)
+    listed = f"[\n{rows}\n  ]" if reports else "[]"
+    return (f'{{\n  "schema": "minrep-verify/1",\n  "overall": {q(suite_status(reports))},\n'
+            f'  "reports": {listed}\n}}\n')
 
 
 def _verify_reports_md(reports, with_timings: bool) -> str:

@@ -38,8 +38,9 @@ positive root at once.
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, component types, the longest word,
-orthogonal subsystems, the Weyl-group order) is a cached property of its
-`RootSystem`, computed on first use from those fields and kept with it.
+Kostant's cascade, orthogonal subsystems, the Weyl-group order) is a
+cached property of its `RootSystem`, computed on first use from those
+fields and kept with it.
 Weyl-group orders are not transcribed: weyl.group_order counts them, once
 per system.
 """
@@ -238,6 +239,26 @@ class RootSystem(_RootSystemFields):
         return tuple(letters)
 
     @cached_property
+    def cascade(self) -> tuple[Mirror, ...]:
+        """Kostant's cascade as mirrors (B. Kostant, Moscow Math. J. 12,
+        2012): mutually orthogonal roots, at most rank of them, whose
+        reflections commute and multiply to the longest element.
+
+        Built greedily (_cascade_roots) and certified here: the product
+        sends 2 rho to -2 rho, and since 2 rho is regular, w_l is the only
+        element of W with that image (Humphreys, Reflection Groups and
+        Coxeter Groups, 1.8 and 1.12)."""
+        letters = tuple((s, _idot(s, s)) for s in map(_primitive, _cascade_roots(self)))
+        u = self.two_rho
+        for s, ss in letters:
+            # exact: u stays a sum of root images, and a reflection keeps those
+            c = 2 * _idot(u, s) // ss
+            u = tuple([a - c * b for a, b in zip(u, s)])
+        if any(a + b for a, b in zip(u, self.two_rho)):
+            raise AssertionError(f"{self.label}: the cascade does not send 2 rho to -2 rho")
+        return letters
+
+    @cached_property
     def perp(self) -> dict[IntVector, RootSystem]:
         """weyl.orthogonal_subsystem's results so far, by line (see there)."""
         return {}
@@ -270,6 +291,23 @@ class RootSystem(_RootSystemFields):
             for j, a in rows[i]:
                 labels[j] -= li * a
             letters.append(i)
+
+
+def _cascade_roots(rs: RootSystem) -> list[IntVector]:
+    """The positive image of largest 2 rho pairing, then, among those
+    orthogonal to every one picked, the next, until none is left.  Each
+    pick is the highest root of a component of the roots orthogonal to the
+    earlier picks: a positive root gamma there with (pick, gamma) < 0 would
+    make pick + gamma a root there of larger pairing, so the pick is
+    dominant for its component, and the highest root exceeds the other
+    dominant one (Bourbaki VI 1.8) by positive roots."""
+    left = sorted(rs.positive_images, key=lambda p: -_idot(rs.two_rho, p))
+    picks = []
+    while left:
+        top = left[0]
+        picks.append(top)
+        left = [p for p in left if not _idot(p, top)]
+    return picks
 
 
 def _splits(p: IntVector, others: Iterable[IntVector], positive: set[IntVector]) -> bool:

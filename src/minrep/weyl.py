@@ -60,6 +60,15 @@ the scaled identity to give its matrix, one way: on integer lattice images
 into Fractions.  Elements stay integral: their rows are those lattice
 images, and compose divides each product exactly by the scale.  What
 depends only on a root system is a cached property of its RootSystem.
+
+A longest element (w_l and w_beta,l of w0_formula, the w_l cosets of
+"chamber" and "reduced") is the word of the reflections in Kostant's
+cascade (RootSystem.cascade): at most rank mutually orthogonal roots, so
+at most rank letters where a reduced word has one per positive root (120
+on E8).  The RootSystem certifies the cascade where it makes it: its
+product sends 2 rho to -2 rho, which, 2 rho being regular, only w_l does.
+Only longest_element, the reduced word `minrep weyl longest` prints,
+reads RootSystem.longest_word.
 """
 
 from __future__ import annotations
@@ -498,16 +507,17 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
 
 def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
     """The element w_l w_subs,l: the longest element of W after the longest
-    element of each factor's subsystem group, from their mirror words.  A
-    factor's block is multiplied out once per subsystem and kept on the
-    factor (RootSystem.flips): w0_formula and chamber's coset branch of one
-    record both read it."""
+    element of each factor's subsystem group.  A factor's block is the
+    matrix of one word, the two cascades (see _longest_words) one after the
+    other, at most rank(rs) + rank(sub) letters; it is made once per
+    subsystem and kept on the factor (RootSystem.flips): w0_formula and
+    chamber's coset branch of one record both read it."""
     blocks = []
     for rs, sub in zip(space.factors, subs, strict=True):
         block = rs.flips.get(sub)
         if block is None:
-            wl, wsub = (_matrix(rs, w) for w in _longest_words((rs, sub)))
-            block = rs.flips[sub] = _divided(matmul(wl, wsub), rs.lattice_scale)
+            wl, wsub = _longest_words((rs, sub))
+            block = rs.flips[sub] = _matrix(rs, wl + wsub)
         blocks.append(block)
     return WeylElement(tuple(blocks), _scales(space.factors))
 
@@ -548,8 +558,12 @@ def _by_factor(space: KSpace, w: WeylWord) -> list[list[Mirror]]:
 
 
 def _longest_words(systems: Iterable[RootSystem]) -> list[list[Mirror]]:
-    """The longest element of each system's group, as a mirror word."""
-    return [[rs.simple_mirrors[i] for i in rs.longest_word] for rs in systems]
+    """The longest element of each system's group, as a mirror word: the
+    reflections in its Kostant cascade (RootSystem.cascade), at most rank
+    commuting letters, which that property certifies to send 2 rho to
+    -2 rho.  A reduced word has one letter per positive root; the callers
+    need only the element."""
+    return [list(rs.cascade) for rs in systems]
 
 
 def _flipping_longest(space: KSpace, beta: Weight) -> list[list[Mirror]] | None:

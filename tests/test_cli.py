@@ -6,10 +6,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minrep import registry
+from minrep import cli, registry
 from minrep.cli import main
-from minrep.verify import CHECK_NAMES, run_check
+from minrep.verify import CHECK_NAMES, CheckReport, run_check, suite_status
 
 
 def run(capsys, *argv):
@@ -48,6 +49,25 @@ def test_verify_json_shape(capsys):
         ["rho", "p_dimension", "ladder_wellformed", "xi0", "w0_table",
          "w0_formula", "w0_unique", "same_line", "period",
          "count_and_disjoint", "complex_beta", "infchar_coords"])
+
+
+@given(st.lists(st.builds(CheckReport, st.text(), st.text(),
+                          st.sampled_from(["pass", "fail", "skipped"]), st.text(),
+                          st.integers(0, 10 ** 9)), max_size=4),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_verify_json_is_the_indented_json_dump(reports, with_timings):
+    # the report is laid out by hand; its bytes are json.dumps(indent=2)'s,
+    # escapes and the empty list included
+    payload = {
+        "schema": "minrep-verify/1",
+        "overall": suite_status(reports),
+        "reports": [{"check": r.check, "record": r.record, "status": r.status,
+                     "evidence": r.evidence,
+                     "duration_ms": r.duration_ms if with_timings else 0}
+                    for r in reports],
+    }
+    assert cli._verify_reports_json(reports, with_timings) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_verify_output_is_deterministic(capsys):

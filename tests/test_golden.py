@@ -6,7 +6,9 @@ enumerations shared one kernel, the `weyl` files before the per-system
 data moved onto RootSystem, `verify_brute_default_w0_unique.md` by the
 brute search that visited every element of W_K, and
 `verify_brute_w0_unique.json` by the brute search that walked the orbit
-of the last fundamental weight times its stabilizer; a change that alters
+of the last fundamental weight times its stabilizer, and
+`verify_reduced_e8C_w0_unique.md` by the reduced search whose w_l coset
+words began with a reduced longest word; a change that alters
 any byte of a verdict, an evidence string, a table cell, a longest word or
 a subsystem type fails here.
 """
@@ -27,6 +29,11 @@ CASES = {
     "verify_reduced_w0_unique.json": [
         "verify", "--strategy", "reduced", "--check", "w0_unique",
         "--format", "json", "--budget", "1000000"],
+    # the one record the budget above skips: its -beta coset words start
+    # with the E8 cascade
+    "verify_reduced_e8C_w0_unique.md": [
+        "verify", "--strategy", "reduced", "--check", "w0_unique",
+        "--record", "e8(C)"],
     "verify_brute_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique",
         "--budget", "1000000"],

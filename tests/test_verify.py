@@ -16,6 +16,7 @@ from minrep.registry import (
     save,
 )
 from minrep.rootsys import (
+    RootSystem,
     dot,
     make_root_system,
     mirror,
@@ -289,26 +290,64 @@ def test_group_orders_are_counted_once_per_system(monkeypatch):
 
 
 def test_chamber_coset_elements_reuse_the_longest_product(monkeypatch):
-    # w0_formula multiplies out w_l w_beta,l once per factor; w0_unique's
-    # coset branch then composes its elements from that product, so no
-    # element matrix is reflected through a word as long as w_l (16 letters
-    # on C4, where the stored w0 has 2)
+    # w0_formula multiplies out w_l w_beta,l once per factor from the two
+    # cascades, so no element matrix is reflected through more than
+    # rank(K) + rank(K_beta) letters (C4 and A3 here: 4 + 2 cascade letters,
+    # where a reduced w_l alone has 16); w0_unique's coset branch then
+    # composes its elements from the block that w0_formula kept
     (r,) = _on_new_systems([find_record("e6(6)")])
     (rs,) = r.space.factors
-    calls = []
-    real = weyl._matrix
+    (sub,) = weyl.space_beta_subsystems(r.space, verify._module_betas(r)[0])
+    bound = rs.rank + sub.rank
+    calls, composed = [], []
+    real_matrix, real_compose = weyl._matrix, weyl.compose
 
     def recording(system, letters):
         letters = list(letters)
-        calls.append(len(letters))
-        return real(system, letters)
+        calls.append(letters)
+        return real_matrix(system, letters)
+
+    def recording_compose(a, b):
+        composed.append(a)
+        return real_compose(a, b)
 
     monkeypatch.setattr(weyl, "_matrix", recording)
+    monkeypatch.setattr(weyl, "compose", recording_compose)
     assert run_check("w0_formula", r).status == "pass"
-    assert len(rs.longest_word) == 16 and 16 in calls
+    assert list(rs.cascade) + list(sub.cascade) in calls
+    assert max(map(len, calls)) <= bound == 7
+    flip = rs.flips[sub]
     calls.clear()
     assert run_check("w0_unique", r).status == "pass"
-    assert calls and max(calls) < 16
+    assert calls and max(map(len, calls)) <= bound
+    assert composed and all(a.blocks[0] is flip for a in composed)
+
+
+def test_checks_never_read_a_reduced_longest_word(monkeypatch):
+    # every longest element the checks use is a cascade word: on newly built
+    # systems the catalog run reflects at most 2,500 lattice images (8,263
+    # with reduced longest words), and no strategy reads longest_word
+    def refuse(rs):
+        raise AssertionError(f"longest_word read on {rs.label}")
+
+    reflected = Counter()
+    real = weyl._reflect_int
+
+    def counting(*args):
+        reflected["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(RootSystem, "longest_word", property(refuse))
+    monkeypatch.setattr(weyl, "_reflect_int", counting)
+    budget = VerifyConfig(budget=10 ** 6)
+    reports = run_all(_on_new_systems(all_default_records()), config=budget)
+    assert suite_status(reports) == "pass"
+    assert reflected["calls"] <= 2500
+    for strategy in weyl.STRATEGIES:
+        config = budget._replace(strategy=strategy)
+        reports = run_all(_on_new_systems(all_default_records()), checks=["w0_unique"],
+                          config=config)
+        assert suite_status(reports) == "pass"
 
 
 def _line(v):

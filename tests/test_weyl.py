@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations
 from math import prod
 from operator import mul
 
@@ -629,6 +630,49 @@ def test_longest_element_matches_fraction_descent_on_catalog_beta_subsystems():
     assert len(subs) >= 20
     for sub in subs:
         _check_longest_against_fraction_descent(sub)
+
+
+def _check_cascade(rs):
+    """Kostant's cascade: at most rank mutually orthogonal letters whose
+    element is that of the reduced longest word."""
+    letters = rs.cascade
+    assert len(letters) <= rs.rank
+    assert all(not sum(map(mul, s, t)) for (s, _), (t, _) in combinations(letters, 2))
+    reduced = [rs.simple_mirrors[i] for i in rs.longest_word]
+    assert weyl._matrix(rs, letters) == weyl._matrix(rs, reduced)
+    assert weyl._longest_words([rs]) == [list(letters)]
+
+
+@pytest.mark.parametrize("label", ALL_LABELS + ["B16", "C16", "D16"])
+def test_cascade_is_the_longest_element(label):
+    _check_cascade(make_root_system(label))
+
+
+def test_cascade_is_the_longest_element_on_catalog_beta_subsystems():
+    subs = catalog_beta_subsystems()
+    assert len(subs) >= 20
+    for sub in subs:
+        _check_cascade(sub)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_cascade_certificate_refuses_a_dropped_or_swapped_root(monkeypatch, label):
+    # the product of the cascade's reflections must send 2 rho to -2 rho;
+    # dropping one root r, or putting another positive root in its place,
+    # multiplies that product by s(r) or by s(r) s(other), never 1
+    rs = make_root_system.__wrapped__(label)
+    picks = rootsys._cascade_roots(rs)
+    assert len(rs.cascade) == len(picks)
+    others = [p for p in rs.positive_images if p not in picks]
+    mutants = [picks[:j] + picks[j + 1:] for j in range(len(picks))]
+    mutants += [picks[:j] + [other] + picks[j + 1:]
+                for j in range(len(picks)) for other in {*others[:1], *others[-1:]}]
+    for mutant in mutants:
+        monkeypatch.setattr(rootsys, "_cascade_roots", lambda _, m=mutant: m)
+        rs.__dict__.pop("cascade", None)
+        with pytest.raises(AssertionError, match=rf"^{label}: the cascade does not "
+                                                 "send 2 rho to -2 rho$"):
+            rs.cascade
 
 
 def test_label_descent_of_xi0_matches_fraction_descent():
