@@ -4,14 +4,16 @@ tables, and expose reflection-group utilities.
 Exit codes: 0 success, 1 at least one failing check or none passing
 (every selected check skipped), 2 usage or configuration error.  Default output is byte-identical across runs;
 timing columns only appear with --timings.
+
+Every command is a fresh process, so this module loads only what all of
+them need: the JSON and CSV renderers import `json` and `csv` themselves,
+and each table builds only the records it prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from collections import Counter
 from typing import NamedTuple
@@ -21,9 +23,12 @@ from .registry import (
     all_default_records,
     builtin_records,
     default_instances,
+    family_defaults,
     instantiate_family,
     joseph_infchar,
     k_display,
+    ladder_records,
+    one_sided_records,
 )
 from .render import format_q, format_weight, format_word, parse_q
 from .rootsys import UnsupportedCartanType, make_root_system
@@ -59,7 +64,7 @@ def _verify_reports_json(reports, with_timings: bool) -> str:
     """The bytes of json.dumps(payload, indent=2), laid out here: with an
     indent, json runs its pure-Python encoder, so only the strings go
     through json.dumps, which encodes them in C."""
-    q = json.dumps
+    from json import dumps as q
     rows = ",\n".join(
         f'    {{\n      "check": {q(r.check)},\n      "record": {q(r.record)},\n'
         f'      "status": {q(r.status)},\n      "evidence": {q(r.evidence)},\n'
@@ -182,16 +187,12 @@ def table_infchar() -> Table:
 
 
 def _hermitian_pool():
-    fams = _family_members(default_instances(), ("sp_R", "so_p_2", "so_star"))
-    return fams + [r for r in builtin_records() if r.hermitian]
+    return family_defaults("sp_R", "so_p_2", "so_star") + one_sided_records()
 
 
 def _line_data_pool():
-    fams = _family_members(default_instances(),
-                           ("so_even_even", "so_odd_odd", "so_2n_3"))
-    fixed = [r for r in builtin_records()
-             if r.modules and not r.hermitian and len(r.g_complex) == 1]
-    return fams + fixed
+    return (family_defaults("so_even_even", "so_odd_odd", "so_2n_3")
+            + ladder_records())
 
 
 def table_hermitian() -> Table:
@@ -264,6 +265,7 @@ def _table_markdown(t: Table) -> str:
 
 
 def _table_csv(t: Table) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(t.columns)
@@ -273,6 +275,7 @@ def _table_csv(t: Table) -> str:
 
 
 def _table_json(t: Table) -> str:
+    import json
     payload = {
         "schema": "minrep-table/1",
         "table": t.table_id,

@@ -12,7 +12,6 @@ per-factor coordinate arrays plus a "center" array.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Iterable, NamedTuple
@@ -290,11 +289,13 @@ def _ladder_record(name: str, g_complex: str, sp: KSpace, beta_coords,
         family=family, params=tuple(params))
 
 
-def _fixed_records() -> list[RealFormRecord]:
+def _ladder_fixed() -> list[RealFormRecord]:
+    """One module climbing the only p-summand, with line data: the fixed
+    rows of the non-Hermitian tables."""
     h = Q(1, 2)
     eta1 = (h, -h, -h, h, h, -h, h, -h)
     eta2 = (-h, h, h, -h, h, -h, h, -h)
-    out = [
+    return [
         _ladder_record(
             "f4(4)", "F4", _space("C3", "A1d"),
             [(1, 1, 1), (1, -1)], [(0, 0, 0), (1, -1)],
@@ -342,23 +343,30 @@ def _fixed_records() -> list[RealFormRecord]:
              (0, (0, 0, 1, 0, 0, 1, 0, 0)), (0, (0, 0, 0, 1, 1, 0, 0, 0))]),
     ]
 
-    # one-sided pairs with exceptional complexification
-    out.append(_hermitian_record("e6(-14)", "E6", _space("D5", center=1),
-                                 (h, h, h, h, h), (h, h, h, h, h), 4))
+
+def _one_sided_fixed() -> list[RealFormRecord]:
+    """One-sided pairs with exceptional complexification."""
+    h = Q(1, 2)
     e6 = make_root_system("E6")
-    out.append(_hermitian_record("e7(-25)", "E7", _space("E6", center=1),
-                                 e6.fundamental[0], e6.fundamental[5], 6))
+    return [_hermitian_record("e6(-14)", "E6", _space("D5", center=1),
+                              (h, h, h, h, h), (h, h, h, h, h), 4),
+            _hermitian_record("e7(-25)", "E7", _space("E6", center=1),
+                              e6.fundamental[0], e6.fundamental[5], 6)]
 
-    # complex exceptional algebras viewed as real
-    for lbl in ["G2", "F4", "E6", "E7", "E8"]:
-        out.append(_complex_record(f"{lbl.lower()}(C)", lbl,
-                                   modules_mu0=[(0,) * make_root_system(lbl).ambient],
-                                   module_labels=["minimal"]))
 
-    # empty rows with exceptional complexification
-    for lbl in ["E6", "E7", "E8", "F4", "G2"]:
-        sp = KSpace((make_root_system(lbl),), 0)
-        out.append(_zero_record(lbl.lower(), (lbl,), sp, (), REASON_ORBIT))
+def _complex_fixed() -> list[RealFormRecord]:
+    """Complex exceptional algebras viewed as real."""
+    return [_complex_record(f"{lbl.lower()}(C)", lbl,
+                            modules_mu0=[(0,) * make_root_system(lbl).ambient],
+                            module_labels=["minimal"])
+            for lbl in ["G2", "F4", "E6", "E7", "E8"]]
+
+
+def _empty_fixed() -> list[RealFormRecord]:
+    """Empty rows with exceptional complexification."""
+    h = Q(1, 2)
+    out = [_zero_record(lbl.lower(), (lbl,), _space(lbl), (), REASON_ORBIT)
+           for lbl in ["E6", "E7", "E8", "F4", "G2"]]
     spf = _space("F4")
     out.append(_zero_record("e6(-26)", ("E6",), spf,
                             (weight(spf, _e1(4)),), REASON_ORBIT))
@@ -366,6 +374,11 @@ def _fixed_records() -> list[RealFormRecord]:
     out.append(_zero_record("f4(-20)", ("F4",), spb,
                             (weight(spb, (h, h, h, h)),), REASON_ORBIT))
     return out
+
+
+def _fixed_records() -> list[RealFormRecord]:
+    """The built-in records in catalog order, kind by kind."""
+    return _ladder_fixed() + _one_sided_fixed() + _complex_fixed() + _empty_fixed()
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +553,34 @@ def instantiate_family(family_id: str, params: Iterable[int]) -> RealFormRecord:
     return record
 
 
-def builtin_records() -> tuple[RealFormRecord, ...]:
-    records = tuple(_fixed_records())
+def _validated(records: list[RealFormRecord]) -> tuple[RealFormRecord, ...]:
     for r in records:
         validate_record(r)
-    return records
+    return tuple(records)
+
+
+def builtin_records() -> tuple[RealFormRecord, ...]:
+    return _validated(_fixed_records())
+
+
+def ladder_records() -> tuple[RealFormRecord, ...]:
+    """The built-in records with one module and line data, in catalog order."""
+    return _validated(_ladder_fixed())
+
+
+def one_sided_records() -> tuple[RealFormRecord, ...]:
+    """The built-in one-sided (Hermitian) records, in catalog order."""
+    return _validated(_one_sided_fixed())
+
+
+def family_defaults(*family_ids: str) -> tuple[RealFormRecord, ...]:
+    """The default instances of the named families, family by family."""
+    return tuple(instantiate_family(f, params) for f in family_ids
+                 for params in FAMILIES[f].defaults)
 
 
 def default_instances() -> tuple[RealFormRecord, ...]:
-    out = []
-    for fam in FAMILIES.values():
-        for params in fam.defaults:
-            out.append(instantiate_family(fam.family_id, params))
-    return tuple(out)
+    return family_defaults(*FAMILIES)
 
 
 def all_default_records() -> tuple[RealFormRecord, ...]:
@@ -739,12 +767,14 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
 
 
 def save(records: Iterable[RealFormRecord]) -> str:
+    import json  # loaded here, so that a command that reads no file never loads it
     payload = {"schema": SCHEMA,
                "records": [record_to_json(r) for r in records]}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def load(text: str) -> tuple[RealFormRecord, ...]:
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

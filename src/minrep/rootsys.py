@@ -28,12 +28,17 @@ with every simple coroot, read as (2 rho, a) = (a, a), every positive root
 an N-combination of the simple roots).  The scaling is exact and
 injective, so these checks run on Python integers, as do the Cartan
 matrix and the fundamental weights later.  On a positive system the
-simple-root walk (P x rank root lookups, see _simple_roots) certifies the
+simple-root walk (P x rank lookups, see _simple_roots) certifies the
 first and the last at once: each root it does not keep is a kept simple
 root plus a positive root of smaller 2 rho pairing, so by induction every
-positive root is an N-combination.  Only a listing where a simple root
-splits, or the walk keeps a root that is not simple, falls back to the
-definition (P x P lookups) and to one elimination that solves for every
+positive root is an N-combination.  The walk and the test that no simple
+root splits look roots up in packed form: each image is one integer
+sum_i c_i B^i (see _packing), a map that is linear and, for this B,
+injective on the differences it meets, so a vector subtraction and a
+tuple lookup become an integer subtraction and an int lookup.  Only a
+listing where a simple root splits or is not positive, or where the walk
+keeps a root that is not simple, falls back to the definition (P x P
+lookups on tuples) and to one elimination that solves for every
 positive root at once.
 
 Everything else derived from one system (the Fraction views, root lines,
@@ -51,7 +56,7 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import Matrix, integer_images, solve_combination
 
@@ -310,16 +315,27 @@ def _cascade_roots(rs: RootSystem) -> list[IntVector]:
     return picks
 
 
-def _splits(p: IntVector, others: Iterable[IntVector], positive: set[IntVector]) -> bool:
-    """Whether p - q is in `positive` for some q in `others`."""
-    return any(tuple(map(sub, p, q)) in positive for q in others)
-
-
 def _indecomposables(positive: list[IntVector]) -> list[IntVector]:
     """Positive roots, as integer images at one common scale, that are not
     the sum of two positive roots: the definition, P x P lookups."""
     pos = set(positive)
-    return [p for p in positive if not _splits(p, positive, pos)]
+    return [p for p in positive
+            if not any(tuple(map(sub, p, q)) in pos for q in positive)]
+
+
+def _packing(vectors: list[IntVector]) -> Callable[[IntVector], int]:
+    """The packed form c -> sum_i c_i B^i of integer vectors, with
+    B = 4 max |c_i| + 3 over `vectors`.  It is linear, so p - q packs to
+    pack(p) - pack(q), and a difference of two of the vectors packs like
+    one of them only if it is that one: the two differ entrywise by at
+    most 3 max |c_i| < B, and a nonzero vector whose entries are smaller
+    than B never packs to 0 (its lowest nonzero entry would be a multiple
+    of B).  So p - q lies among the vectors exactly when
+    pack(p) - pack(q) lies among their packed forms."""
+    base = 4 * max(max(map(max, vectors), default=0),
+                   -min(map(min, vectors), default=0)) + 3
+    powers = [base ** i for i in range(max(map(len, vectors), default=0))]
+    return lambda v: sum(map(mul, v, powers))
 
 
 def _simple_roots(positive: list[IntVector], two_rho: IntVector) -> list[IntVector]:
@@ -330,12 +346,35 @@ def _simple_roots(positive: list[IntVector], two_rho: IntVector) -> list[IntVect
     increasing pairing keeps a root when no root kept before it leaves a
     positive root on subtraction.  On any list of vectors the walk keeps
     every indecomposable, and perhaps more."""
-    pos = set(positive)
+    return _walk(positive, list(map(_packing(positive), positive)), two_rho)
+
+
+def _walk(positive: list[IntVector], keys: list[int], two_rho: IntVector) -> list[IntVector]:
+    """The walk of _simple_roots, each lookup an integer subtraction on
+    `keys`, the packed forms of `positive` under one _packing."""
+    pos = set(keys)
     found: list[IntVector] = []
-    for p in sorted(positive, key=lambda p: _idot(two_rho, p)):
-        if not _splits(p, found, pos):
+    kept: list[int] = []
+    for k, p in sorted(zip(keys, positive), key=lambda kp: _idot(two_rho, kp[1])):
+        if pos.isdisjoint(map(k.__sub__, kept)):
             found.append(p)
+            kept.append(k)
     return found
+
+
+def _shown_simple(positive: list[IntVector], simple: list[IntVector],
+                  two_rho: IntVector) -> bool:
+    """Whether simple = indecomposables follows from the walk, on packed
+    forms: every simple root is positive and none is a positive root plus
+    another (rank x P lookups), and the walk keeps only simple roots.
+    False says nothing."""
+    pack = _packing([*positive, *simple])
+    keys = list(map(pack, positive))
+    pos = set(keys)
+    simple_keys = set(map(pack, simple))
+    return (simple_keys <= pos
+            and all(pos.isdisjoint(map(a.__sub__, pos)) for a in simple_keys)
+            and set(_walk(positive, keys, two_rho)) <= set(simple))
 
 
 def _component_split(simple: list[IntVector]) -> list[list[int]]:
@@ -389,12 +428,8 @@ def _build(label: str, family: str, ambient: int, scale: int,
     images; a Fraction is made only to name a root in a refusal."""
     rs = RootSystem(label, family, len(simple), ambient, scale,
                     tuple(positive), tuple(simple))
-    # simple = indecomposables when no simple root splits (rank x P lookups)
-    # and the walk keeps only simple roots; failing that, the definition
-    # (P x P lookups) decides
-    pos = set(positive)
-    shown = (not any(_splits(a, positive, pos) for a in simple)
-             and set(_simple_roots(positive, rs.two_rho)) <= set(simple))
+    # the walk shows simple = indecomposables, or else the definition decides
+    shown = _shown_simple(positive, simple, rs.two_rho)
     if not shown and set(simple) != set(_indecomposables(positive)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
     # <rho, a^vee> = 1 reads (2 rho, a) = (a, a), which any common scale keeps

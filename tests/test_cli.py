@@ -395,6 +395,35 @@ def test_table_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("pool,families,fixed", [
+    (cli._hermitian_pool, ("sp_R", "so_p_2", "so_star"), lambda r: r.hermitian),
+    (cli._line_data_pool, ("so_even_even", "so_odd_odd", "so_2n_3"),
+     lambda r: r.modules and not r.hermitian and len(r.g_complex) == 1),
+], ids=["hermitian", "line_data"])
+def test_table_pools_are_the_catalog_filtered(pool, families, fixed):
+    # the records a table builds for itself are, in order, those it would
+    # pick out of the whole catalog: family defaults family by family, then
+    # the built-in records the predicate keeps
+    catalog = registry.all_default_records()
+    expected = ([r for fam in families for r in catalog if r.family == fam]
+                + [r for r in catalog if r.family is None and fixed(r)])
+    assert pool() == tuple(expected)
+
+
+@pytest.mark.parametrize("table", ["infchar", "hermitian", "nonhermitian",
+                                   "data1", "data2"])
+def test_tables_other_than_numbers_build_no_whole_catalog(table, monkeypatch,
+                                                           capsys):
+    def refuse():
+        raise AssertionError("the whole catalog was built")
+
+    for name in ("builtin_records", "default_instances", "all_default_records"):
+        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(registry, name, refuse)
+    code, out, _ = run(capsys, "table", table)
+    assert code == 0 and "| yes |" in out
+
+
 # ---------------------------------------------------------------------------
 # weyl
 

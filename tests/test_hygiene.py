@@ -2,7 +2,7 @@
 (`python -O` strips it, and with it the check), no imported name that the
 importing file never uses, and no public function or class that only the
 tests call.  Also the cold start: importing the command line loads no
-`dataclasses`."""
+`dataclasses`, `json` or `csv`."""
 
 import ast
 import os
@@ -123,13 +123,15 @@ def test_no_assert_statements_in_the_package(path):
 
 def test_cold_start_loads_no_dataclasses():
     # every command pays for what `import minrep.cli` loads; dataclasses
-    # brings inspect with it.  -S keeps site hooks out of the count.
+    # brings inspect with it, and json and csv serve only the renderers and
+    # the registry files that need them.  -S keeps site hooks out of the count.
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, minrep.cli; print('dataclasses' in sys.modules)"
+    code = ("import sys, minrep.cli; "
+            "print(sorted({'dataclasses', 'json', 'csv'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
     # the value types stay frozen
     rs = make_root_system("G2")
     record = find_record("g2(2)")

@@ -23,8 +23,10 @@ from minrep.registry import (
     joseph_infchar,
     k_dimension,
     k_display,
+    ladder_records,
     load,
     normalize_name,
+    one_sided_records,
     record_to_json,
     save,
     validate_record,
@@ -56,6 +58,18 @@ def test_builtin_catalog_size_and_unique_names():
     assert len(records) == 22
     names = [r.name for r in records]
     assert len(set(names)) == len(names)
+
+
+def test_builtin_records_keep_their_order():
+    # built kind by kind: the one-module rows with line data, the one-sided
+    # pairs, the complex forms, the empty rows
+    assert [r.name for r in builtin_records()] == [
+        "f4(4)", "e6(2)", "e7(-5)", "e8(-24)", "g2(2)", "e6(6)", "e7(7)", "e8(8)",
+        "e6(-14)", "e7(-25)",
+        "g2(C)", "f4(C)", "e6(C)", "e7(C)", "e8(C)",
+        "e6", "e7", "e8", "f4", "g2", "e6(-26)", "f4(-20)"]
+    assert builtin_records()[:8] == ladder_records()
+    assert builtin_records()[8:10] == one_sided_records()
 
 
 def test_default_instance_count_and_disjoint_names():

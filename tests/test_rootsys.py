@@ -5,7 +5,7 @@ import dataclasses
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minrep import rootsys
 from minrep.linalg import integer_images
@@ -201,12 +201,20 @@ def naive_indecomposables(positive):
 def integer_indecomposables(positive):
     """The package's indecomposables, found on the integer images of the
     Fraction roots `positive`, read back as those roots.  The definition
-    and the walk in increasing pairing with 2 rho (`_simple_roots`) must
-    agree on them."""
+    (on tuples) and the walk in increasing pairing with 2 rho
+    (`_simple_roots`, on packed forms) must agree on them, and the packed
+    certificate must accept them and refuse them with one missing or one
+    extra positive root."""
     _, images = integer_images(positive)
     found = set(rootsys._indecomposables(images))
     two_rho = tuple(map(sum, zip(*images)))
     assert set(rootsys._simple_roots(images, two_rho)) == found
+    simple = [u for u in images if u in found]
+    assert rootsys._shown_simple(images, simple, two_rho)
+    for i in range(len(simple)):
+        assert not rootsys._shown_simple(images, simple[:i] + simple[i + 1:], two_rho)
+    for extra in [u for u in images if u not in found][:3]:
+        assert not rootsys._shown_simple(images, simple + [extra], two_rho)
     return [p for p, u in zip(positive, images) if u in found]
 
 
@@ -260,6 +268,71 @@ def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
     positive = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
     with pytest.raises(ValueError, match="indecomposables"):
         rootsys._build("bad", "sub", 3, 1, positive, [(1, -1, 0), (1, 0, -1)])
+
+
+def test_build_refuses_a_simple_root_that_is_not_positive():
+    # (1, 1) splits no positive root, the walk keeps only (2, 0), and 2 rho
+    # = (2, 0) pairs to (a, a) with both; only (1, 1) not being listed
+    # among the positive roots tells it apart
+    with pytest.raises(ValueError, match="indecomposables"):
+        rootsys._build("bad", "sub", 2, 1, [(2, 0)], [(2, 0), (1, 1)])
+
+
+def tuple_walk(positive, two_rho):
+    """`_simple_roots` on tuples: the walk with vector subtraction."""
+    pos = set(positive)
+    found = []
+    for p in sorted(positive, key=lambda p: sum(a * b for a, b in zip(two_rho, p))):
+        if not any(tuple(a - b for a, b in zip(p, q)) in pos for q in found):
+            found.append(p)
+    return found
+
+
+def tuple_shown(positive, simple, two_rho):
+    """`_shown_simple` on tuples."""
+    pos = set(positive)
+    return (set(simple) <= pos
+            and not any(tuple(a - b for a, b in zip(s, q)) in pos
+                        for s in simple for q in positive)
+            and set(tuple_walk(positive, two_rho)) <= set(simple))
+
+
+@st.composite
+def vector_lists(draw):
+    """Integer vectors of one length at a small or a wide width, with
+    entries of both signs or none above 0 (so that the largest entry alone
+    would undercount the width), closed under some sums so that many
+    differences land in the list; a two_rho; and a `simple` drawn from the
+    list plus perhaps one vector outside it."""
+    dim = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 2, 3, 10**6]))
+    entry = st.integers(-width, draw(st.sampled_from([0, width])))
+    vec_ = st.tuples(*[entry] * dim)
+    base = draw(st.lists(vec_, min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.integers(0, len(base) - 1)), max_size=6))
+    sums = [tuple(a + b for a, b in zip(base[i], base[j])) for i, j in pairs]
+    positive = list(dict.fromkeys(base + sums))
+    two_rho = draw(vec_)
+    simple = draw(st.lists(st.sampled_from(positive), max_size=4, unique=True))
+    simple += draw(st.lists(vec_, max_size=1))
+    return positive, simple, two_rho
+
+
+@given(vector_lists())
+# the walk's lookup of (1,0) - (-1,0) = (2,0) meets (-1,1), and that of
+# (-3,-1) - (0,-1) = (-3,0) meets (0,-1): packed at B = 3, each pair would
+# collide, B = 2 max |c| + 1 in the first and B = 4 max c + 3 in the second
+@example(([(1, 0), (-1, 0), (-1, 1)], [], (1, 0)))
+@example(([(0, -1), (-3, -1)], [], (-1, 0)))
+@settings(max_examples=300, deadline=None)
+def test_packed_walk_and_split_test_match_tuples(case):
+    # the packed forms must tell every difference the walk and the split
+    # test meet apart from every listed vector, at any width
+    positive, simple, two_rho = case
+    assert rootsys._simple_roots(positive, two_rho) == tuple_walk(positive, two_rho)
+    assert rootsys._shown_simple(positive, simple, two_rho) == \
+        tuple_shown(positive, simple, two_rho)
 
 
 def test_build_refuses_a_bad_rho_pairing():
