@@ -99,6 +99,8 @@ def cmd_verify(args) -> int:
                 records = registry.load(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read {args.records}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read {args.records}: not UTF-8 text")
         except (registry.RegistryFormatError,
                 registry.RegistryValidationError) as exc:
             raise UsageError(str(exc))

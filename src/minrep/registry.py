@@ -158,9 +158,14 @@ def validate_record(r: RealFormRecord) -> None:
         _fail(r.name, f"unknown nonexistence reason {r.nonexistence_reason!r}")
     for t in r.g_complex:
         make_root_system(t)
-    for w in (*r.p_summands, r.rho, r.xi0):
-        if w is not None:
-            conform(r.space, w)
+    # a weight must have K's shape before anything reads its blocks
+    try:
+        for w in (*r.p_summands, r.rho, r.xi0,
+                  *(x for m in r.modules for x in (m.mu0, m.beta))):
+            if w is not None:
+                conform(r.space, w)
+    except ValueError as exc:
+        _fail(r.name, str(exc))
     if r.hermitian and r.space.center_dim != 1:
         _fail(r.name, "one-sided records need a one-dimensional center")
     if r.modules:
@@ -173,8 +178,6 @@ def validate_record(r: RealFormRecord) -> None:
         if r.infchar is None or len(r.infchar) != len(r.g_complex):
             _fail(r.name, "records with modules need one infchar pattern per component")
     for m in r.modules:
-        conform(r.space, m.mu0)
-        conform(r.space, m.beta)
         if all(is_zero(v) for v in m.beta.factors):
             _fail(r.name, f"module {m.label}: beta vanishes on the factors")
         if m.beta not in r.p_summands:

@@ -27,19 +27,13 @@ result on these images (simple roots = indecomposables, rho pairs to 1
 with every simple coroot, read as (2 rho, a) = (a, a), every positive root
 an N-combination of the simple roots).  The scaling is exact and
 injective, so these checks run on Python integers, as do the Cartan
-matrix and the fundamental weights later.  On a positive system the
-simple-root walk (P x rank lookups, see _simple_roots) certifies the
-first and the last at once: each root it does not keep is a kept simple
-root plus a positive root of smaller 2 rho pairing, so by induction every
-positive root is an N-combination.  The walk and the test that no simple
-root splits look roots up in packed form: each image is one integer
-sum_i c_i B^i (see _packing), a map that is linear and, for this B,
-injective on the differences it meets, so a vector subtraction and a
-tuple lookup become an integer subtraction and an int lookup.  Only a
-listing where a simple root splits or is not positive, or where the walk
-keeps a root that is not simple, falls back to the definition (P x P
-lookups on tuples) and to one elimination that solves for every
-positive root at once.
+matrix and the fundamental weights later.  One walk per build (see
+_build) certifies all three, and a subsystem takes the roots it keeps as
+its simple roots.  There is no fallback to the definition: a listing the
+walk cannot certify is refused, and on a positive system the walk keeps
+exactly the simple roots.  Its lookups run on packed forms (see
+_packing), so a vector subtraction and a tuple lookup become an integer
+subtraction and an int lookup.
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, component types, the longest word,
@@ -55,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import Matrix, integer_images, solve_combination
@@ -315,14 +309,6 @@ def _cascade_roots(rs: RootSystem) -> list[IntVector]:
     return picks
 
 
-def _indecomposables(positive: list[IntVector]) -> list[IntVector]:
-    """Positive roots, as integer images at one common scale, that are not
-    the sum of two positive roots: the definition, P x P lookups."""
-    pos = set(positive)
-    return [p for p in positive
-            if not any(tuple(map(sub, p, q)) in pos for q in positive)]
-
-
 def _packing(vectors: list[IntVector]) -> Callable[[IntVector], int]:
     """The packed form c -> sum_i c_i B^i of integer vectors, with
     B = 4 max |c_i| + 3 over `vectors`.  It is linear, so p - q packs to
@@ -336,45 +322,6 @@ def _packing(vectors: list[IntVector]) -> Callable[[IntVector], int]:
                    -min(map(min, vectors), default=0)) + 3
     powers = [base ** i for i in range(max(map(len, vectors), default=0))]
     return lambda v: sum(map(mul, v, powers))
-
-
-def _simple_roots(positive: list[IntVector], two_rho: IntVector) -> list[IntVector]:
-    """The indecomposables of a positive system in P x rank lookups, for
-    any two_rho positive on it.  Every non-simple positive root is a simple
-    root plus a positive root (Humphreys, Introduction to Lie Algebras,
-    10.2), and that simple root pairs less with two_rho, so a walk in
-    increasing pairing keeps a root when no root kept before it leaves a
-    positive root on subtraction.  On any list of vectors the walk keeps
-    every indecomposable, and perhaps more."""
-    return _walk(positive, list(map(_packing(positive), positive)), two_rho)
-
-
-def _walk(positive: list[IntVector], keys: list[int], two_rho: IntVector) -> list[IntVector]:
-    """The walk of _simple_roots, each lookup an integer subtraction on
-    `keys`, the packed forms of `positive` under one _packing."""
-    pos = set(keys)
-    found: list[IntVector] = []
-    kept: list[int] = []
-    for k, p in sorted(zip(keys, positive), key=lambda kp: _idot(two_rho, kp[1])):
-        if pos.isdisjoint(map(k.__sub__, kept)):
-            found.append(p)
-            kept.append(k)
-    return found
-
-
-def _shown_simple(positive: list[IntVector], simple: list[IntVector],
-                  two_rho: IntVector) -> bool:
-    """Whether simple = indecomposables follows from the walk, on packed
-    forms: every simple root is positive and none is a positive root plus
-    another (rank x P lookups), and the walk keeps only simple roots.
-    False says nothing."""
-    pack = _packing([*positive, *simple])
-    keys = list(map(pack, positive))
-    pos = set(keys)
-    simple_keys = set(map(pack, simple))
-    return (simple_keys <= pos
-            and all(pos.isdisjoint(map(a.__sub__, pos)) for a in simple_keys)
-            and set(_walk(positive, keys, two_rho)) <= set(simple))
 
 
 def _component_split(simple: list[IntVector]) -> list[list[int]]:
@@ -422,31 +369,51 @@ def _component_type(rank: int, positive_norms: list[int]) -> str:
 
 
 def _build(label: str, family: str, ambient: int, scale: int,
-           positive: list[IntVector], simple: list[IntVector]) -> RootSystem:
+           positive: list[IntVector], simple: list[IntVector] | None) -> RootSystem:
     """The system whose positive and simple roots are the integer images
-    `positive` and `simple` divided by `scale`.  Every check runs on the
-    images; a Fraction is made only to name a root in a refusal."""
-    rs = RootSystem(label, family, len(simple), ambient, scale,
-                    tuple(positive), tuple(simple))
-    # the walk shows simple = indecomposables, or else the definition decides
-    shown = _shown_simple(positive, simple, rs.two_rho)
-    if not shown and set(simple) != set(_indecomposables(positive)):
+    `positive` and `simple` divided by `scale`; simple=None takes the roots
+    the walk keeps, sorted.  Every check runs on the images, each lookup
+    on packed forms (see _packing); a Fraction is made only to name a root
+    in a refusal.
+
+    The walk takes the positive roots in increasing pairing with 2 rho and
+    keeps a root when no root kept before it leaves a positive root on
+    subtraction, so it keeps every indecomposable, and on a positive
+    system nothing else: every non-simple positive root is a simple root
+    plus a positive root (Humphreys, Introduction to Lie Algebras, 10.2),
+    and that simple root pairs less with 2 rho.  The build then refuses
+    unless (1) each simple root is a listed positive root that splits no
+    positive root (rank x P lookups), (2) rho pairs to 1 with each simple
+    coroot, and (3) the walk keeps no root outside `simple`.  Then simple =
+    indecomposables, since (1) makes each simple root one and (3) keeps
+    out every other; and every positive root is an N-combination of them,
+    by induction on the pairing: a root the walk skips is a kept simple
+    root a, which pairs to (a, a) > 0 with 2 rho by (2), plus a positive
+    root of smaller pairing."""
+    two_rho = tuple(map(sum, zip((0,) * ambient, *positive)))
+    pack = _packing(positive if simple is None else [*positive, *simple])
+    keys = list(map(pack, positive))
+    pos = set(keys)
+    kept: dict[int, IntVector] = {}
+    for k, p in sorted(zip(keys, positive), key=lambda kp: _idot(two_rho, kp[1])):
+        if pos.isdisjoint(map(k.__sub__, kept)):
+            kept[k] = p
+    if simple is None:
+        simple = sorted(kept.values())
+    simple_keys = set(map(pack, simple))
+    if not (simple_keys <= pos
+            and all(pos.isdisjoint(map(a.__sub__, pos)) for a in simple_keys)):
         raise ValueError(f"{label}: simple system does not match indecomposables")
     # <rho, a^vee> = 1 reads (2 rho, a) = (a, a), which any common scale keeps
     for a in simple:
-        if _idot(rs.two_rho, a) != _idot(a, a):
+        if _idot(two_rho, a) != _idot(a, a):
             raise ValueError(f"{label}: rho pairing is not 1 against {_rational(a, scale)}")
-    # the walk certifies N-combinations: a root it skips is a kept simple root
-    # a, which pairs to (a, a) > 0 with 2 rho by the check above, plus a
-    # positive root of smaller pairing, so induction on the pairing ends at
-    # kept roots; only the fallback solves
-    if shown:
-        return rs
-    for p, sol in zip(positive, solve_combination(simple, positive)):
-        if sol is None or any(x % sol[0] or x < 0 for x in sol[1]):
-            raise ValueError(f"{label}: positive root {_rational(p, scale)} is not an "
-                             "N-combination of simples")
-    return rs
+    for k, p in kept.items():
+        if k not in simple_keys:
+            raise ValueError(f"{label}: positive root {_rational(p, scale)} is not shown "
+                             "an N-combination of simples")
+    return RootSystem(label, family, len(simple), ambient, scale,
+                      tuple(positive), tuple(simple))
 
 
 def _rational(u: IntVector, scale: int) -> Vector:
@@ -601,7 +568,7 @@ def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:
     the roots on a subspace, with the positive system rs induces.  It holds
     their images at rs's scale, sorted."""
     pos = sorted(p for p, k in zip(rs.positive_images, keep, strict=True) if k)
-    return _build(label, "sub", rs.ambient, rs.scale, pos, sorted(_simple_roots(pos, rs.two_rho)))
+    return _build(label, "sub", rs.ambient, rs.scale, pos, None)
 
 
 # ---------------------------------------------------------------------------

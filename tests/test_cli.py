@@ -311,6 +311,29 @@ def test_ranks_above_the_cap_are_config_errors(capsys, argv):
     assert "rank above 16" in err
 
 
+def test_verify_records_file_with_a_weight_of_the_wrong_shape_is_config_error(
+        capsys, tmp_path):
+    # a one-block p-summand on g2(2)'s two-factor K used to end in a
+    # ValueError traceback and exit 1
+    doc = json.loads(registry.save([registry.find_record("g2(2)")]))
+    doc["records"][0]["p_summands"].append({"factors": [["1", "-1"]], "center": []})
+    path = tmp_path / "oneblock.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: record g2(2): weight has 1 blocks, space has 2\n"
+
+
+def test_verify_records_file_not_utf8_is_config_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
 def test_verify_records_file_malformed_is_config_error(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json", encoding="utf-8")

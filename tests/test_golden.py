@@ -8,7 +8,9 @@ brute search that visited every element of W_K, and
 `verify_brute_w0_unique.json` by the brute search that walked the orbit
 of the last fundamental weight times its stabilizer, and
 `verify_reduced_e8C_w0_unique.md` by the reduced search whose w_l coset
-words began with a reduced longest word; a change that alters
+words began with a reduced longest word, and `weyl_subsystem_D6.txt` and
+`weyl_subsystem_A1d.txt` by the builds that fell back to the definition
+when their walk could not certify a listing; a change that alters
 any byte of a verdict, an evidence string, a table cell, a longest word or
 a subsystem type fails here.
 """
@@ -57,6 +59,11 @@ CASES.update({
     "weyl_subsystem_E8.txt": ["weyl", "subsystem", "E8",
                               "--orthogonal-to", "0,0,0,0,0,0,1,1"],
     "weyl_subsystem_G2.txt": ["weyl", "subsystem", "G2", "--orthogonal-to=-1,0,1"],
+    # a reducible subsystem: its type is named in the sorted simple-root order
+    "weyl_subsystem_D6.txt": ["weyl", "subsystem", "D6",
+                              "--orthogonal-to", "1,1,0,0,0,0"],
+    # no positive root is orthogonal to the one of A1d
+    "weyl_subsystem_A1d.txt": ["weyl", "subsystem", "A1d", "--orthogonal-to", "1,-1"],
 })
 
 

@@ -545,6 +545,22 @@ def test_load_refuses_a_letter_factor_that_is_not_an_integer():
     _refused(payload, "w0 letter factor must be an integer, got True")
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda rec: rec["p_summands"].append({"factors": [["1", "-1"]], "center": []}),
+     "weight has 1 blocks, space has 2"),
+    (lambda rec: rec["rho"]["factors"].pop(), "weight has 1 blocks, space has 2"),
+    (lambda rec: rec["modules"][0]["mu0"]["factors"][1].append("0"),
+     "block .* has wrong length for A1d"),
+])
+def test_load_refuses_a_weight_of_the_wrong_shape(edit, message):
+    # g2(2) has K = A1d x A1d; a weight of another shape used to escape
+    # validation as conform's bare ValueError
+    payload = _g2_2_payload()
+    edit(payload["records"][0])
+    with pytest.raises(RegistryValidationError, match=f"^record g2\\(2\\): {message}"):
+        load(json.dumps(payload))
+
+
 def _e8_8_payload():
     return json.loads(save([find_record("e8(8)")]))
 

@@ -199,22 +199,23 @@ def naive_indecomposables(positive):
 
 
 def integer_indecomposables(positive):
-    """The package's indecomposables, found on the integer images of the
-    Fraction roots `positive`, read back as those roots.  The definition
-    (on tuples) and the walk in increasing pairing with 2 rho
-    (`_simple_roots`, on packed forms) must agree on them, and the packed
-    certificate must accept them and refuse them with one missing or one
-    extra positive root."""
-    _, images = integer_images(positive)
-    found = set(rootsys._indecomposables(images))
-    two_rho = tuple(map(sum, zip(*images)))
-    assert set(rootsys._simple_roots(images, two_rho)) == found
-    simple = [u for u in images if u in found]
-    assert rootsys._shown_simple(images, simple, two_rho)
-    for i in range(len(simple)):
-        assert not rootsys._shown_simple(images, simple[:i] + simple[i + 1:], two_rho)
+    """The simple roots `_build` finds on the integer images of the
+    Fraction roots `positive` (simple=None, the roots its walk keeps),
+    read back as those roots.  Given explicitly, the build must accept
+    them and refuse them with one missing or one extra positive root."""
+    scale, images = integer_images(positive)
+
+    def build(simple):
+        return rootsys._build("t", "sub", len(images[0]), scale, images, simple)
+
+    found = list(build(None).simple_images)
+    assert build(found).simple_images == tuple(found)
+    for i in range(len(found)):
+        with pytest.raises(ValueError, match="N-combination"):
+            build(found[:i] + found[i + 1:])
     for extra in [u for u in images if u not in found][:3]:
-        assert not rootsys._shown_simple(images, simple + [extra], two_rho)
+        with pytest.raises(ValueError, match="indecomposables"):
+            build(found + [extra])
     return [p for p, u in zip(positive, images) if u in found]
 
 
@@ -279,7 +280,7 @@ def test_build_refuses_a_simple_root_that_is_not_positive():
 
 
 def tuple_walk(positive, two_rho):
-    """`_simple_roots` on tuples: the walk with vector subtraction."""
+    """`_build`'s walk on tuples, with vector subtraction."""
     pos = set(positive)
     found = []
     for p in sorted(positive, key=lambda p: sum(a * b for a, b in zip(two_rho, p))):
@@ -288,13 +289,35 @@ def tuple_walk(positive, two_rho):
     return found
 
 
-def tuple_shown(positive, simple, two_rho):
-    """`_shown_simple` on tuples."""
+def tuple_verdict(positive, simple):
+    """`_build`'s verdict at scale 1 on tuples: the simple roots it holds,
+    or the refusal it raises."""
+    def idot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    two_rho = tuple(map(sum, zip(*positive)))
+    found = tuple_walk(positive, two_rho)
+    simple = sorted(found) if simple is None else simple
     pos = set(positive)
-    return (set(simple) <= pos
+    if not (set(simple) <= pos
             and not any(tuple(a - b for a, b in zip(s, q)) in pos
-                        for s in simple for q in positive)
-            and set(tuple_walk(positive, two_rho)) <= set(simple))
+                        for s in simple for q in positive)):
+        return "bad: simple system does not match indecomposables"
+    for a in simple:
+        if idot(two_rho, a) != idot(a, a):
+            return f"bad: rho pairing is not 1 against {tuple(map(Q, a))}"
+    for p in found:
+        if p not in simple:
+            return (f"bad: positive root {tuple(map(Q, p))} is not shown "
+                    "an N-combination of simples")
+    return tuple(simple)
+
+
+def build_verdict(positive, simple):
+    try:
+        return rootsys._build("bad", "sub", len(positive[0]), 1, positive, simple).simple_images
+    except ValueError as exc:
+        return str(exc)
 
 
 @st.composite
@@ -302,7 +325,7 @@ def vector_lists(draw):
     """Integer vectors of one length at a small or a wide width, with
     entries of both signs or none above 0 (so that the largest entry alone
     would undercount the width), closed under some sums so that many
-    differences land in the list; a two_rho; and a `simple` drawn from the
+    differences land in the list; and a `simple`: None, or drawn from the
     list plus perhaps one vector outside it."""
     dim = draw(st.integers(1, 4))
     width = draw(st.sampled_from([1, 2, 3, 10**6]))
@@ -313,26 +336,26 @@ def vector_lists(draw):
                                     st.integers(0, len(base) - 1)), max_size=6))
     sums = [tuple(a + b for a, b in zip(base[i], base[j])) for i, j in pairs]
     positive = list(dict.fromkeys(base + sums))
-    two_rho = draw(vec_)
+    if draw(st.booleans()):
+        return positive, None
     simple = draw(st.lists(st.sampled_from(positive), max_size=4, unique=True))
     simple += draw(st.lists(vec_, max_size=1))
-    return positive, simple, two_rho
+    return positive, simple
 
 
 @given(vector_lists())
-# the walk's lookup of (1,0) - (-1,0) = (2,0) meets (-1,1), and that of
-# (-3,-1) - (0,-1) = (-3,0) meets (0,-1): packed at B = 3, each pair would
-# collide, B = 2 max |c| + 1 in the first and B = 4 max c + 3 in the second
-@example(([(1, 0), (-1, 0), (-1, 1)], [], (1, 0)))
-@example(([(0, -1), (-3, -1)], [], (-1, 0)))
+# 2 rho is the sum of the list: the split test's lookup of (1,0) - (-1,0)
+# = (2,0) meets (-1,1), and the walk's of (-3,-1) - (0,-1) = (-3,0) meets
+# (0,-1): packed at B = 3, each pair would collide, B = 2 max |c| + 1 in
+# the first and B = 4 max c + 3 in the second
+@example(([(1, 0), (-1, 0), (-1, 1)], None))
+@example(([(0, -1), (-3, -1)], None))
 @settings(max_examples=300, deadline=None)
 def test_packed_walk_and_split_test_match_tuples(case):
     # the packed forms must tell every difference the walk and the split
     # test meet apart from every listed vector, at any width
-    positive, simple, two_rho = case
-    assert rootsys._simple_roots(positive, two_rho) == tuple_walk(positive, two_rho)
-    assert rootsys._shown_simple(positive, simple, two_rho) == \
-        tuple_shown(positive, simple, two_rho)
+    positive, simple = case
+    assert build_verdict(positive, simple) == tuple_verdict(positive, simple)
 
 
 def test_build_refuses_a_bad_rho_pairing():
@@ -348,6 +371,38 @@ def test_build_refuses_a_positive_root_that_is_not_an_n_combination():
     positive = [(1, 0), (0, 1), (0, -1), (0, 2), (0, -2)]
     with pytest.raises(ValueError, match="N-combination"):
         rootsys._build("bad", "sub", 2, 1, positive, [(1, 0)])
+
+
+def test_build_refuses_a_listing_only_the_definition_would_accept():
+    # neither a nor b is a listed root plus another, rho pairs to 1 with
+    # both, and c = a + b and d = 2c are N-combinations of them, so by the
+    # definition {a, b} is the simple system; but neither d - a nor d - b is
+    # listed, so the walk keeps d, which it never does on a positive system
+    a, b = (2, 2, 2, 2, 0), (-3, -1, -1, -1, 2)
+    c = tuple(x + y for x, y in zip(a, b))
+    d = tuple(2 * x for x in c)
+    with pytest.raises(ValueError, match=r"root \(Fraction\(-2, 1\).* not shown an N-comb"):
+        rootsys._build("bad", "sub", 5, 1, [a, b, c, d], [a, b])
+
+
+def test_each_build_packs_its_roots_once(monkeypatch):
+    # a listed type packs its positive and simple roots together, a catalog
+    # beta-subsystem its positive roots alone: one packing, one walk each
+    pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
+             for rs, v in zip(r.space.factors, m.beta.factors)}
+    calls = []
+    real = rootsys._packing
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(rootsys, "_packing", counting)
+    for label, v in sorted(pairs, key=repr):
+        calls.clear()
+        rs = make_root_system.__wrapped__(label)
+        sub = orthogonal_subsystem(rs, v)
+        assert calls == [len(rs.positive_images) + rs.rank, len(sub.positive_images)]
 
 
 CLASSICAL_LABELS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 1), ("C", 1), ("D", 2))
