@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import registry
 from .registry import (
@@ -24,6 +23,7 @@ from .registry import (
     builtin_records,
     default_instances,
     family_defaults,
+    find_family,
     instantiate_family,
     joseph_infchar,
     k_display,
@@ -118,6 +118,8 @@ def cmd_verify(args) -> int:
     try:
         # VerifyConfig refuses out-of-range settings with ValueError
         config = VerifyConfig(strategy=args.strategy, budget=args.budget)
+        if family is not None:
+            find_family(family)  # an unknown id is refused with the known ones
         reports = run_all(records, record=args.record, family=family,
                           checks=args.check or None, config=config)
     except KeyError as exc:
@@ -135,10 +137,9 @@ def cmd_verify(args) -> int:
 # tables
 
 
-class Table(NamedTuple):
-    table_id: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]      # cells are str or list[str]
+class Table(namedtuple("Table", ["table_id", "columns", "rows"])):
+    # a row's cells are str or list[str]
+    __slots__ = ()
 
 
 def _passes(records, *checks) -> str:

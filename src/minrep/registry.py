@@ -12,9 +12,10 @@ per-factor coordinate arrays plus a "center" array.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction as Q
 from functools import cache
-from typing import Callable, Iterable, NamedTuple
 
 from .render import format_q, parse_q
 from .rootsys import (
@@ -41,33 +42,27 @@ REASON_PARITY = "howe-vogan-parity"
 NULL_HALVES = ("p-", "p+")
 
 
-class MinimalModuleRecord(NamedTuple):
+class MinimalModuleRecord(namedtuple("MinimalModuleRecord",
+                                     ["label", "mu0", "beta", "null_half"],
+                                     defaults=[None])):
     """One module: bottom K-type mu0 and the ladder direction beta.
 
     For the one-sided (Hermitian) cases, null_half records which half of
     the complexified tangent space annihilates the extreme vector: "p-"
     for modules climbing the positive half, "p+" for their mirrors.
     """
-    label: str
-    mu0: Weight
-    beta: Weight
-    null_half: str | None = None
+    __slots__ = ()
 
 
-class RealFormRecord(NamedTuple):
-    name: str                               # e.g. "f4(4)", "so(6,4)", "sp(2,R)"
-    g_complex: tuple[str, ...]              # Cartan types of the complexification
-    space: KSpace
-    hermitian: bool
-    p_summands: tuple[Weight, ...]
-    modules: tuple[MinimalModuleRecord, ...]
-    nonexistence_reason: str | None = None
-    rho: Weight | None = None               # stored reference, checked against space_rho
-    xi0: Weight | None = None
-    w0: WeylWord | None = None
-    infchar: tuple[tuple[Q, ...], ...] | None = None   # fundamental-weight coefficients
-    family: str | None = None
-    params: tuple[int, ...] = ()
+class RealFormRecord(namedtuple("RealFormRecord", [
+        "name",                     # e.g. "f4(4)", "so(6,4)", "sp(2,R)"
+        "g_complex",                # Cartan types of the complexification
+        "space", "hermitian", "p_summands", "modules", "nonexistence_reason",
+        "rho",                      # stored reference, checked against space_rho
+        "xi0", "w0",
+        "infchar",                  # fundamental-weight coefficients
+        "family", "params"], defaults=[None] * 6 + [()])):
+    __slots__ = ()
 
     @property
     def key(self) -> str:
@@ -388,12 +383,10 @@ def _fixed_records() -> list[RealFormRecord]:
 # parametric families
 
 
-class Family(NamedTuple):
-    family_id: str
-    constraint: str
-    accepts: Callable
-    build: Callable
-    defaults: tuple[tuple[int, ...], ...]  # the first fixes the arity
+class Family(namedtuple("Family",
+                        ["family_id", "constraint", "accepts", "build", "defaults"])):
+    # defaults holds parameter tuples, and the first fixes the arity
+    __slots__ = ()
 
 
 def _so_even_even(n: int, m: int) -> RealFormRecord:
@@ -540,12 +533,18 @@ FAMILIES: dict[str, Family] = {f.family_id: f for f in [
 ]}
 
 
-def instantiate_family(family_id: str, params: Iterable[int]) -> RealFormRecord:
+def find_family(family_id: str) -> Family:
     if family_id not in FAMILIES:
         raise ValueError(f"unknown family {family_id!r}; known: "
                          + ", ".join(sorted(FAMILIES)))
-    fam = FAMILIES[family_id]
-    params = tuple(int(p) for p in params)
+    return FAMILIES[family_id]
+
+
+def instantiate_family(family_id: str, params: Iterable[int]) -> RealFormRecord:
+    fam = find_family(family_id)
+    params = tuple(params)
+    if any(type(p) is not int for p in params):  # int() would truncate 2.7
+        raise ValueError(f"{family_id} parameters must be integers, got {params}")
     arity = len(fam.defaults[0])
     if len(params) != arity:
         raise ValueError(f"{family_id} takes {arity} parameter(s), got {len(params)}")

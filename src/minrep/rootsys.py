@@ -46,11 +46,12 @@ per system.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import Matrix, integer_images, solve_combination
 
@@ -105,19 +106,11 @@ def mirror(v: Vector) -> Mirror:
 # root system construction
 
 
-class _RootSystemFields(NamedTuple):
-    label: str
-    family: str                 # "A".."G" or "sub" for subsystems
-    rank: int
-    ambient: int
-    # the positive roots in order, the simple in their numbering, times scale
-    scale: int
-    positive_images: tuple[IntVector, ...]
-    simple_images: tuple[IntVector, ...]
-
-
-class RootSystem(_RootSystemFields):
-    # no __slots__: the cached properties live in the instance __dict__,
+class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient", "scale",
+                                           "positive_images", "simple_images"])):
+    # family is "A".."G", or "sub" for subsystems; the images are the
+    # positive roots in order and the simple in their numbering, times scale.
+    # No __slots__: the cached properties live in the instance __dict__,
     # while eq and hash are the tuple's and read the fields alone
 
     def __repr__(self) -> str:  # keep the images out of assertion output
@@ -445,7 +438,7 @@ def _fundamental_weights(scale: int, simple) -> tuple[int, list[IntVector]]:
 # vectors that are the roots times scale.  F4 and the E types use doubled
 # coordinates, the rest scale 1.
 
-Listing = tuple[int, Sequence[IntVector], Sequence[IntVector]]
+Listing = tuple[int, list[IntVector], list[IntVector]]
 
 
 def _vec(n: int, *entries: tuple[int, int]) -> IntVector:
@@ -500,9 +493,10 @@ def _pos_F4() -> Listing:
     return 2, pos, _chain(4, 2)[1:] + [_vec(4, (3, 2)), (1, -1, -1, -1)]
 
 
-@lru_cache(maxsize=None)
 def _pos_E8() -> Listing:
-    """Listed once and shared by E6 and E7, so held in tuples."""
+    """E6 and E7 are cut from this listing, each from a fresh one: listing
+    takes well under a millisecond, and make_root_system builds each type
+    once per process."""
     pos = []
     for j in range(8):
         for i in range(j):
@@ -513,7 +507,7 @@ def _pos_E8() -> Listing:
         if signs.count(-1) % 2 == 0:
             pos.append(tuple(signs + [1]))
     simple = [(1, -1, -1, -1, -1, -1, -1, 1), _vec(8, (0, 2), (1, 2))] + _chain(8, -2)[:6]
-    return 2, tuple(pos), tuple(simple)
+    return 2, pos, simple
 
 
 def _pos_E7() -> Listing:
@@ -575,9 +569,8 @@ def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:
 # weights and representation numerics on a single factor
 
 
-class DomInt(NamedTuple):
-    dominant: bool
-    integral: bool
+class DomInt(namedtuple("DomInt", ["dominant", "integral"])):
+    __slots__ = ()
 
 
 def coroot_labels(rs: RootSystem, v: Vector) -> tuple[int, tuple[int, ...]]:
@@ -627,18 +620,16 @@ def omega_to_coords(rs: RootSystem, coeffs: Iterable) -> Vector:
 # composite spaces: ordered simple factors plus an abelian center
 
 
-class Weight(NamedTuple):
+class Weight(namedtuple("Weight", ["factors", "center"], defaults=[()])):
     """Per-factor coordinate blocks plus center coordinates."""
-    factors: tuple[Vector, ...]
-    center: Vector = ()
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Weight({self.factors}, center={self.center})"
 
 
-class KSpace(NamedTuple):
-    factors: tuple[RootSystem, ...]
-    center_dim: int = 0
+class KSpace(namedtuple("KSpace", ["factors", "center_dim"], defaults=[0])):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         names = "x".join(rs.label for rs in self.factors)

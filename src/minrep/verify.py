@@ -17,10 +17,10 @@ counterexample witness in the evidence string.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from fractions import Fraction as Q
 from itertools import chain
 from operator import mul
-from typing import NamedTuple
 
 from .linalg import integer_images
 from .registry import (
@@ -102,12 +102,8 @@ def paper_count(r: RealFormRecord) -> int | None:
 RUNG_SWEEP = 50
 
 
-class _VerifySettings(NamedTuple):
-    strategy: str = "chamber"
-    budget: int = DEFAULT_BUDGET
-
-
-class VerifyConfig(_VerifySettings):
+class VerifyConfig(namedtuple("VerifyConfig", ["strategy", "budget"],
+                              defaults=["chamber", DEFAULT_BUDGET])):
     """How to run the checks; settings that would make a pass vacuous, or
     a run impossible, raise ValueError, on _replace too."""
     __slots__ = ()
@@ -129,12 +125,11 @@ class VerifyConfig(_VerifySettings):
 DEFAULT_CONFIG = VerifyConfig()
 
 
-class CheckReport(NamedTuple):
-    check: str
-    record: str
-    status: str          # "pass" | "fail" | "skipped"
-    evidence: str        # exact values; for skips, the reason
-    duration_ms: int
+class CheckReport(namedtuple("CheckReport",
+                             ["check", "record", "status", "evidence", "duration_ms"])):
+    # status is "pass", "fail" or "skipped"; evidence holds exact values, or
+    # for a skip the reason
+    __slots__ = ()
 
 
 def _pass(text: str):
@@ -495,8 +490,10 @@ def run_check(name: str, record: RealFormRecord,
 def run_all(records=None, *, record: str | None = None,
             family: str | None = None, checks=None,
             config: VerifyConfig = DEFAULT_CONFIG) -> tuple[CheckReport, ...]:
-    """Run checks in deterministic order: records as given, then CHECK_NAMES
-    order within each record.  Selectors narrow by record name or family id."""
+    """Run checks in deterministic order: records as given, then within each
+    record the checks as given (a name given twice runs once, where it
+    first appears) or in CHECK_NAMES order.  Selectors narrow by record name
+    or family id."""
     pool = tuple(records) if records is not None else all_default_records()
     if not pool:
         # a suite of no reports would pass vacuously
@@ -510,7 +507,7 @@ def run_all(records=None, *, record: str | None = None,
         pool = tuple(r for r in pool if r.family == family)
         if not pool:
             raise KeyError(f"no records in family {family!r}")
-    names = tuple(checks) if checks else CHECK_NAMES
+    names = tuple(dict.fromkeys(checks)) if checks else CHECK_NAMES
     for n in names:
         if n not in _CHECKS:
             raise ValueError(f"unknown check {n!r}; known: "

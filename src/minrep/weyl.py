@@ -53,7 +53,7 @@ instead, without decoding a state.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
-WeylWord converts its letters once, on first use.  Words act, and element
+WeylWord's letters are converted each time it acts.  Words act, and element
 matrices are only compared.  A word acts on a vector, or on the rows of
 the scaled identity to give its matrix, one way: on integer lattice images
 (see _tracked_image), letter by letter; only apply divides its image back
@@ -73,12 +73,12 @@ reads RootSystem.longest_word.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction as Q
-from functools import cached_property
 from itertools import count, product
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, NamedTuple
 
 from .linalg import Matrix, integer_images, matmul
 from .rootsys import (
@@ -110,28 +110,17 @@ class BudgetExceededError(RuntimeError):
 # words and elements
 
 
-class _WeylWordFields(NamedTuple):
-    letters: tuple[tuple[int, Vector], ...]
-
-
-class WeylWord(_WeylWordFields):
+class WeylWord(namedtuple("WeylWord", ["letters"])):
     """Reflection letters (factor index, vector) in printed order."""
-
-    # no __slots__: the cached property lives in the instance __dict__, while
-    # eq and hash are the tuple's and read the letters alone
-    @cached_property
-    def mirrors(self) -> tuple[tuple[int, Mirror], ...]:
-        """The letters as (factor index, integer mirror), converted once."""
-        return tuple([(f, mirror(a)) for f, a in self.letters])
+    __slots__ = ()
 
 
-class WeylElement(NamedTuple):
+class WeylElement(namedtuple("WeylElement", ["blocks", "scales"])):
     """One orthogonal matrix M per factor, center fixed; never applied.
     Block k is the integer matrix S M for S = scales[k], the lattice scale
     of factor k (see RootSystem.lattice_scale): its rows are the lattice
     images of the e_i.  Equality and hashing read these integers."""
-    blocks: tuple[Matrix, ...]
-    scales: tuple[int, ...]
+    __slots__ = ()
 
 
 def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
@@ -270,17 +259,13 @@ def _label_bound(blocks: Iterable[tuple[int, ...]]) -> int:
 _EVERY = (0, 0, 0)
 
 
-class _Orbit(NamedTuple):
+class _Orbit(namedtuple("_Orbit", ["rs", "rank", "blocks", "width", "root"])):
     """An orbit walk of _survivors and the layout of its packed states
     (see there): block 0 is the start, then one block per tracked vector.
     A field never leaves [1, 2^width - 1], so its top bit is set exactly
     when its label is nonnegative.  A key (offset, mask, value) matches a
     state when (state + offset) & mask == value."""
-    rs: RootSystem
-    rank: int
-    blocks: int
-    width: int
-    root: int
+    __slots__ = ()
 
     def _placed(self, block: int, values: Iterable[int]) -> int:
         """values[j] placed in the field of label j of the block."""
@@ -550,10 +535,11 @@ def _nonnegative(forms: list[tuple[tuple[int, ...], int]], orbit: _Orbit, block:
 
 
 def _by_factor(space: KSpace, w: WeylWord) -> list[list[Mirror]]:
-    """The letters of w on each factor as mirrors, in printed order."""
+    """The letters of w on each factor as mirrors, in printed order, each
+    converted as it is read."""
     out: list[list[Mirror]] = [[] for _ in space.factors]
-    for f, s in w.mirrors:
-        out[f].append(s)
+    for f, a in w.letters:
+        out[f].append(mirror(a))
     return out
 
 

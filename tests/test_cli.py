@@ -119,6 +119,28 @@ def test_verify_unknown_record_lists_known_names(capsys):
     assert "e8(-24)" in err and "sp(2,R)" in err
 
 
+def test_verify_repeated_check_runs_once(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "rho", "--check", "rho",
+                       "--record", "g2(2)")
+    assert code == 0
+    assert out.count("| g2(2) | rho | pass |") == 1
+    assert out.rstrip().endswith("overall: pass (1 pass, 0 skipped, 0 fail)")
+
+
+def test_verify_unknown_family_lists_known_families(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--family", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unknown family 'nosuch'; known: "
+                   + ", ".join(sorted(registry.FAMILIES)) + "\n")
+    # a known family without records in a --records file names the records
+    path = tmp_path / "g2.json"
+    path.write_text(registry.save([registry.find_record("g2(2)")]), encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(path), "--family", "sp_R")
+    assert code == 2
+    assert err == "error: no records in family 'sp_R'; known records: g2(2)\n"
+
+
 def test_verify_unknown_check_rejected_by_parser(capsys):
     code, _, err = run(capsys, "verify", "--check", "bogus")
     assert code == 2

@@ -2,9 +2,10 @@
 (`python -O` strips it, and with it the check), no imported name that the
 importing file never uses, and no public function or class that only the
 tests call.  Also the cold start: importing the command line loads no
-`dataclasses`, `json` or `csv`."""
+`typing`, `dataclasses`, `json` or `csv`."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -121,14 +122,27 @@ def test_no_assert_statements_in_the_package(path):
     assert lines == []
 
 
+def test_value_types_keep_no_instance_dict():
+    # a value type is a namedtuple subclass; only RootSystem, whose cached
+    # properties live in its instance __dict__, leaves out __slots__
+    modules = [importlib.import_module(f"minrep.{p.stem}") for p in PACKAGE
+               if p.stem != "__init__"]
+    types = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, tuple)
+             and obj.__module__ == mod.__name__}
+    assert len(types) == 13
+    assert sorted(t.__name__ for t in types if "__slots__" not in vars(t)) == ["RootSystem"]
+
+
 def test_cold_start_loads_no_dataclasses():
-    # every command pays for what `import minrep.cli` loads; dataclasses
-    # brings inspect with it, and json and csv serve only the renderers and
-    # the registry files that need them.  -S keeps site hooks out of the count.
+    # every command pays for what `import minrep.cli` loads; typing's
+    # NamedTuple compiles each field annotation, dataclasses brings inspect
+    # with it, and json and csv serve only the renderers and the registry
+    # files that need them.  -S keeps site hooks out of the count.
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, minrep.cli; "
-            "print(sorted({'dataclasses', 'json', 'csv'} & set(sys.modules)))")
+            "print(sorted({'typing', 'dataclasses', 'json', 'csv'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout == "[]\n"

@@ -261,6 +261,13 @@ def test_family_rejects_out_of_range_params():
         instantiate_family("su_p_q", (2, 1))
 
 
+@pytest.mark.parametrize("param", [2.7, Q(7, 2), "3", True, 3.0])
+def test_family_refuses_a_parameter_that_is_not_an_int(param):
+    # int() would build sp(2,R) from 2.7 and sp(3,R) from 7/2
+    with pytest.raises(ValueError, match="sp_R parameters must be integers"):
+        instantiate_family("sp_R", (param,))
+
+
 def test_family_instances_validate_across_a_parameter_sweep():
     for n in range(2, 6):
         for m in range(2, n + 1):

@@ -613,6 +613,11 @@ def test_run_all_family_filter():
         run_all(family="su_star")
 
 
+def test_run_all_runs_a_repeated_check_once():
+    reports = run_all([find_record("g2(2)")], checks=["rho", "period", "rho", "period"])
+    assert [rep.check for rep in reports] == ["rho", "period"]
+
+
 def test_run_all_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown check"):
         run_all([find_record("g2(2)")], checks=["rho", "bogus"])
