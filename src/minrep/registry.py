@@ -161,6 +161,12 @@ def validate_record(r: RealFormRecord) -> None:
                 conform(r.space, w)
     except ValueError as exc:
         _fail(r.name, str(exc))
+    # each summand is the highest weight of a K-module in p, so a module's
+    # beta, one of them, is dominant integral too
+    for i, w in enumerate(r.p_summands):
+        dom = space_dominance(r.space, w)
+        if not (dom.dominant and dom.integral):
+            _fail(r.name, f"p-summand {i} is not dominant integral")
     if r.hermitian and r.space.center_dim != 1:
         _fail(r.name, "one-sided records need a one-dimensional center")
     if r.modules:
@@ -170,6 +176,8 @@ def validate_record(r: RealFormRecord) -> None:
         else:
             if r.xi0 is not None or r.w0 is not None:
                 _fail(r.name, "one-sided records carry no xi0/w0 data")
+        if r.rho is None:
+            _fail(r.name, "records with modules need rho")
         if r.infchar is None or len(r.infchar) != len(r.g_complex):
             _fail(r.name, "records with modules need one infchar pattern per component")
     for m in r.modules:
@@ -177,10 +185,9 @@ def validate_record(r: RealFormRecord) -> None:
             _fail(r.name, f"module {m.label}: beta vanishes on the factors")
         if m.beta not in r.p_summands:
             _fail(r.name, f"module {m.label}: beta is not a p-summand weight")
-        for field, w in (("mu0", m.mu0), ("beta", m.beta)):
-            dom = space_dominance(r.space, w)
-            if not (dom.dominant and dom.integral):
-                _fail(r.name, f"module {m.label}: {field} is not dominant integral")
+        dom = space_dominance(r.space, m.mu0)
+        if not (dom.dominant and dom.integral):
+            _fail(r.name, f"module {m.label}: mu0 is not dominant integral")
         if r.hermitian:
             if m.null_half not in NULL_HALVES:
                 _fail(r.name, f"module {m.label}: one-sided records need a null half")

@@ -36,10 +36,13 @@ _packing), so a vector subtraction and a tuple lookup become an integer
 subtraction and an int lookup.
 
 Everything else derived from one system (the Fraction views, root lines,
-mirrors, lattice scale, Cartan rows, component types, the longest word,
-Kostant's cascade, orthogonal subsystems, the Weyl-group order) is a
-cached property of its `RootSystem`, computed on first use from those
-fields and kept with it.
+mirrors, lattice scale, Cartan rows, the longest word, Kostant's cascade,
+orthogonal subsystems, the Weyl-group order) is a cached property of its
+`RootSystem`, computed on first use from those fields and kept with it.
+The walk's recursion, a non-simple positive root is a simple root plus a
+positive root, also gives each root's support; the fundamental weights,
+the components and irreducibility are read off the supports, so nothing
+here solves a linear system.
 Weyl-group orders are not transcribed: weyl.group_order counts them, once
 per system.
 """
@@ -53,7 +56,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Matrix, integer_images, solve_combination
+from .linalg import Matrix, integer_images
 
 Vector = tuple[Q, ...]
 IntVector = tuple[int, ...]
@@ -135,9 +138,42 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
         return _rational(self.two_rho, 2 * self.scale)
 
     @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """The support of each positive root, in order, as a bit mask of
+        simple-root indices.  Read in increasing pairing with 2 rho:
+        support(g) = support(g - a) | {a} for the first simple a that
+        leaves a positive root g - a, which pairs less with 2 rho.  Every
+        non-simple positive root has such an a (see _build), and the
+        lookups run on packed forms (see _packing)."""
+        pack = _packing(self.positive_images)
+        keys = list(map(pack, self.positive_images))
+        simple = list(map(pack, self.simple_images))
+        support = {a: 1 << i for i, a in enumerate(simple)}
+        for k, _ in sorted(zip(keys, self.positive_images),
+                           key=lambda kp: _idot(self.two_rho, kp[1])):
+            if k not in support:
+                i = next(i for i, a in enumerate(simple) if k - a in support)
+                support[k] = support[k - simple[i]] | 1 << i
+        return tuple(support[k] for k in keys)
+
+    @cached_property
     def fundamental_images(self) -> tuple[int, list[IntVector]]:
-        """(m, [m omega_i]): the fundamental weights at one integer scale."""
-        return _fundamental_weights(self.scale, self.simple_images)
+        """(m, [m omega_i]): the fundamental weights at one integer scale.
+
+        With J the simple roots but alpha_i, u_i = 2 (rho - rho_J) is the
+        sum of the positive roots whose support holds alpha_i.  It lies in
+        the root span and pairs to 0 with alpha_j^vee for j != i, since 2 rho
+        and 2 rho_J both pair to 2 with that coroot; so omega_i =
+        u_i / <u_i, alpha_i^vee>, where the pairing is a positive integer."""
+        out = []
+        for i, a in enumerate(self.simple_images):
+            # alpha_i is in its own support, so the sum has a term
+            u = tuple(map(sum, zip(*(p for p, s in zip(self.positive_images, self.supports)
+                                     if s >> i & 1))))
+            # <u, a^vee> = 2 (u, a) / (a, a), read on images at one scale
+            out.append((u, 2 * _idot(u, a) // _idot(a, a)))
+        big = lcm(*(n for _, n in out))
+        return big * self.scale, [tuple([c * (big // n) for c in u]) for u, n in out]
 
     @cached_property
     def fundamental(self) -> tuple[Vector, ...]:
@@ -146,13 +182,13 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
 
     @cached_property
     def highest_root(self) -> Vector | None:
-        """None when reducible; else the dominant root of greatest norm (there
-        are at most two dominant roots, Bourbaki VI 1.8)."""
-        if len(_component_split(self.simple_images)) != 1:
+        """None when reducible, as no root has full support; else the root
+        of largest pairing with 2 rho, as it exceeds every other positive
+        root by an N-combination of simple roots (Bourbaki VI 1.8)."""
+        if (1 << self.rank) - 1 not in self.supports:
             return None
-        dominant = [p for p in self.positive_images
-                    if all(_idot(p, a) >= 0 for a in self.simple_images)]
-        return _rational(max(dominant, key=lambda p: _idot(p, p)), self.scale)
+        return _rational(max(self.positive_images, key=lambda p: _idot(self.two_rho, p)),
+                         self.scale)
 
     @cached_property
     def coroot_images(self) -> tuple[int, tuple[IntVector, ...]]:
@@ -209,15 +245,19 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
 
     @cached_property
     def components(self) -> tuple[str, ...]:
-        """The type label of each irreducible component."""
-        simple = self.simple_images
+        """The type label of each irreducible component, in the order of
+        its lowest simple root.  A component is a union of overlapping
+        supports: a root's support is connected, and two joined simple
+        roots a and b have the root a + b."""
+        comps = []
+        for s in self.supports:
+            # the masks in comps are disjoint, so their sum is their union
+            comps = [c for c in comps if not c & s] + [s | sum(c for c in comps if c & s)]
         out = []
-        for comp in _component_split(simple):
-            # a positive root lies in the span of one component, so it pairs
-            # nonzero with some simple root of that one and with no other
-            norms = [_idot(p, p) for p in self.positive_images
-                     if any(_idot(p, simple[i]) for i in comp)]
-            out.append(_component_type(len(comp), norms))
+        for comp in sorted(comps, key=lambda c: c & -c):
+            norms = [_idot(p, p) for p, s in zip(self.positive_images, self.supports)
+                     if s & comp]
+            out.append(_component_type(comp.bit_count(), norms))
         return tuple(out)
 
     @cached_property
@@ -317,28 +357,6 @@ def _packing(vectors: list[IntVector]) -> Callable[[IntVector], int]:
     return lambda v: sum(map(mul, v, powers))
 
 
-def _component_split(simple: list[IntVector]) -> list[list[int]]:
-    """Connected components of the simple system under non-orthogonality,
-    read off the simple roots' integer images."""
-    n = len(simple)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp, stack = [], [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and _idot(simple[i], simple[j]) != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _component_type(rank: int, positive_norms: list[int]) -> str:
     """The type label of an irreducible system from its rank and the
     squared norms of its positive roots."""
@@ -411,27 +429,6 @@ def _build(label: str, family: str, ambient: int, scale: int,
 
 def _rational(u: IntVector, scale: int) -> Vector:
     return tuple([Q(c, scale) for c in u])
-
-
-def _fundamental_weights(scale: int, simple) -> tuple[int, list[IntVector]]:
-    # omega_i = sum_k x_k alpha_k with <omega_i, alpha_j^vee> = delta_ij.
-    # Solving inside the root span pins the weights down even when the
-    # ambient space is larger than the rank (A-type, embedded E6/E7).
-    # Row j of that system times (alpha_j, alpha_j) is integral:
-    # sum_k 2 (alpha_k, alpha_j) x_k = (alpha_j, alpha_j) delta_ij.
-    n = len(simple)
-    gram = [[_idot(u, v) for v in simple] for u in simple]
-    columns = [tuple([2 * g for g in row]) for row in gram]
-    targets = [tuple([gram[j][j] if j == i else 0 for j in range(n)]) for i in range(n)]
-    solutions = solve_combination(columns, targets)
-    if any(sol is None for sol in solutions):
-        raise ValueError("a fundamental weight is outside the span of "
-                         "the Cartan matrix columns")
-    # with x_k = xs_k / d and alpha_k = b_k / scale, omega_i = (sum_k xs_k b_k) / (d scale)
-    big = lcm(*(d for d, _ in solutions))
-    coords = list(zip(*simple))
-    return big * scale, [tuple([_idot(xs, col) * (big // d) for col in coords])
-                         for d, xs in solutions]
 
 
 # Each _pos_<type> returns (scale, positive roots, simple roots): integer

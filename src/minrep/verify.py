@@ -410,7 +410,13 @@ def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):
     if len(r.space.factors) != 1:
         return _fail(f"K has {len(r.space.factors)} factors; a complex form "
                      "needs K to be one factor")
+    if r.space.center_dim:
+        return _fail(f"K has a center of dimension {r.space.center_dim}; "
+                     "a complex form's K has none")
     rs = r.space.factors[0]
+    if rs.highest_root is None:
+        return _fail(f"K factor {rs.label} is reducible; a complex form "
+                     "needs K to be simple")
     theta = weight(r.space, rs.highest_root)
     for beta in _module_betas(r):
         if beta != theta:

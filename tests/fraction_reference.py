@@ -208,6 +208,29 @@ def _component_split(simple):
     return comps
 
 
+def _component_type(simple, comp):
+    """The type label of the connected component comp (indices) of the
+    simple roots, from its Cartan matrix: the largest bond, at a double
+    bond the number of short simple roots, else the determinant (n + 1
+    for A_n, 4 for D_n, 9 - n for E_n)."""
+    n = len(comp)
+    cartan = [[pair_coroot(simple[i], simple[j]) for j in comp] for i in comp]
+    bond = max((cartan[i][j] * cartan[j][i] for i in range(n) for j in range(i)), default=0)
+    norms = [dot(simple[i], simple[i]) for i in comp]
+    short = norms.count(min(norms))
+    if bond == 3:
+        return "G2"
+    if bond == 2:
+        return "F4" if (n, short) == (4, 2) else f"{'B' if short == 1 else 'C'}{n}"
+    det = Q(1)
+    for c in range(n):  # no pivoting: every leading minor is positive
+        det *= cartan[c][c]
+        for r in range(c + 1, n):
+            f = cartan[r][c] / cartan[c][c]
+            cartan[r] = [x - f * y for x, y in zip(cartan[r], cartan[c])]
+    return f"A{n}" if det == n + 1 else f"D{n}" if det == 4 else f"E{n}"
+
+
 def solve(columns, targets):
     """For each target t, the Fractions x with sum_k x_k columns[k] = t, or
     None when t is outside the span of the (independent) columns: one
@@ -264,6 +287,7 @@ class ReferenceSystem:
     rho: tuple
     fundamental: tuple
     highest_root: tuple | None
+    components: tuple
 
 
 def build(label, family, ambient, positive, simple) -> ReferenceSystem:
@@ -280,10 +304,11 @@ def build(label, family, ambient, positive, simple) -> ReferenceSystem:
             raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
         heights[p] = sum(coeffs)
     fundamental = _fundamental_weights(simple)
-    irreducible = len(_component_split(tuple(simple))) == 1
-    highest = max(positive, key=lambda p: heights[p]) if irreducible else None
+    comps = _component_split(tuple(simple))
+    highest = max(positive, key=lambda p: heights[p]) if len(comps) == 1 else None
     return ReferenceSystem(label, family, len(simple), ambient, roots,
-                           tuple(simple), tuple(positive), rho, fundamental, highest)
+                           tuple(simple), tuple(positive), rho, fundamental, highest,
+                           tuple(_component_type(simple, c) for c in comps))
 
 
 def _e(i, n):

@@ -112,6 +112,14 @@ def test_verify_bad_params_report_constraint(capsys):
     assert "n >= 2" in err
 
 
+@pytest.mark.parametrize("params", ["2.5", "four", "4,", ""])
+def test_verify_params_that_are_not_integers_are_usage_errors(capsys, params):
+    code, out, err = run(capsys, "verify", "--family", "so_2n_3", "--params", params)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --params must be comma-separated integers, got {params!r}\n"
+
+
 def test_verify_unknown_record_lists_known_names(capsys):
     code, _, err = run(capsys, "verify", "--record", "nosuch")
     assert code == 2
@@ -289,6 +297,41 @@ def test_verify_records_file_with_degenerate_beta_or_k_fails_every_report(capsys
     for (record, name), rep in reports.items():
         assert f"| {record} | {name} | {rep.status} | {rep.evidence} |" in out
     assert "overall: fail" in out
+
+
+def _k_with_a_center(rec):
+    rec.update(name="toy(C2+center)", family=None, center_dim=1)
+    for w in [*rec["p_summands"], rec["rho"], rec["xi0"],
+              *(m[k] for m in rec["modules"] for k in ("mu0", "beta"))]:
+        w["center"] = ["0"]
+
+
+@pytest.mark.parametrize("name,edit,error,evidence", [
+    ("g2(2)", lambda rec: rec.update(rho=None),
+     "record g2(2): records with modules need rho", None),
+    # K = B2 x B1, and (-1, 0) pairs to -1 with B2's short simple coroot
+    ("so(5,3)", lambda rec: rec["p_summands"].append({"factors": [["-1", "0"], ["0"]]}),
+     "record so(5,3): p-summand 1 is not dominant integral", None),
+    # on the reducible D2, whose roots e1 -+ e2 give the letters of w0
+    ("sp(2,C)", lambda rec: rec.update(name="toy(D2)", family=None, k_factors=["D2"],
+                                       w0=[[0, ["1", "-1"]], [0, ["1", "1"]]]),
+     None, "K factor D2 is reducible; a complex form needs K to be simple"),
+    ("sp(2,C)", _k_with_a_center,
+     None, "K has a center of dimension 1; a complex form's K has none"),
+], ids=["rho-null", "p-summand-not-dominant", "reducible-k", "k-with-a-center"])
+def test_verify_records_file_with_bad_input_refuses_or_fails(
+        capsys, tmp_path, name, edit, error, evidence):
+    # each of these files used to end in a traceback or abort the run
+    doc = json.loads(registry.save([registry.find_record(name)]))
+    edit(doc["records"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    if error is not None:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+    else:
+        assert (code, err) == (1, "")
+        assert f"| complex_beta | fail | {evidence} |" in out
 
 
 def test_verify_records_file_with_unsupported_type_is_config_error(capsys, tmp_path):

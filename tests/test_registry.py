@@ -10,8 +10,6 @@ import pytest
 from minrep import rootsys
 from minrep.registry import (
     FAMILIES,
-    MinimalModuleRecord,
-    RealFormRecord,
     RegistryFormatError,
     RegistryValidationError,
     all_default_records,
@@ -350,46 +348,60 @@ def test_joseph_infchar_patterns():
 # validation failures
 
 
-def _toy_space_record(**overrides):
-    r = find_record("so(4,4)")
-    return RealFormRecord(**{**record_fields(r), **overrides})
+SO44, E6_14 = find_record("so(4,4)"), find_record("e6(-14)")
 
 
-def record_fields(r):
-    return {f: getattr(r, f) for f in (
-        "name", "g_complex", "space", "hermitian", "p_summands", "modules",
-        "nonexistence_reason", "rho", "xi0", "w0",
-        "infchar", "family", "params")}
+def _first_module(r, **fields):
+    return r._replace(modules=(r.modules[0]._replace(**fields), *r.modules[1:]))
 
 
 def test_validate_rejects_zero_count_without_reason():
     with pytest.raises(RegistryValidationError, match="nonexistence"):
-        validate_record(_toy_space_record(modules=()))
+        validate_record(SO44._replace(modules=()))
     with pytest.raises(RegistryValidationError, match="nonexistence"):
-        validate_record(_toy_space_record(nonexistence_reason="orbit-misses-p"))
+        validate_record(SO44._replace(nonexistence_reason="orbit-misses-p"))
 
 
 def test_validate_rejects_beta_outside_p():
-    r = find_record("so(4,4)")
-    rogue = weight(r.space, (1, 1), (1, 1))
-    bad = MinimalModuleRecord("minimal", r.modules[0].mu0, rogue)
+    rogue = weight(SO44.space, (1, 1), (1, 1))
     with pytest.raises(RegistryValidationError, match="p-summand"):
-        validate_record(_toy_space_record(modules=(bad,)))
+        validate_record(_first_module(SO44, beta=rogue))
 
 
 def test_validate_rejects_missing_line_data():
     with pytest.raises(RegistryValidationError, match="xi0 and w0"):
-        validate_record(_toy_space_record(xi0=None, w0=None))
+        validate_record(SO44._replace(xi0=None, w0=None))
 
 
 def test_validate_rejects_wrong_null_half():
-    r = find_record("e6(-14)")
-    flipped = tuple(
-        MinimalModuleRecord(m.label, m.mu0, m.beta,
-                            "p+" if m.null_half == "p-" else "p-")
-        for m in r.modules)
+    flipped = tuple(m._replace(null_half="p+" if m.null_half == "p-" else "p-")
+                    for m in E6_14.modules)
     with pytest.raises(RegistryValidationError, match="null half"):
-        validate_record(RealFormRecord(**{**record_fields(r), "modules": flipped}))
+        validate_record(E6_14._replace(modules=flipped))
+
+
+@pytest.mark.parametrize("record,message", [
+    (SO44._replace(modules=(), nonexistence_reason="bogus"), "unknown nonexistence reason 'bogus'"),
+    (SO44._replace(hermitian=True), "one-sided records need a one-dimensional center"),
+    (E6_14._replace(xi0=E6_14.rho), "one-sided records carry no xi0/w0 data"),
+    (SO44._replace(infchar=None), "records with modules need one infchar pattern"),
+    (SO44._replace(rho=None), "records with modules need rho"),
+    (SO44._replace(p_summands=(*SO44.p_summands, weight(SO44.space, (0, 0), (-1, 0)))),
+     "p-summand 1 is not dominant integral"),
+    (_first_module(SO44, beta=weight(SO44.space, (0, 0), (0, 0))),
+     "module minimal: beta vanishes on the factors"),
+    (_first_module(SO44, mu0=weight(SO44.space, (-1, 0), (0, 0))),
+     "module minimal: mu0 is not dominant integral"),
+    (_first_module(SO44, null_half="p+"),
+     "module minimal: null_half only applies to one-sided records"),
+    (_first_module(E6_14, null_half=None), "module positive: one-sided records need a null half"),
+    # climbing p+ with a charge that says so, but with the beta of p-
+    (_first_module(E6_14, null_half="p+", mu0=E6_14.modules[0].mu0._replace(center=(-4,))),
+     "module positive: beta climbs the wrong half"),
+])
+def test_validate_refuses_each_malformed_record(record, message):
+    with pytest.raises(RegistryValidationError, match=rf"^record [^:]+: {message}"):
+        validate_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +577,22 @@ def test_load_refuses_a_weight_of_the_wrong_shape(edit, message):
     payload = _g2_2_payload()
     edit(payload["records"][0])
     with pytest.raises(RegistryValidationError, match=f"^record g2\\(2\\): {message}"):
+        load(json.dumps(payload))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["records"][0].update(xi0=["1", "0"]),
+     r"^record g2\(2\): expected a weight object"),
+    (lambda doc: doc["records"][0]["modules"][0].update(beta={"center": []}),
+     r"^record g2\(2\): expected a weight object"),
+    (lambda doc: doc.update(records={"g2(2)": doc["records"][0]}),
+     r"^schema requires a list under 'records'"),
+    (lambda doc: doc.pop("records"), r"^schema requires a list under 'records'"),
+])
+def test_load_refuses_a_file_of_the_wrong_shape(edit, message):
+    payload = _g2_2_payload()
+    edit(payload)
+    with pytest.raises(RegistryFormatError, match=message):
         load(json.dumps(payload))
 
 

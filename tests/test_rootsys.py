@@ -241,19 +241,17 @@ def test_integer_indecomposables_match_on_catalog_beta_subsystems():
 
 def test_build_solves_nothing_and_weights_once(monkeypatch):
     # the simple-root walk certifies that every positive root is an
-    # N-combination, so no build solves, of a listed type or of a catalog
-    # beta-subsystem; the fundamental weights are solved for on first use
+    # N-combination, so no build reads supports or weights, of a listed
+    # type or of a catalog beta-subsystem; the fundamental weights are
+    # read off the supports on first use, and once
     pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
              for rs, v in zip(r.space.factors, m.beta.factors)}
     expected = make_root_system("E8").fundamental
     calls = []
-    real = rootsys.solve_combination
-
-    def counting(columns, targets):
-        calls.append(len(targets))
-        return real(columns, targets)
-
-    monkeypatch.setattr(rootsys, "solve_combination", counting)
+    for name in ("supports", "fundamental_images"):  # count each computation
+        prop = vars(rootsys.RootSystem)[name]
+        monkeypatch.setattr(prop, "func", lambda rs, name=name, real=prop.func:
+                            calls.append((name, rs.label)) or real(rs))
     for label in ALL_LABELS:
         make_root_system.__wrapped__(label)
     subs = {orthogonal_subsystem(make_root_system.__wrapped__(label), v)
@@ -262,7 +260,9 @@ def test_build_solves_nothing_and_weights_once(monkeypatch):
     assert sum(1 for sub in subs if sub.rank) >= 30
     rs = make_root_system.__wrapped__("E8")
     assert rs.fundamental == expected
-    assert calls == [8]
+    assert omega_to_coords(rs, [1] * rs.rank) == rs.rho
+    assert rs.highest_root is not None
+    assert calls == [("fundamental_images", "E8"), ("supports", "E8")]
 
 
 def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
@@ -449,9 +449,11 @@ def test_catalog_subsystems_match_the_fraction_reference():
 
 
 @pytest.mark.parametrize("label,v", [("E8", vec(0, 0, 0, 0, 0, 0, 1, 1)),
-                                     ("G2", vec(-1, 0, 1))])
+                                     ("G2", vec(-1, 0, 1)), ("D6", vec(1, 1, 0, 0, 0, 0)),
+                                     ("D12", vec(1, 1, 1, 1, *[0] * 8))])
 def test_golden_subsystems_match_the_fraction_reference(label, v):
-    # the vectors of the `minrep weyl subsystem` golden files
+    # the vectors of the `minrep weyl subsystem` golden files, and D8xA3
+    # in D12, reducible above the catalog's ranks
     assert_same_subsystem(make_root_system(label), v)
 
 

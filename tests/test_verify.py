@@ -549,6 +549,34 @@ def test_infchar_control():
     assert rep.status == "fail" and "G2 pattern" in rep.evidence
 
 
+def _coordinates_off_by_a_third(r, monkeypatch):
+    real = verify.omega_to_coords
+    monkeypatch.setattr(verify, "omega_to_coords", lambda rs, p: real(rs, (p[0] + Q(1, 3), *p[1:])))
+    return {}
+
+
+@pytest.mark.parametrize("check,name,edit,evidence", [
+    # (1, -1, 0) is orthogonal to beta's (1, 1, 1) in C3, off its line
+    ("xi0", "f4(4)", lambda r, _: {"xi0": weight_add(r.xi0, weight(r.space, (1, -1, 0), (0, 0)))},
+     "module minimal: mu0 + rho - xi0 = "),
+    # w0 still sends beta to -beta, so it moves xi0 + beta to xi0 - beta
+    ("w0_table", "f4(4)", lambda r, _: {"xi0": weight_add(r.xi0, r.modules[0].beta)},
+     "w0(xi0) = "),
+    ("complex_beta", "g2(C)",
+     lambda r, _: {"modules": tuple(m._replace(mu0=m.beta) for m in r.modules)},
+     "no module has mu0 = 0"),
+    ("infchar_coords", "g2(C)", lambda r, _: {"g_complex": ("A2", "A2")},
+     "no infinitesimal-character pattern for type A2"),
+    ("infchar_coords", "g2(C)", _coordinates_off_by_a_third,
+     "do not pair back to the stored coefficients"),
+], ids=["xi0-off-the-line", "w0-moves-xi0", "no-spherical-module", "infchar-unknown-type",
+        "infchar-round-trip"])
+def test_each_check_fails_on_its_own_fault(monkeypatch, check, name, edit, evidence):
+    r = find_record(name)
+    rep = run_check(check, mutate(r, **edit(r, monkeypatch)))
+    assert rep.status == "fail" and evidence in rep.evidence
+
+
 # every type joseph_infchar has a pattern for, up to the largest rank built
 INFCHAR_TYPES = [f"{family}{n}" for family, low in (("B", 3), ("C", 2), ("D", 4))
                  for n in range(low, rootsys.MAX_RANK + 1)] + ["E6", "E7", "E8", "F4", "G2"]

@@ -14,7 +14,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minrep import linalg, rootsys, weyl
+from minrep import rootsys, weyl
 from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
@@ -708,7 +708,7 @@ def test_longest_element_is_computed_once_per_system(monkeypatch):
 def test_per_system_data_is_computed_once(monkeypatch):
     # group orders, type labels, the longest word and orthogonal subsystems
     # read data kept on the RootSystem: a second round on the same system
-    # solves, splits into components, descends and builds nothing
+    # descends and builds nothing
     rs = make_root_system.__wrapped__("E7")
     calls = []
 
@@ -723,13 +723,11 @@ def test_per_system_data_is_computed_once(monkeypatch):
         return (group_order(rs), type_label(rs), longest_element(rs),
                 sub, group_order(sub), type_label(sub), longest_element(sub))
 
-    for module in (linalg, rootsys, weyl):
-        for name in ("solve_combination", "subsystem", "_component_split"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for module in (rootsys, weyl):
+        monkeypatch.setattr(module, "subsystem", counting("subsystem", module.subsystem))
     monkeypatch.setattr(RootSystem, "descend", counting("descend", RootSystem.descend))
     first = round_on_rs()
-    assert set(calls) == {"subsystem", "_component_split", "descend"}
+    assert set(calls) == {"subsystem", "descend"}
     calls.clear()
     assert round_on_rs() == first
     assert calls == []
