@@ -56,6 +56,10 @@ CASES.update({
     "weyl_order_F4.txt": ["weyl", "order", "F4"],
     # counted by orbit-stabilizer, like every order; the group is never walked
     "weyl_order_E8.txt": ["weyl", "order", "E8"],
+    # at the rank cap, written before the positive roots were generated
+    "weyl_order_D16.txt": ["weyl", "order", "D16"],
+    "weyl_order_B16.txt": ["weyl", "order", "B16"],
+    "weyl_longest_C16.txt": ["weyl", "longest", "C16"],
     "weyl_subsystem_E8.txt": ["weyl", "subsystem", "E8",
                               "--orthogonal-to", "0,0,0,0,0,0,1,1"],
     "weyl_subsystem_G2.txt": ["weyl", "subsystem", "G2", "--orthogonal-to=-1,0,1"],
