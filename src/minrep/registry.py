@@ -766,9 +766,11 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
             family=_exact_str(family, where, "family") if family is not None else None,
             params=tuple(_exact_int(p, where, "params") for p in obj.get("params", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, RegistryFormatError):
-            raise
+    except RegistryFormatError:
+        raise
+    except KeyError as exc:
+        raise RegistryFormatError(f"{where}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
         raise RegistryFormatError(f"{where}: {exc}")
     validate_record(record)
     _check_class(record, builtins)

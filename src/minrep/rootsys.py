@@ -9,18 +9,22 @@ the highest root); no floating point is used anywhere in this package.
 
 Supported constructions:
 
-* classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` up to rank 16
-  (A-type lives in full n+1 coordinates, not the traceless hyperplane),
-* exceptional types ``G2``, ``F4``, ``E6``, ``E7``, ``E8`` (F4 and the E
-  types are listed in doubled coordinates; the E6 and E7 systems live in
-  eight coordinates, as the subsystems of E8 orthogonal to {e6+e8, e7+e8}
-  and to e7+e8 respectively),
-* ``A1d``: the rank-one system in two coordinates whose positive root is
-  (2, -2), so that (1, -1) is the highest weight of the defining
-  two-dimensional module.  Weight tables for su(2) factors are written in
-  these doubled coordinates.
+* types (`make_root_system`): each lists only its simple roots, and its
+  positive roots are generated from them by root strings (see _generate):
+  * classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` up to rank
+    16 (A-type lives in full n+1 coordinates, not the traceless
+    hyperplane),
+  * exceptional types ``G2``, ``F4``, ``E6``, ``E7``, ``E8`` (F4 and the E
+    types in doubled coordinates; E6 and E7 take the first six and seven
+    simple roots of E8, so they live in its eight coordinates),
+  * ``A1d``: the rank-one system in two coordinates whose positive root
+    is (2, -2), so that (1, -1) is the highest weight of the defining
+    two-dimensional module.  Weight tables for su(2) factors are written
+    in these doubled coordinates.
 * subsystems (`subsystem`): a selection of a system's positive roots,
   with the induced positive system, cut from its integer images.
+
+Both hold their positive roots sorted.
 
 A subsystem shares its parent's scale.  Construction checks its own
 result on these images (simple roots = indecomposables, rho pairs to 1
@@ -54,7 +58,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import Matrix, integer_images
 
@@ -431,126 +435,84 @@ def _rational(u: IntVector, scale: int) -> Vector:
     return tuple([Q(c, scale) for c in u])
 
 
-# Each _pos_<type> returns (scale, positive roots, simple roots): integer
-# vectors that are the roots times scale.  F4 and the E types use doubled
-# coordinates, the rest scale 1.
-
-Listing = tuple[int, list[IntVector], list[IntVector]]
-
-
-def _vec(n: int, *entries: tuple[int, int]) -> IntVector:
-    """The length-n integer vector with the given (index, value) entries."""
-    out = [0] * n
-    for i, c in entries:
-        out[i] = c
-    return tuple(out)
-
-
-def _pairs(n: int, c: int) -> list[IntVector]:
-    """c (e_i - e_j), then c (e_i + e_j), over i < j."""
-    return ([_vec(n, (i, c), (j, -c)) for i in range(n) for j in range(i + 1, n)]
-            + [_vec(n, (i, c), (j, c)) for i in range(n) for j in range(i + 1, n)])
+def _generate(simple: list[IntVector]) -> list[IntVector]:
+    """The positive roots of the system with these simple roots, height by
+    height.  For a positive root g and a simple root a_i, g + a_i is a root
+    exactly when p_i > <g, a_i^vee>, where p_i is the largest k such that
+    g - k a_i is a root: the a_i-string through g runs from g - p_i a_i to
+    g + q_i a_i with p_i - q_i = <g, a_i^vee> (Humphreys, Introduction to
+    Lie Algebras, 9.4; Bourbaki VI 1.3).  Each root carries its labels
+    <g, a_j^vee> and its p_j.  A new root g + a_i takes g's labels plus
+    Cartan row i, and p_i(g) + 1 in place i; its p_j is 0 unless g + a_i
+    - a_j is a root, and that root, one height lower, is also a parent and
+    sets p_j.  So no string is walked and no ambient vector is looked up.
+    Roots are keyed by their simple-root coefficients, 4 bits each: no
+    coefficient of a root exceeds 6."""
+    rows = [[2 * _idot(a, b) // _idot(b, b) for b in simple] for a in simple]
+    layer = {1 << 4 * i: (a, row, [0] * len(simple))
+             for i, (a, row) in enumerate(zip(simple, rows))}
+    out = []
+    while layer:
+        out += [v for v, _, _ in layer.values()]
+        up = {}
+        for key, (v, labels, p) in layer.items():
+            for i, (a, row) in enumerate(zip(simple, rows)):
+                if p[i] > labels[i]:
+                    k = key + (1 << 4 * i)
+                    if k not in up:
+                        up[k] = (tuple(map(add, v, a)), list(map(add, labels, row)),
+                                 [0] * len(simple))
+                    up[k][2][i] = p[i] + 1
+        layer = up
+    return out
 
 
 def _chain(n: int, c: int) -> list[IntVector]:
     """c (e_i - e_(i+1)) for i < n - 1."""
-    return [_vec(n, (i, c), (i + 1, -c)) for i in range(n - 1)]
+    return [(0,) * i + (c, -c) + (0,) * (n - i - 2) for i in range(n - 1)]
 
 
-def _pos_A(n: int) -> Listing:
-    d = n + 1
-    pos = [_vec(d, (i, 1), (j, -1)) for i in range(d) for j in range(i + 1, d)]
-    return 1, pos, _chain(d, 1)
+_E8 = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0), *_chain(8, -2)[:6]]
+# (family, scale, simple roots times scale) of the types outside A-D
+_FIXED = {"A1d": ("A1d", 1, [(2, -2)]), "G2": ("G", 1, [(1, -1, 0), (-2, 1, 1)]),
+          "F4": ("F", 2, [*_chain(4, 2)[1:], (0, 0, 0, 2), (1, -1, -1, -1)]),
+          "E6": ("E", 2, _E8[:6]), "E7": ("E", 2, _E8[:7]), "E8": ("E", 2, _E8)}
 
-
-def _pos_B(n: int) -> Listing:
-    pos = [_vec(n, (i, 1)) for i in range(n)] + _pairs(n, 1)
-    return 1, pos, _chain(n, 1) + [_vec(n, (n - 1, 1))]
-
-
-def _pos_C(n: int) -> Listing:
-    pos = [_vec(n, (i, 2)) for i in range(n)] + _pairs(n, 1)
-    return 1, pos, _chain(n, 1) + [_vec(n, (n - 1, 2))]
-
-
-def _pos_D(n: int) -> Listing:
-    return 1, _pairs(n, 1), _chain(n, 1) + [_vec(n, (n - 2, 1), (n - 1, 1))]
-
-
-def _pos_G2() -> Listing:
-    a1, a2 = (1, -1, 0), (-2, 1, 1)
-    pos = [tuple([i * x + j * y for x, y in zip(a1, a2)])
-           for i, j in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))]
-    return 1, pos, [a1, a2]
-
-
-def _pos_F4() -> Listing:
-    pos = [_vec(4, (i, 2)) for i in range(4)] + _pairs(4, 2)
-    pos += [(1, s2, s3, s4) for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
-    return 2, pos, _chain(4, 2)[1:] + [_vec(4, (3, 2)), (1, -1, -1, -1)]
-
-
-def _pos_E8() -> Listing:
-    """E6 and E7 are cut from this listing, each from a fresh one: listing
-    takes well under a millisecond, and make_root_system builds each type
-    once per process."""
-    pos = []
-    for j in range(8):
-        for i in range(j):
-            pos.append(_vec(8, (i, 2), (j, 2)))
-            pos.append(_vec(8, (i, -2), (j, 2)))
-    for mask in range(128):
-        signs = [-1 if (mask >> i) & 1 else 1 for i in range(7)]
-        if signs.count(-1) % 2 == 0:
-            pos.append(tuple(signs + [1]))
-    simple = [(1, -1, -1, -1, -1, -1, -1, 1), _vec(8, (0, 2), (1, 2))] + _chain(8, -2)[:6]
-    return 2, pos, simple
-
-
-def _pos_E7() -> Listing:
-    # the E8 roots orthogonal to e7 + e8
-    scale, pos8, simple8 = _pos_E8()
-    return scale, [p for p in pos8 if p[6] + p[7] == 0], simple8[:7]
-
-
-def _pos_E6() -> Listing:
-    # the E8 roots orthogonal to e7 + e8 and to e6 + e8
-    scale, pos8, simple8 = _pos_E8()
-    return (scale, [p for p in pos8 if p[6] + p[7] == 0 and p[5] + p[7] == 0],
-            simple8[:6])
-
-
+# The last simple root of B, C and D: e_n, 2 e_n and e_(n-1) + e_n
+_LAST = {"B": (1,), "C": (2,), "D": (1, 1)}
 _MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 2}
 
-# Largest rank built, refused before any root is listed: the catalog stops
+# Largest rank built, refused before any root is made: the catalog stops
 # at rank 8, and 16 leaves room for so(16,16) while bounding one build
-# (D16 about 0.1-0.2 s, D24 about 0.6 s on a 2-vCPU VM).
+# (D16 about 2.6 ms cold, in process, on a 2-vCPU VM).
 MAX_RANK = 16
 
 
 @lru_cache(maxsize=None)
 def make_root_system(cartan_type: str) -> RootSystem:
-    """Build a root system by type label, e.g. "C4", "E7", "A1d"."""
+    """Build a root system by type label, e.g. "C4", "E7", "A1d": its
+    positive roots are generated from its simple roots (see _generate),
+    sorted, and certified by _build."""
     label = cartan_type.strip()
-    if label == "A1d":
-        return _build("A1d", "A1d", 2, 1, [(2, -2)], [(2, -2)])
-    fixed = {"G2": _pos_G2, "F4": _pos_F4, "E6": _pos_E6, "E7": _pos_E7, "E8": _pos_E8}
-    if label in fixed:
-        scale, pos, simple = fixed[label]()
-        return _build(label, label[0], len(pos[0]), scale, pos, simple)
     family, rank_text = label[:1], label[1:]
-    if family in "ABCD" and rank_text.isdigit():
+    if label in _FIXED:
+        family, scale, simple = _FIXED[label]
+    elif (family in "ABCD" and rank_text.isascii() and rank_text.isdigit()
+          and int(rank_text) >= _MIN_RANK[family]):
         rank = int(rank_text)
         if rank > MAX_RANK:
-            raise UnsupportedCartanType(
-                f"type {cartan_type!r} has rank above {MAX_RANK}")
-        if rank >= _MIN_RANK[family]:
-            scale, pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C,
-                                  "D": _pos_D}[family](rank)
-            return _build(label, family, len(pos[0]), scale, pos, simple)
-    raise UnsupportedCartanType(
-        f"unsupported type {cartan_type!r}; expected one of A>=1, B>=1, C>=1, D>=2, "
-        "E6, E7, E8, F4, G2, A1d")
+            raise UnsupportedCartanType(f"type {cartan_type!r} has rank above {MAX_RANK}")
+        scale = 1
+        if family == "A":
+            simple = _chain(rank + 1, 1)
+        else:
+            last = _LAST[family]
+            simple = [*_chain(rank, 1), (0,) * (rank - len(last)) + last]
+    else:
+        raise UnsupportedCartanType(
+            f"unsupported type {cartan_type!r}; expected one of A>=1, B>=1, C>=1, D>=2, "
+            "E6, E7, E8, F4, G2, A1d")
+    return _build(label, family, len(simple[0]), scale, sorted(_generate(simple)), simple)
 
 
 def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:

@@ -187,10 +187,10 @@ def _check_rho(r: RealFormRecord, config: VerifyConfig):
 
 
 def _check_p_dimension(r: RealFormRecord, config: VerifyConfig):
-    if not r.p_summands:
+    dim_g, dim_k = g_dimension(r), k_dimension(r)
+    if not r.p_summands and dim_g == dim_k:
         return _skip("no tangent summands (compact form)")
     total = sum(space_weyl_dim(r.space, w) for w in r.p_summands)
-    dim_g, dim_k = g_dimension(r), k_dimension(r)
     if total == dim_g - dim_k:
         return _pass(f"sum of summand dimensions {total} == "
                      f"dim g ({dim_g}) - dim k ({dim_k})")

@@ -578,7 +578,9 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
 
     "chamber" writes the answer down in closed form and checks each
     survivor against this definition; "reduced" (the beta stabilizer and
-    its w_l coset) and "brute" (all of W) certify it by enumeration.
+    its w_l coset) and "brute" (the orbit of beta, one word per coset of
+    the stabilizer W_beta, times one walk of W_beta) certify it by
+    enumeration.
     """
     conform(space, beta)
     conform(space, xi0)

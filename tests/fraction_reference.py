@@ -408,16 +408,18 @@ def _pos_E6():
 
 
 def make_root_system(label) -> ReferenceSystem:
-    """The system of a type label that `rootsys.make_root_system` builds."""
+    """The system of a type label that `rootsys.make_root_system` builds,
+    from a hand listing of its positive roots, sorted; the package
+    generates them from the simple roots instead."""
     if label == "A1d":
         return build("A1d", "A1d", 2, [vec(2, -2)], [vec(2, -2)])
     fixed = {"G2": _pos_G2, "F4": _pos_F4, "E6": _pos_E6, "E7": _pos_E7, "E8": _pos_E8}
     if label in fixed:
         pos, simple = fixed[label]()
-        return build(label, label[0], len(pos[0]), pos, simple)
+        return build(label, label[0], len(pos[0]), sorted(pos), simple)
     family, rank = label[0], int(label[1:])
     pos, simple = {"A": _pos_A, "B": _pos_B, "C": _pos_C, "D": _pos_D}[family](rank)
-    return build(label, family, len(pos[0]), pos, simple)
+    return build(label, family, len(pos[0]), sorted(pos), simple)
 
 
 def root_system_from_roots(label, roots, chamber) -> ReferenceSystem:

@@ -516,6 +516,14 @@ def _refused(payload, message):
         load(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field", ["k_factors", "g_complex", "hermitian", "p_summands",
+                                   "modules"])
+def test_load_names_a_missing_field(field):
+    payload = _g2_2_payload()
+    del payload["records"][0][field]
+    _refused(payload, f"missing field '{field}'$")
+
+
 def test_load_refuses_a_rational_written_as_a_json_number():
     # it would pass through a float: 4503599627370497/4503599627370496
     payload = _g2_2_payload()

@@ -177,7 +177,10 @@ def test_omega_to_coords_arity_check():
         omega_to_coords(make_root_system("G2"), [1])
 
 
-@pytest.mark.parametrize("bad", ["A0", "B0", "D1", "E9", "E5", "H3", "F5", "G3", "X2", ""])
+# a superscript two is a digit that int() refuses, and Arabic-Indic digits
+# are ones that it reads
+@pytest.mark.parametrize("bad", ["A0", "B0", "D1", "E9", "E5", "H3", "F5", "G3", "X2", "",
+                                 "A\u00b2", "D\u0661\u0662"])
 def test_unsupported_types_are_rejected(bad):
     with pytest.raises(UnsupportedCartanType):
         make_root_system(bad)
@@ -386,8 +389,10 @@ def test_build_refuses_a_listing_only_the_definition_would_accept():
 
 
 def test_each_build_packs_its_roots_once(monkeypatch):
-    # a listed type packs its positive and simple roots together, a catalog
-    # beta-subsystem its positive roots alone: one packing, one walk each
+    # a type, its positive roots generated from its simple roots, packs both
+    # together, a catalog beta-subsystem its positive roots alone: one
+    # packing, one walk each; generation keys roots by coefficients and packs
+    # nothing
     pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
              for rs, v in zip(r.space.factors, m.beta.factors)}
     calls = []

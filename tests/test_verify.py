@@ -11,7 +11,9 @@ from minrep.registry import (
     MinimalModuleRecord,
     all_default_records,
     find_record,
+    g_dimension,
     joseph_infchar,
+    k_dimension,
     load,
     save,
 )
@@ -80,6 +82,26 @@ def test_compact_record_skips_p_dimension():
     rep = run_check("p_dimension", find_record("sp(2)"))
     assert rep.status == "skipped"
     assert "compact" in rep.evidence
+
+
+NONCOMPACT_WITHOUT_MODULES = ["e6(-26)", "f4(-20)", "so(6,1)", "so(7,1)", "sp(1,1)",
+                              "sp(2,1)", "so(5,4)", "so(6,5)"]
+
+
+def test_noncompact_records_without_modules():
+    assert NONCOMPACT_WITHOUT_MODULES == [
+        r.name for r in all_default_records()
+        if not r.modules and g_dimension(r) > k_dimension(r)]
+
+
+@pytest.mark.parametrize("name", NONCOMPACT_WITHOUT_MODULES)
+def test_noncompact_record_without_summands_fails_p_dimension(name):
+    # dim g > dim K, so an empty p is not the compact case; no module
+    # reads p, so nothing else refuses the record
+    r = find_record(name)
+    rep = run_check("p_dimension", mutate(r, p_summands=()))
+    assert rep.status == "fail"
+    assert rep.evidence.startswith("sum of summand dimensions 0 != ")
 
 
 def test_hermitian_record_skips_line_checks():

@@ -761,6 +761,12 @@ def test_orthogonal_subsystem_a3_inside_c4():
             for r in all_roots(sub))
 
 
+def test_orthogonal_subsystem_refuses_a_vector_of_the_wrong_length():
+    # `minrep weyl subsystem` checks the length before it calls this
+    with pytest.raises(ValueError, match=r"vector \(1, 1\) has wrong length for E8"):
+        orthogonal_subsystem(make_root_system("E8"), (1, 1))
+
+
 def test_orthogonal_subsystem_e7_inside_e8():
     e8 = make_root_system("E8")
     sub = orthogonal_subsystem(e8, vec(0, 0, 0, 0, 0, 0, 1, 1))
