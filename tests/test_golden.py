@@ -42,6 +42,11 @@ CASES = {
     "verify_brute_w0_unique.json": [
         "verify", "--strategy", "brute", "--check", "w0_unique",
         "--format", "json", "--budget", "1000000"],
+    # brute's budget gates |W(E8)|, although it walks W(E7) and the
+    # 240-point orbit of beta
+    "verify_brute_e8C_w0_unique.md": [
+        "verify", "--strategy", "brute", "--check", "w0_unique",
+        "--record", "e8(C)", "--budget", "1000000000"],
     # at the default budget e8(-24), e8(8) and e7(C) pass too: 23 pass rows
     "verify_brute_default_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique"],
