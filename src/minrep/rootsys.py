@@ -605,11 +605,12 @@ def weight(space: KSpace, *factor_vectors, center=()) -> Weight:
 def conform(space: KSpace, w: Weight) -> None:
     if len(w.factors) != len(space.factors):
         raise ValueError(f"weight has {len(w.factors)} blocks, space has {len(space.factors)}")
+    # coordinates as render.format_vector prints them: str(Fraction) is "p" or "p/q"
     for rs, v in zip(space.factors, w.factors):
         if len(v) != rs.ambient:
-            raise ValueError(f"block {v} has wrong length for {rs.label}")
+            raise ValueError(f"block ({','.join(map(str, v))}) has wrong length for {rs.label}")
     if len(w.center) != space.center_dim:
-        raise ValueError(f"center block {w.center} has wrong length")
+        raise ValueError(f"center block ({','.join(map(str, w.center))}) has wrong length")
 
 
 def weight_add(a: Weight, b: Weight) -> Weight:

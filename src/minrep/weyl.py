@@ -30,26 +30,19 @@ the coroot gamma^vee = w^-1 alpha_j^vee, whose coefficients on the simple
 coroots are at most 6 in absolute value (Bourbaki, Lie Groups and Lie
 Algebras, ch. VI, plates I-IX: the highest coroot of E8 has the largest),
 so every label of the orbit is at most 6 sum_i |l_i| for l the labels of
-v.  A test is a key, one masked compare of the packed state ("block =
-target", "block >= 0", "block <= 0", or nothing), and an optional check
-that runs only where the key matches; each survivor's word is its path
-from the root read backwards.  The parabolic stabilizers of the default
-"chamber" line-preserver strategy (trivial on the whole catalog), the
-"reduced" certificate and the beta stabilizer W_beta of "brute" walk
-2*rho, and the word of every survivor of the three is checked against the
+v.  A test is a check on the packed state, or None for every state; each
+survivor's word is its path from the root read backwards.  The parabolic
+stabilizers of the default "chamber" line-preserver strategy (trivial on
+the whole catalog) and the beta stabilizer W_beta of "brute" walk 2*rho,
+and the word of every survivor of the two is checked against the
 definition.  "brute" covers W as the words x of the orbit of beta times
 W_beta, the group of the roots orthogonal to beta (Chevalley's lemma,
 Humphreys, Reflection Groups and Coxeter Groups, 1.12): x v sends beta to
-+-beta exactly when x does, so one "block = target" key on the orbit walk
-finds the -beta coset, and each candidate x is one check of the definition
-on the W_beta walk, through forms compiled to their nonzero terms (see
-_nonnegative).
-"reduced" keys on signs alone: a point pairs nonnegatively with
-Delta_beta+ exactly when it does with its simple roots, i.e. is dominant
-for it, and when w_l beta = -beta, -w_l preserves Delta_beta+ and so
-permutes its simple roots, which makes "nonnegative on w_l Delta_beta+"
-read "antidominant".  group_order counts fundamental-weight orbits
-instead, without decoding a state.
++-beta exactly when x does, so one compare with the packed state of -beta
+on the orbit walk finds the -beta coset, and each candidate x is one check
+of the definition on the W_beta walk, through forms compiled to their
+nonzero terms (see _nonnegative).  group_order counts fundamental-weight
+orbits instead, without decoding a state.
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -61,8 +54,8 @@ into Fractions.  Elements stay integral: their rows are those lattice
 images, and compose divides each product exactly by the scale.  What
 depends only on a root system is a cached property of its RootSystem.
 
-A longest element (w_l and w_beta,l of w0_formula, the w_l cosets of
-"chamber" and "reduced") is the word of the reflections in Kostant's
+A longest element (w_l and w_beta,l of w0_formula, the w_l coset of
+"chamber") is the word of the reflections in Kostant's
 cascade (RootSystem.cascade): at most rank mutually orthogonal roots, so
 at most rank letters where a reduced word has one per positive root (120
 on E8).  The RootSystem certifies the cascade where it makes it: its
@@ -132,7 +125,8 @@ def word(space: KSpace, letters: Iterable[tuple[int, Iterable]]) -> WeylWord:
         if not 0 <= factor < len(space.factors):
             raise ValueError(f"letter factor {factor} out of range")
         if is_zero(v) or mirror(v)[0] not in space.factors[factor].lines:
-            raise ValueError(f"letter vector {v} is not on a root line of factor {factor}")
+            raise ValueError(f"letter vector ({','.join(map(str, v))}) is not on a root "
+                             f"line of factor {factor}")
         out.append((factor, v))
     return WeylWord(tuple(out))
 
@@ -255,50 +249,17 @@ def _label_bound(blocks: Iterable[tuple[int, ...]]) -> int:
     return 6 * max((sum(map(abs, b)) for b in blocks), default=0)
 
 
-# The key every state matches (see _Orbit).
-_EVERY = (0, 0, 0)
-
-
 class _Orbit(namedtuple("_Orbit", ["rs", "rank", "blocks", "width", "root"])):
     """An orbit walk of _survivors and the layout of its packed states
     (see there): block 0 is the start, then one block per tracked vector.
-    A field never leaves [1, 2^width - 1], so its top bit is set exactly
-    when its label is nonnegative.  A key (offset, mask, value) matches a
-    state when (state + offset) & mask == value."""
+    A field never leaves [1, 2^width - 1]."""
     __slots__ = ()
-
-    def _placed(self, block: int, values: Iterable[int]) -> int:
-        """values[j] placed in the field of label j of the block."""
-        k, nb = self.width, self.blocks
-        return sum(c << k * (j * nb + block) for j, c in enumerate(values))
 
     def labels(self, state: int, block: int) -> tuple[int, ...]:
         k, nb = self.width, self.blocks
         field, bias = (1 << k) - 1, 1 << k - 1
         return tuple([(state >> k * (j * nb + block) & field) - bias
                       for j in range(self.rank)])
-
-    def equal(self, block: int, target: Iterable[int]) -> tuple[int, int, int]:
-        """Key: the block's labels are `target`.  A target label that does
-        not fit a field is no label of the orbit, and that key matches no
-        state (it would spill into the next field)."""
-        bias = 1 << self.width - 1
-        target = list(target)
-        if not all(-bias <= c < bias for c in target):
-            return (0, 0, 1)
-        return (0, self._placed(block, [(1 << self.width) - 1] * self.rank),
-                self._placed(block, [c + bias for c in target]))
-
-    def nonnegative(self, block: int) -> tuple[int, int, int]:
-        """Key: every label of the block is >= 0 (every top bit set)."""
-        top = self._placed(block, [1 << self.width - 1] * self.rank)
-        return (0, top, top)
-
-    def nonpositive(self, block: int) -> tuple[int, int, int]:
-        """Key: every label of the block is <= 0, i.e. each field less one
-        (never below 0, so no borrow) has its top bit clear."""
-        _, top, _ = self.nonnegative(block)
-        return (-self._placed(block, [1] * self.rank), top, 0)
 
 
 def _orbit(rs: RootSystem, tracked: tuple[tuple[int, ...], ...] = (),
@@ -320,12 +281,8 @@ def _orbit(rs: RootSystem, tracked: tuple[tuple[int, ...], ...] = (),
 
 def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
     """Mirror letters (printed order) of one w per point of the orbit whose
-    state passes a test, one list per test.  A test is a pair (key, check):
-    the state must match the key (see _Orbit), and then satisfy the check,
-    a callable on the packed state, unless it is None.  The keys ask
-    "block = target", "block >= 0" (dominant: how "reduced" keys W_beta),
-    "block <= 0" (antidominant: its w_l coset, since -w_l permutes the
-    simple roots of Delta_beta+), or nothing (_EVERY).
+    state passes a test, one list per test.  A test is a callable on the
+    packed state (see _Orbit), or None, which every state passes.
 
     Label j of block t is the width-bit field at bit width * (j * blocks +
     t), biased by 2^(width - 1).  The width is _label_bound's bit length
@@ -379,16 +336,15 @@ def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
                for i, _ in row if f < i < rank]
               for f, row in enumerate(rs.cartan_rows[:rank])] + [[]]
     found: list[list[list[Mirror]]] = [[] for _ in tests]
-    keyed = [(offset, mask, value, check, out)
-             for ((offset, mask, value), check), out in zip(tests, found)]
+    checked = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
     stack = [(root, None)]
     push, pop = stack.append, stack.pop
     while stack:
         state, path = pop()
         letters = None
-        for offset, mask, value, check, out in keyed:
-            if (state + offset) & mask != value or not (check is None or check(state)):
+        for check, out in checked:
+            if not (check is None or check(state)):
                 continue
             if letters is None:
                 letters, p = [], path
@@ -426,7 +382,7 @@ def _require_within(order: int, budget: int, what: str) -> None:
     if order > budget:
         raise BudgetExceededError(
             f"Weyl group of {what} has order {order}, above the enumeration "
-            f"budget {budget}; raise the budget or use the reduced strategy",
+            f"budget {budget}",
             order)
 
 
@@ -445,7 +401,7 @@ def group_order(rs: RootSystem) -> int:
         # the check counts each state and keeps none
         seen = count()
         orbit = _orbit(rs, (), (0,) * (n - 1) + (1,))
-        _survivors(orbit, [(_EVERY, lambda state: next(seen) < 0)])
+        _survivors(orbit, [lambda state: next(seen) < 0])
         order *= next(seen)
     return order
 
@@ -563,9 +519,6 @@ def _flipping_longest(space: KSpace, beta: Weight) -> list[list[Mirror]] | None:
     return wl
 
 
-STRATEGIES = ("chamber", "reduced", "brute")
-
-
 class SelfCheckError(RuntimeError):
     """A closed-form survivor failed the line-preserver definition."""
 
@@ -577,10 +530,9 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
     positive root orthogonal to w(beta) pairs nonnegatively with w(xi0).
 
     "chamber" writes the answer down in closed form and checks each
-    survivor against this definition; "reduced" (the beta stabilizer and
-    its w_l coset) and "brute" (the orbit of beta, one word per coset of
-    the stabilizer W_beta, times one walk of W_beta) certify it by
-    enumeration.
+    survivor against this definition; "brute" (the orbit of beta, one word
+    per coset of the stabilizer W_beta, times one walk of W_beta) certifies
+    it by enumeration.
     """
     conform(space, beta)
     conform(space, xi0)
@@ -589,24 +541,25 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
     dom = space_dominance(space, beta)
     if not (dom.dominant and dom.integral):
         raise ValueError("beta must be dominant integral")
-    if strategy == "chamber":
-        return _line_preservers_chamber(space, beta, xi0, budget)
-    if strategy == "brute":
-        return _line_preservers_brute(space, beta, xi0, budget)
-    if strategy == "reduced":
-        return _line_preservers_reduced(space, beta, xi0, budget)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of "
-                     + ", ".join(repr(s) for s in STRATEGIES))
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of "
+                         + ", ".join(repr(s) for s in STRATEGIES))
+    return _STRATEGIES[strategy](space, beta, xi0, budget)
 
 
 def _line_preservers_chamber(space, beta, xi0, budget):
-    # The candidates are those of the reduced strategy: W_beta and, when
-    # w_l beta = -beta, the coset w_l W_beta.  A u in W_beta survives when
+    # The candidates are W_beta and, when w_l beta = -beta, the coset
+    # w_l W_beta.  By Chevalley's lemma (Humphreys, Reflection Groups and
+    # Coxeter Groups, 1.12) the stabilizer of the dominant beta is W_beta,
+    # generated by the reflections in Delta_beta, the roots orthogonal to
+    # beta.  If w(beta) = -beta, then w_l w(beta) = -w_l beta is dominant
+    # and in the orbit of beta, whose only dominant point is beta: so
+    # w_l beta = -beta and w_l w is in W_beta.  A u in W_beta survives when
     # u(xi0) is dominant for Delta_beta+.  Greedy descent gives one such u0
     # with xi_dom = u0(xi0); any other satisfies u(xi0) = xi_dom, so the
-    # survivors are P u0 with P = Stab(xi_dom), which by Chevalley's lemma
-    # (Humphreys, Reflection Groups and Coxeter Groups, 1.12) is generated
-    # by the reflections in the roots of Delta_beta orthogonal to xi_dom.
+    # survivors are P u0 with P = Stab(xi_dom), which by the same lemma is
+    # generated by the reflections in the roots of Delta_beta orthogonal to
+    # xi_dom.
     # In the coset w_l u, u(xi0) must be antidominant for Delta_beta+, which
     # the longest element w_beta,l of W_beta turns into the plus condition:
     # the survivors are w_l w_beta,l P u0.
@@ -623,7 +576,7 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     _require_within(prod(par.order for par in parabolics if par is not None),
                     budget, "the stabilizer of xi0 in W_beta")
     plus = [[u] if par is None else
-            [p + u for p in _survivors(_orbit(par), [(_EVERY, None)])[0]]
+            [p + u for p in _survivors(_orbit(par), [None])[0]]
             for par, u in zip(parabolics, u0)]
     branches = [plus]
     wl = _flipping_longest(space, beta)
@@ -672,8 +625,10 @@ def _flips(rs: RootSystem, v: Vector) -> list[list[Mirror]]:
     if off_span:
         return []
     labels = coroot_labels(rs, v)[1]
-    orbit = _orbit(rs, (), labels)
-    return _survivors(orbit, [(orbit.equal(0, [-c for c in labels]), None)])[0]
+    # -v's labels have the same bound, so its packed state has the same
+    # width and layout
+    target = _orbit(rs, (), [-c for c in labels]).root
+    return _survivors(_orbit(rs, (), labels), [lambda state: state == target])[0]
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
@@ -694,8 +649,7 @@ def _line_preservers_brute(space, beta, xi0, budget):
         sub = orthogonal_subsystem(rs, beta_f)
         walk = _orbit(sub, (coroot_labels(sub, xi_f)[1],))
         # the letters in printed order, first applied first, act as x^-1
-        tests = [(_EVERY, _nonnegative(_forms(sub, _reflected(x, sub.positive_images), xi_f),
-                                       walk, 1))
+        tests = [_nonnegative(_forms(sub, _reflected(x, sub.positive_images), xi_f), walk, 1)
                  for x in [[], *flips]]
         kept, *flipped = _survivors(walk, tests)
         plus.append(kept)
@@ -704,35 +658,5 @@ def _line_preservers_brute(space, beta, xi0, budget):
     return _elements(space.factors, (plus, minus))
 
 
-def _reduced_tests(orbit: _Orbit, flips: bool):
-    """The reduced strategy's tests on W(sub) = W_beta, tracking xi0's
-    labels on sub's simple coroots as block 1: u(xi0) pairs nonnegatively
-    with Delta_beta+ and, when w_l sends beta to -beta (`flips`), with w_l
-    Delta_beta+, since (alpha, w_l u xi) >= 0 rewrites as (w_l alpha, u xi)
-    >= 0.  Every positive root is an N-combination of the simple ones, so
-    the first reads "dominant": every label >= 0.  -w_l sends Delta_beta+
-    (positive, orthogonal to beta) into itself, so it permutes its simple
-    roots, and the second reads "antidominant": every label <= 0."""
-    keys = [orbit.nonnegative(1), orbit.nonpositive(1)] if flips else [orbit.nonnegative(1)]
-    return [(key, None) for key in keys]
-
-
-def _line_preservers_reduced(space, beta, xi0, budget):
-    subs = space_beta_subsystems(space, beta)
-    _require_within(prod(sub.order for sub in subs), budget, "the beta stabilizer")
-
-    wl = _flipping_longest(space, beta)
-
-    # Candidates are the stabilizer W_beta (sends beta to +beta) and, when
-    # w_l beta = -beta, the coset w_l W_beta; nothing else can move beta
-    # along its own line.
-    plus, minus = [], []
-    for f, (sub, xi_f) in enumerate(zip(subs, xi0.factors)):
-        orbit = _orbit(sub, (coroot_labels(sub, xi_f)[1],))
-        found = _survivors(orbit, _reduced_tests(orbit, wl is not None))
-        plus.append(found[0])
-        if wl is not None:
-            minus.append([wl[f] + w for w in found[1]])
-    branches = (plus, minus) if wl is not None else (plus,)
-    _self_checked(space, beta, xi0, branches, "reduced")
-    return _elements(space.factors, branches)
+_STRATEGIES = {"chamber": _line_preservers_chamber, "brute": _line_preservers_brute}
+STRATEGIES = tuple(_STRATEGIES)

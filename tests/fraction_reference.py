@@ -173,7 +173,7 @@ def orbit_size(rs):
         size += 1
         return False
 
-    weyl._survivors(weyl._orbit(rs), [(weyl._EVERY, count)])
+    weyl._survivors(weyl._orbit(rs), [count])
     return size
 
 

@@ -164,9 +164,10 @@ def test_verify_record_and_family_are_exclusive(capsys):
 
 def test_verify_budget_skip_still_exits_zero(capsys):
     # next to a check that passes; a selection with no pass does not pass
+    # brute gates |W_K| = |W(C4)| = 384
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
                        "--check", "w0_unique", "--check", "rho",
-                       "--strategy", "reduced", "--budget", "2")
+                       "--strategy", "brute", "--budget", "2")
     assert code == 0
     assert "above budget 2" in out
     assert out.rstrip().endswith("overall: pass (1 pass, 1 skipped, 0 fail)")
@@ -190,19 +191,26 @@ def test_verify_budget_comes_from_the_flag_alone(capsys, monkeypatch):
     # no environment variable sets the budget; the default is the constant
     monkeypatch.setenv("MINREP_BUDGET", "1")
     code, out, _ = run(capsys, "verify", "--record", "e6(6)",
-                       "--check", "w0_unique", "--strategy", "reduced")
+                       "--check", "w0_unique", "--strategy", "brute")
     assert code == 0
     assert "| e6(6) | w0_unique | pass |" in out
 
 
 def test_verify_default_strategy_is_chamber(capsys):
-    # the closed form certifies e8(C) under the benchmark budget, where the
-    # reduced strategy would enumerate the 2,903,040-element E7 stabilizer
+    # the closed form certifies e8(C) under the benchmark budget, where
+    # brute walks the 2,903,040-element E7 stabilizer and gates on |W(E8)|
     code, out, _ = run(capsys, "verify", "--record", "e8(C)",
                        "--check", "w0_unique", "--budget", "1000000")
     assert code == 0
     assert "| e8(C) | w0_unique | pass |" in out
     assert "(strategy chamber)" in out
+
+
+def test_verify_refuses_an_unknown_strategy(capsys):
+    code, out, err = run(capsys, "verify", "--strategy", "reduced")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    assert "chamber" in err and "brute" in err
 
 
 @pytest.mark.parametrize("jobs", ["2", "0", "-1"])
@@ -388,6 +396,22 @@ def test_verify_records_file_with_a_weight_of_the_wrong_shape_is_config_error(
     assert code == 2
     assert out == ""
     assert err == "error: record g2(2): weight has 1 blocks, space has 2\n"
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda rec: rec["rho"]["factors"][0].pop(), "block (1) has wrong length for A1d"),
+    (lambda rec: rec["w0"][0].__setitem__(1, ["1", "1", "1"]),
+     "letter vector (1,1,1) is not on a root line of factor 0"),
+], ids=["weight-block", "w0-letter"])
+def test_verify_records_file_refusal_prints_coordinates_plainly(capsys, tmp_path, edit, error):
+    # rootsys.conform and weyl.word used to print Fraction reprs here
+    doc = json.loads(registry.save([registry.find_record("g2(2)")]))
+    edit(doc["records"][0])
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path))
+    assert (code, out, err) == (2, "", f"error: record g2(2): {error}\n")
+    assert "Fraction(" not in err
 
 
 def test_verify_records_file_not_utf8_is_config_error(capsys, tmp_path):

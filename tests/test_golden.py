@@ -4,15 +4,15 @@ Each file in tests/golden/ is the stdout of one command line below.  The
 `verify` and `table` files were written by the code before the Weyl
 enumerations shared one kernel, the `weyl` files before the per-system
 data moved onto RootSystem, `verify_brute_default_w0_unique.md` by the
-brute search that visited every element of W_K, and
+brute search that visited every element of W_K,
 `verify_brute_w0_unique.json` by the brute search that walked the orbit
-of the last fundamental weight times its stabilizer, and
-`verify_reduced_e8C_w0_unique.md` by the reduced search whose w_l coset
-words began with a reduced longest word, and `weyl_subsystem_D6.txt` and
-`weyl_subsystem_A1d.txt` by the builds that fell back to the definition
-when their walk could not certify a listing; a change that alters
-any byte of a verdict, an evidence string, a table cell, a longest word or
-a subsystem type fails here.
+of the last fundamental weight times its stabilizer,
+`verify_brute_e8C_w0_unique.md` while a second enumeration strategy
+(the beta stabilizer and its w_l coset) still stood beside brute, and
+`weyl_subsystem_D6.txt` and `weyl_subsystem_A1d.txt` by the builds that
+fell back to the definition when their walk could not certify a listing;
+a change that alters any byte of a verdict, an evidence string, a table
+cell, a longest word or a subsystem type fails here.
 """
 
 from pathlib import Path
@@ -28,14 +28,6 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify.md": ["verify"],
     "verify_budget.json": ["verify", "--format", "json", "--budget", "1000000"],
-    "verify_reduced_w0_unique.json": [
-        "verify", "--strategy", "reduced", "--check", "w0_unique",
-        "--format", "json", "--budget", "1000000"],
-    # the one record the budget above skips: its -beta coset words start
-    # with the E8 cascade
-    "verify_reduced_e8C_w0_unique.md": [
-        "verify", "--strategy", "reduced", "--check", "w0_unique",
-        "--record", "e8(C)"],
     "verify_brute_w0_unique.md": [
         "verify", "--strategy", "brute", "--check", "w0_unique",
         "--budget", "1000000"],

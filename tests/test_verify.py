@@ -38,9 +38,11 @@ from minrep.verify import (
 )
 from minrep.weyl import WeylWord, word
 
+from brute_reference import reference_brute
 from fraction_reference import (
     all_roots,
     bilinear,
+    element_blocks,
     fraction_calls,
     pair_coroot,
     positive_roots,
@@ -179,19 +181,25 @@ def test_complex_beta_positive():
     assert rep.status == "skipped"
 
 
-def test_w0_unique_brute_matches_reduced_on_small_records():
+def test_w0_unique_brute_matches_chamber_on_small_records():
+    # both strategies pass, and chamber's closed form is the set that the
+    # element-by-element reference search keeps
     for name in ["f4(4)", "g2(2)", "so(4,3)", "sp(2,C)"]:
         r = find_record(name)
-        brute = run_check("w0_unique", r, VerifyConfig(strategy="brute"))
-        reduced = run_check("w0_unique", r, VerifyConfig(strategy="reduced"))
-        assert brute.status == reduced.status == "pass", name
+        statuses = [run_check("w0_unique", r, VerifyConfig(strategy=s)).status
+                    for s in weyl.STRATEGIES]
+        assert statuses == ["pass"] * 2, name
+        for beta in verify._module_betas(r):
+            chamber = weyl.line_preservers(r.space, beta, r.xi0, "chamber")
+            assert {element_blocks(el) for el in chamber} == reference_brute(r.space, beta, r.xi0)
 
 
 def test_w0_unique_budget_skip_names_the_order():
+    # brute gates |W_K| = |W(C4)| = 384
     rep = run_check("w0_unique", find_record("e6(6)"),
-                    VerifyConfig(strategy="reduced", budget=2))
+                    VerifyConfig(strategy="brute", budget=2))
     assert rep.status == "skipped"
-    assert "above budget 2" in rep.evidence
+    assert "order 384 above budget 2" in rep.evidence
 
 
 def test_w0_unique_chamber_budget_bounds_the_parabolic():
@@ -710,6 +718,9 @@ def test_config_refuses_unknown_strategy():
         VerifyConfig(strategy="bogus")
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         DEFAULT_CONFIG._replace(strategy="bogus")
+    # the strategy the enumeration certificate replaced
+    with pytest.raises(ValueError, match="'reduced'; expected one of chamber, brute$"):
+        VerifyConfig(strategy="reduced")
 
 
 @pytest.mark.parametrize("budget", [0, -3])

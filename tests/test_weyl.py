@@ -167,14 +167,14 @@ def test_orbit_enumeration_e6():
         widths[len(decoded(orbit, state))] += 1
         return False
 
-    _, peak = _peak_bytes(lambda: weyl._survivors(orbit, [(weyl._EVERY, count)]))
+    _, peak = _peak_bytes(lambda: weyl._survivors(orbit, [count]))
     assert widths == {3 * rs.rank: 51840}
     assert peak < 2 ** 20
 
 
 def enumerate_group(rs):
     """Every element of W(rs) exactly once, as single-block elements."""
-    (words,) = weyl._survivors(weyl._orbit(rs), [(weyl._EVERY, None)])
+    (words,) = weyl._survivors(weyl._orbit(rs), [None])
     return weyl._elements((rs,), [[words]])
 
 
@@ -219,7 +219,7 @@ def test_enumerated_words_are_reduced(label):
         states.append(decoded(orbit, state))
         return True
 
-    (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
+    (words,) = weyl._survivors(orbit, [keep])
     assert len(words) == CLOSED_FORM_ORDERS[label]
     for letters, state in zip(words, states, strict=True):
         w_rho = rs.rho
@@ -256,21 +256,21 @@ def test_survivors_match_the_reference_kernel(label, blocks):
         want.append(state)
         return True
 
-    assert (weyl._survivors(orbit, [(weyl._EVERY, keep), (weyl._EVERY, last_positive)])
+    assert (weyl._survivors(orbit, [keep, last_positive])
             == reference_survivors(rs, tracked, (reference_keep, lambda state: state[-1] > 0)))
     assert got == want
     assert len(got) == group_order(rs)
 
 
 def test_survivors_at_rank_zero():
-    # one point, the root, with the empty word: it matches every key, as in
+    # one point, the root, with the empty word: it passes every test, as in
     # the reference
     rs = orthogonal_subsystem(make_root_system("A1"), make_root_system("A1").simple[0])
     assert rs.rank == 0
     orbit = weyl._orbit(rs, ((),))
     assert orbit.root == 0
-    tests = [(weyl._EVERY, None), (orbit.equal(1, ()), None),
-             (orbit.nonnegative(1), None), (orbit.nonpositive(1), lambda state: state == 0)]
+    tests = [None, lambda state: orbit.labels(state, 1) == (),
+             lambda state: decoded(orbit, state) == (), lambda state: state == 0]
     assert weyl._survivors(orbit, tests) == [[[]]] * 4
     assert reference_survivors(rs, ((),), [lambda state: state == ()]) == [[[]]]
     assert group_order(rs) == 1
@@ -297,39 +297,8 @@ def test_labels_stay_within_the_width_bound(label):
             largest = max(largest, *map(abs, decoded(orbit, state)))
             return False
 
-        weyl._survivors(orbit, [(weyl._EVERY, see)])
+        weyl._survivors(orbit, [see])
         assert largest <= bound
-
-
-@pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
-def test_keys_match_exactly_the_decoded_states(label):
-    # each key against its meaning on the decoded block, at every state of
-    # a walk carrying a fundamental weight (zero labels) and rho (none)
-    rs = make_root_system(label)
-    omega = coroot_labels(rs, rs.fundamental[-1])[1]
-    orbit = weyl._orbit(rs, (omega, coroot_labels(rs, rs.rho)[1]))
-    keys = {"equal": orbit.equal(1, omega), "nonnegative": orbit.nonnegative(1),
-            "nonpositive": orbit.nonpositive(1), "rho_nonnegative": orbit.nonnegative(2),
-            "rho_nonpositive": orbit.nonpositive(2)}
-    meaning = {"equal": lambda x, y: x == omega,
-               "nonnegative": lambda x, y: min(x) >= 0, "nonpositive": lambda x, y: max(x) <= 0,
-               "rho_nonnegative": lambda x, y: min(y) >= 0,
-               "rho_nonpositive": lambda x, y: max(y) <= 0}
-    seen = Counter()
-
-    def check(state):
-        x, y = orbit.labels(state, 1), orbit.labels(state, 2)
-        for name, (offset, mask, value) in keys.items():
-            matched = (state + offset) & mask == value
-            assert matched == meaning[name](x, y), name
-            seen[name] += matched
-        return False
-
-    weyl._survivors(orbit, [(weyl._EVERY, check)])
-    # omega's dominant and antidominant points, each reached by its
-    # stabilizer's elements; rho's, each by one element
-    assert seen["nonnegative"] == seen["nonpositive"] == seen["equal"] > 1
-    assert seen["rho_nonnegative"] == seen["rho_nonpositive"] == 1
 
 
 @pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
@@ -368,21 +337,32 @@ def test_compiled_forms_read_as_the_decoded_labels(label):
             outcomes[want] += 1
         return False
 
-    weyl._survivors(orbit, [(weyl._EVERY, see)])
+    weyl._survivors(orbit, [see])
     assert outcomes[True] and outcomes[False]
     assert sum(outcomes.values()) == len(checks) * group_order(rs)
 
 
 def test_equal_key_with_a_target_outside_the_fields_matches_nothing():
-    # on the start block alone the fields of one block are adjacent: a
-    # label one field width above (below) the root's, with the next label
-    # one less (more), would place the root's own value and match it.  No
-    # point has such a label, and the key matches no state.
+    # _flips compares each state with the packed state of -v, which _orbit
+    # builds at the width and layout of v's walk: it matches exactly the
+    # states whose labels are those of -v (one point; w_l = -1 on B3).
     rs = make_root_system("B3")
+    for labels in [(2, 2, 2), (1, 0, 0), (0, 0, 1), (0, 1, 1)]:
+        orbit = weyl._orbit(rs, (), labels)
+        minus = tuple(-c for c in labels)
+        target = weyl._orbit(rs, (), minus)
+        assert (target.width, target.blocks) == (orbit.width, orbit.blocks)
+        packed, by_labels = weyl._survivors(orbit, [lambda state: state == target.root,
+                                                    lambda state: orbit.labels(state, 0) == minus])
+        assert packed == by_labels and len(packed) == 1, labels
+    # A target outside the fields could not be packed so: on the start
+    # block alone the fields of one block are adjacent, and a label one
+    # field width above (below) the root's, with the next label one less
+    # (more), packs to the root's own state.  No point has such a label.
     orbit = weyl._orbit(rs)
     wide = 1 << orbit.width
     far = [(2 + wide, 1, 2), (2 - wide, 3, 2)]
-    tests = [(orbit.equal(0, (2, 2, 2)), None)] + [(orbit.equal(0, t), None) for t in far]
+    tests = [lambda state, t=t: orbit.labels(state, 0) == t for t in [(2, 2, 2), *far]]
     assert weyl._survivors(orbit, tests) == [[[]], [], []]
 
 
@@ -426,12 +406,12 @@ def test_beta_orbit_words_times_the_stabilizer_walk_give_each_element_once(label
     betas = [*rs.fundamental, rs.highest_root, vscale(2, rs.rho), (Q(0),) * rs.ambient]
     for beta in (b for b in betas if b is not None):
         start = coroot_labels(rs, beta)[1]
-        (cosets,) = weyl._survivors(weyl._orbit(rs, (), start), [(weyl._EVERY, None)])
+        (cosets,) = weyl._survivors(weyl._orbit(rs, (), start), [None])
         assert cosets[0] == []
         fixed = _walked_points(cosets, reflected_labels, [start])
         assert [x for x, (p,) in zip(cosets, fixed) if p == start] == [[]]
         sub = orthogonal_subsystem(rs, beta)
-        (stabilizer,) = weyl._survivors(weyl._orbit(sub), [(weyl._EVERY, None)])
+        (stabilizer,) = weyl._survivors(weyl._orbit(sub), [None])
         v_rho = [tuple(sum(map(mul, u, k)) // unit for k in coroots)
                  for u in _walked_points(stabilizer, lambda m, u: weyl._reflected([m], [u])[0], r)]
         got = sorted(p for points in _walked_points(cosets, reflected_labels, v_rho)
@@ -457,7 +437,7 @@ def test_survivors_walk_orbits_with_zero_labels(label):
             states.append(decoded(orbit, state))
             return True
 
-        (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
+        (words,) = weyl._survivors(orbit, [keep])
         # a node's word is its parent's with one more letter in front, and
         # the walk visits the parent first
         point = {(): rs.fundamental[k]}
@@ -848,7 +828,7 @@ def test_line_preservers_doubled_su2_pair():
     w0 = as_element(sp, word(sp, [(0, (1, -1)), (1, (1, -1))]))
     expected = frozenset({identity_element(sp), w0})
     assert line_preservers(sp, beta, xi0, "brute") == expected
-    assert line_preservers(sp, beta, xi0, "reduced") == expected
+    assert line_preservers(sp, beta, xi0, "chamber") == expected
     # the word sends beta to -beta
     assert apply_element(w0, beta) == weight(sp, (-3, 3), (-1, 1))
 
@@ -861,8 +841,8 @@ def test_line_preservers_c4_record():
     w0 = as_element(sp, word(sp, [(0, (1, 0, 0, 1)), (0, (0, 1, 1, 0))]))
     expected = frozenset({identity_element(sp), w0})
     brute = line_preservers(sp, beta, xi0, "brute")
-    reduced = line_preservers(sp, beta, xi0, "reduced")
-    assert brute == reduced == expected
+    chamber = line_preservers(sp, beta, xi0, "chamber")
+    assert brute == chamber == expected
     # the table word fixes xi0
     assert apply_element(w0, xi0) == xi0
 
@@ -874,7 +854,7 @@ def test_line_preservers_degenerate_rank_two_cases():
     beta = weight(sp, (2, 1))
     xi0 = weight(sp, (2, 1))
     wl = as_element(sp, longest_element(b2))
-    got = line_preservers(sp, beta, xi0, "reduced")
+    got = line_preservers(sp, beta, xi0, "chamber")
     assert got == line_preservers(sp, beta, xi0, "brute")
     assert got == frozenset({identity_element(sp), wl})
 
@@ -938,17 +918,20 @@ def test_line_preservers_validates_inputs():
         line_preservers(sp, weight(sp, (0, 0, 1)), xi0)  # not dominant
     with pytest.raises(ValueError):
         line_preservers(sp, weight(sp, (1, 1, 1)), xi0, strategy="magic")
+    with pytest.raises(ValueError, match="'reduced'; expected one of 'chamber', 'brute'$"):
+        line_preservers(sp, weight(sp, (1, 1, 1)), xi0, strategy="reduced")
 
 
-def test_line_preservers_brute_over_budget_suggests_reduced():
+def test_line_preservers_brute_over_budget_names_the_order():
     d8 = make_root_system("D8")
     sp = KSpace((d8,), 0)
     beta = weight(sp, (H,) * 8)
     with pytest.raises(BudgetExceededError) as info:
         line_preservers(sp, beta, weight(sp, (0,) * 8), "brute",
                         budget=10 ** 6)
-    assert "reduced" in str(info.value)
-    assert info.value.order == space_group_order(sp)
+    assert info.value.order == space_group_order(sp) == 5160960
+    assert str(info.value) == ("Weyl group of D8 has order 5160960, above the "
+                               "enumeration budget 1000000")
 
 
 def test_line_preservers_chamber_singular_xi0_and_budget():
@@ -963,8 +946,8 @@ def test_line_preservers_chamber_singular_xi0_and_budget():
     assert info.value.order == 2
     got = line_preservers(sp, beta, xi0, "chamber", budget=2)
     assert len(got) == 4
-    assert got == line_preservers(sp, beta, xi0, "reduced")
     assert got == line_preservers(sp, beta, xi0, "brute")
+    assert {element_blocks(el) for el in got} == reference_brute(sp, beta, xi0)
 
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
@@ -1007,8 +990,8 @@ def preserver_case(draw):
 def test_line_preserver_strategies_agree(case):
     sp, beta, xi0 = case
     chamber = line_preservers(sp, beta, xi0, "chamber")
-    assert chamber == line_preservers(sp, beta, xi0, "reduced")
     assert chamber == line_preservers(sp, beta, xi0, "brute")
+    assert {element_blocks(el) for el in chamber} == reference_brute(sp, beta, xi0)
 
 
 @given(preserver_case())
@@ -1073,7 +1056,7 @@ def test_brute_finds_no_flip_off_the_root_span():
     assert _check_flips(sp, weight(sp, (1, -1))) == [True]
 
 
-def _reduced_cases():
+def _stabilizer_cases():
     """(record, beta) for each beta of each record with line data whose
     beta stabilizer W_beta has order at most 10**6, chosen without the
     kernel."""
@@ -1083,13 +1066,15 @@ def _reduced_cases():
             if prod(map(height_partition_order, space_beta_subsystems(r.space, beta))) <= 10 ** 6]
 
 
-@pytest.mark.parametrize("record, beta", _reduced_cases())
+@pytest.mark.parametrize("record, beta", _stabilizer_cases())
 def test_reduced_simple_root_forms_keep_the_survivors(record, beta):
-    # the reduced strategy keys u(xi0) on the signs of its labels on
-    # Delta_beta+'s simple coroots, >= 0 (and <= 0 for the w_l coset);
-    # testing every positive root (and every w_l image) through its form
-    # keeps the same survivors, for xi0 and for a point with zero labels,
-    # the first fundamental weight of Delta_beta
+    # chamber's premise: u in W_beta keeps u(xi0) nonnegative on
+    # Delta_beta+ exactly when u(xi0)'s labels on its simple coroots are
+    # >= 0, and on w_l Delta_beta+ (the w_l coset) exactly when they are
+    # <= 0, since -w_l permutes those simple roots.  Testing every positive
+    # root (and every w_l image) through its form keeps the same survivors
+    # as testing the simple roots alone, for xi0 and for a point with zero
+    # labels, the first fundamental weight of Delta_beta.
     space = record.space
     wl = weyl._flipping_longest(space, beta)
     subs = space_beta_subsystems(space, beta)
@@ -1099,9 +1084,10 @@ def test_reduced_simple_root_forms_keep_the_survivors(record, beta):
             roots.append(weyl._reflected(reversed(wl[f]), sub.positive_images))
         for xi in (xi0, *sub.fundamental[:1]):
             orbit = weyl._orbit(sub, (coroot_labels(sub, xi)[1],))
-            every_root = [(weyl._EVERY, weyl._nonnegative(weyl._forms(sub, ys, xi), orbit, 1))
-                          for ys in roots]
-            simple = weyl._survivors(orbit, weyl._reduced_tests(orbit, wl is not None))
+            every_root = [weyl._nonnegative(weyl._forms(sub, ys, xi), orbit, 1) for ys in roots]
+            signs = [lambda state: min(orbit.labels(state, 1), default=0) >= 0,
+                     lambda state: max(orbit.labels(state, 1), default=0) <= 0]
+            simple = weyl._survivors(orbit, signs[:len(roots)])
             assert simple == weyl._survivors(orbit, every_root)
             assert len(simple) == len(roots) and all(simple)
 
@@ -1240,7 +1226,7 @@ def test_lattice_action_matches_fraction_reference(case):
         states.append(decoded(orbit, state))
         return True
 
-    (words,) = weyl._survivors(orbit, [(weyl._EVERY, keep)])
+    (words,) = weyl._survivors(orbit, [keep])
     assert len(words) == group_order(rs)
     ref = {(): (v, image)}
     for letters, state in zip(words, states, strict=True):
