@@ -381,8 +381,7 @@ def _elements(factors: tuple[RootSystem, ...], branches) -> frozenset[WeylElemen
 def _require_within(order: int, budget: int, what: str) -> None:
     if order > budget:
         raise BudgetExceededError(
-            f"Weyl group of {what} has order {order}, above the enumeration "
-            f"budget {budget}",
+            f"Weyl group of {what} has order {order}, above the enumeration budget {budget}",
             order)
 
 
