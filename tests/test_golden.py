@@ -10,7 +10,9 @@ of the last fundamental weight times its stabilizer,
 `verify_brute_e8C_w0_unique.md` while a second enumeration strategy
 (the beta stabilizer and its w_l coset) still stood beside brute, and
 `weyl_subsystem_D6.txt` and `weyl_subsystem_A1d.txt` by the builds that
-fell back to the definition when their walk could not certify a listing;
+fell back to the definition when their walk could not certify a listing,
+`weyl_subsystem_C4.txt` by the build that selected the orthogonal roots
+one by one instead of conjugating a parabolic back from the chamber;
 a change that alters any byte of a verdict, an evidence string, a table
 cell, a longest word or a subsystem type fails here.
 """
@@ -65,6 +67,9 @@ CASES.update({
                               "--orthogonal-to", "1,1,0,0,0,0"],
     # no positive root is orthogonal to the one of A1d
     "weyl_subsystem_A1d.txt": ["weyl", "subsystem", "A1d", "--orthogonal-to", "1,-1"],
+    # off the dominant chamber: the dominant conjugate's parabolic, not
+    # conjugated back, would name its components in the order B2xA1
+    "weyl_subsystem_C4.txt": ["weyl", "subsystem", "C4", "--orthogonal-to", "0,0,1,1"],
 })
 
 
