@@ -7,10 +7,16 @@ times one common `scale`.  Fractions are made only for the views that
 print or store a vector (the simple roots, rho, the fundamental weights,
 the highest root); no floating point is used anywhere in this package.
 
-Supported constructions:
+Every system is made one way (`from_simple`): from its simple roots, its
+positive roots are generated by root strings (see _generate), each with
+its support, sorted, and certified on the integer images (see _certify:
+simple roots = indecomposables, rho pairs to 1 with every simple
+coroot, every positive root an N-combination of the simple roots).  The
+scaling is exact and injective, so the checks run on Python integers,
+with lookups on packed forms (see _packing).  There is no fallback to
+the definition: a listing the walk cannot certify is refused.  Callers:
 
-* types (`make_root_system`): each lists only its simple roots, and its
-  positive roots are generated from them by root strings (see _generate):
+* types (`make_root_system`), each listing only its simple roots:
   * classical families ``A1..``, ``B1..``, ``C1..``, ``D2..`` up to rank
     16 (A-type lives in full n+1 coordinates, not the traceless
     hyperplane),
@@ -21,32 +27,16 @@ Supported constructions:
     is (2, -2), so that (1, -1) is the highest weight of the defining
     two-dimensional module.  Weight tables for su(2) factors are written
     in these doubled coordinates.
-* subsystems (`subsystem`): a selection of a system's positive roots,
-  with the induced positive system, cut from its integer images.
-
-Both hold their positive roots sorted.
-
-A subsystem shares its parent's scale.  Construction checks its own
-result on these images (simple roots = indecomposables, rho pairs to 1
-with every simple coroot, read as (2 rho, a) = (a, a), every positive root
-an N-combination of the simple roots).  The scaling is exact and
-injective, so these checks run on Python integers, as do the Cartan
-matrix and the fundamental weights later.  One walk per build (see
-_build) certifies all three, and a subsystem takes the roots it keeps as
-its simple roots.  There is no fallback to the definition: a listing the
-walk cannot certify is refused, and on a positive system the walk keeps
-exactly the simple roots.  Its lookups run on packed forms (see
-_packing), so a vector subtraction and a tuple lookup become an integer
-subtraction and an int lookup.
+* the roots orthogonal to a vector (weyl.orthogonal_subsystem), whose
+  simple roots are conjugated back from a parabolic at its parent's
+  scale.
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, the longest word, Kostant's cascade,
 orthogonal subsystems, the Weyl-group order) is a cached property of its
 `RootSystem`, computed on first use from those fields and kept with it.
-The walk's recursion, a non-simple positive root is a simple root plus a
-positive root, also gives each root's support; the fundamental weights,
-the components and irreducibility are read off the supports, so nothing
-here solves a linear system.
+The fundamental weights, the components and irreducibility are read off
+the supports, so nothing here solves a linear system.
 Weyl-group orders are not transcribed: weyl.group_order counts them, once
 per system.
 """
@@ -114,11 +104,12 @@ def mirror(v: Vector) -> Mirror:
 
 
 class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient", "scale",
-                                           "positive_images", "simple_images"])):
+                                           "positive_images", "simple_images", "supports"])):
     # family is "A".."G", or "sub" for subsystems; the images are the
-    # positive roots in order and the simple in their numbering, times scale.
-    # No __slots__: the cached properties live in the instance __dict__,
-    # while eq and hash are the tuple's and read the fields alone
+    # positive roots in order and the simple in their numbering, times scale;
+    # supports holds each positive root's support as a bit mask of simple-root
+    # indices.  No __slots__: the cached properties live in the instance
+    # __dict__, while eq and hash are the tuple's and read the fields alone
 
     def __repr__(self) -> str:  # keep the images out of assertion output
         return f"RootSystem({self.label})"
@@ -140,25 +131,6 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
     @cached_property
     def rho(self) -> Vector:
         return _rational(self.two_rho, 2 * self.scale)
-
-    @cached_property
-    def supports(self) -> tuple[int, ...]:
-        """The support of each positive root, in order, as a bit mask of
-        simple-root indices.  Read in increasing pairing with 2 rho:
-        support(g) = support(g - a) | {a} for the first simple a that
-        leaves a positive root g - a, which pairs less with 2 rho.  Every
-        non-simple positive root has such an a (see _build), and the
-        lookups run on packed forms (see _packing)."""
-        pack = _packing(self.positive_images)
-        keys = list(map(pack, self.positive_images))
-        simple = list(map(pack, self.simple_images))
-        support = {a: 1 << i for i, a in enumerate(simple)}
-        for k, _ in sorted(zip(keys, self.positive_images),
-                           key=lambda kp: _idot(self.two_rho, kp[1])):
-            if k not in support:
-                i = next(i for i, a in enumerate(simple) if k - a in support)
-                support[k] = support[k - simple[i]] | 1 << i
-        return tuple(support[k] for k in keys)
 
     @cached_property
     def fundamental_images(self) -> tuple[int, list[IntVector]]:
@@ -383,38 +355,35 @@ def _component_type(rank: int, positive_norms: list[int]) -> str:
     raise ValueError(f"unrecognized component: rank {rank}, {nroots} roots")
 
 
-def _build(label: str, family: str, ambient: int, scale: int,
-           positive: list[IntVector], simple: list[IntVector] | None) -> RootSystem:
-    """The system whose positive and simple roots are the integer images
-    `positive` and `simple` divided by `scale`; simple=None takes the roots
-    the walk keeps, sorted.  Every check runs on the images, each lookup
-    on packed forms (see _packing); a Fraction is made only to name a root
-    in a refusal.
+def _certify(label: str, scale: int, positive: list[IntVector],
+             simple: list[IntVector]) -> None:
+    """Refuse unless `simple` is the simple system of the positive roots
+    `positive`, both integer images at `scale`.  Every check runs on the
+    images, each lookup on packed forms (see _packing); a Fraction is made
+    only to name a root in a refusal.
 
     The walk takes the positive roots in increasing pairing with 2 rho and
     keeps a root when no root kept before it leaves a positive root on
     subtraction, so it keeps every indecomposable, and on a positive
     system nothing else: every non-simple positive root is a simple root
     plus a positive root (Humphreys, Introduction to Lie Algebras, 10.2),
-    and that simple root pairs less with 2 rho.  The build then refuses
-    unless (1) each simple root is a listed positive root that splits no
-    positive root (rank x P lookups), (2) rho pairs to 1 with each simple
-    coroot, and (3) the walk keeps no root outside `simple`.  Then simple =
+    and that simple root pairs less with 2 rho.  It refuses unless (1)
+    each simple root is a listed positive root that splits no positive
+    root (rank x P lookups), (2) rho pairs to 1 with each simple coroot,
+    and (3) the walk keeps no root outside `simple`.  Then simple =
     indecomposables, since (1) makes each simple root one and (3) keeps
     out every other; and every positive root is an N-combination of them,
     by induction on the pairing: a root the walk skips is a kept simple
     root a, which pairs to (a, a) > 0 with 2 rho by (2), plus a positive
     root of smaller pairing."""
-    two_rho = tuple(map(sum, zip((0,) * ambient, *positive)))
-    pack = _packing(positive if simple is None else [*positive, *simple])
+    two_rho = tuple(map(sum, zip(*positive)))
+    pack = _packing([*positive, *simple])
     keys = list(map(pack, positive))
     pos = set(keys)
     kept: dict[int, IntVector] = {}
     for k, p in sorted(zip(keys, positive), key=lambda kp: _idot(two_rho, kp[1])):
         if pos.isdisjoint(map(k.__sub__, kept)):
             kept[k] = p
-    if simple is None:
-        simple = sorted(kept.values())
     simple_keys = set(map(pack, simple))
     if not (simple_keys <= pos
             and all(pos.isdisjoint(map(a.__sub__, pos)) for a in simple_keys)):
@@ -427,15 +396,13 @@ def _build(label: str, family: str, ambient: int, scale: int,
         if k not in simple_keys:
             raise ValueError(f"{label}: positive root {_rational(p, scale)} is not shown "
                              "an N-combination of simples")
-    return RootSystem(label, family, len(simple), ambient, scale,
-                      tuple(positive), tuple(simple))
 
 
 def _rational(u: IntVector, scale: int) -> Vector:
     return tuple([Q(c, scale) for c in u])
 
 
-def _generate(simple: list[IntVector]) -> list[IntVector]:
+def _generate(simple: list[IntVector]) -> list[tuple[IntVector, int]]:
     """The positive roots of the system with these simple roots, height by
     height.  For a positive root g and a simple root a_i, g + a_i is a root
     exactly when p_i > <g, a_i^vee>, where p_i is the largest k such that
@@ -447,22 +414,23 @@ def _generate(simple: list[IntVector]) -> list[IntVector]:
     - a_j is a root, and that root, one height lower, is also a parent and
     sets p_j.  So no string is walked and no ambient vector is looked up.
     Roots are keyed by their simple-root coefficients, 4 bits each: no
-    coefficient of a root exceeds 6."""
+    coefficient of a root exceeds 6.  Each root comes with its support, a
+    bit mask of simple-root indices: g + a_i has g's plus i."""
     rows = [[2 * _idot(a, b) // _idot(b, b) for b in simple] for a in simple]
-    layer = {1 << 4 * i: (a, row, [0] * len(simple))
+    layer = {1 << 4 * i: (a, 1 << i, row, [0] * len(simple))
              for i, (a, row) in enumerate(zip(simple, rows))}
     out = []
     while layer:
-        out += [v for v, _, _ in layer.values()]
+        out += [(v, mask) for v, mask, _, _ in layer.values()]
         up = {}
-        for key, (v, labels, p) in layer.items():
+        for key, (v, mask, labels, p) in layer.items():
             for i, (a, row) in enumerate(zip(simple, rows)):
                 if p[i] > labels[i]:
                     k = key + (1 << 4 * i)
                     if k not in up:
-                        up[k] = (tuple(map(add, v, a)), list(map(add, labels, row)),
-                                 [0] * len(simple))
-                    up[k][2][i] = p[i] + 1
+                        up[k] = (tuple(map(add, v, a)), mask | 1 << i,
+                                 list(map(add, labels, row)), [0] * len(simple))
+                    up[k][3][i] = p[i] + 1
         layer = up
     return out
 
@@ -490,9 +458,8 @@ MAX_RANK = 16
 
 @lru_cache(maxsize=None)
 def make_root_system(cartan_type: str) -> RootSystem:
-    """Build a root system by type label, e.g. "C4", "E7", "A1d": its
-    positive roots are generated from its simple roots (see _generate),
-    sorted, and certified by _build."""
+    """Build a root system by type label, e.g. "C4", "E7", "A1d", from its
+    listed simple roots (see from_simple)."""
     label = cartan_type.strip()
     family, rank_text = label[:1], label[1:]
     if label in _FIXED:
@@ -512,16 +479,20 @@ def make_root_system(cartan_type: str) -> RootSystem:
         raise UnsupportedCartanType(
             f"unsupported type {cartan_type!r}; expected one of A>=1, B>=1, C>=1, D>=2, "
             "E6, E7, E8, F4, G2, A1d")
-    return _build(label, family, len(simple[0]), scale, sorted(_generate(simple)), simple)
+    return from_simple(label, family, len(simple[0]), scale, simple)
 
 
-def subsystem(rs: RootSystem, keep: Iterable[bool], label: str) -> RootSystem:
-    """The subsystem of rs whose positive roots are the positive roots of
-    rs flagged by `keep` (one flag each, in order), a closed set such as
-    the roots on a subspace, with the positive system rs induces.  It holds
-    their images at rs's scale, sorted."""
-    pos = sorted(p for p, k in zip(rs.positive_images, keep, strict=True) if k)
-    return _build(label, "sub", rs.ambient, rs.scale, pos, None)
+def from_simple(label: str, family: str, ambient: int, scale: int,
+                simple: list[IntVector]) -> RootSystem:
+    """The system whose simple roots are the integer images `simple`
+    divided by `scale`, in their numbering: its positive roots are
+    generated from them (see _generate), sorted, and certified (see
+    _certify).  Every RootSystem is made here."""
+    roots = sorted(_generate(simple))
+    positive = [p for p, _ in roots]
+    _certify(label, scale, positive, simple)
+    return RootSystem(label, family, len(simple), ambient, scale, tuple(positive),
+                      tuple(simple), tuple([mask for _, mask in roots]))
 
 
 # ---------------------------------------------------------------------------

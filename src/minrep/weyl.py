@@ -82,10 +82,10 @@ from .rootsys import (
     Weight,
     conform,
     coroot_labels,
+    from_simple,
     is_zero,
     mirror,
     space_dominance,
-    subsystem,
 )
 
 # Largest group order any enumeration may visit, unless a caller (`minrep
@@ -425,18 +425,33 @@ def longest_element(rs: RootSystem, factor: int = 0) -> WeylWord:
 
 def orthogonal_subsystem(rs: RootSystem, v: Vector) -> RootSystem:
     """The roots of rs orthogonal to v (Fractions or integers), of rank 0
-    when there are none; one system serves every nonzero multiple of v."""
+    when there are none; one system serves every nonzero multiple of v.
+
+    The greedy descent (RootSystem.descend) carries v to a dominant point
+    by some w, and the roots orthogonal to it are the parabolic subsystem
+    of the simple roots a_j at which its label is 0 (Chevalley's lemma,
+    Humphreys, Reflection Groups and Coxeter Groups, 1.12).  A descent step
+    s_i is taken at a point u with <u, a_i^vee> < 0; of the positive roots
+    it negates only a_i, which is not orthogonal to u.  So w keeps every
+    positive root orthogonal to v positive and maps them onto the
+    parabolic's positive roots, and the simple roots of the system
+    orthogonal to v are the w^-1 a_j, the a_j reflected back through the
+    descent letters, rightmost first."""
     v = tuple(v)
     if len(v) != rs.ambient:
-        raise ValueError(f"vector {v} has wrong length for {rs.label}")
+        # coordinates as rootsys.conform prints them
+        raise ValueError(f"vector ({','.join(map(str, v))}) has wrong length for {rs.label}")
     # one key per line: the primitive vector on it of the larger sign, or 0
     _, (u,) = integer_images([v])
     g = gcd(*u) or 1
     u = max(tuple([c // g for c in u]), tuple([-c // g for c in u]))
     sub = rs.perp.get(u)
     if sub is None:
-        keep = [not sum(map(mul, a, u)) for a in rs.positive_images]
-        sub = rs.perp[u] = subsystem(rs, keep, f"{rs.label}-perp")
+        letters, labels = rs.descend(coroot_labels(rs, v)[1])
+        simple = _reflected([rs.simple_mirrors[i] for i in reversed(letters)],
+                            [a for a, lj in zip(rs.simple_images, labels) if not lj])
+        sub = rs.perp[u] = from_simple(f"{rs.label}-perp", "sub", rs.ambient, rs.scale,
+                                       sorted(simple))
     return sub
 
 
@@ -556,27 +571,26 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # w_l beta = -beta and w_l w is in W_beta.  A u in W_beta survives when
     # u(xi0) is dominant for Delta_beta+.  Greedy descent gives one such u0
     # with xi_dom = u0(xi0); any other satisfies u(xi0) = xi_dom, so the
-    # survivors are P u0 with P = Stab(xi_dom), which by the same lemma is
+    # survivors are u0 Q with Q = Stab(xi0), which by the same lemma is
     # generated by the reflections in the roots of Delta_beta orthogonal to
-    # xi_dom.
+    # xi0 (orthogonal_subsystem).
     # In the coset w_l u, u(xi0) must be antidominant for Delta_beta+, which
     # the longest element w_beta,l of W_beta turns into the plus condition:
-    # the survivors are w_l w_beta,l P u0.
-    # P is generated by the simple roots of Delta_beta+ at which xi_dom has
-    # label 0 (the same lemma), so it is built only when there are some.
+    # the survivors are w_l w_beta,l u0 Q.
+    # Q is trivial unless xi_dom has a label 0 (the same lemma), so it is
+    # built only when it has.
     subs = space_beta_subsystems(space, beta)
     u0: list[list[Mirror]] = []
-    parabolics: list[RootSystem | None] = []
+    stabilizers: list[RootSystem | None] = []
     for sub, xi_f in zip(subs, xi0.factors):
         descent, labels = sub.descend(coroot_labels(sub, xi_f)[1])
         u0.append([sub.simple_mirrors[i] for i in reversed(descent)])
-        (xi_dom,) = _reflected(reversed(u0[-1]), [_tracked_image(sub, xi_f)[1]])
-        parabolics.append(orthogonal_subsystem(sub, xi_dom) if 0 in labels else None)
-    _require_within(prod(par.order for par in parabolics if par is not None),
+        stabilizers.append(orthogonal_subsystem(sub, xi_f) if 0 in labels else None)
+    _require_within(prod(q.order for q in stabilizers if q is not None),
                     budget, "the stabilizer of xi0 in W_beta")
-    plus = [[u] if par is None else
-            [p + u for p in _survivors(_orbit(par), [None])[0]]
-            for par, u in zip(parabolics, u0)]
+    plus = [[u] if q is None else
+            [u + w for w in _survivors(_orbit(q), [None])[0]]
+            for q, u in zip(stabilizers, u0)]
     branches = [plus]
     wl = _flipping_longest(space, beta)
     if wl is not None:

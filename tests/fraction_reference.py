@@ -34,6 +34,9 @@ ALL_LABELS = ["A1", "A2", "A5", "A7", "B1", "B2", "B3", "B4", "C1", "C2", "C3",
               "C4", "D2", "D3", "D4", "D6", "D8", "G2", "F4", "E6", "E7", "E8",
               "A1d"]
 
+# Small types, whose whole Weyl groups the property tests walk.
+LATTICE_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1d")
+
 
 def vec(*coords):
     return tuple(Q(c) for c in coords)
@@ -276,7 +279,9 @@ def _fundamental_weights(simple):
 
 @dataclass(frozen=True)
 class ReferenceSystem:
-    """The Fraction fields of a `rootsys.RootSystem`, and its roots."""
+    """The Fraction fields of a `rootsys.RootSystem`, and its roots; the
+    supports are bit masks of the simple roots with a nonzero coefficient
+    in each positive root."""
     label: str
     family: str
     rank: int
@@ -284,6 +289,7 @@ class ReferenceSystem:
     roots: frozenset
     simple: tuple
     positive: tuple
+    supports: tuple
     rho: tuple
     fundamental: tuple
     highest_root: tuple | None
@@ -299,15 +305,18 @@ def build(label, family, ambient, positive, simple) -> ReferenceSystem:
         if pair_coroot(rho, a) != 1:
             raise ValueError(f"{label}: rho pairing is not 1 against {a}")
     heights = {}
+    supports = []
     for p, coeffs in zip(positive, solve(simple, positive)):
         if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError(f"{label}: positive root {p} is not an N-combination of simples")
         heights[p] = sum(coeffs)
+        supports.append(sum(1 << i for i, c in enumerate(coeffs) if c))
     fundamental = _fundamental_weights(simple)
     comps = _component_split(tuple(simple))
     highest = max(positive, key=lambda p: heights[p]) if len(comps) == 1 else None
     return ReferenceSystem(label, family, len(simple), ambient, roots,
-                           tuple(simple), tuple(positive), rho, fundamental, highest,
+                           tuple(simple), tuple(positive), tuple(supports), rho,
+                           fundamental, highest,
                            tuple(_component_type(simple, c) for c in comps))
 
 

@@ -670,13 +670,13 @@ def test_load_rejects_duplicate_records():
 @pytest.mark.parametrize("field", ["k_factors", "g_complex"])
 def test_load_caps_the_rank_before_building(field, monkeypatch):
     built = []
-    real = rootsys._build
+    real = rootsys.from_simple
 
     def recording(label, *args):
         built.append(label)
         return real(label, *args)
 
-    monkeypatch.setattr(rootsys, "_build", recording)
+    monkeypatch.setattr(rootsys, "from_simple", recording)
     too_big = f"D{MAX_RANK + 1}"
     payload = _e8_8_payload()
     payload["records"][0][field] = [too_big]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minrep import rootsys
-from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
@@ -34,6 +33,7 @@ from minrep.weyl import orthogonal_subsystem
 import fraction_reference
 from fraction_reference import (
     ALL_LABELS,
+    LATTICE_TYPES,
     all_roots,
     bilinear,
     fraction_calls,
@@ -189,7 +189,7 @@ def test_unsupported_types_are_rejected(bad):
 @pytest.mark.parametrize("label", ["A17", "B17", "C17", "D17", " D120 "])
 def test_ranks_above_the_cap_are_refused_before_building(label, monkeypatch):
     built = []
-    monkeypatch.setattr(rootsys, "_build", lambda *args: built.append(args))
+    monkeypatch.setattr(rootsys, "from_simple", lambda *args: built.append(args))
     with pytest.raises(UnsupportedCartanType, match=f"rank above {rootsys.MAX_RANK}"):
         make_root_system(label)
     assert built == []
@@ -201,31 +201,30 @@ def naive_indecomposables(positive):
     return [p for p in positive if p not in sums]
 
 
-def integer_indecomposables(positive):
-    """The simple roots `_build` finds on the integer images of the
-    Fraction roots `positive` (simple=None, the roots its walk keeps),
-    read back as those roots.  Given explicitly, the build must accept
-    them and refuse them with one missing or one extra positive root."""
-    scale, images = integer_images(positive)
+def integer_indecomposables(rs):
+    """The simple roots of rs that `_certify` accepts on the integer images
+    of its positive roots, read back as Fraction roots, after checking that
+    it refuses them with one missing or one extra positive root."""
+    images = list(rs.positive_images)
+    found = list(rs.simple_images)
 
-    def build(simple):
-        return rootsys._build("t", "sub", len(images[0]), scale, images, simple)
+    def certify(simple):
+        rootsys._certify("t", rs.scale, images, simple)
 
-    found = list(build(None).simple_images)
-    assert build(found).simple_images == tuple(found)
+    certify(found)
     for i in range(len(found)):
         with pytest.raises(ValueError, match="N-combination"):
-            build(found[:i] + found[i + 1:])
+            certify(found[:i] + found[i + 1:])
     for extra in [u for u in images if u not in found][:3]:
         with pytest.raises(ValueError, match="indecomposables"):
-            build(found + [extra])
-    return [p for p, u in zip(positive, images) if u in found]
+            certify(found + [extra])
+    return sorted(p for p, u in zip(positive_roots(rs), images) if u in found)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_indecomposables_match_fraction_sums(label):
-    positive = list(positive_roots(make_root_system(label)))
-    assert integer_indecomposables(positive) == naive_indecomposables(positive)
+    rs = make_root_system(label)
+    assert integer_indecomposables(rs) == naive_indecomposables(positive_roots(rs))
 
 
 def test_integer_indecomposables_match_on_catalog_beta_subsystems():
@@ -236,25 +235,23 @@ def test_integer_indecomposables_match_on_catalog_beta_subsystems():
         sub = orthogonal_subsystem(rs, v)
         if not sub.rank:
             continue
-        positive = list(positive_roots(sub))
-        assert integer_indecomposables(positive) == naive_indecomposables(positive)
+        assert integer_indecomposables(sub) == naive_indecomposables(positive_roots(sub))
         checked += 1
     assert checked >= 20
 
 
 def test_build_solves_nothing_and_weights_once(monkeypatch):
     # the simple-root walk certifies that every positive root is an
-    # N-combination, so no build reads supports or weights, of a listed
-    # type or of a catalog beta-subsystem; the fundamental weights are
-    # read off the supports on first use, and once
+    # N-combination and generation gives the supports, so no build reads
+    # weights, of a listed type or of a catalog beta-subsystem; the
+    # fundamental weights are read off the supports on first use, and once
     pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
              for rs, v in zip(r.space.factors, m.beta.factors)}
     expected = make_root_system("E8").fundamental
     calls = []
-    for name in ("supports", "fundamental_images"):  # count each computation
-        prop = vars(rootsys.RootSystem)[name]
-        monkeypatch.setattr(prop, "func", lambda rs, name=name, real=prop.func:
-                            calls.append((name, rs.label)) or real(rs))
+    prop = vars(rootsys.RootSystem)["fundamental_images"]  # count each computation
+    monkeypatch.setattr(prop, "func", lambda rs, real=prop.func:
+                        calls.append(rs.label) or real(rs))
     for label in ALL_LABELS:
         make_root_system.__wrapped__(label)
     subs = {orthogonal_subsystem(make_root_system.__wrapped__(label), v)
@@ -265,13 +262,13 @@ def test_build_solves_nothing_and_weights_once(monkeypatch):
     assert rs.fundamental == expected
     assert omega_to_coords(rs, [1] * rs.rank) == rs.rho
     assert rs.highest_root is not None
-    assert calls == [("fundamental_images", "E8"), ("supports", "E8")]
+    assert calls == ["E8"]
 
 
 def test_build_refuses_a_simple_system_that_is_not_the_indecomposables():
     positive = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
     with pytest.raises(ValueError, match="indecomposables"):
-        rootsys._build("bad", "sub", 3, 1, positive, [(1, -1, 0), (1, 0, -1)])
+        rootsys._certify("bad", 1, positive, [(1, -1, 0), (1, 0, -1)])
 
 
 def test_build_refuses_a_simple_root_that_is_not_positive():
@@ -279,11 +276,11 @@ def test_build_refuses_a_simple_root_that_is_not_positive():
     # = (2, 0) pairs to (a, a) with both; only (1, 1) not being listed
     # among the positive roots tells it apart
     with pytest.raises(ValueError, match="indecomposables"):
-        rootsys._build("bad", "sub", 2, 1, [(2, 0)], [(2, 0), (1, 1)])
+        rootsys._certify("bad", 1, [(2, 0)], [(2, 0), (1, 1)])
 
 
 def tuple_walk(positive, two_rho):
-    """`_build`'s walk on tuples, with vector subtraction."""
+    """`_certify`'s walk on tuples, with vector subtraction."""
     pos = set(positive)
     found = []
     for p in sorted(positive, key=lambda p: sum(a * b for a, b in zip(two_rho, p))):
@@ -293,14 +290,13 @@ def tuple_walk(positive, two_rho):
 
 
 def tuple_verdict(positive, simple):
-    """`_build`'s verdict at scale 1 on tuples: the simple roots it holds,
-    or the refusal it raises."""
+    """`_certify`'s verdict at scale 1 on tuples: the simple roots it
+    accepts, or the refusal it raises."""
     def idot(u, v):
         return sum(a * b for a, b in zip(u, v))
 
     two_rho = tuple(map(sum, zip(*positive)))
     found = tuple_walk(positive, two_rho)
-    simple = sorted(found) if simple is None else simple
     pos = set(positive)
     if not (set(simple) <= pos
             and not any(tuple(a - b for a, b in zip(s, q)) in pos
@@ -318,9 +314,10 @@ def tuple_verdict(positive, simple):
 
 def build_verdict(positive, simple):
     try:
-        return rootsys._build("bad", "sub", len(positive[0]), 1, positive, simple).simple_images
+        rootsys._certify("bad", 1, positive, simple)
     except ValueError as exc:
         return str(exc)
+    return tuple(simple)
 
 
 @st.composite
@@ -328,8 +325,8 @@ def vector_lists(draw):
     """Integer vectors of one length at a small or a wide width, with
     entries of both signs or none above 0 (so that the largest entry alone
     would undercount the width), closed under some sums so that many
-    differences land in the list; and a `simple`: None, or drawn from the
-    list plus perhaps one vector outside it."""
+    differences land in the list; and a `simple`: the roots the walk keeps,
+    sorted, or drawn from the list plus perhaps one vector outside it."""
     dim = draw(st.integers(1, 4))
     width = draw(st.sampled_from([1, 2, 3, 10**6]))
     entry = st.integers(-width, draw(st.sampled_from([0, width])))
@@ -340,7 +337,7 @@ def vector_lists(draw):
     sums = [tuple(a + b for a, b in zip(base[i], base[j])) for i, j in pairs]
     positive = list(dict.fromkeys(base + sums))
     if draw(st.booleans()):
-        return positive, None
+        return positive, sorted(tuple_walk(positive, tuple(map(sum, zip(*positive)))))
     simple = draw(st.lists(st.sampled_from(positive), max_size=4, unique=True))
     simple += draw(st.lists(vec_, max_size=1))
     return positive, simple
@@ -351,8 +348,8 @@ def vector_lists(draw):
 # = (2,0) meets (-1,1), and the walk's of (-3,-1) - (0,-1) = (-3,0) meets
 # (0,-1): packed at B = 3, each pair would collide, B = 2 max |c| + 1 in
 # the first and B = 4 max c + 3 in the second
-@example(([(1, 0), (-1, 0), (-1, 1)], None))
-@example(([(0, -1), (-3, -1)], None))
+@example(([(1, 0), (-1, 0), (-1, 1)], [(-1, 0), (-1, 1), (1, 0)]))
+@example(([(0, -1), (-3, -1)], [(-3, -1), (0, -1)]))
 @settings(max_examples=300, deadline=None)
 def test_packed_walk_and_split_test_match_tuples(case):
     # the packed forms must tell every difference the walk and the split
@@ -364,7 +361,7 @@ def test_packed_walk_and_split_test_match_tuples(case):
 def test_build_refuses_a_bad_rho_pairing():
     # simple = indecomposables, but rho = (1, 1) pairs to 2 with both
     with pytest.raises(ValueError, match="rho pairing"):
-        rootsys._build("bad", "sub", 2, 1, [(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1)])
+        rootsys._certify("bad", 1, [(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1)])
 
 
 def test_build_refuses_a_positive_root_that_is_not_an_n_combination():
@@ -373,7 +370,7 @@ def test_build_refuses_a_positive_root_that_is_not_an_n_combination():
     # the span of the simple root
     positive = [(1, 0), (0, 1), (0, -1), (0, 2), (0, -2)]
     with pytest.raises(ValueError, match="N-combination"):
-        rootsys._build("bad", "sub", 2, 1, positive, [(1, 0)])
+        rootsys._certify("bad", 1, positive, [(1, 0)])
 
 
 def test_build_refuses_a_listing_only_the_definition_would_accept():
@@ -385,14 +382,13 @@ def test_build_refuses_a_listing_only_the_definition_would_accept():
     c = tuple(x + y for x, y in zip(a, b))
     d = tuple(2 * x for x in c)
     with pytest.raises(ValueError, match=r"root \(Fraction\(-2, 1\).* not shown an N-comb"):
-        rootsys._build("bad", "sub", 5, 1, [a, b, c, d], [a, b])
+        rootsys._certify("bad", 1, [a, b, c, d], [a, b])
 
 
 def test_each_build_packs_its_roots_once(monkeypatch):
-    # a type, its positive roots generated from its simple roots, packs both
-    # together, a catalog beta-subsystem its positive roots alone: one
-    # packing, one walk each; generation keys roots by coefficients and packs
-    # nothing
+    # a type and a catalog beta-subsystem alike, their positive roots
+    # generated from their simple roots, pack both together: one packing,
+    # one walk each; generation keys roots by coefficients and packs nothing
     pairs = {(rs.label, v) for r in all_default_records() for m in r.modules
              for rs, v in zip(r.space.factors, m.beta.factors)}
     calls = []
@@ -407,7 +403,8 @@ def test_each_build_packs_its_roots_once(monkeypatch):
         calls.clear()
         rs = make_root_system.__wrapped__(label)
         sub = orthogonal_subsystem(rs, v)
-        assert calls == [len(rs.positive_images) + rs.rank, len(sub.positive_images)]
+        assert calls == [len(rs.positive_images) + rs.rank,
+                         len(sub.positive_images) + sub.rank]
 
 
 CLASSICAL_LABELS = [f"{family}{rank}" for family, low in (("A", 1), ("B", 1), ("C", 1), ("D", 2))
@@ -462,6 +459,31 @@ def test_golden_subsystems_match_the_fraction_reference(label, v):
     assert_same_subsystem(make_root_system(label), v)
 
 
+@st.composite
+def system_and_any_vector(draw):
+    """A type and a rational vector: zero, a multiple of a root, or small
+    coordinates, which are seldom dominant; perhaps shifted along the
+    all-ones vector, which lies off the root span of the A types, G2 and
+    A1d."""
+    rs = make_root_system(draw(st.sampled_from([*LATTICE_TYPES, "E6", "E7", "E8"])))
+    kind = draw(st.sampled_from(["zero", "root", "coordinates"]))
+    small = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2)])
+    if kind == "zero":
+        v = (Q(0),) * rs.ambient
+    elif kind == "root":
+        v = vscale(draw(small.filter(bool)), draw(st.sampled_from(sorted(all_roots(rs)))))
+    else:
+        v = tuple(draw(small) for _ in range(rs.ambient))
+    return rs, vadd(v, (draw(small),) * rs.ambient)
+
+
+@given(system_and_any_vector())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_subsystems_off_the_dominant_chamber_match_the_fraction_reference(case):
+    # the pull-back from the dominant chamber, on vectors of every kind
+    assert_same_subsystem(*case)
+
+
 def test_build_hashes_no_fraction(monkeypatch):
     # every check and every index of a build runs on the integer images
     hashed = []
@@ -495,7 +517,8 @@ def test_orthogonal_subsystem_makes_no_fraction(label, v):
 
 def test_a_root_system_is_its_integers():
     assert rootsys.RootSystem._fields == (
-        "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images")
+        "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images",
+        "supports")
 
 
 # ---------------------------------------------------------------------------

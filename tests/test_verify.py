@@ -390,7 +390,7 @@ def _line(v):
 
 def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     builds = []
-    real_build = weyl.subsystem
+    real_build = weyl.from_simple
 
     def counting_build(*args):
         builds.append(args)
@@ -405,7 +405,7 @@ def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
         per_key[all_roots(rs), _line(v)] += len(builds) - before
         return out
 
-    monkeypatch.setattr(weyl, "subsystem", counting_build)
+    monkeypatch.setattr(weyl, "from_simple", counting_build)
     monkeypatch.setattr(weyl, "orthogonal_subsystem", counting_subsystem)
     reports = run_all(_on_new_systems(all_default_records()),
                       checks=["w0_formula", "w0_unique"])

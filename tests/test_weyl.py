@@ -46,6 +46,7 @@ from minrep.weyl import (
 
 from fraction_reference import (
     ALL_LABELS,
+    LATTICE_TYPES,
     all_roots,
     apply_element,
     apply_word,
@@ -704,10 +705,10 @@ def test_per_system_data_is_computed_once(monkeypatch):
                 sub, group_order(sub), type_label(sub), longest_element(sub))
 
     for module in (rootsys, weyl):
-        monkeypatch.setattr(module, "subsystem", counting("subsystem", module.subsystem))
+        monkeypatch.setattr(module, "from_simple", counting("from_simple", module.from_simple))
     monkeypatch.setattr(RootSystem, "descend", counting("descend", RootSystem.descend))
     first = round_on_rs()
-    assert set(calls) == {"subsystem", "descend"}
+    assert set(calls) == {"from_simple", "descend"}
     calls.clear()
     assert round_on_rs() == first
     assert calls == []
@@ -743,8 +744,11 @@ def test_orthogonal_subsystem_a3_inside_c4():
 
 def test_orthogonal_subsystem_refuses_a_vector_of_the_wrong_length():
     # `minrep weyl subsystem` checks the length before it calls this
-    with pytest.raises(ValueError, match=r"vector \(1, 1\) has wrong length for E8"):
+    with pytest.raises(ValueError, match=r"vector \(1,1\) has wrong length for E8"):
         orthogonal_subsystem(make_root_system("E8"), (1, 1))
+    # coordinates as rootsys.conform prints them, Fractions too
+    with pytest.raises(ValueError, match=r"vector \(1/2,1\) has wrong length for E8"):
+        orthogonal_subsystem(make_root_system("E8"), (Q(1, 2), Q(1)))
 
 
 def test_orthogonal_subsystem_e7_inside_e8():
@@ -1175,9 +1179,6 @@ def test_word_and_element_application_agree(sw):
     lam = _probe(sp)
     assert apply(sp, w, lam) == apply_word(w, lam)
     assert apply_element(as_element(sp, w), lam) == apply_word(w, lam)
-
-
-LATTICE_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1d")
 
 
 @st.composite
