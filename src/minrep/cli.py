@@ -46,7 +46,6 @@ from .verify import (
 from .weyl import (
     DEFAULT_BUDGET,
     STRATEGIES,
-    group_order,
     longest_element,
     orthogonal_subsystem,
     type_label,
@@ -331,7 +330,7 @@ def cmd_weyl(args) -> int:
     except UnsupportedCartanType as exc:
         raise UsageError(str(exc))
     if args.action == "order":
-        print(group_order(rs))
+        print(rs.order)
         return 0
     if args.action == "longest":
         print(format_word(longest_element(rs)))

@@ -729,8 +729,10 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
         raise RegistryFormatError("record without a name")
     where = f"record {name}"
     try:
-        k_labels = [_type_label(l, where, "k_factors") for l in obj["k_factors"]]
-        g_labels = tuple(_type_label(l, where, "g_complex") for l in obj["g_complex"])
+        k_labels = [_type_label(l, where, "k_factors")
+                    for l in _list(obj["k_factors"], where, "k_factors")]
+        g_labels = tuple(_type_label(l, where, "g_complex")
+                         for l in _list(obj["g_complex"], where, "g_complex"))
         center_dim = _exact_int(obj.get("center_dim", 0), where, "center_dim")
         if center_dim < 0:
             raise RegistryFormatError(f"{where}: center_dim must be nonnegative")
@@ -739,11 +741,13 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
             raise RegistryFormatError(f"{where}: hermitian must be true or false")
         family = obj.get("family")
         space = KSpace(tuple(make_root_system(l) for l in k_labels), center_dim)
-        modules = tuple(
-            MinimalModuleRecord(_exact_str(m["label"], where, "module label"),
-                                _weight_parse(m["mu0"], where),
-                                _weight_parse(m["beta"], where), m.get("null_half"))
-            for m in obj["modules"])
+        modules = []
+        for m in _list(obj["modules"], where, "modules"):
+            if not isinstance(m, dict):
+                raise RegistryFormatError(f"{where}: module must be an object, got {m!r}")
+            modules.append(MinimalModuleRecord(
+                _exact_str(m["label"], where, "module label"), _weight_parse(m["mu0"], where),
+                _weight_parse(m["beta"], where), m.get("null_half")))
         infchar = obj.get("infchar")
         w0 = obj.get("w0")
         record = RealFormRecord(
@@ -751,8 +755,9 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
             g_complex=g_labels,
             space=space,
             hermitian=hermitian,
-            p_summands=tuple(_weight_parse(w, where) for w in obj["p_summands"]),
-            modules=modules,
+            p_summands=tuple(_weight_parse(w, where)
+                             for w in _list(obj["p_summands"], where, "p_summands")),
+            modules=tuple(modules),
             nonexistence_reason=obj.get("nonexistence_reason"),
             rho=_weight_parse(obj["rho"], where) if obj.get("rho") is not None else None,
             xi0=_weight_parse(obj["xi0"], where) if obj.get("xi0") is not None else None,
@@ -764,7 +769,8 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
                           for pat in _list(infchar, where, "infchar"))
             if infchar is not None else None,
             family=_exact_str(family, where, "family") if family is not None else None,
-            params=tuple(_exact_int(p, where, "params") for p in obj.get("params", [])),
+            params=tuple(_exact_int(p, where, "params")
+                         for p in _list(obj.get("params", []), where, "params")),
         )
     except RegistryFormatError:
         raise

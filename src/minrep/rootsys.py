@@ -33,12 +33,11 @@ the definition: a listing the walk cannot certify is refused.  Callers:
 
 Everything else derived from one system (the Fraction views, root lines,
 mirrors, lattice scale, Cartan rows, the longest word, Kostant's cascade,
-orthogonal subsystems, the Weyl-group order) is a cached property of its
-`RootSystem`, computed on first use from those fields and kept with it.
-The fundamental weights, the components and irreducibility are read off
-the supports, so nothing here solves a linear system.
-Weyl-group orders are not transcribed: weyl.group_order counts them, once
-per system.
+orthogonal subsystems) is a cached property of its `RootSystem`, computed
+on first use from those fields and kept with it.  The fundamental weights,
+the components and irreducibility are read off the supports, so nothing
+here solves a linear system.  Weyl-group orders are not transcribed:
+from_simple reads each off the number of positive roots of each height.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .linalg import Matrix, integer_images
@@ -104,12 +103,14 @@ def mirror(v: Vector) -> Mirror:
 
 
 class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient", "scale",
-                                           "positive_images", "simple_images", "supports"])):
+                                           "positive_images", "simple_images", "supports",
+                                           "order"])):
     # family is "A".."G", or "sub" for subsystems; the images are the
     # positive roots in order and the simple in their numbering, times scale;
     # supports holds each positive root's support as a bit mask of simple-root
-    # indices.  No __slots__: the cached properties live in the instance
-    # __dict__, while eq and hash are the tuple's and read the fields alone
+    # indices; order is |W| (see from_simple).  No __slots__: the cached
+    # properties live in the instance __dict__, while eq and hash are the
+    # tuple's and read the fields alone
 
     def __repr__(self) -> str:  # keep the images out of assertion output
         return f"RootSystem({self.label})"
@@ -276,13 +277,6 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
         """weyl.longest_product's blocks on this system so far, by subsystem."""
         return {}
 
-    @cached_property
-    def order(self) -> int:
-        """|W|, counted by weyl.group_order on first use (weyl builds on
-        this module, so it is imported here)."""
-        from .weyl import group_order
-        return group_order(self)
-
     def descend(self, labels: Iterable[int]) -> tuple[list[int], list[int]]:
         """Greedy descent of the labels <u, alpha_j^vee> of a point u into the
         closed dominant chamber, reflecting in the first negative label.
@@ -402,7 +396,7 @@ def _rational(u: IntVector, scale: int) -> Vector:
     return tuple([Q(c, scale) for c in u])
 
 
-def _generate(simple: list[IntVector]) -> list[tuple[IntVector, int]]:
+def _generate(simple: list[IntVector]) -> tuple[list[tuple[IntVector, int]], list[int]]:
     """The positive roots of the system with these simple roots, height by
     height.  For a positive root g and a simple root a_i, g + a_i is a root
     exactly when p_i > <g, a_i^vee>, where p_i is the largest k such that
@@ -415,13 +409,15 @@ def _generate(simple: list[IntVector]) -> list[tuple[IntVector, int]]:
     sets p_j.  So no string is walked and no ambient vector is looked up.
     Roots are keyed by their simple-root coefficients, 4 bits each: no
     coefficient of a root exceeds 6.  Each root comes with its support, a
-    bit mask of simple-root indices: g + a_i has g's plus i."""
+    bit mask of simple-root indices: g + a_i has g's plus i.  Also returns
+    the number of roots of each height, from 1 up."""
     rows = [[2 * _idot(a, b) // _idot(b, b) for b in simple] for a in simple]
     layer = {1 << 4 * i: (a, 1 << i, row, [0] * len(simple))
              for i, (a, row) in enumerate(zip(simple, rows))}
-    out = []
+    out, heights = [], []
     while layer:
         out += [(v, mask) for v, mask, _, _ in layer.values()]
+        heights.append(len(layer))
         up = {}
         for key, (v, mask, labels, p) in layer.items():
             for i, (a, row) in enumerate(zip(simple, rows)):
@@ -432,7 +428,7 @@ def _generate(simple: list[IntVector]) -> list[tuple[IntVector, int]]:
                                  list(map(add, labels, row)), [0] * len(simple))
                     up[k][3][i] = p[i] + 1
         layer = up
-    return out
+    return out, heights
 
 
 def _chain(n: int, c: int) -> list[IntVector]:
@@ -487,12 +483,19 @@ def from_simple(label: str, family: str, ambient: int, scale: int,
     """The system whose simple roots are the integer images `simple`
     divided by `scale`, in their numbering: its positive roots are
     generated from them (see _generate), sorted, and certified (see
-    _certify).  Every RootSystem is made here."""
-    roots = sorted(_generate(simple))
+    _certify).  Every RootSystem is made here.  Its order is
+    |W| = prod_k (k + 1)^(n_k - n_(k+1)) for n_k the number of positive roots
+    of height k: the heights' dual partition is the exponents (Kostant,
+    Amer. J. Math. 81, 1959; Humphreys, Reflection Groups and Coxeter
+    Groups, 3.20)."""
+    roots, n = _generate(simple)
+    roots.sort()
     positive = [p for p, _ in roots]
     _certify(label, scale, positive, simple)
+    n.append(0)
+    order = prod((k + 2) ** (n[k] - n[k + 1]) for k in range(len(n) - 1))
     return RootSystem(label, family, len(simple), ambient, scale, tuple(positive),
-                      tuple(simple), tuple([mask for _, mask in roots]))
+                      tuple(simple), tuple([mask for _, mask in roots]), order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction as Q
-from itertools import chain
+from itertools import chain, combinations
+from math import gcd
 from operator import mul
 
 from .linalg import integer_images
@@ -95,11 +96,6 @@ def paper_count(r: RealFormRecord) -> int | None:
                 else r.key in map(normalize_name, fixed)):
             return count
     return None
-
-
-# Rungs 0..RUNG_SWEEP of every ladder are compared outright, a finite
-# cross-check of the symbolic separators that certify all rungs.
-RUNG_SWEEP = 50
 
 
 class VerifyConfig(namedtuple("VerifyConfig", ["strategy", "budget"],
@@ -318,60 +314,62 @@ def _check_period(r: RealFormRecord, config: VerifyConfig):
     return _pass(f"lattice period {format_q(expected)}{tag}")
 
 
-def _raw_sum(w) -> Q:
-    return sum((sum(v, Q(0)) for v in w.factors), Q(0))
-
-
-def _separator(r: RealFormRecord, a, b) -> str | None:
-    """Symbolic certificate that the ladders of modules a and b never meet,
-    valid for every rung count."""
-    if r.space.center_dim == 1:
-        ca, cb = a.mu0.center[0], b.mu0.center[0]
-        da, db = a.beta.center[0], b.beta.center[0]
-        # charges move away from zero along each ladder
-        if ca * da > 0 and cb * db > 0 and (ca > 0) != (cb > 0):
-            return "center-charge sign"
-        if da == db and (ca - cb).denominator != 1:
-            return "center-charge congruence"
-        return None
-    if any(rs.trace_redundant for rs in r.space.factors):
-        # raw coordinate sums are not canonical on such factors
-        return None
-    sa, sb = _raw_sum(a.mu0), _raw_sum(b.mu0)
-    ba, bb = _raw_sum(a.beta), _raw_sum(b.beta)
-    if all(x.denominator == 1 for x in (sa, sb, ba, bb)) \
-            and ba % 2 == 0 and bb % 2 == 0 and (sa - sb) % 2 == 1:
-        return "coordinate-sum parity"
-    return None
-
-
-def _canonical_rung(r: RealFormRecord, m, n: int):
-    return trace_free_canonical(r.space, weight_add(m.mu0, weight_scale(n, m.beta)))
-
-
-def _ladder_keys(r: RealFormRecord) -> list[dict[tuple[int, ...], int]]:
-    """For each module, key -> n over its rungs n = 0..RUNG_SWEEP.  A key
-    is the rung's integer image, at one scale for the whole record, with
-    each trace-redundant block v replaced by len(v) v - sum(v) (1, ..., 1),
-    len(v) times its trace-free part: two rungs share a key exactly when
-    their _canonical_rung forms agree."""
+def _ladder_keys(r: RealFormRecord) -> list[tuple[list[int], list[int]]]:
+    """For each module, the keys (start, step) of mu0 and beta: integer
+    images at one scale for the whole record, with each trace-redundant
+    block v replaced by v - v[-1] (1, ..., 1), which two blocks share exactly
+    when their trace-free parts agree.  Rung n has key start + n step, and
+    two rungs share a key exactly when their trace_free_canonical forms do."""
     redundant = [rs.trace_redundant for rs in r.space.factors] + [False]
     weights = [w for m in r.modules for w in (m.mu0, m.beta)]
     _, images = integer_images([u for w in weights for u in (*w.factors, w.center)])
     blocks = iter(images)
-    keys = []
-    for _ in weights:
-        key = []
-        for trace_free, u in zip(redundant, blocks):
-            if trace_free:
-                total, n = sum(u), len(u)
-                key.extend([n * c - total for c in u])
-            else:
-                key.extend(u)
-        keys.append(key)
-    return [{tuple([a + n * b for a, b in zip(start, step)]): n
-             for n in range(RUNG_SWEEP + 1)}
-            for start, step in zip(keys[::2], keys[1::2])]
+    keys = [list(chain.from_iterable([c - u[-1] for c in u] if trace_free else u
+                                     for trace_free, u in zip(redundant, blocks)))
+            for _ in weights]
+    return list(zip(keys[::2], keys[1::2]))
+
+
+def _ladders_meet(a, b) -> tuple[int, int] | None:
+    """The least (m, n), m first, of integers m, n >= 0 at which rung m of a
+    and rung n of b share a key (see _ladder_keys), or None, for all rungs
+    at once: they do iff m sa - n sb = d, for steps sa, sb and d = start_b -
+    start_a.  Independent steps: a nonzero 2x2 minor fixes the one rational
+    solution (Cramer), a meeting iff it is integral, nonnegative and fits
+    every coordinate.  Parallel steps: d must lie on their line, and then
+    the equation is m p - n q = t at a coordinate k where the line is not 0.
+    q = 0 fixes m = t / p, n = 0.  Else g = gcd(p, q) must divide t; the m
+    that solve it are one class mod s = |q| / g, n = (m p - t) / q, and m + s
+    moves n by |p| / g: up when p, q share a sign (raise the class's least m
+    by whole steps until n >= 0), down when not (its least m is the only
+    candidate)."""
+    (start_a, sa), (start_b, sb) = a, b
+    d = [y - x for x, y in zip(start_a, start_b)]
+    if not any(d):
+        return 0, 0
+    for i, j in combinations(range(len(d)), 2):
+        if det := sb[i] * sa[j] - sa[i] * sb[j]:
+            m = (sb[i] * d[j] - d[i] * sb[j]) // det
+            n = (sa[i] * d[j] - d[i] * sa[j]) // det
+            # floors that fit rows i and j are the exact solution
+            meet = m >= 0 and n >= 0 and all(m * x - n * y == z for x, y, z in zip(sa, sb, d))
+            return (m, n) if meet else None
+    line = next(v for v in (sa, sb, d) if any(v))
+    k = next(k for k, c in enumerate(line) if c)
+    if any(x * line[k] != d[k] * c for x, c in zip(d, line)):
+        return None
+    p, q, t = sa[k], sb[k], d[k]
+    if q == 0:
+        return (t // p, 0) if p and t % p == 0 and t // p >= 0 else None
+    g = gcd(p, q)
+    if t % g:
+        return None
+    s, rise = abs(q) // g, abs(p) // g
+    m = t // g * pow(p // g, -1, s) % s
+    n = (m * p - t) // q
+    if n < 0 and p * q > 0:
+        m, n = m - n // rise * s, n % rise
+    return (m, n) if n >= 0 else None
 
 
 def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
@@ -384,24 +382,13 @@ def _check_count_and_disjoint(r: RealFormRecord, config: VerifyConfig):
         why = f" ({r.nonexistence_reason})" if r.nonexistence_reason else ""
         return _pass(f"count {count} as expected{why}; "
                      f"no module pairs to separate")
-    ladders = _ladder_keys(r)
-    notes = []
-    for i in range(len(r.modules)):
-        for j in range(i + 1, len(r.modules)):
-            a, b = r.modules[i], r.modules[j]
-            sep = _separator(r, a, b)
-            if sep is None:
-                return _fail(f"no symbolic separator certifies ({a.label}, "
-                             f"{b.label}) stay disjoint beyond the sweep")
-            if shared := ladders[i].keys() & ladders[j].keys():
-                k = min(shared)  # the least shared key, shown as its K-type
-                m, n = ladders[i][k], ladders[j][k]
-                return _fail(f"({a.label}, {b.label}) share K-type "
-                             f"{format_weight(_canonical_rung(r, a, m))} "
-                             f"at rungs m={m}, n={n}")
-            notes.append(f"({a.label},{b.label}): {sep}")
-    return _pass(f"count {count} as expected; pairwise disjoint "
-                 f"through rung {RUNG_SWEEP}; separators: " + "; ".join(notes))
+    for (a, ka), (b, kb) in combinations(zip(r.modules, _ladder_keys(r)), 2):
+        if meet := _ladders_meet(ka, kb):
+            m, n = meet
+            rung = trace_free_canonical(r.space, weight_add(a.mu0, weight_scale(m, a.beta)))
+            return _fail(f"({a.label}, {b.label}) share K-type "
+                         f"{format_weight(rung)} at rungs m={m}, n={n}")
+    return _pass(f"count {count} as expected; ladders never meet (exact, all rungs)")
 
 
 def _check_complex_beta(r: RealFormRecord, config: VerifyConfig):

@@ -41,8 +41,7 @@ Humphreys, Reflection Groups and Coxeter Groups, 1.12): x v sends beta to
 +-beta exactly when x does, so one compare with the packed state of -beta
 on the orbit walk finds the -beta coset, and each candidate x is one check
 of the definition on the W_beta walk, through forms compiled to their
-nonzero terms (see _nonnegative).  group_order counts fundamental-weight
-orbits instead, without decoding a state.
+nonzero terms (see _nonnegative).
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -69,7 +68,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction as Q
-from itertools import count, product
+from itertools import product
 from math import gcd, prod
 from operator import mul
 
@@ -264,11 +263,9 @@ class _Orbit(namedtuple("_Orbit", ["rs", "rank", "blocks", "width", "root"])):
 
 def _orbit(rs: RootSystem, tracked: tuple[tuple[int, ...], ...] = (),
            start: tuple[int, ...] | None = None) -> _Orbit:
-    """The walk of the dominant point with labels `start` on the first n =
-    len(start) simple roots, under the parabolic subgroup they generate,
-    carrying the tracked blocks (labels on the same n coroots, see
-    coroot_labels); by default the regular 2*rho under W(rs), one point per
-    element."""
+    """The walk of the dominant point with labels `start` under W(rs),
+    carrying the tracked blocks (labels on the same coroots, see
+    coroot_labels); by default the regular 2*rho, one point per element."""
     if start is None:
         start = (2,) * rs.rank
     blocks = (start, *tracked)
@@ -276,7 +273,7 @@ def _orbit(rs: RootSystem, tracked: tuple[tuple[int, ...], ...] = (),
     bias = 1 << width - 1
     root = sum((c + bias) << width * (j * len(blocks) + t)
                for t, b in enumerate(blocks) for j, c in enumerate(b))
-    return _Orbit(rs, len(start), len(blocks), width, root)
+    return _Orbit(rs, rs.rank, len(blocks), width, root)
 
 
 def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
@@ -307,7 +304,7 @@ def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
 
     The first descent of the child s_i u is i: the reflection makes label i
     negative and the child rule keeps every earlier one nonnegative.  So a
-    node reads its first descent off the head of its path (n at the root)
+    node reads its first descent off the head of its path (rank at the root)
     and never scans its labels.  Below it no label is negative, and
     reflecting by such an i only raises the labels of its neighbours, so
     every i there with a nonzero label (all, on a regular orbit) gives a
@@ -322,8 +319,7 @@ def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
     bias = 1 << k - 1
     gmask = (1 << step) - 1
     gbias = sum(bias << k * t for t in range(nb))
-    # R_i over the Cartan rows of the first `rank` nodes, a principal submatrix
-    rows = [sum(a << step * j for j, a in row if j < rank) for row in rs.cartan_rows[:rank]]
+    rows = [sum(a << step * j for j, a in row) for row in rs.cartan_rows]
     # letter i: the field of label i in block 0, that field at label 0, the
     # shift to label i's fields, and R_i
     letter = [(i, (1 << k) - 1 << step * i, bias << step * i, step * i, rows[i])
@@ -333,8 +329,8 @@ def _survivors(orbit: _Orbit, tests) -> list[list[list[Mirror]]]:
     # f = rank)
     free = [letter[:f] for f in range(rank + 1)]
     tested = [[letter[i] + (sum(bias << step * j for j in range(f, i)),)
-               for i, _ in row if f < i < rank]
-              for f, row in enumerate(rs.cartan_rows[:rank])] + [[]]
+               for i, _ in row if f < i]
+              for f, row in enumerate(rs.cartan_rows)] + [[]]
     found: list[list[list[Mirror]]] = [[] for _ in tests]
     checked = list(zip(tests, found))
     # a path is (letter index, parent path), None at the root
@@ -387,22 +383,6 @@ def _require_within(order: int, budget: int, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # group orders and longest elements
-
-
-def group_order(rs: RootSystem) -> int:
-    """|W(rs)| by orbit-stabilizer over the chain of first-n parabolics: in
-    the parabolic of the first n nodes, the n-th fundamental weight, labels
-    (0, ..., 0, 1), has the parabolic of the first n - 1 as its stabilizer
-    (Chevalley's lemma, Humphreys, Reflection Groups and Coxeter Groups,
-    1.12).  Callers read RootSystem.order, which counts once per system."""
-    order = 1
-    for n in range(1, rs.rank + 1):
-        # the check counts each state and keeps none
-        seen = count()
-        orbit = _orbit(rs, (), (0,) * (n - 1) + (1,))
-        _survivors(orbit, [lambda state: next(seen) < 0])
-        order *= next(seen)
-    return order
 
 
 def type_label(rs: RootSystem) -> str:

@@ -3,19 +3,22 @@ rational coordinates, as the textbook formulas write them.  The package
 builds root systems, reflects vectors, pairs them with coroots and holds
 Weyl elements on integer images instead, and never applies an element
 matrix; tests compare it against these, and count the calls into
-fractions.py that a run makes (fraction_calls).  The package counts Weyl
-group orders by orbit-stabilizer; height_partition_order reads them off
-the root heights instead, and orbit_size walks the whole group."""
+fractions.py that a run makes (fraction_calls).  The package reads Weyl
+group orders off the root heights; height_partition_order does so on
+heights solved in Fractions, parabolic_chain_order counts them by
+orbit-stabilizer on the package's kernel, and orbit_size walks the whole
+group."""
 
 import fractions
 import sys
 from collections import Counter
+from itertools import count
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import add, mul
 
-from minrep import weyl
+from minrep import rootsys, weyl
 from minrep.linalg import integer_images
 from minrep.rootsys import (
     Weight,
@@ -163,6 +166,24 @@ def height_partition_order(rs):
     order = 1
     for k in n:
         order *= (k + 1) ** (n[k] - n[k + 1])
+    return order
+
+
+def parabolic_chain_order(rs):
+    """|W(rs)| by orbit-stabilizer over the chain of first-n parabolics: in
+    the parabolic of the first n nodes, built as its own system, the point
+    with labels (0, ..., 0, 1) has the parabolic of the first n - 1 as its
+    stabilizer (Chevalley's lemma, Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12).  Each orbit is walked by the package's kernel, whose
+    check counts each state and keeps none."""
+    order = 1
+    for n in range(1, rs.rank + 1):
+        sub = rootsys.from_simple(f"{rs.label}[:{n}]", "sub", rs.ambient, rs.scale,
+                                  list(rs.simple_images[:n]))
+        seen = count()
+        orbit = weyl._orbit(sub, (), (0,) * (n - 1) + (1,))
+        weyl._survivors(orbit, [lambda state: next(seen) < 0])
+        order *= next(seen)
     return order
 
 

@@ -27,7 +27,6 @@ from minrep.rootsys import (
 from minrep.verify import VerifyConfig, run_check
 from minrep.weyl import (
     apply,
-    group_order,
     line_preservers,
     word,
 )
@@ -234,25 +233,23 @@ def test_p_dimension_passes_on_every_record_with_summands():
 
 
 # ---------------------------------------------------------------------------
-# 6. module counts with symbolic disjointness certificates
+# 6. module counts with exact disjointness certificates
 
 
 def test_counts_and_separators():
+    # every pair of ladders is decided exactly, for all rungs
     for r in all_default_records():
         report = run_check("count_and_disjoint", r)
         assert report.status == "pass", (r.name, report.evidence)
         if r.family == "sp_R":
             assert len(r.modules) == 4
-            assert "congruence" in report.evidence
-            assert "sign" in report.evidence
-        elif r.family == "sp_C":
+        elif r.family == "sp_C" or r.hermitian:
             assert len(r.modules) == 2
-            assert "parity" in report.evidence
-        elif r.hermitian:
-            assert len(r.modules) == 2
-            assert "sign" in report.evidence
         else:
             assert len(r.modules) in (0, 1)
+            continue
+        assert report.evidence == (f"count {len(r.modules)} as expected; "
+                                   "ladders never meet (exact, all rungs)")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +279,7 @@ def test_structural_properties():
     # enumerated group orders match the closed forms
     for label, order in GROUP_ORDERS.items():
         rs = make_root_system(label)
-        assert group_order(rs) == order, label
+        assert rs.order == order, label
         assert orbit_size(rs) == order, label
 
     # canonicalization is idempotent and dominance-stable

@@ -1,9 +1,12 @@
 """Byte-for-byte pins of the CLI output.
 
 Each file in tests/golden/ is the stdout of one command line below.  The
-`verify` and `table` files were written by the code before the Weyl
-enumerations shared one kernel, the `weyl` files before the per-system
-data moved onto RootSystem, `verify_brute_default_w0_unique.md` by the
+`table` files were written by the code before the Weyl enumerations
+shared one kernel, `verify.md` and `verify_budget.json` by the code that
+first solved exactly for the rungs where two ladders meet (in place of
+three hand-picked separators and a 50-rung sweep), the `weyl` files
+before the per-system data moved onto RootSystem,
+`verify_brute_default_w0_unique.md` by the
 brute search that visited every element of W_K,
 `verify_brute_w0_unique.json` by the brute search that walked the orbit
 of the last fundamental weight times its stabilizer,
@@ -53,7 +56,7 @@ CASES.update({f"weyl_longest_{label}.txt": ["weyl", "longest", label]
               for label in ALL_LABELS})
 CASES.update({
     "weyl_order_F4.txt": ["weyl", "order", "F4"],
-    # counted by orbit-stabilizer, like every order; the group is never walked
+    # read off the root heights, like every order; the group is never walked
     "weyl_order_E8.txt": ["weyl", "order", "E8"],
     # at the rank cap, written before the positive roots were generated
     "weyl_order_D16.txt": ["weyl", "order", "D16"],

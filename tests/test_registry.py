@@ -604,6 +604,25 @@ def test_load_refuses_a_file_of_the_wrong_shape(edit, message):
         load(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("p_summands", None, "p_summands must be an array, got None"),
+    ("modules", None, "modules must be an array, got None"),
+    ("g_complex", None, "g_complex must be an array, got None"),
+    ("k_factors", 3, "k_factors must be an array, got 3"),
+    ("params", 3, "params must be an array, got 3"),
+    ("modules", [3], "module must be an object, got 3"),
+])
+def test_load_names_the_field_of_the_wrong_json_type(field, value, message):
+    # each used to escape as Python's own TypeError text ("'NoneType' object
+    # is not iterable", "'int' object is not subscriptable")
+    payload = json.loads(save([find_record("f4(4)")]))
+    payload["records"][0][field] = value
+    with pytest.raises(RegistryFormatError) as info:
+        load(json.dumps(payload))
+    assert str(info.value) == f"record f4(4): {message}"
+    assert "NoneType" not in str(info.value) and "object is not" not in str(info.value)
+
+
 def _e8_8_payload():
     return json.loads(save([find_record("e8(8)")]))
 

@@ -518,7 +518,7 @@ def test_orthogonal_subsystem_makes_no_fraction(label, v):
 def test_a_root_system_is_its_integers():
     assert rootsys.RootSystem._fields == (
         "label", "family", "rank", "ambient", "scale", "positive_images", "simple_images",
-        "supports")
+        "supports", "order")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Check layer: positive runs on fast records, negative controls by
 mutating fixtures, runner determinism and filters."""
 
+import time
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minrep import rootsys, verify, weyl
 from minrep.registry import (
+    FAMILIES,
     MinimalModuleRecord,
     all_default_records,
     find_record,
     g_dimension,
+    instantiate_family,
     joseph_infchar,
     k_dimension,
     load,
@@ -19,6 +24,7 @@ from minrep.registry import (
 )
 from minrep.rootsys import (
     RootSystem,
+    UnsupportedCartanType,
     dot,
     make_root_system,
     mirror,
@@ -39,6 +45,7 @@ from minrep.verify import (
 from minrep.weyl import WeylWord, word
 
 from brute_reference import reference_brute
+from ladder_reference import separator, swept_meetings
 from fraction_reference import (
     all_roots,
     bilinear,
@@ -162,16 +169,16 @@ def test_w0_formula_makes_no_fraction():
 
 
 def test_count_separators_for_the_four_module_record():
+    # the six pairs of sp(2,R) are decided exactly; no invariant is named
     rep = run_check("count_and_disjoint", find_record("sp(2,R)"))
-    assert rep.status == "pass"
-    assert "center-charge sign" in rep.evidence
-    assert "center-charge congruence" in rep.evidence
+    assert (rep.status, rep.evidence) == (
+        "pass", "count 4 as expected; ladders never meet (exact, all rungs)")
 
 
 def test_count_separator_parity_for_the_even_odd_pair():
     rep = run_check("count_and_disjoint", find_record("sp(2,C)"))
-    assert rep.status == "pass"
-    assert "coordinate-sum parity" in rep.evidence
+    assert (rep.status, rep.evidence) == (
+        "pass", "count 2 as expected; ladders never meet (exact, all rungs)")
 
 
 def test_complex_beta_positive():
@@ -302,21 +309,26 @@ def _on_new_systems(records):
 
 
 def test_group_orders_are_counted_once_per_system(monkeypatch):
-    # RootSystem.order keeps each count: the brute run asks for the order of
-    # every record's K, and a K factor type recurs across records
-    counted = Counter()
-    real = weyl.group_order
+    # RootSystem.order is read off the root heights when a system is built:
+    # the brute run asks for the order of every record's K, and a K factor
+    # type recurs across records, yet it builds only the beta subsystems,
+    # each once
+    records = _on_new_systems(all_default_records())
+    factors = {rs.label for r in records for rs in r.space.factors}
+    built = Counter()
+    real = weyl.from_simple
 
-    def counting(rs):
-        counted[rs.label] += 1
-        return real(rs)
+    def counting(label, family, ambient, scale, simple):
+        built[label, tuple(simple)] += 1
+        return real(label, family, ambient, scale, simple)
 
-    monkeypatch.setattr(weyl, "group_order", counting)
-    reports = run_all(_on_new_systems(all_default_records()), checks=["w0_unique"],
+    monkeypatch.setattr(weyl, "from_simple", counting)
+    reports = run_all(records, checks=["w0_unique"],
                       config=VerifyConfig(strategy="brute", budget=10 ** 6))
     assert [rep.status for rep in reports].count("pass") == 20
-    assert len(counted) == 19
-    assert set(counted.values()) == {1}
+    assert all(label.endswith("-perp") for label, _ in built)
+    assert {label.removesuffix("-perp") for label, _ in built} <= factors
+    assert set(built.values()) == {1}, built
 
 
 def test_chamber_coset_elements_reuse_the_longest_product(monkeypatch):
@@ -510,10 +522,12 @@ def test_count_fails_on_a_record_the_paper_table_lacks():
 
 
 def test_disjointness_control_without_separator():
+    # a module and its clone meet at the bottom rung
     r = find_record("sp(2,C)")
     clone = r.modules[0]._replace(label="clone")
     rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
-    assert rep.status == "fail" and "no symbolic separator" in rep.evidence
+    assert (rep.status, rep.evidence) == (
+        "fail", "(even, clone) share K-type 0 at rungs m=0, n=0")
 
 
 def shared_rung_mutant():
@@ -535,34 +549,171 @@ def test_disjointness_control_with_a_shared_rung():
         "fail", "(weil-even, weil-odd) share K-type ((1,-1); 1) at rungs m=1, n=0")
 
 
-def test_disjointness_names_a_shared_rung_of_two_equal_modules(monkeypatch):
-    # no separator refuses the pair first, and every rung is shared: the
-    # least key is the bottom one
-    r = find_record("sp(2,C)")
-    clone = r.modules[0]._replace(label="clone")
-    monkeypatch.setattr(verify, "_separator", lambda *args: "stubbed")
-    rep = run_check("count_and_disjoint", mutate(r, modules=(r.modules[0], clone)))
+def test_disjointness_names_a_shared_rung_of_two_equal_modules():
+    # every rung is shared: the least pair is the bottom one, named as its
+    # K-type with the trace of the A1 block projected out
+    r = find_record("sp(2,R)")
+    even, even_c, odd, _ = r.modules
+    rep = run_check("count_and_disjoint",
+                    mutate(r, modules=(even, even_c, odd, odd._replace(label="clone"))))
     assert (rep.status, rep.evidence) == (
-        "fail", "(even, clone) share K-type 0 at rungs m=0, n=0")
+        "fail", "(weil-odd, clone) share K-type ((1/2,-1/2); 1) at rungs m=0, n=0")
+
+
+def _meetings_match_the_reference(r) -> int:
+    """Compare, on each module pair of r, the exact meeting with the old
+    certificate (tests/ladder_reference.py): the least rung pair of the
+    sweep, m first, and the verdict, a pass exactly when a separator
+    applies and the sweep finds nothing.  Returns the number of pairs that
+    meet."""
+    shared = 0
+    for (a, ka), (b, kb) in combinations(zip(r.modules, verify._ladder_keys(r)), 2):
+        meet = verify._ladders_meet(ka, kb)
+        swept = swept_meetings(r, a, b)
+        assert meet == min(swept, default=None), (r.name, a.label, b.label)
+        assert (meet is None) == (separator(r, a, b) is not None and not swept), r.name
+        shared += meet is not None
+    return shared
 
 
 def test_integer_ladders_meet_where_the_fraction_ladders_do():
-    def meets(x, y):
-        return {(x[k], y[k]) for k in x.keys() & y.keys()}
-
     records = list(all_default_records()) + [shared_rung_mutant()]
     assert len(records) == 52
-    shared = 0
-    for r in records:
-        ints = verify._ladder_keys(r)
-        fracs = [{verify._canonical_rung(r, m, n): n for n in range(verify.RUNG_SWEEP + 1)}
-                 for m in r.modules]
-        assert len(ints) == len(fracs)
-        for i in range(len(fracs)):
-            for j in range(i, len(fracs)):
-                assert meets(ints[i], ints[j]) == meets(fracs[i], fracs[j]), r.name
-                shared += i < j and bool(meets(fracs[i], fracs[j]))
-    assert shared == 1
+    assert sum(map(_meetings_match_the_reference, records)) == 1
+
+
+def _family_members(max_rank: int) -> list:
+    """Every instance of every family whose g has rank at most max_rank; no
+    family has one with a parameter above 2 max_rank + 1 (so(n) at
+    n = 2 max_rank + 1 is the last)."""
+    members = []
+    for fam in FAMILIES.values():
+        for params in product(range(1, 2 * max_rank + 2), repeat=len(fam.defaults[0])):
+            if not fam.accepts(*params):
+                continue
+            try:
+                r = instantiate_family(fam.family_id, params)
+            except UnsupportedCartanType:
+                continue
+            if sum(make_root_system(t).rank for t in r.g_complex) <= max_rank:
+                members.append(r)
+    return members
+
+
+def test_family_ladders_meet_where_the_reference_says():
+    start = time.perf_counter()
+    members = _family_members(8)
+    assert len([r for r in members if len(r.modules) >= 2]) == 26
+    assert sum(map(_meetings_match_the_reference, members)) == 0
+    assert time.perf_counter() - start < 2
+
+
+def _with_modules(name, *modules):
+    """Record `name` with its modules replaced by (label, mu0, beta)
+    triples, each weight given as (factor vectors, center)."""
+    r = find_record(name)
+    return mutate(r, modules=tuple(
+        MinimalModuleRecord(label, weight(r.space, *mu0[0], center=mu0[1]),
+                            weight(r.space, *beta[0], center=beta[1]))
+        for label, mu0, beta in modules))
+
+
+def _disjointness(r):
+    rep = run_check("count_and_disjoint", r)
+    return rep.status, rep.evidence
+
+
+EXACT = "ladders never meet (exact, all rungs)"
+
+
+def test_ladders_that_meet_past_the_sweep_fail():
+    # the center-charge congruence separator assumed an integral charge
+    # step; at step 1/2 it cleared these ladders, which first meet at rung
+    # 51 of weil-even, one past the sweep
+    r = find_record("sp(2,R)")
+    even, even_c, odd, odd_c = r.modules
+    beta = weight(r.space, (2, 0), center=(Q(1, 2),))
+    moved = odd._replace(mu0=weight(r.space, (102, 0), center=(26,)), beta=beta)
+    mutant = mutate(r, modules=(even._replace(beta=beta), even_c, moved, odd_c))
+    a, b = mutant.modules[0], mutant.modules[2]
+    assert separator(mutant, a, b) == "center-charge congruence"
+    assert not swept_meetings(mutant, a, b)
+    assert _disjointness(mutant) == (
+        "fail", "(weil-even, weil-odd) share K-type ((51,-51); 26) at rungs m=51, n=0")
+
+
+def test_ladders_no_separator_covers_pass():
+    # odd mu0 = even mu0 + (1,1): one coordinate-sum parity, so no separator
+    # applied, yet the second coordinate never moves
+    r = _with_modules("sp(2,C)", ("even", (((0, 0),), ()), (((2, 0),), ())),
+                      ("odd", (((1, 1),), ()), (((2, 0),), ())))
+    assert separator(r, *r.modules) is None
+    assert _disjointness(r) == ("pass", f"count 2 as expected; {EXACT}")
+
+
+def test_parallel_ladders_meet_through_the_congruence():
+    # steps 4 and 6 on one line, starts 2 apart: 4 m - 6 n = 2 holds on the
+    # class m = 2 mod 3, first at m = 2, n = 1; a start 3 apart, odd, never
+    # meets since gcd(4, 6) = 2
+    meets = _with_modules("sp(2,C)", ("a", (((0, 0),), ()), (((4, 0),), ())),
+                          ("b", (((2, 0),), ()), (((6, 0),), ())))
+    assert _disjointness(meets) == ("fail", "(a, b) share K-type (8,0) at rungs m=2, n=1")
+    apart = _with_modules("sp(2,C)", ("a", (((0, 0),), ()), (((4, 0),), ())),
+                          ("b", (((3, 0),), ()), (((6, 0),), ())))
+    assert _disjointness(apart) == ("pass", f"count 2 as expected; {EXACT}")
+
+
+def test_antiparallel_ladders_meet():
+    # steps 2 and -3 run towards each other: 2 m + 3 n = 10 first holds at
+    # m = 2, n = 2 (then at m = 5, n = 0)
+    r = _with_modules("sp(2,C)", ("up", (((0, 0),), ()), (((2, 0),), ())),
+                      ("down", (((10, 0),), ()), (((-3, 0),), ())))
+    assert _disjointness(r) == ("fail", "(up, down) share K-type (4,0) at rungs m=2, n=2")
+
+
+SWEEP = 60
+
+
+@st.composite
+def ladder_pairs(draw):
+    """Two (start, step) integer keys: steps independent, or parallel or
+    antiparallel (zero included), and half the time a planted meeting."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    start_a = draw(vector)
+    if draw(st.booleans()):
+        u, p, q = draw(vector), draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        step_a, step_b = [p * c for c in u], [q * c for c in u]
+    else:
+        step_a, step_b = draw(vector), draw(vector)
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+        start_b = [x + m * y - n * z for x, y, z in zip(start_a, step_a, step_b)]
+    else:
+        start_b = draw(vector)
+    return (start_a, step_a), (start_b, step_b)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ladder_pairs())
+def test_ladders_meet_at_the_least_swept_rung_pair(pair):
+    a, b = pair
+    meet = verify._ladders_meet(a, b)
+    if meet is not None:
+        m, n = meet
+        assert m >= 0 and n >= 0
+        assert [x + m * y for x, y in zip(*a)] == [x + n * y for x, y in zip(*b)]
+    # brute force: rungs 0..SWEEP of b by key, least n kept, then a's in order
+    rungs_b = {}
+    for n in range(SWEEP + 1):
+        rungs_b.setdefault(tuple([x + n * y for x, y in zip(*b)]), n)
+    swept = next(((m, rungs_b[k]) for m in range(SWEEP + 1)
+                  if (k := tuple([x + m * y for x, y in zip(*a)])) in rungs_b), None)
+    if swept is None:
+        # a meeting past the sweep is one with a rung above it
+        assert meet is None or max(meet) > SWEEP
+    else:
+        assert meet is not None and meet <= swept
 
 
 def test_complex_beta_control():

@@ -3,7 +3,6 @@ enumeration, longest elements, orthogonal subsystems, and the
 line-preserver search on known data."""
 
 import random
-import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
@@ -33,7 +32,6 @@ from minrep.weyl import (
     apply,
     as_element,
     compose,
-    group_order,
     line_preservers,
     longest_element,
     longest_product,
@@ -59,6 +57,7 @@ from fraction_reference import (
     orbit_closure,
     orbit_size,
     pair_coroot,
+    parabolic_chain_order,
     positive_roots,
     reflect,
     vec,
@@ -106,25 +105,21 @@ KERNEL_LABELS = [label for label in ALL_LABELS
 
 @pytest.mark.parametrize("label,order", sorted(CLOSED_FORM_ORDERS.items()))
 def test_group_order_closed_forms(label, order):
-    assert group_order(make_root_system(label)) == order
+    assert make_root_system(label).order == order
 
 
 def test_group_order_matches_root_heights():
-    # orbit-stabilizer on the kernel against Kostant's height partition, on
-    # every buildable type and on each distinct beta-subsystem of the catalog
+    # Kostant's height partition, read off the generated roots, against the
+    # same formula on Fraction heights and against orbit-stabilizer on the
+    # kernel, on every buildable type and on each distinct beta-subsystem of
+    # the catalog
     systems = [make_root_system(label) for label in TYPES]
     systems += dict.fromkeys(sub for r in all_default_records() for m in r.modules
                              for sub in space_beta_subsystems(r.space, m.beta))
     assert len(systems) == 69 + 34
-    orders, seconds = [], 0.0
     for rs in systems:
-        start = time.perf_counter()
-        orders.append(group_order(rs))
-        seconds += time.perf_counter() - start
-        # one at a time, so that a miscount fails before a larger walk
-        assert orders[-1] == height_partition_order(rs), rs.label
-    assert seconds < 2
-    assert [label for label, n in zip(TYPES, orders) if n <= 10 ** 6] == WALKED
+        assert rs.order == height_partition_order(rs) == parabolic_chain_order(rs), rs.label
+    assert [label for label, rs in zip(TYPES, systems) if rs.order <= 10 ** 6] == WALKED
 
 
 @pytest.mark.parametrize("label", WALKED)
@@ -132,7 +127,7 @@ def test_orbit_enumeration_matches_closed_form(label):
     # the whole group, one element per point of the regular orbit
     rs = make_root_system(label)
     order = orbit_size(rs)
-    assert order == group_order(rs)
+    assert order == rs.order
     assert order == CLOSED_FORM_ORDERS.get(label, order)
 
 
@@ -260,7 +255,7 @@ def test_survivors_match_the_reference_kernel(label, blocks):
     assert (weyl._survivors(orbit, [keep, last_positive])
             == reference_survivors(rs, tracked, (reference_keep, lambda state: state[-1] > 0)))
     assert got == want
-    assert len(got) == group_order(rs)
+    assert len(got) == rs.order
 
 
 def test_survivors_at_rank_zero():
@@ -274,7 +269,7 @@ def test_survivors_at_rank_zero():
              lambda state: decoded(orbit, state) == (), lambda state: state == 0]
     assert weyl._survivors(orbit, tests) == [[[]]] * 4
     assert reference_survivors(rs, ((),), [lambda state: state == ()]) == [[[]]]
-    assert group_order(rs) == 1
+    assert rs.order == 1
 
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
@@ -340,7 +335,7 @@ def test_compiled_forms_read_as_the_decoded_labels(label):
 
     weyl._survivors(orbit, [see])
     assert outcomes[True] and outcomes[False]
-    assert sum(outcomes.values()) == len(checks) * group_order(rs)
+    assert sum(outcomes.values()) == len(checks) * rs.order
 
 
 def test_equal_key_with_a_target_outside_the_fields_matches_nothing():
@@ -423,15 +418,18 @@ def test_beta_orbit_words_times_the_stabilizer_walk_give_each_element_once(label
 
 @pytest.mark.parametrize("label", KERNEL_LABELS)
 def test_survivors_walk_orbits_with_zero_labels(label):
-    # from the labels of a fundamental weight, under W and, as group_order
-    # walks them, under the parabolic of the first n nodes from the last
-    # one's weight: one word per point of the Fraction orbit, its state the
-    # point's labels on those n coroots
+    # from the labels of a fundamental weight, under W and, as
+    # parabolic_chain_order walks them, under the parabolic of the first n
+    # nodes, built as its own system, from the last one's weight: one word
+    # per point of the Fraction orbit, its state the point's labels on those
+    # n coroots
     rs = make_root_system(label)
     cases = ([(rs.rank, k) for k in range(rs.rank)]
              + [(n, n - 1) for n in range(1, rs.rank)])
     for n, k in cases:
-        orbit = weyl._orbit(rs, (), tuple(int(j == k) for j in range(n)))
+        walked = rs if n == rs.rank else rootsys.from_simple(
+            "sub", "sub", rs.ambient, rs.scale, list(rs.simple_images[:n]))
+        orbit = weyl._orbit(walked, (), tuple(int(j == k) for j in range(n)))
         states = []
 
         def keep(state):
@@ -453,7 +451,7 @@ def test_survivors_walk_orbits_with_zero_labels(label):
 def test_enumeration_budget_refusal_names_the_order():
     rs = make_root_system("E7")
     with pytest.raises(BudgetExceededError) as info:
-        weyl._require_within(group_order(rs), 10 ** 6, rs.label)
+        weyl._require_within(rs.order, 10 ** 6, rs.label)
     assert "2903040" in str(info.value)
     assert info.value.order == 2903040
 
@@ -701,8 +699,8 @@ def test_per_system_data_is_computed_once(monkeypatch):
 
     def round_on_rs():
         sub = orthogonal_subsystem(rs, rs.highest_root)
-        return (group_order(rs), type_label(rs), longest_element(rs),
-                sub, group_order(sub), type_label(sub), longest_element(sub))
+        return (rs.order, type_label(rs), longest_element(rs),
+                sub, sub.order, type_label(sub), longest_element(sub))
 
     for module in (rootsys, weyl):
         monkeypatch.setattr(module, "from_simple", counting("from_simple", module.from_simple))
@@ -733,7 +731,7 @@ def test_orthogonal_subsystem_a3_inside_c4():
     sub = orthogonal_subsystem(c4, vec(1, 1, 1, 1))
     assert len(all_roots(sub)) == 12
     assert type_label(sub) == "A3"
-    assert group_order(sub) == 24
+    assert sub.order == 24
     assert set(positive_roots(sub)) <= set(positive_roots(c4))
     # closed under its own reflections
     for a in all_roots(sub):
@@ -756,7 +754,7 @@ def test_orthogonal_subsystem_e7_inside_e8():
     sub = orthogonal_subsystem(e8, vec(0, 0, 0, 0, 0, 0, 1, 1))
     assert len(all_roots(sub)) == 126
     assert type_label(sub) == "E7"
-    assert group_order(sub) == 2903040
+    assert sub.order == 2903040
 
 
 def test_orthogonal_subsystem_e6_inside_e7():
@@ -771,11 +769,11 @@ def test_orthogonal_subsystem_can_be_empty_or_everything():
     empty = orthogonal_subsystem(g2, g2.rho)
     assert (empty.rank, empty.ambient, all_roots(empty)) == (0, 3, frozenset())
     assert empty.rho == vec(0, 0, 0)
-    assert group_order(empty) == 1
+    assert empty.order == 1
     assert type_label(empty) == "empty"
     everything = orthogonal_subsystem(g2, vec(0, 0, 0))
     assert all_roots(everything) == all_roots(g2)
-    assert group_order(everything) == 12
+    assert everything.order == 12
 
 
 def test_orthogonal_subsystem_is_one_per_line():
@@ -798,7 +796,7 @@ def test_orthogonal_subsystem_splits_into_components():
     beta = vscale(H, vec(1, 1, 1, 1, -1, -1, -1, -1))
     sub = orthogonal_subsystem(a7, beta)
     assert type_label(sub) == "A3xA3"
-    assert group_order(sub) == 576
+    assert sub.order == 576
 
 
 def test_subgroup_longest_fixes_beta_and_flips_the_subsystem():
@@ -1228,7 +1226,7 @@ def test_lattice_action_matches_fraction_reference(case):
         return True
 
     (words,) = weyl._survivors(orbit, [keep])
-    assert len(words) == group_order(rs)
+    assert len(words) == rs.order
     ref = {(): (v, image)}
     for letters, state in zip(words, states, strict=True):
         key = tuple(letters)
