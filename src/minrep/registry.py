@@ -151,6 +151,8 @@ def validate_record(r: RealFormRecord) -> None:
         _fail(r.name, "no modules exactly when a nonexistence reason is present")
     if r.nonexistence_reason not in (None, REASON_ORBIT, REASON_PARITY):
         _fail(r.name, f"unknown nonexistence reason {r.nonexistence_reason!r}")
+    if not r.g_complex:
+        _fail(r.name, "g_complex names no type")
     for t in r.g_complex:
         make_root_system(t)
     # a weight must have K's shape before anything reads its blocks
@@ -665,8 +667,15 @@ def _weight_json(w: Weight):
 def _weight_parse(obj, where: str) -> Weight:
     if not isinstance(obj, dict) or "factors" not in obj:
         raise RegistryFormatError(f"{where}: expected a weight object")
-    return Weight(tuple(_vector_parse(v, where) for v in obj["factors"]),
+    return Weight(tuple(_vector_parse(v, where)
+                        for v in _list(obj["factors"], where, "weight factors")),
                   _vector_parse(obj.get("center", []), where))
+
+
+def _letter_parse(value, where: str) -> tuple[int, tuple[Q, ...]]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise RegistryFormatError(f"{where}: w0 letter must be [factor, vector], got {value!r}")
+    return _exact_int(value[0], where, "w0 letter factor"), _vector_parse(value[1], where)
 
 
 def _word_json(w: WeylWord):
@@ -761,9 +770,7 @@ def record_from_json(obj: dict, builtins: Callable[[], dict]) -> RealFormRecord:
             nonexistence_reason=obj.get("nonexistence_reason"),
             rho=_weight_parse(obj["rho"], where) if obj.get("rho") is not None else None,
             xi0=_weight_parse(obj["xi0"], where) if obj.get("xi0") is not None else None,
-            w0=word(space, [(_exact_int(f, where, "w0 letter factor"),
-                             _vector_parse(v, where))
-                            for f, v in _list(w0, where, "w0")])
+            w0=word(space, [_letter_parse(l, where) for l in _list(w0, where, "w0")])
             if w0 is not None else None,
             infchar=tuple(_vector_parse(pat, where)
                           for pat in _list(infchar, where, "infchar"))

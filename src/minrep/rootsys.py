@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import add, mul
 
-from .linalg import Matrix, integer_images
+from .linalg import integer_images
 
 Vector = tuple[Q, ...]
 IntVector = tuple[int, ...]
@@ -270,11 +270,6 @@ class RootSystem(namedtuple("RootSystem", ["label", "family", "rank", "ambient",
     @cached_property
     def perp(self) -> dict[IntVector, RootSystem]:
         """weyl.orthogonal_subsystem's results so far, by line (see there)."""
-        return {}
-
-    @cached_property
-    def flips(self) -> dict[RootSystem, Matrix]:
-        """weyl.longest_product's blocks on this system so far, by subsystem."""
         return {}
 
     def descend(self, labels: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -301,7 +301,9 @@ def _check_same_line(r: RealFormRecord, config: VerifyConfig):
 def _check_period(r: RealFormRecord, config: VerifyConfig):
     if not r.modules:
         return _skip(SKIP_NO_MODULES)
-    expected = Q(1, 2) if r.family in ("sp_R", "sp_C") else Q(1)
+    # 1/2 exactly on sp(n,R) and sp(n,C), the g of type C with modules
+    half = r.g_complex[0].startswith("C")
+    expected = Q(1, 2) if half else Q(1)
     for beta in _module_betas(r):
         try:
             period = lattice_period(r.space, beta)
@@ -310,7 +312,7 @@ def _check_period(r: RealFormRecord, config: VerifyConfig):
         if period != expected:
             return _fail(f"lattice period of the {format_weight(beta)} ladder "
                          f"is {format_q(period)}, expected {format_q(expected)}")
-    tag = f" (family {r.family})" if r.family in ("sp_R", "sp_C") else ""
+    tag = f" (family {r.family})" if half and r.family is not None else ""
     return _pass(f"lattice period {format_q(expected)}{tag}")
 
 

@@ -31,11 +31,12 @@ coroots are at most 6 in absolute value (Bourbaki, Lie Groups and Lie
 Algebras, ch. VI, plates I-IX: the highest coroot of E8 has the largest),
 so every label of the orbit is at most 6 sum_i |l_i| for l the labels of
 v.  A test is a check on the packed state, or None for every state; each
-survivor's word is its path from the root read backwards.  The parabolic
-stabilizers of the default "chamber" line-preserver strategy (trivial on
-the whole catalog) and the beta stabilizer W_beta of "brute" walk 2*rho,
-and the word of every survivor of the two is checked against the
-definition.  "brute" covers W as the words x of the orbit of beta times
+survivor's word is its path from the root read backwards.  The
+stabilizer Q of xi0 in W_beta of the default "chamber" line-preserver
+strategy (of rank 0, one empty word, on the whole catalog) and the beta
+stabilizer W_beta of "brute" walk 2*rho.  Both strategies return words,
+and line_preservers checks each against the definition before it makes
+the elements.  "brute" covers W as the words x of the orbit of beta times
 W_beta, the group of the roots orthogonal to beta (Chevalley's lemma,
 Humphreys, Reflection Groups and Coxeter Groups, 1.12): x v sends beta to
 +-beta exactly when x does, so one compare with the packed state of -beta
@@ -442,19 +443,10 @@ def space_beta_subsystems(space: KSpace, beta: Weight) -> tuple[RootSystem, ...]
 
 def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
     """The element w_l w_subs,l: the longest element of W after the longest
-    element of each factor's subsystem group.  A factor's block is the
-    matrix of one word, the two cascades (see _longest_words) one after the
-    other, at most rank(rs) + rank(sub) letters; it is made once per
-    subsystem and kept on the factor (RootSystem.flips): w0_formula and
-    chamber's coset branch of one record both read it."""
-    blocks = []
-    for rs, sub in zip(space.factors, subs, strict=True):
-        block = rs.flips.get(sub)
-        if block is None:
-            wl, wsub = _longest_words((rs, sub))
-            block = rs.flips[sub] = _matrix(rs, wl + wsub)
-        blocks.append(block)
-    return WeylElement(tuple(blocks), _scales(space.factors))
+    element of each factor's subsystem group, each the element of its
+    cascade word (see _longest_words)."""
+    return compose(_element(space, _longest_words(space.factors)),
+                   _element(space, _longest_words(subs)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +506,7 @@ def _flipping_longest(space: KSpace, beta: Weight) -> list[list[Mirror]] | None:
 
 
 class SelfCheckError(RuntimeError):
-    """A closed-form survivor failed the line-preserver definition."""
+    """A strategy's survivor word failed the line-preserver definition."""
 
 
 def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
@@ -523,10 +515,11 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
     """All w with w(beta) on the beta line (either sign) such that every
     positive root orthogonal to w(beta) pairs nonnegatively with w(xi0).
 
-    "chamber" writes the answer down in closed form and checks each
-    survivor against this definition; "brute" (the orbit of beta, one word
-    per coset of the stabilizer W_beta, times one walk of W_beta) certifies
-    it by enumeration.
+    A strategy returns survivor words only, as branches (see _elements):
+    those fixing beta, then those negating it.  "chamber" writes them in
+    closed form; "brute" (the orbit of beta, one word per coset of the
+    stabilizer W_beta, times one walk of W_beta) enumerates them.  Each
+    word is checked against this definition before it becomes an element.
     """
     conform(space, beta)
     conform(space, xi0)
@@ -538,7 +531,9 @@ def line_preservers(space: KSpace, beta: Weight, xi0: Weight,
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of "
                          + ", ".join(repr(s) for s in STRATEGIES))
-    return _STRATEGIES[strategy](space, beta, xi0, budget)
+    branches = _STRATEGIES[strategy](space, beta, xi0, budget)
+    _self_checked(space, beta, xi0, branches, strategy)
+    return _elements(space.factors, branches)
 
 
 def _line_preservers_chamber(space, beta, xi0, budget):
@@ -553,36 +548,24 @@ def _line_preservers_chamber(space, beta, xi0, budget):
     # with xi_dom = u0(xi0); any other satisfies u(xi0) = xi_dom, so the
     # survivors are u0 Q with Q = Stab(xi0), which by the same lemma is
     # generated by the reflections in the roots of Delta_beta orthogonal to
-    # xi0 (orthogonal_subsystem).
+    # xi0 (orthogonal_subsystem; of rank 0, with one empty word, when none is).
     # In the coset w_l u, u(xi0) must be antidominant for Delta_beta+, which
     # the longest element w_beta,l of W_beta turns into the plus condition:
     # the survivors are w_l w_beta,l u0 Q.
-    # Q is trivial unless xi_dom has a label 0 (the same lemma), so it is
-    # built only when it has.
     subs = space_beta_subsystems(space, beta)
-    u0: list[list[Mirror]] = []
-    stabilizers: list[RootSystem | None] = []
-    for sub, xi_f in zip(subs, xi0.factors):
-        descent, labels = sub.descend(coroot_labels(sub, xi_f)[1])
-        u0.append([sub.simple_mirrors[i] for i in reversed(descent)])
-        stabilizers.append(orthogonal_subsystem(sub, xi_f) if 0 in labels else None)
-    _require_within(prod(q.order for q in stabilizers if q is not None),
-                    budget, "the stabilizer of xi0 in W_beta")
-    plus = [[u] if q is None else
-            [u + w for w in _survivors(_orbit(q), [None])[0]]
-            for q, u in zip(stabilizers, u0)]
-    branches = [plus]
+    stabilizers = [orthogonal_subsystem(sub, xi_f) for sub, xi_f in zip(subs, xi0.factors)]
+    _require_within(prod(q.order for q in stabilizers), budget,
+                    "the stabilizer of xi0 in W_beta")
+    plus = []
+    for sub, q, xi_f in zip(subs, stabilizers, xi0.factors):
+        descent, _ = sub.descend(coroot_labels(sub, xi_f)[1])
+        u0 = [sub.simple_mirrors[i] for i in reversed(descent)]
+        plus.append([u0 + w for w in _survivors(_orbit(q), [None])[0]])
     wl = _flipping_longest(space, beta)
-    if wl is not None:
-        branches.append([[prefix + wbl + w for w in words]
-                         for prefix, wbl, words in zip(wl, _longest_words(subs), plus)])
-    _self_checked(space, beta, xi0, branches, "chamber")
-    kept = _elements(space.factors, [plus])
     if wl is None:
-        return kept
-    # every coset word starts with w_l w_beta,l, whose element is kept
-    flip = longest_product(space, subs)
-    return kept | {compose(flip, el) for el in kept}
+        return [plus]
+    return [plus, [[prefix + wbl + w for w in words]
+                   for prefix, wbl, words in zip(wl, _longest_words(subs), plus)]]
 
 
 def _self_checked(space, beta, xi0, branches, strategy):
@@ -647,8 +630,7 @@ def _line_preservers_brute(space, beta, xi0, budget):
         kept, *flipped = _survivors(walk, tests)
         plus.append(kept)
         minus.append([x + v for x, found in zip(flips, flipped) for v in found])
-    _self_checked(space, beta, xi0, (plus, minus), "brute")
-    return _elements(space.factors, (plus, minus))
+    return plus, minus
 
 
 _STRATEGIES = {"chamber": _line_preservers_chamber, "brute": _line_preservers_brute}

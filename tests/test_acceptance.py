@@ -337,7 +337,7 @@ def _mutators():
         "w0_formula": ("e8(8)", bad_w0),
         "w0_unique": ("g2(2)", lambda r: r._replace(w0=word(r.space, [(0, (2, -2))]))),
         "same_line": ("e8(8)", bad_w0),
-        "period": ("e7(7)", lambda r: r._replace(family="sp_R")),
+        "period": ("e7(7)", lambda r: r._replace(g_complex=("C7",))),
         "count_and_disjoint": ("e8(8)", bad_count),
         "complex_beta": ("g2(C)", lambda r: r._replace(modules=(
             r.modules[0]._replace(beta=r.modules[0].beta._replace(

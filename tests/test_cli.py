@@ -57,8 +57,8 @@ def test_verify_json_shape(capsys):
        st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_verify_json_is_the_indented_json_dump(reports, with_timings):
-    # the report is laid out by hand; its bytes are json.dumps(indent=2)'s,
-    # escapes and the empty list included
+    # the report's bytes are json.dumps(indent=2)'s, escapes and the empty
+    # list included
     payload = {
         "schema": "minrep-verify/1",
         "overall": suite_status(reports),

@@ -398,6 +398,8 @@ def test_validate_rejects_wrong_null_half():
     # climbing p+ with a charge that says so, but with the beta of p-
     (_first_module(E6_14, null_half="p+", mu0=E6_14.modules[0].mu0._replace(center=(-4,))),
      "module positive: beta climbs the wrong half"),
+    # period reads the type of g's first component
+    (SO44._replace(g_complex=(), infchar=()), "g_complex names no type"),
 ])
 def test_validate_refuses_each_malformed_record(record, message):
     with pytest.raises(RegistryValidationError, match=rf"^record [^:]+: {message}"):
@@ -621,6 +623,30 @@ def test_load_names_the_field_of_the_wrong_json_type(field, value, message):
         load(json.dumps(payload))
     assert str(info.value) == f"record f4(4): {message}"
     assert "NoneType" not in str(info.value) and "object is not" not in str(info.value)
+
+
+def _bad_mu0_factors(record):
+    record["modules"][0]["mu0"]["factors"] = 3
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_bad_mu0_factors, "weight factors must be an array, got 3"),
+    (lambda record: record.update(w0=[3]), "w0 letter must be [factor, vector], got 3"),
+    (lambda record: record.update(w0=[[0]]),
+     "w0 letter must be [factor, vector], got [0]"),
+    (lambda record: record.update(w0=[[0, ["1", "0", "0"], 0]]),
+     "w0 letter must be [factor, vector], got [0, ['1', '0', '0'], 0]"),
+], ids=["mu0-factors", "w0-letter-int", "w0-letter-short", "w0-letter-long"])
+def test_load_names_the_weight_or_letter_of_the_wrong_shape(edit, message):
+    # each used to escape as Python's own text ("'int' object is not
+    # iterable", "cannot unpack non-iterable int object", "not enough
+    # values to unpack", "too many values to unpack")
+    payload = json.loads(save([find_record("f4(4)")]))
+    edit(payload["records"][0])
+    with pytest.raises(RegistryFormatError) as info:
+        load(json.dumps(payload))
+    assert str(info.value) == f"record f4(4): {message}"
+    assert "unpack" not in str(info.value) and "not iterable" not in str(info.value)
 
 
 def _e8_8_payload():

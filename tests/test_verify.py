@@ -1,6 +1,7 @@
 """Check layer: positive runs on fast records, negative controls by
 mutating fixtures, runner determinism and filters."""
 
+import json
 import time
 from collections import Counter
 from fractions import Fraction as Q
@@ -282,6 +283,35 @@ def test_w0_unique_fails_on_a_survivor_word_that_breaks_the_definition(
     assert rep.evidence.endswith(f"(strategy {strategy})")
 
 
+@pytest.mark.parametrize("strategy", weyl.STRATEGIES)
+def test_every_line_preserver_comes_from_a_checked_word(monkeypatch, strategy):
+    # line_preservers is the one path from words to elements: the branches
+    # a strategy returns are checked once, and the elements are exactly
+    # theirs, so no element reaches w0_unique unless its word was checked
+    seen, runs = [], []
+    real_check, real_preservers = weyl._self_checked, verify.line_preservers
+
+    def recording_check(space, beta, xi0, branches, name):
+        seen.append((space, branches))
+        return real_check(space, beta, xi0, branches, name)
+
+    def recording(space, *args, **kwargs):
+        before = len(seen)
+        out = real_preservers(space, *args, **kwargs)
+        runs.append((out, seen[before:]))
+        return out
+
+    monkeypatch.setattr(weyl, "_self_checked", recording_check)
+    monkeypatch.setattr(verify, "line_preservers", recording)
+    reports = run_all(checks=["w0_unique"],
+                      config=VerifyConfig(strategy=strategy, budget=10 ** 6))
+    assert "fail" not in {rep.status for rep in reports}
+    assert len(runs) >= 20
+    for out, checked in runs:
+        ((space, branches),) = checked
+        assert out == weyl._elements(space.factors, branches)
+
+
 def test_kept_weyl_data_does_not_carry_a_verdict_to_another_record():
     # the Weyl layer keeps data per root system, and a mutant shares its
     # systems (and its name) with the record it came from: whatever ran
@@ -331,12 +361,12 @@ def test_group_orders_are_counted_once_per_system(monkeypatch):
     assert set(built.values()) == {1}, built
 
 
-def test_chamber_coset_elements_reuse_the_longest_product(monkeypatch):
-    # w0_formula multiplies out w_l w_beta,l once per factor from the two
-    # cascades, so no element matrix is reflected through more than
-    # rank(K) + rank(K_beta) letters (C4 and A3 here: 4 + 2 cascade letters,
-    # where a reduced w_l alone has 16); w0_unique's coset branch then
-    # composes its elements from the block that w0_formula kept
+def test_chamber_coset_words_are_the_two_cascades(monkeypatch):
+    # w0_formula multiplies the element of w_l's cascade by that of
+    # w_beta,l's (C4 and A3 here: 4 and 2 letters, where a reduced w_l alone
+    # has 16); w0_unique composes nothing, and its coset word is the two
+    # cascades one after the other, so no element matrix is reflected
+    # through more than rank(K) + rank(K_beta) letters
     (r,) = _on_new_systems([find_record("e6(6)")])
     (rs,) = r.space.factors
     (sub,) = weyl.space_beta_subsystems(r.space, verify._module_betas(r)[0])
@@ -356,19 +386,22 @@ def test_chamber_coset_elements_reuse_the_longest_product(monkeypatch):
     monkeypatch.setattr(weyl, "_matrix", recording)
     monkeypatch.setattr(weyl, "compose", recording_compose)
     assert run_check("w0_formula", r).status == "pass"
+    assert list(rs.cascade) in calls and list(sub.cascade) in calls
+    assert (len(rs.cascade), len(sub.cascade)) == (4, 2)
+    assert composed
+    calls.clear()
+    composed.clear()
+    assert run_check("w0_unique", r).status == "pass"
     assert list(rs.cascade) + list(sub.cascade) in calls
     assert max(map(len, calls)) <= bound == 7
-    flip = rs.flips[sub]
-    calls.clear()
-    assert run_check("w0_unique", r).status == "pass"
-    assert calls and max(map(len, calls)) <= bound
-    assert composed and all(a.blocks[0] is flip for a in composed)
+    assert composed == []
 
 
 def test_checks_never_read_a_reduced_longest_word(monkeypatch):
     # every longest element the checks use is a cascade word: on newly built
-    # systems the catalog run reflects at most 2,500 lattice images (8,263
-    # with reduced longest words), and no strategy reads longest_word
+    # systems the catalog run reflects at most 3,000 lattice images (2,880,
+    # against 13,894 with reduced longest words), and no strategy reads
+    # longest_word
     def refuse(rs):
         raise AssertionError(f"longest_word read on {rs.label}")
 
@@ -384,7 +417,7 @@ def test_checks_never_read_a_reduced_longest_word(monkeypatch):
     budget = VerifyConfig(budget=10 ** 6)
     reports = run_all(_on_new_systems(all_default_records()), config=budget)
     assert suite_status(reports) == "pass"
-    assert reflected["calls"] <= 2500
+    assert reflected["calls"] <= 3000
     for strategy in weyl.STRATEGIES:
         config = budget._replace(strategy=strategy)
         reports = run_all(_on_new_systems(all_default_records()), checks=["w0_unique"],
@@ -414,7 +447,9 @@ def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     def counting_subsystem(rs, v):
         before = len(builds)
         out = real_subsystem(rs, v)
-        per_key[all_roots(rs), _line(v)] += len(builds) - before
+        # rank-0 systems share their (empty) root set, so the label tells
+        # them apart: A1d-perp and D2-perp each build Q for the zero vector
+        per_key[rs.label, all_roots(rs), _line(v)] += len(builds) - before
         return out
 
     monkeypatch.setattr(weyl, "from_simple", counting_build)
@@ -422,8 +457,8 @@ def test_one_subsystem_build_per_root_set_and_vector(monkeypatch):
     reports = run_all(_on_new_systems(all_default_records()),
                       checks=["w0_formula", "w0_unique"])
     assert suite_status(reports) == "pass"
-    # w0_formula and w0_unique ask for the same subsystems; each line's is
-    # built once
+    # w0_formula and w0_unique ask for the same subsystems; each system's
+    # is built once per line
     assert len(builds) == sum(per_key.values()) == len(per_key) >= 20
 
 
@@ -488,8 +523,23 @@ def test_same_line_control():
 
 
 def test_period_control():
-    rep = run_check("period", mutate(find_record("e7(7)"), family="sp_R"))
+    # the expected period is read off the complexification, not the family
+    rep = run_check("period", mutate(find_record("e7(7)"), g_complex=("C7",)))
     assert rep.status == "fail" and "expected 1/2" in rep.evidence
+    rep = run_check("period", mutate(find_record("sp(2,R)"), g_complex=("B2",)))
+    assert rep.status == "fail" and "is 1/2, expected 1" in rep.evidence
+
+
+@pytest.mark.parametrize("name", ["sp(2,R)", "sp(2,C)"])
+def test_period_of_a_record_without_a_family(name):
+    # a family-less copy, as a registry file may hold it, keeps its period
+    # 1/2 and drops only the family tag
+    doc = json.loads(save([find_record(name)]))
+    doc["records"][0].update(family=None, params=[])
+    (r,) = load(json.dumps(doc))
+    assert r.family is None
+    rep = run_check("period", r)
+    assert (rep.status, rep.evidence) == ("pass", "lattice period 1/2")
 
 
 def test_count_control():
