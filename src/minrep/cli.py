@@ -83,6 +83,8 @@ def _verify_reports_md(reports, with_timings: bool) -> str:
 def cmd_verify(args) -> int:
     if args.params is not None and args.family is None:
         raise UsageError("--params requires --family")
+    if args.params is not None and args.records is not None:
+        raise UsageError("--params cannot be combined with --records")
     records = None
     family = args.family
     if args.records is not None:

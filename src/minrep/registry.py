@@ -147,6 +147,8 @@ def _fail(record_name: str, message: str):
 
 
 def validate_record(r: RealFormRecord) -> None:
+    if r.family is None and r.params:
+        _fail(r.name, "params given without a family")
     if (not r.modules) != (r.nonexistence_reason is not None):
         _fail(r.name, "no modules exactly when a nonexistence reason is present")
     if r.nonexistence_reason not in (None, REASON_ORBIT, REASON_PARITY):
@@ -241,10 +243,9 @@ def _complex_record(name: str, k_label: str, *, modules_mu0, module_labels,
     mods = tuple(
         MinimalModuleRecord(lbl, weight(sp, mu), theta)
         for lbl, mu in zip(module_labels, modules_mu0))
-    g_label = rs.label if rs.label != "A1d" else "A1"
-    pattern = joseph_infchar(g_label)
+    pattern = joseph_infchar(rs.label)
     return RealFormRecord(
-        name=name, g_complex=(g_label, g_label), space=sp, hermitian=False,
+        name=name, g_complex=(rs.label, rs.label), space=sp, hermitian=False,
         p_summands=(theta,), modules=mods,
         rho=space_rho(sp), xi0=weight(sp, _complex_xi0(rs)),
         w0=word(sp, [(0, rs.highest_root)]),

@@ -40,9 +40,10 @@ the elements.  "brute" covers W as the words x of the orbit of beta times
 W_beta, the group of the roots orthogonal to beta (Chevalley's lemma,
 Humphreys, Reflection Groups and Coxeter Groups, 1.12): x v sends beta to
 +-beta exactly when x does, so one compare with the packed state of -beta
-on the orbit walk finds the -beta coset, and each candidate x is one check
-of the definition on the W_beta walk, through forms compiled to their
-nonzero terms (see _nonnegative).
+on the orbit walk, confirmed on x's lattice image of beta, finds the -beta
+coset.  Each candidate x is one check of the definition on the W_beta
+walk: x^-1 maps J, the roots of W_beta, onto itself, so each pairing is
+linear in v xi0's labels on J's simple coroots (see _nonnegative).
 
 The layer is fraction-free inside.  A letter is an integer mirror (see
 rootsys.mirror) from where it is made, the kernel or a descent; a public
@@ -217,29 +218,6 @@ def _reflect_int(u: tuple[int, ...], s: tuple[int, ...], ss: int) -> tuple[int, 
     if not c:
         return u
     return tuple([a - c * b for a, b in zip(u, s)])
-
-
-def _forms(rs: RootSystem, ys: Iterable[tuple[int, ...]],
-           x: Vector) -> list[tuple[tuple[int, ...], int]]:
-    """For each integer vector y, an integer affine form (c, k) on the
-    labels l of w(x) (see coroot_labels): c . l + k is (y, w x) times one
-    positive constant, the same for every w in W(rs) and, when the ys are
-    images at one scale, for every y.
-
-    W fixes the part x1 of x off the root span.  With y1 the part of y off
-    it and omega_j the fundamental weights, (y, w x) = sum_j (y, omega_j)
-    <w x, alpha_j^vee> + (y1, x1), and w = 1 gives the constant (y1, x1).
-    """
-    d, labels = coroot_labels(rs, x)
-    m, (u,) = integer_images([x])
-    mw, weights = rs.fundamental_images
-    scale = mw * (d // m)
-    out = []
-    for y in ys:
-        c = tuple([sum(map(mul, y, w)) for w in weights])
-        # scale (y . u) is (y, x) at the scale of c . labels
-        out.append((c, scale * sum(map(mul, y, u)) - sum(map(mul, c, labels))))
-    return out
 
 
 def _label_bound(blocks: Iterable[tuple[int, ...]]) -> int:
@@ -453,18 +431,20 @@ def longest_product(space: KSpace, subs: Iterable[RootSystem]) -> WeylElement:
 # line preservers
 
 
-def _nonnegative(forms: list[tuple[tuple[int, ...], int]], orbit: _Orbit, block: int):
-    """State check: every form (see _forms) is nonnegative on the labels of
-    one block of the packed state.  Compiled once: a form c . l + k keeps
-    its terms with c_j nonzero as (shift of field j, c_j), read off the
-    biased fields f_j = l_j + bias, with the bias folded into the constant,
-    k - bias sum_j c_j.  Forms with the fewest terms go first, so a state
-    that fails one simple root (a single label) fails at once."""
+def _nonnegative(rs: RootSystem, ys: Iterable[tuple[int, ...]], orbit: _Orbit, block: int):
+    """State check: every integer vector y of rs's root span pairs
+    nonnegatively with the point p whose labels l (see coroot_labels) one
+    block of the packed state holds.  On the root span (y, p) = sum_j
+    (y, omega_j) <p, alpha_j^vee>, so c . l for c_j = y . m omega_j
+    (RootSystem.fundamental_images) is (y, p) times one positive constant.
+    Compiled once: a form keeps (shift of field j, c_j) for c_j nonzero,
+    read off the biased fields l_j + bias, the bias folded into the
+    constant -bias sum_j c_j."""
     k, nb = orbit.width, orbit.blocks
     field, bias = (1 << k) - 1, 1 << k - 1
-    compiled = sorted((([(k * (j * nb + block), cj) for j, cj in enumerate(c) if cj],
-                        const - bias * sum(c)) for c, const in forms),
-                      key=lambda form: len(form[0]))
+    forms = [[sum(map(mul, y, w)) for w in rs.fundamental_images[1]] for y in ys]
+    compiled = [([(k * (j * nb + block), cj) for j, cj in enumerate(c) if cj], -bias * sum(c))
+                for c in forms]
 
     def check(state: int) -> bool:
         for terms, const in compiled:
@@ -592,19 +572,17 @@ def _self_checked(space, beta, xi0, branches, strategy):
 
 def _flips(rs: RootSystem, v: Vector) -> list[list[Mirror]]:
     """The words x of the orbit walk of the dominant v with x(v) = -v: the
-    one whose point has the labels of -v, which is -v when v has no part
-    off the root span, and none when it has (W fixes that part)."""
+    one whose point has the labels of -v, kept when its lattice image is
+    that of -v, which fails exactly when v has a part off the root span
+    (W fixes that part)."""
     _, u = _tracked_image(rs, v)
-    # the constant of v's own form is zero exactly when v has no part off
-    # the root span
-    ((_, off_span),) = _forms(rs, [u], v)
-    if off_span:
-        return []
     labels = coroot_labels(rs, v)[1]
     # -v's labels have the same bound, so its packed state has the same
     # width and layout
     target = _orbit(rs, (), [-c for c in labels]).root
-    return _survivors(_orbit(rs, (), labels), [lambda state: state == target])[0]
+    (found,) = _survivors(_orbit(rs, (), labels), [lambda state: state == target])
+    minus = [tuple([-c for c in u])]
+    return [x for x in found if _reflected(reversed(x), [u]) == minus]
 
 
 def _line_preservers_brute(space, beta, xi0, budget):
@@ -615,8 +593,9 @@ def _line_preservers_brute(space, beta, xi0, budget):
     the candidates are x = 1 and the -beta coset (see _flips).  The W_beta
     walk tracks xi0 on J's simple coroots, and each candidate is one check
     of the definition: (x^-1 alpha, v xi0) = (alpha, x v xi0) >= 0 for
-    every positive root alpha orthogonal to beta.  A survivor's word is x's
-    word, then v's."""
+    every positive root alpha orthogonal to beta, where x^-1 alpha is a
+    root of J, so the pairing is linear in those labels (see _nonnegative).
+    A survivor's word is x's word, then v's."""
     _require_within(space_group_order(space), budget,
                     "x".join(rs.label for rs in space.factors))
     plus, minus = [], []
@@ -624,8 +603,9 @@ def _line_preservers_brute(space, beta, xi0, budget):
         flips = _flips(rs, beta_f)
         sub = orthogonal_subsystem(rs, beta_f)
         walk = _orbit(sub, (coroot_labels(sub, xi_f)[1],))
-        # the letters in printed order, first applied first, act as x^-1
-        tests = [_nonnegative(_forms(sub, _reflected(x, sub.positive_images), xi_f), walk, 1)
+        # the letters in printed order, first applied first, act as x^-1,
+        # which maps J onto itself: (x^-1 alpha, beta) = (alpha, x beta) = 0
+        tests = [_nonnegative(sub, _reflected(x, sub.positive_images), walk, 1)
                  for x in [[], *flips]]
         kept, *flipped = _survivors(walk, tests)
         plus.append(kept)

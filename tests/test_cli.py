@@ -106,6 +106,15 @@ def test_verify_params_without_family_is_usage_error(capsys):
     assert "--params requires --family" in err
 
 
+def test_verify_params_with_a_records_file_is_usage_error(capsys, tmp_path):
+    # the family's instance used to replace the file's records
+    path = tmp_path / "g2.json"
+    path.write_text(registry.save([registry.find_record("g2(2)")]), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(path), "--family", "so_even_even",
+                         "--params", "3,2", "--check", "rho")
+    assert (code, out, err) == (2, "", "error: --params cannot be combined with --records\n")
+
+
 def test_verify_bad_params_report_constraint(capsys):
     code, _, err = run(capsys, "verify", "--family", "so_2n_3", "--params", "1")
     assert code == 2
@@ -308,7 +317,7 @@ def test_verify_records_file_with_degenerate_beta_or_k_fails_every_report(capsys
 
 
 def _k_with_a_center(rec):
-    rec.update(name="toy(C2+center)", family=None, center_dim=1)
+    rec.update(name="toy(C2+center)", family=None, params=[], center_dim=1)
     for w in [*rec["p_summands"], rec["rho"], rec["xi0"],
               *(m[k] for m in rec["modules"] for k in ("mu0", "beta"))]:
         w["center"] = ["0"]
@@ -321,7 +330,7 @@ def _k_with_a_center(rec):
     ("so(5,3)", lambda rec: rec["p_summands"].append({"factors": [["-1", "0"], ["0"]]}),
      "record so(5,3): p-summand 1 is not dominant integral", None),
     # on the reducible D2, whose roots e1 -+ e2 give the letters of w0
-    ("sp(2,C)", lambda rec: rec.update(name="toy(D2)", family=None, k_factors=["D2"],
+    ("sp(2,C)", lambda rec: rec.update(name="toy(D2)", family=None, params=[], k_factors=["D2"],
                                        w0=[[0, ["1", "-1"]], [0, ["1", "1"]]]),
      None, "K factor D2 is reducible; a complex form needs K to be simple"),
     ("sp(2,C)", _k_with_a_center,

@@ -400,6 +400,8 @@ def test_validate_rejects_wrong_null_half():
      "module positive: beta climbs the wrong half"),
     # period reads the type of g's first component
     (SO44._replace(g_complex=(), infchar=()), "g_complex names no type"),
+    # params that nothing reads, and that save would write back
+    (find_record("e7(-5)")._replace(params=(3,)), "params given without a family"),
 ])
 def test_validate_refuses_each_malformed_record(record, message):
     with pytest.raises(RegistryValidationError, match=rf"^record [^:]+: {message}"):
@@ -440,7 +442,7 @@ def _one_module_payload(name):
      r"\(6,\), in name, g_complex, k_factors"),
     ("so(5,2)", {"params": [4]}, r"so\(5,2\): so_p_2 requires p >= 5"),
     ("so(5,2)", {"family": "su_p_q"}, r"so\(5,2\): unknown family 'su_p_q'"),
-    ("so(5,2)", {"family": None}, None),
+    ("so(5,2)", {"family": None, "params": []}, None),
 ])
 def test_load_refuses_a_record_of_another_class(name, edit, message):
     payload = _one_module_payload(name)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrep import rootsys, weyl
-from minrep.linalg import integer_images
 from minrep.registry import all_default_records
 from minrep.rootsys import (
     KSpace,
@@ -22,6 +21,7 @@ from minrep.rootsys import (
     coroot_labels,
     dot,
     make_root_system,
+    omega_to_coords,
     vscale,
     weight,
 )
@@ -299,37 +299,37 @@ def test_labels_stay_within_the_width_bound(label):
 
 @pytest.mark.parametrize("label", ["B3", "G2", "D4", "F4"])
 def test_compiled_forms_read_as_the_decoded_labels(label):
-    # _nonnegative compiles each form to its nonzero terms on the biased
-    # fields, the bias folded into the constant; at every state of a full
-    # walk carrying a fundamental weight (zero labels) and rho, it must
-    # agree with evaluating every form on the decoded block, in any order
+    # _nonnegative compiles each vector y of the root span to a linear form
+    # on the biased fields, the bias folded into the constant; at every
+    # state of a full walk carrying a fundamental weight (zero labels) and
+    # rho, it must agree with the Fraction pairing of every y with the
+    # point of the decoded block, in any order
     rs = make_root_system(label)
-    n = rs.rank
     orbit = weyl._orbit(rs, (coroot_labels(rs, rs.fundamental[0])[1],
                              coroot_labels(rs, rs.rho)[1]))
     rng = random.Random(label)
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    form_lists = [
-        [],
-        [((0,) * n, 0)], [((0,) * n, -1)],
-        [(unit[0], 0), (tuple(-c for c in unit[-1]), 3)],
-        # the first form passes wherever the rest may fail: each is read
-        [((0,) * n, 5), (tuple(range(-1, n - 1)), -2), (unit[1], 1)],
-    ]
-    form_lists += [[(tuple(rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(n)),
-                     rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
-                   for _ in range(12)]
-    checks = [(forms, block, [weyl._nonnegative(ordered, orbit, block)
-                              for ordered in (forms, forms[::-1],
-                                              rng.sample(forms, len(forms)))])
-              for forms in form_lists for block in (1, 2)]
+    simple = rs.simple_images
+    zero = (0,) * rs.ambient
+    minus = [tuple(-c for c in a) for a in simple]
+
+    def combination():
+        coeffs = [rng.choice((-3, -1, 0, 0, 1, 2)) for _ in simple]
+        return tuple(sum(c * a[i] for c, a in zip(coeffs, simple)) for i in range(rs.ambient))
+
+    y_lists = [[], [zero], [minus[0]], [simple[0], minus[-1]],
+               # the first vector passes wherever the rest may fail: each is read
+               [zero, combination(), simple[1]]]
+    y_lists += [[combination() for _ in range(rng.randint(1, 4))] for _ in range(12)]
+    checks = [(ys, block, [weyl._nonnegative(rs, ordered, orbit, block)
+                           for ordered in (ys, ys[::-1], rng.sample(ys, len(ys)))])
+              for ys in y_lists for block in (1, 2)]
     outcomes = Counter()
 
     def see(state):
-        for forms, block, compiled in checks:
-            x = orbit.labels(state, block)
-            want = all(sum(map(mul, c, x)) + k >= 0 for c, k in forms)
-            assert [check(state) for check in compiled] == [want] * 3, (forms, block)
+        points = {block: omega_to_coords(rs, orbit.labels(state, block)) for block in (1, 2)}
+        for ys, block, compiled in checks:
+            want = all(dot(y, points[block]) >= 0 for y in ys)
+            assert [check(state) for check in compiled] == [want] * 3, (ys, block)
             outcomes[want] += 1
         return False
 
@@ -1058,6 +1058,29 @@ def test_brute_finds_no_flip_off_the_root_span():
     assert _check_flips(sp, weight(sp, (1, -1))) == [True]
 
 
+def _check_flips_keep_j(space, beta):
+    """Brute's premise: each flip word x maps J, the roots orthogonal to
+    beta, into J's roots as brute applies it (letters in printed order, so
+    as x^-1), so every pairing it checks is linear in the W_beta labels."""
+    for rs, v in zip(space.factors, beta.factors):
+        sub = orthogonal_subsystem(rs, v)
+        roots = set(sub.positive_images) | {tuple(-c for c in a) for a in sub.positive_images}
+        for x in weyl._flips(rs, v):
+            assert set(weyl._reflected(x, sub.positive_images)) <= roots
+
+
+@pytest.mark.parametrize("record, beta", _brute_cases())
+def test_brute_flips_map_the_beta_roots_into_themselves(record, beta):
+    _check_flips_keep_j(record.space, beta)
+
+
+@given(preserver_case())
+@settings(max_examples=60, deadline=None)
+def test_brute_flips_map_the_beta_roots_into_themselves_on_random_cases(case):
+    sp, beta, _ = case
+    _check_flips_keep_j(sp, beta)
+
+
 def _stabilizer_cases():
     """(record, beta) for each beta of each record with line data whose
     beta stabilizer W_beta has order at most 10**6, chosen without the
@@ -1086,7 +1109,7 @@ def test_reduced_simple_root_forms_keep_the_survivors(record, beta):
             roots.append(weyl._reflected(reversed(wl[f]), sub.positive_images))
         for xi in (xi0, *sub.fundamental[:1]):
             orbit = weyl._orbit(sub, (coroot_labels(sub, xi)[1],))
-            every_root = [weyl._nonnegative(weyl._forms(sub, ys, xi), orbit, 1) for ys in roots]
+            every_root = [weyl._nonnegative(sub, ys, orbit, 1) for ys in roots]
             signs = [lambda state: min(orbit.labels(state, 1), default=0) >= 0,
                      lambda state: max(orbit.labels(state, 1), default=0) <= 0]
             simple = weyl._survivors(orbit, signs[:len(roots)])
@@ -1190,32 +1213,29 @@ def rational_vector_and_word(draw):
         rs = orthogonal_subsystem(rs, draw(st.sampled_from(
             sorted(positive_roots(rs)) + list(rs.fundamental))))
     rational = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-    v, y = (tuple(draw(rational) for _ in range(rs.ambient)) for _ in range(2))
+    v = tuple(draw(rational) for _ in range(rs.ambient))
     scales = rational.filter(bool)
     roots = draw(st.lists(st.sampled_from(sorted(all_roots(rs))), max_size=8)
                  if rs.rank else st.just([]))
     letters = [(0, vscale(draw(scales), r)) for r in roots]
-    return rs, v, y, letters
+    return rs, v, letters
 
 
 @given(rational_vector_and_word())
 @settings(max_examples=60, deadline=None)
 def test_lattice_action_matches_fraction_reference(case):
-    rs, v, y, letters = case
+    rs, v, letters = case
     sp = KSpace((rs,), 0)
     w = word(sp, letters)
     lam = weight(sp, v)
     assert apply(sp, w, lam) == apply_word(w, lam)
     # Along the whole orbit walk, each state's tracked block is d times the
-    # labels of the Fraction reference image, the lattice image that apply
-    # reflects stays integral (_reflect_int raises otherwise), and the form
-    # of y reads (y, w v) up to one positive factor, also when both have a
-    # part off the root span (A types, G2, A1d).  A node's word is its
-    # parent's with one more letter in front, and the walk visits the
-    # parent first.
+    # labels of the Fraction reference image, and the lattice image that
+    # apply reflects stays integral (_reflect_int raises otherwise), also
+    # when v has a part off the root span (A types, G2, A1d).  A node's
+    # word is its parent's with one more letter in front, and the walk
+    # visits the parent first.
     d, labels = coroot_labels(rs, v)
-    ((coeffs, const),) = weyl._forms(rs, integer_images([y])[1], v)
-    ratios = set()
     scale, image = weyl._tracked_image(rs, v)
     assert image == tuple(scale * c for c in v)
     orbit = weyl._orbit(rs, (labels,))
@@ -1237,11 +1257,6 @@ def test_lattice_action_matches_fraction_reference(case):
         w_v, lattice = ref[key]
         assert state[rs.rank:] == tuple(d * pair_coroot(w_v, a) for a in rs.simple)
         assert lattice == tuple(scale * c for c in w_v)
-        value, pairing = sum(map(mul, coeffs, state[rs.rank:])) + const, dot(y, w_v)
-        assert (value > 0) == (pairing > 0) and (value < 0) == (pairing < 0)
-        if pairing:
-            ratios.add(value / pairing)
-    assert len(ratios) <= 1
 
 
 def test_catalog_w0_elements_match_product_of_reflection_matrices():
